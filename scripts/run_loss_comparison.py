@@ -11,6 +11,7 @@ collapse criterion, which documents this as an expected failure).
 import argparse
 import statistics
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -18,8 +19,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from crossview.config import parse_config
 from crossview.datasets import generate_synthetic
-from crossview.sampler import SamplerConfig
-from crossview.trainer import TrainConfig, train
+from crossview.trainer import train
 
 KINDS = ("infonce", "soft_margin_triplet", "triplet")
 
@@ -33,25 +33,11 @@ def run(config_path, seeds, strategy):
     for kind in KINDS:
         finals = []
         for seed in range(seeds):
-            sampler = SamplerConfig(
-                batch_size=bundle.sampler.batch_size,
-                pool_size=bundle.sampler.pool_size,
-                picks_per_anchor=bundle.sampler.picks_per_anchor,
-                refresh_every=bundle.sampler.refresh_every,
-                gps_epochs=bundle.sampler.gps_epochs,
-                strategy=strategy,
-                seed=seed,
-            )
-            cfg = TrainConfig(
-                epochs=bundle.train.epochs,
-                warmup_epochs=bundle.train.warmup_epochs,
-                lr_max=bundle.train.lr_max,
-                hidden_dim=bundle.train.hidden_dim,
-                embed_dim=bundle.train.embed_dim,
-                loss=bundle.train.loss,
+            cfg = replace(
+                bundle.train,
                 loss_kind=kind,
-                sampler=sampler,
                 seed=seed,
+                sampler=replace(bundle.sampler, strategy=strategy, seed=seed),
             )
             result = train(records, queries, references, cfg)
             finals.append(result.history[-1]["r1"])

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .neighbors import nearest_k, planar_block
 
 EMB1_MAGIC = b"EMB1"
 _HEADER = struct.Struct("<II")
@@ -39,6 +40,8 @@ class Coordinate:
                 raise ValidationError(f"latitude {self.a} outside [-90, 90]")
             if not -180.0 <= self.b <= 180.0:
                 raise ValidationError(f"longitude {self.b} outside [-180, 180]")
+        elif not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValidationError(f"planar coordinate ({self.a}, {self.b}) is not finite")
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,12 @@ class EmbeddingTable:
             )
         if len(set(self.row_ids)) != len(self.row_ids):
             raise ValidationError("row ids must be unique")
+        finite = np.isfinite(self.data).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValidationError(
+                f"embedding row {self.row_ids[row]!r} (index {row}) holds a NaN or inf value"
+            )
 
     @property
     def count(self) -> int:
@@ -180,9 +189,7 @@ def load_manifest(path: str | Path) -> list[SampleRecord]:
             try:
                 obj = json.loads(line)
                 record = _record_from_json(obj, pair_index=len(records))
-            except ValidationError:
-                raise
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"manifest line {lineno}: {exc}") from exc
             records.append(record)
 
@@ -342,7 +349,9 @@ def generate_synthetic(
     reference = latents @ map_r + cfg.noise_sigma * rng.standard_normal((n, d_view))
 
     ids = [f"p{i:06d}" for i in range(n)]
-    semi_sets = _nearest_other_indices(coords, cfg.n_semi_positives)
+    semi_sets = nearest_k(
+        lambda start, stop: planar_block(coords[start:stop], coords), n, cfg.n_semi_positives
+    )[0].tolist()
     records = [
         SampleRecord(
             id=ids[i],
@@ -358,20 +367,3 @@ def generate_synthetic(
     reference_table = EmbeddingTable(reference.astype(np.float32), tuple(ids))
     return records, query_table, reference_table
 
-
-def _nearest_other_indices(coords: np.ndarray, k: int) -> list[list[int]]:
-    """For each row, indices of the k nearest other rows (ties by lower index)."""
-    n = coords.shape[0]
-    if k == 0:
-        return [[] for _ in range(n)]
-    out: list[list[int]] = []
-    block = 512
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        diff = coords[start:stop, None, :] - coords[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        for row, i in enumerate(range(start, stop)):
-            dist[row, i] = np.inf
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        out.extend(order[row].tolist() for row in range(stop - start))
-    return out

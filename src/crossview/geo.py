@@ -14,11 +14,10 @@ import numpy as np
 
 from .datasets import Coordinate
 from .errors import ValidationError
-from .simsearch import NeighborPool
+from .neighbors import nearest_k, planar_block
+from .simsearch import NeighborPool, pools_from_arrays
 
 MEAN_EARTH_RADIUS_M = 6_371_008.8
-
-_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,6 @@ def _haversine_block(a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     return 2.0 * radius * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
 
-def _planar_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
-
-
 def geo_topk(
     anchors: list[Coordinate],
     candidates: list[Coordinate],
@@ -93,25 +87,8 @@ def geo_topk(
     if K > n_c - 1:
         raise ValidationError(f"K={K} exceeds candidate count - 1 = {n_c - 1}")
 
-    pools: list[NeighborPool] = []
-    for start in range(0, len(anchors), _BLOCK):
-        stop = min(start + _BLOCK, len(anchors))
-        if crs_a == "wgs84":
-            dist = _haversine_block(a[start:stop], c, cfg.earth_radius_m)
-        else:
-            dist = _planar_block(a[start:stop], c)
-        for row, i in enumerate(range(start, stop)):
-            if i < n_c:
-                dist[row, i] = np.inf
-        order = np.argsort(dist, axis=1, kind="stable")[:, :K]
-        for row, i in enumerate(range(start, stop)):
-            idx = order[row]
-            pools.append(
-                NeighborPool(
-                    anchor_index=i,
-                    neighbor_indices=tuple(int(j) for j in idx),
-                    scores=tuple(float(d) for d in dist[row, idx]),
-                    kind="geographic",
-                )
-            )
-    return pools
+    if crs_a == "wgs84":
+        keys = lambda start, stop: _haversine_block(a[start:stop], c, cfg.earth_radius_m)
+    else:
+        keys = lambda start, stop: planar_block(a[start:stop], c)
+    return pools_from_arrays(*nearest_k(keys, len(anchors), K), "geographic")

@@ -14,8 +14,7 @@ import numpy as np
 
 from .datasets import EmbeddingTable
 from .errors import ValidationError
-
-_BLOCK = 256
+from .neighbors import nearest_k
 
 
 @dataclass(frozen=True)
@@ -89,22 +88,15 @@ def visual_topk(
         raise ValidationError(f"K={K} exceeds reference count - 1 = {n_r - 1}")
     q64 = queries.data.astype(np.float64)
     r64 = references.data.astype(np.float64)
-    pools: list[NeighborPool] = []
-    for start in range(0, queries.count, _BLOCK):
-        stop = min(start + _BLOCK, queries.count)
-        sims = q64[start:stop] @ r64.T
-        for row, i in enumerate(range(start, stop)):
-            if i < n_r:
-                sims[row, i] = -np.inf
-        order = np.argsort(-sims, axis=1, kind="stable")[:, :K]
-        for row, i in enumerate(range(start, stop)):
-            idx = order[row]
-            pools.append(
-                NeighborPool(
-                    anchor_index=i,
-                    neighbor_indices=tuple(int(j) for j in idx),
-                    scores=tuple(float(s) for s in sims[row, idx]),
-                    kind="visual",
-                )
-            )
-    return pools
+    indices, neg_sims = nearest_k(
+        lambda start, stop: -(q64[start:stop] @ r64.T), queries.count, K
+    )
+    return pools_from_arrays(indices, -neg_sims, "visual")
+
+
+def pools_from_arrays(indices: np.ndarray, scores: np.ndarray, kind: str) -> list[NeighborPool]:
+    """One NeighborPool per row of the (n, K) index and score arrays; row i is anchor i."""
+    return [
+        NeighborPool(anchor_index=i, neighbor_indices=tuple(idx), scores=tuple(row), kind=kind)
+        for i, (idx, row) in enumerate(zip(indices.tolist(), scores.tolist()))
+    ]

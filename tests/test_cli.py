@@ -1,4 +1,5 @@
 import json
+import struct
 
 from crossview.cli import main
 from crossview.datasets import load_manifest, read_embeddings
@@ -86,6 +87,24 @@ class TestPlan:
         assert rc == 0
         assert out.exists()
 
+    def test_nan_planar_coordinate_named(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path)
+        manifest = data / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        bad = json.loads(lines[3])
+        bad["x"] = float("nan")
+        lines[3] = json.dumps(bad)
+        manifest.write_text("\n".join(lines) + "\n")
+        rc = main([
+            "plan", *TINY_TRAIN,
+            "--set", "sampler.strategy=gps",
+            "--manifest", str(manifest),
+            "--epoch", "0", "--out", str(tmp_path / "plan.jsonl"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "manifest line 4" in err and "not finite" in err
+
 
 class TestTrain:
     def test_writes_artifacts(self, tmp_path):
@@ -133,6 +152,24 @@ class TestEval:
         report = json.loads(out.read_text())
         assert set(report["recall_at"]) == {"1", "5", "10"}
         assert report["n_queries"] == 50
+
+
+    def test_nan_query_row_named(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path)
+        path = data / "query.emb"
+        raw = bytearray(path.read_bytes())
+        dim = struct.unpack_from("<II", raw, 4)[1]
+        struct.pack_into("<f", raw, 12 + 4 * (3 * dim + 2), float("nan"))
+        path.write_bytes(bytes(raw))
+        rc = main([
+            "eval",
+            "--query", str(path),
+            "--ref", str(data / "reference.emb"),
+            "--manifest", str(data / "manifest.jsonl"),
+            "--out", str(tmp_path / "report.json"),
+        ])
+        assert rc == 1
+        assert "'p000003' (index 3)" in capsys.readouterr().err
 
 
 class TestGradcheck:

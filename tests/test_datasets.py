@@ -39,6 +39,15 @@ class TestCoordinate:
     def test_planar_unbounded(self):
         Coordinate(1e9, -1e9, "planar")
 
+    @pytest.mark.parametrize("a, b", [(float("nan"), 0.0), (0.0, float("inf")), (float("-inf"), 1.0)])
+    def test_planar_rejects_non_finite(self, a, b):
+        with pytest.raises(ValidationError, match="not finite"):
+            Coordinate(a, b, "planar")
+
+    def test_wgs84_rejects_nan(self):
+        with pytest.raises(ValidationError, match="latitude nan"):
+            Coordinate(float("nan"), 0.0, "wgs84")
+
     def test_unknown_crs(self):
         with pytest.raises(ValidationError):
             Coordinate(0.0, 0.0, "utm")
@@ -103,6 +112,20 @@ class TestManifest:
         path = tmp_path / "m.jsonl"
         write_manifest(records, path)
         assert load_manifest(path) == records
+
+
+class TestEmbeddingTable:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_named(self, bad):
+        data = np.ones((5, 3), dtype=np.float32)
+        data[3, 1] = bad
+        data[4, 0] = bad
+        with pytest.raises(ValidationError, match=r"row 'r3' \(index 3\)"):
+            make_table(data, ids=[f"r{i}" for i in range(5)])
+
+    def test_float32_overflow_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="index 0"):
+            EmbeddingTable(np.array([[1e39]]), ("a",))
 
 
 class TestEmb1:
@@ -185,6 +208,20 @@ class TestGenerateSynthetic:
         expected = brute_nearest(points, dist, 3)
         for i, record in enumerate(records):
             assert record.semi_positives == tuple(records[j].id for j in expected[i])
+
+    def test_semi_positives_match_brute_force_across_blocks(self):
+        cfg = SynthConfig(n_pairs=300, latent_dim=2, view_dim=2, n_semi_positives=5, seed=6)
+        records, _, _ = generate_synthetic(cfg)
+        points = [(r.coord.a, r.coord.b) for r in records]
+        dist = lambda p, q: ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) ** 0.5
+        expected = brute_nearest(points, dist, 5)
+        for i, record in enumerate(records):
+            assert record.semi_positives == tuple(records[j].id for j in expected[i])
+
+    def test_zero_semi_positives_gives_empty_tuples(self):
+        cfg = SynthConfig(n_pairs=300, latent_dim=2, view_dim=2, n_semi_positives=0, seed=6)
+        records, _, _ = generate_synthetic(cfg)
+        assert all(r.semi_positives == () for r in records)
 
     def test_semi_positives_exclude_positive(self):
         records, _, _ = generate_synthetic(SynthConfig(n_pairs=30, seed=1))

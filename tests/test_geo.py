@@ -115,6 +115,17 @@ class TestGeoTopk:
         for pool, exp in zip(pools, expected):
             assert list(pool.neighbor_indices) == exp
 
+    def test_integer_grid_across_blocks_matches_brute_force(self):
+        # 306 points span two row blocks; a grid makes many exact distance ties
+        rng = np.random.default_rng(24)
+        grid = [(x, y) for x in range(18) for y in range(17)]
+        coords = [pla(*grid[i]) for i in rng.permutation(len(grid))]
+        pools = geo_topk(coords, coords, K=12)
+        expected = brute_nearest(coords, planar_distance, 12)
+        for i, (pool, exp) in enumerate(zip(pools, expected)):
+            assert list(pool.neighbor_indices) == exp
+            assert list(pool.scores) == [planar_distance(coords[i], coords[j]) for j in exp]
+
     def test_equidistant_tie_lower_index_first(self):
         anchors = [pla(0, 0), pla(10, 10), pla(20, 0)]
         pools = geo_topk(anchors, anchors, K=2)
