@@ -224,6 +224,8 @@ def cmd_ablate(args) -> int:
     h.update(queries.data.tobytes())
     h.update(references.data.tobytes())
     dataset_hash = h.hexdigest()[:12]
+    out_csv = Path(args.out)
+    out_csv.parent.mkdir(parents=True, exist_ok=True)
 
     rows = []
     detail = {"dataset_hash": dataset_hash, "seeds": args.seeds, "runs": []}
@@ -254,7 +256,6 @@ def cmd_ablate(args) -> int:
             row[key] = statistics.median(values) if values else None
         rows.append(row)
 
-    out_csv = Path(args.out)
     fields = ["strategy", "r_at_1", "r_at_5", "r_at_10", "r_at_1pct", "hit_rate",
               "seeds", "dataset_hash"]
     with out_csv.open("w", newline="", encoding="utf-8") as fh:

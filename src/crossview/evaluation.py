@@ -41,66 +41,83 @@ class RetrievalReport:
         return json.dumps(obj, sort_keys=True)
 
 
-def _check_positives(positives: list[set[int]], n_q: int, n_r: int) -> None:
-    if len(positives) != n_q:
-        raise ValidationError(f"{len(positives)} positive sets for {n_q} queries")
-    for i, pos in enumerate(positives):
+RANK_BLOCK = 256  # (query, positive) pairs scored per block
+
+
+def _positive_ranks(
+    sim: np.ndarray, positives: list[set[int]], semi_positives: list[set[int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rank of each query's positives under descending similarity.
+
+    A rank is 1 + the references scored strictly higher + those tied with
+    the positive at a lower index; the masked rank leaves the query's
+    semi-positives out of that count. Returns each query's best rank and
+    best masked rank, every pair's rank and the first pair of each query.
+    """
+    sim = np.asarray(sim, dtype=np.float64)
+    n_q, n_r = sim.shape
+    for name, sets in (("positive", positives), ("semi-positive", semi_positives)):
+        if not n_q or len(sets) != n_q:
+            raise ValidationError(f"{len(sets)} {name} sets for {n_q} queries")
+    pairs, semis = [], []  # (query, positive), (pair, semi-positive)
+    for i, (pos, semi) in enumerate(zip(positives, semi_positives)):
         if not pos:
             raise ValidationError(f"query {i} has an empty positive set")
-        if any(j < 0 or j >= n_r for j in pos):
-            raise ValidationError(f"query {i} has a positive index outside the gallery")
+        for name, refs in (("positive", pos), ("semi-positive", semi)):
+            if any(j < 0 or j >= n_r for j in refs):
+                raise ValidationError(f"query {i} has a {name} index outside the gallery")
+        if clash := pos & semi:
+            raise ValidationError(f"query {i}: positives {sorted(clash)} are also semi-positives")
+        semis += [(len(pairs) + m, j) for m in range(len(pos)) for j in semi]
+        pairs += [(i, j) for j in sorted(pos)]
+    pairs, semis = np.array(pairs), np.array(semis, dtype=np.intp).reshape(-1, 2)
+    ranks = np.empty((len(pairs), 2), dtype=np.int64)  # plain, masked
+    for a in range(0, len(pairs), RANK_BLOCK):
+        q, c = pairs[a:a + RANK_BLOCK].T
+        rows = sim[q]
+        s = sim[q, c][:, None]
+        ahead = (rows > s) | ((rows == s) & (np.arange(n_r) < c[:, None]))
+        ranks[a:a + len(q), 0] = ahead.sum(axis=1) + 1
+        lo, hi = np.searchsorted(semis[:, 0], [a, a + len(q)])
+        ahead[semis[lo:hi, 0] - a, semis[lo:hi, 1]] = False
+        ranks[a:a + len(q), 1] = ahead.sum(axis=1) + 1
+    starts = np.flatnonzero(np.diff(pairs[:, 0], prepend=-1))
+    best = np.minimum.reduceat(ranks, starts)
+    return best[:, 0], best[:, 1], ranks[:, 0], starts
 
 
-def _rankings(sim: np.ndarray) -> np.ndarray:
-    # descending similarity, ties toward the lower reference index
-    return np.argsort(-np.asarray(sim, dtype=np.float64), axis=1, kind="stable")
+def _recall(best_ranks: np.ndarray, k: int) -> float:
+    return int(np.count_nonzero(best_ranks <= k)) / len(best_ranks)
 
 
 def recall_at_k(sim: np.ndarray, positives: list[set[int]], k: int) -> float:
     """Fraction of queries whose top-k ranked references contain a positive."""
-    sim = np.asarray(sim, dtype=np.float64)
-    n_q, n_r = sim.shape
+    n_r = np.shape(sim)[1]
     if not 1 <= k <= n_r:
         raise ValidationError(f"k={k} outside [1, {n_r}]")
-    _check_positives(positives, n_q, n_r)
-    order = _rankings(sim)
-    hits = sum(
-        1 for i in range(n_q) if any(int(j) in positives[i] for j in order[i, :k])
-    )
-    return hits / n_q
+    return _recall(_positive_ranks(sim, positives, [set()] * len(positives))[0], k)
 
 
 def recall_at_percent(sim: np.ndarray, positives: list[set[int]], pct: float = 1.0) -> float:
     """recall_at_k with k = ceil(pct/100 * gallery size)."""
     if not 0.0 < pct <= 100.0:
         raise ValidationError(f"pct={pct} outside (0, 100]")
-    n_r = np.asarray(sim).shape[1]
-    k = math.ceil(pct / 100.0 * n_r)
-    return recall_at_k(sim, positives, k)
+    return recall_at_k(sim, positives, math.ceil(pct / 100.0 * np.shape(sim)[1]))
 
 
 def hit_rate(
     sim: np.ndarray, positives: list[set[int]], semi_positives: list[set[int]]
 ) -> float:
     """R@1 after removing each query's semi-positives from its gallery."""
-    sim = np.asarray(sim, dtype=np.float64)
-    n_q, n_r = sim.shape
-    _check_positives(positives, n_q, n_r)
-    if len(semi_positives) != n_q:
-        raise ValidationError(f"{len(semi_positives)} semi-positive sets for {n_q} queries")
-    hits = 0
-    for i in range(n_q):
-        clash = positives[i] & semi_positives[i]
-        if clash:
-            raise ValidationError(
-                f"query {i}: positives {sorted(clash)} also listed as semi-positives"
-            )
-        row = sim[i].copy()
-        for j in semi_positives[i]:
-            row[j] = -np.inf
-        top = int(np.argmax(row))  # argmax returns the lowest tied index
-        hits += top in positives[i]
-    return hits / n_q
+    return _recall(_positive_ranks(sim, positives, semi_positives)[1], 1)
+
+
+def _average_precision(ranks: list[int], n_positives: int) -> float:
+    # ranks ascending; positives missing from them contribute zero
+    total = 0.0
+    for found, rank in enumerate(ranks, start=1):
+        total += found / rank
+    return total / n_positives
 
 
 def average_precision(ranking: list[int], positives: set[int]) -> float:
@@ -111,13 +128,8 @@ def average_precision(ranking: list[int], positives: set[int]) -> float:
     """
     if not positives:
         raise ValidationError("positives must be non-empty")
-    found = 0
-    total = 0.0
-    for rank, ref in enumerate(ranking, start=1):
-        if ref in positives:
-            found += 1
-            total += found / rank
-    return total / len(positives)
+    ranks = [rank for rank, ref in enumerate(ranking, start=1) if ref in positives]
+    return _average_precision(ranks, len(positives))
 
 
 def evaluate(
@@ -156,22 +168,20 @@ def evaluate(
 
     sim = cosine_matrix(l2_normalize(queries), l2_normalize(references))
     n_r = references.count
+    best, best_masked, pair_ranks, starts = _positive_ranks(sim, positives, semis)
 
-    recall = {k: recall_at_k(sim, positives, min(k, n_r)) for k in RECALL_KS}
-    r1pct = recall_at_percent(sim, positives, 1.0)
+    recall = {k: _recall(best, min(k, n_r)) for k in RECALL_KS}
+    r1pct = _recall(best, math.ceil(1.0 / 100.0 * n_r))  # recall_at_percent's k
 
-    hit = hit_rate(sim, positives, semis) if any(s for s in semis) else None
+    hit = _recall(best_masked, 1) if any(s for s in semis) else None
 
     referenced = set().union(*positives)
     has_distractors = len(referenced) < n_r
     multi_positive = any(len(p) > 1 for p in positives)
     mean_ap = None
     if multi_positive or has_distractors:
-        order = _rankings(sim)
-        aps = [
-            average_precision([int(j) for j in order[i]], positives[i])
-            for i in range(queries.count)
-        ]
+        per_query = np.split(pair_ranks, starts[1:])
+        aps = [_average_precision(sorted(r.tolist()), len(p)) for r, p in zip(per_query, positives)]
         mean_ap = float(np.mean(aps))
 
     return RetrievalReport(

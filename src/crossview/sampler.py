@@ -230,7 +230,9 @@ def read_plan(path: str | Path, epoch: int = 0, strategy_used: str = "random") -
                 continue
             try:
                 batch = json.loads(line)
-                batches.append(tuple(int(i) for i in batch))
-            except (json.JSONDecodeError, TypeError, ValueError) as exc:
+                if not isinstance(batch, list) or any(type(i) is not int for i in batch):
+                    raise ValueError(f"{line} is not a JSON list of integers")
+                batches.append(tuple(batch))
+            except ValueError as exc:
                 raise ValidationError(f"plan line {lineno}: {exc}") from exc
     return BatchPlan(epoch=epoch, batches=tuple(batches), strategy_used=strategy_used)

@@ -25,6 +25,7 @@ from scipy.special import erf
 
 from .datasets import EmbeddingTable, SampleRecord, read_embeddings, write_embeddings
 from .errors import ValidationError
+from .evaluation import recall_at_k
 from .geo import GeoConfig
 from .losses import (
     LossConfig,
@@ -392,22 +393,6 @@ class TrainResult:
     plans: list[BatchPlan]
 
 
-def _holdout_r1(
-    params: EncoderParams,
-    Xq: np.ndarray,
-    Xr: np.ndarray,
-    positives: list[set[int]],
-) -> float:
-    Q, _ = _forward(_weights(params, "query"), Xq)
-    R, _ = _forward(_weights(params, "reference"), Xr)
-    sims = Q @ R.T
-    hits = 0
-    for i, pos in enumerate(positives):
-        if int(np.argmax(sims[i])) in pos:
-            hits += 1
-    return hits / len(positives)
-
-
 def train(
     manifest: list[SampleRecord],
     query_features: EmbeddingTable,
@@ -505,7 +490,9 @@ def train(
             global_step += 1
 
         params, _ = _dict_to_params(pdict, cfg.shared_weights)
-        r1 = _holdout_r1(params, Xq[n_train:], Xr[n_train:], holdout_positives)
+        Q, _ = _forward(_weights(params, "query"), Xq[n_train:])
+        R, _ = _forward(_weights(params, "reference"), Xr[n_train:])
+        r1 = recall_at_k(Q @ R.T, holdout_positives, 1)
         history.append(
             {"epoch": epoch, "loss": float(np.mean(losses)) if losses else 0.0,
              "lr": lr, "r1": r1}

@@ -200,6 +200,12 @@ class TestAblate:
         detail = json.loads(out.with_suffix(".json").read_text())
         assert len(detail["runs"]) == 4
 
+    def test_missing_out_directory_created(self, tmp_path):
+        out = tmp_path / "results" / "desk" / "table.csv"
+        rc = main(["ablate", *TINY_SYNTH, *TINY_TRAIN, "--seeds", "1", "--out", str(out)])
+        assert rc == 0
+        assert out.exists() and out.with_suffix(".json").exists()
+
 
 class TestExitCodes:
     def test_validation_error_is_one(self, tmp_path):

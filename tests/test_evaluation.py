@@ -6,12 +6,15 @@ import pytest
 from crossview.datasets import Coordinate, EmbeddingTable, SampleRecord, SynthConfig, generate_synthetic
 from crossview.errors import ValidationError
 from crossview.evaluation import (
+    RANK_BLOCK,
+    RECALL_KS,
     average_precision,
     evaluate,
     hit_rate,
     recall_at_k,
     recall_at_percent,
 )
+from crossview.simsearch import cosine_matrix, l2_normalize
 
 from oracles import (
     brute_average_precision,
@@ -61,6 +64,10 @@ class TestRecallAtK:
         with pytest.raises(ValidationError, match="empty positive"):
             recall_at_k(np.eye(2), [{0}, set()], 1)
 
+    def test_no_queries_rejected(self):
+        with pytest.raises(ValidationError, match="0 queries"):
+            recall_at_k(np.zeros((0, 3)), [], 1)
+
     def test_k_out_of_range(self):
         with pytest.raises(ValidationError):
             recall_at_k(np.eye(2), [{0}, {1}], 3)
@@ -109,6 +116,11 @@ class TestHitRate:
         with pytest.raises(ValidationError, match="semi"):
             hit_rate(np.eye(2), [{0}, {1}], [{0}, set()])
 
+    @pytest.mark.parametrize("semi", [-1, 5])
+    def test_semi_positive_outside_gallery_rejected(self, semi):
+        with pytest.raises(ValidationError, match="semi-positive index outside the gallery"):
+            hit_rate(np.array([[0.1, 0.9]]), [{0}], [{semi}])
+
 
 class TestAveragePrecision:
     def test_single_positive_at_rank_one(self):
@@ -130,17 +142,24 @@ class TestAveragePrecision:
 
 class TestOracleEquivalence:
     def test_matches_brute_force_on_random_instances(self):
+        # odd cases use small-integer embeddings: their raw dot products are
+        # integer-valued and duplicate rows tie exactly; the last case holds
+        # more (query, positive) pairs than one rank block
         rng = np.random.default_rng(42)
-        for _ in range(25):
-            n_q = int(rng.integers(2, 40))
-            n_r = int(rng.integers(2, 40))
-            sim = rng.standard_normal((n_q, n_r))
-            positives = [{int(rng.integers(n_r))} for _ in range(n_q)]
-            semis = []
+        sizes = [(int(rng.integers(2, 40)), int(rng.integers(2, 40))) for _ in range(25)]
+        sizes.append((RANK_BLOCK + 60, 30))
+        for case, (n_q, n_r) in enumerate(sizes):
+            if case % 2:
+                xq, xr = rng.integers(1, 4, (n_q, 3)), rng.integers(1, 4, (n_r, 3))
+            else:
+                xq, xr = rng.standard_normal((n_q, 4)), rng.standard_normal((n_r, 4))
+            sim = (xq @ xr.T).astype(np.float64)
+            positives, semis = [], []
             for i in range(n_q):
-                pool = [j for j in range(n_r) if j not in positives[i]]
-                rng.shuffle(pool)
-                semis.append(set(pool[: int(rng.integers(0, min(3, len(pool)) + 1))]))
+                pool = [int(j) for j in rng.permutation(n_r)]
+                n_pos = int(rng.integers(1, min(3, n_r) + 1))
+                positives.append(set(pool[:n_pos]))
+                semis.append(set(pool[n_pos : n_pos + int(rng.integers(0, 4))]))
             sim_list = sim.tolist()
             for k in (1, min(5, n_r), n_r):
                 assert recall_at_k(sim, positives, k) == brute_recall_at_k(sim_list, positives, k)
@@ -153,6 +172,28 @@ class TestOracleEquivalence:
                 assert average_precision(ranking, positives[i]) == brute_average_precision(
                     ranking, positives[i]
                 )
+
+            # the same instance through evaluate, which scores cosines
+            q = EmbeddingTable(xq.astype(np.float32), tuple(f"q{i}" for i in range(n_q)))
+            r = EmbeddingTable(xr.astype(np.float32), tuple(f"r{j}" for j in range(n_r)))
+            records = [
+                SampleRecord(id=f"q{i}", pair_index=i, class_id=f"q{i}",
+                             coord=Coordinate(0, 0, "planar"),
+                             positives=tuple(f"r{j}" for j in sorted(positives[i])),
+                             semi_positives=tuple(f"r{j}" for j in sorted(semis[i])))
+                for i in range(n_q)
+            ]
+            report = evaluate(q, r, records)
+            cos = cosine_matrix(l2_normalize(q), l2_normalize(r)).tolist()
+            for k in RECALL_KS:
+                assert report.recall_at[k] == brute_recall_at_k(cos, positives, min(k, n_r))
+            assert report.recall_at_1pct == brute_recall_at_percent(cos, positives, 1.0)
+            if any(semis):
+                assert report.hit_rate == brute_hit_rate(cos, positives, semis)
+            aps = [brute_average_precision(rank_references(row), p)
+                   for row, p in zip(cos, positives)]
+            assert report.mean_ap == float(np.mean(aps))
+        assert sum(len(p) for p in positives) > RANK_BLOCK
 
     def test_rank_transform_invariance(self):
         rng = np.random.default_rng(7)

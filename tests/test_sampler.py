@@ -244,6 +244,7 @@ class TestPlanSerialization:
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "plan.jsonl"
-        path.write_text("[0, 1]\nnot a batch\n")
-        with pytest.raises(ValidationError, match="line 2"):
-            read_plan(path)
+        for bad in ("not a batch", "[0.9, 2]", '[true, "3"]', '"12"'):
+            path.write_text(f"[0, 1]\n{bad}\n")
+            with pytest.raises(ValidationError, match="line 2"):
+                read_plan(path)
