@@ -19,7 +19,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from crossview.config import parse_config
 from crossview.datasets import generate_synthetic
-from crossview.trainer import train
+from crossview.trainer import holdout_size, train
 
 KINDS = ("infonce", "soft_margin_triplet", "triplet")
 
@@ -27,7 +27,7 @@ KINDS = ("infonce", "soft_margin_triplet", "triplet")
 def run(config_path, seeds, strategy):
     bundle = parse_config(config_path)
     records, queries, references = generate_synthetic(bundle.synth)
-    chance = 1.0 / max(1, bundle.synth.n_pairs // 10)
+    chance = 1.0 / holdout_size(bundle.synth.n_pairs)
     print(f"chance level: {chance:.4f}\n")
     print(f"{'loss':>20}  {'median R@1':>10}  runs")
     for kind in KINDS:

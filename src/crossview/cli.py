@@ -40,7 +40,7 @@ from .sampler import (
     write_plan,
 )
 from .simsearch import l2_normalize
-from .trainer import TrainResult, encode, gradcheck, save_params, train
+from .trainer import TrainResult, encode, gradcheck, holdout_size, save_params, train
 
 STRATEGY_ORDER = ("random", "gps", "dss", "gps_then_dss")
 
@@ -188,14 +188,7 @@ def cmd_gradcheck(args) -> int:
     bundle = _load_bundle(args)
     worst: dict[str, float] = {}
     for i in range(args.inits):
-        report = gradcheck(
-            bundle.train,
-            n=args.n,
-            d_in=bundle.synth.view_dim,
-            d_h=bundle.train.hidden_dim,
-            d_out=bundle.train.embed_dim,
-            seed=args.seed + i,
-        )
+        report = gradcheck(bundle.train, n=args.n, d_in=bundle.synth.view_dim, seed=args.seed + i)
         for key, value in report.items():
             worst[key] = max(worst.get(key, 0.0), value)
     print(json.dumps(worst, sort_keys=True))
@@ -207,8 +200,7 @@ def cmd_gradcheck(args) -> int:
 
 def _holdout_report(result: TrainResult, manifest, queries, references):
     n = len(manifest)
-    n_holdout = max(1, n // 10)
-    start = n - n_holdout
+    start = n - holdout_size(n)
     sub = slice_manifest(manifest, start, n)
     ids = tuple(r.id for r in sub)
     q = encode(result.params, queries.data[start:].astype(np.float64), "query", ids)

@@ -13,6 +13,8 @@ Unknown keys are errors; an empty file yields every default. Overrides
 
 from __future__ import annotations
 
+import math
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,42 +42,24 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# key -> (section, field name, parser)
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+_SECTIONS = {"synth": SynthConfig, "sampler": SamplerConfig, "train": TrainConfig,
+             "loss": LossConfig, "geo": GeoConfig}
+_PARSERS = {bool: _parse_bool, int: int, float: _parse_float, str: str}
+
+# key -> (section, field name, parser): every config field with a plain
+# default is a key; TrainConfig.loss and .sampler are the loss/sampler sections
 _SCHEMA: dict[str, tuple[str, str, type | callable]] = {
-    "synth.n_pairs": ("synth", "n_pairs", int),
-    "synth.latent_dim": ("synth", "latent_dim", int),
-    "synth.view_dim": ("synth", "view_dim", int),
-    "synth.noise_sigma": ("synth", "noise_sigma", float),
-    "synth.map_extent_m": ("synth", "map_extent_m", float),
-    "synth.n_semi_positives": ("synth", "n_semi_positives", int),
-    "synth.region_grid": ("synth", "region_grid", int),
-    "synth.region_within": ("synth", "region_within", float),
-    "synth.seed": ("synth", "seed", int),
-    "sampler.batch_size": ("sampler", "batch_size", int),
-    "sampler.pool_size": ("sampler", "pool_size", int),
-    "sampler.picks_per_anchor": ("sampler", "picks_per_anchor", int),
-    "sampler.refresh_every": ("sampler", "refresh_every", int),
-    "sampler.gps_epochs": ("sampler", "gps_epochs", int),
-    "sampler.strategy": ("sampler", "strategy", str),
-    "sampler.seed": ("sampler", "seed", int),
-    "train.epochs": ("train", "epochs", int),
-    "train.lr_max": ("train", "lr_max", float),
-    "train.warmup_epochs": ("train", "warmup_epochs", int),
-    "train.weight_decay": ("train", "weight_decay", float),
-    "train.beta1": ("train", "beta1", float),
-    "train.beta2": ("train", "beta2", float),
-    "train.eps": ("train", "eps", float),
-    "train.hidden_dim": ("train", "hidden_dim", int),
-    "train.embed_dim": ("train", "embed_dim", int),
-    "train.shared_weights": ("train", "shared_weights", _parse_bool),
-    "train.loss_kind": ("train", "loss_kind", str),
-    "train.seed": ("train", "seed", int),
-    "loss.label_smoothing": ("loss", "label_smoothing", float),
-    "loss.logit_scale": ("loss", "logit_scale", float),
-    "loss.logit_scale_max": ("loss", "logit_scale_max", float),
-    "loss.direction": ("loss", "direction", str),
-    "loss.triplet_margin": ("loss", "triplet_margin", float),
-    "geo.earth_radius_m": ("geo", "earth_radius_m", float),
+    f"{section}.{f.name}": (section, f.name, _PARSERS[type(f.default)])
+    for section, cls in _SECTIONS.items()
+    for f in fields(cls)
+    if f.default is not MISSING
 }
 
 
@@ -96,7 +80,7 @@ def _parse_line(line: str, where: str, sections: dict[str, dict]) -> None:
 
 def parse_config(path: str | Path | None, overrides: list[str] = ()) -> ConfigBundle:
     """Read a config file (optional) and apply overrides last."""
-    sections: dict[str, dict] = {"synth": {}, "sampler": {}, "train": {}, "loss": {}, "geo": {}}
+    sections: dict[str, dict] = {section: {} for section in _SECTIONS}
     if path is not None:
         text = Path(path).read_text(encoding="utf-8")
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -115,22 +99,17 @@ def parse_config(path: str | Path | None, overrides: list[str] = ()) -> ConfigBu
     return ConfigBundle(synth=synth, sampler=sampler, train=train, geo=geo)
 
 
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def serialize_config(bundle: ConfigBundle) -> str:
     """Emit every key as key=value lines; parse(serialize(x)) == x."""
-    values = {}
-    for key, (section, name, _) in _SCHEMA.items():
-        source = {
-            "synth": bundle.synth,
-            "sampler": bundle.sampler,
-            "train": bundle.train,
-            "loss": bundle.train.loss,
-            "geo": bundle.geo,
-        }[section]
-        value = getattr(source, name)
-        if isinstance(value, bool):
-            values[key] = "true" if value else "false"
-        elif isinstance(value, float):
-            values[key] = repr(value)
-        else:
-            values[key] = str(value)
-    return "".join(f"{key}={values[key]}\n" for key in sorted(values))
+    sources = {"synth": bundle.synth, "sampler": bundle.sampler, "train": bundle.train,
+               "loss": bundle.train.loss, "geo": bundle.geo}
+    return "".join(
+        f"{key}={_format(getattr(sources[section], name))}\n"
+        for key, (section, name, _) in sorted(_SCHEMA.items())
+    )

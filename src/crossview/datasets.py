@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -238,18 +238,9 @@ def slice_manifest(records: list[SampleRecord], start: int, stop: int) -> list[S
             raise ValidationError(
                 f"record {record.id!r} has no positives inside the slice [{start}, {stop})"
             )
-        out.append(
-            SampleRecord(
-                id=record.id,
-                pair_index=i,
-                class_id=record.class_id,
-                coord=record.coord,
-                positives=positives,
-                semi_positives=tuple(
-                    s for s in record.semi_positives if s in keep_ids
-                ),
-            )
-        )
+        semi_positives = tuple(s for s in record.semi_positives if s in keep_ids)
+        out.append(replace(record, pair_index=i, positives=positives,
+                           semi_positives=semi_positives))
     return out
 
 

@@ -16,6 +16,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,7 @@ def plan_epoch(
 
     order = [int(i) for i in rng_state.permutation(n)]
     used = [False] * n
+    cursor = 0  # every order entry before it is used
     batches: list[tuple[int, ...]] = []
     for anchor in order:
         if used[anchor]:
@@ -176,24 +178,17 @@ def plan_epoch(
         batch = [anchor]
         classes = {class_of[anchor]}
         used[anchor] = True
-        if strategy != "random":
-            for p in pick_from_pool(pools[anchor], cfg, rng_state):
-                if len(batch) >= cfg.batch_size:
-                    break
-                if used[p] or class_of[p] in classes:
-                    continue
-                batch.append(p)
-                classes.add(class_of[p])
-                used[p] = True
-        if len(batch) < cfg.batch_size:
-            for cand in order:
-                if len(batch) >= cfg.batch_size:
-                    break
-                if used[cand] or class_of[cand] in classes:
-                    continue
-                batch.append(cand)
-                classes.add(class_of[cand])
-                used[cand] = True
+        picks = pick_from_pool(pools[anchor], cfg, rng_state) if strategy != "random" else []
+        while cursor < n and used[order[cursor]]:
+            cursor += 1
+        for cand in chain(picks, (order[pos] for pos in range(cursor, n))):
+            if len(batch) >= cfg.batch_size:
+                break
+            if used[cand] or class_of[cand] in classes:
+                continue
+            batch.append(cand)
+            classes.add(class_of[cand])
+            used[cand] = True
         batches.append(tuple(batch))
     return BatchPlan(epoch=epoch, batches=tuple(batches), strategy_used=strategy)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
-from .datasets import EmbeddingTable, SampleRecord, read_embeddings, write_embeddings
+from .datasets import EmbeddingTable, SampleRecord, read_embeddings, slice_manifest, write_embeddings
 from .errors import ValidationError
 from .evaluation import recall_at_k
 from .geo import GeoConfig
@@ -113,22 +113,12 @@ def init_params(
     def layer(m, n):
         return rng.standard_normal((m, n)) * math.sqrt(2.0 / (m + n))
 
-    kw = {}
-    if not shared_weights:
-        kw = dict(
-            ref_W1=layer(d_in, d_h),
-            ref_b1=np.zeros(d_h),
-            ref_W2=layer(d_h, d_out),
-            ref_b2=np.zeros(d_out),
-        )
-    return EncoderParams(
-        W1=layer(d_in, d_h),
-        b1=np.zeros(d_h),
-        W2=layer(d_h, d_out),
-        b2=np.zeros(d_out),
-        shared_weights=shared_weights,
-        **kw,
-    )
+    def encoder(prefix):
+        return {prefix + "W1": layer(d_in, d_h), prefix + "b1": np.zeros(d_h),
+                prefix + "W2": layer(d_h, d_out), prefix + "b2": np.zeros(d_out)}
+
+    ref = {} if shared_weights else encoder("ref_")  # drawn first
+    return EncoderParams(**encoder(""), shared_weights=shared_weights, **ref)
 
 
 @dataclass(frozen=True)
@@ -171,12 +161,14 @@ class TrainConfig:
 # forward / backward
 
 
+_TENSORS = ("W1", "b1", "W2", "b2")  # one encoder's tensors, in layer order
+
+
 def _weights(params: EncoderParams, view: str):
     if view not in ("query", "reference"):
         raise ValidationError(f"view must be 'query' or 'reference', got {view!r}")
-    if params.shared_weights or view == "query":
-        return params.W1, params.b1, params.W2, params.b2
-    return params.ref_W1, params.ref_b1, params.ref_W2, params.ref_b2
+    prefix = "" if params.shared_weights or view == "query" else "ref_"
+    return tuple(getattr(params, prefix + t) for t in _TENSORS)
 
 
 def _forward(w, X):
@@ -296,33 +288,18 @@ def adamw_step(
 
 
 def _params_to_dict(params: EncoderParams, logit_scale: float) -> dict[str, np.ndarray]:
-    out = {
-        "q.W1": params.W1,
-        "q.b1": params.b1,
-        "q.W2": params.W2,
-        "q.b2": params.b2,
-        "logit_scale": np.array(logit_scale),
-    }
+    out = dict(zip((f"q.{t}" for t in _TENSORS), _weights(params, "query")))
+    out["logit_scale"] = np.array(logit_scale)
     if not params.shared_weights:
-        out.update(
-            {
-                "r.W1": params.ref_W1,
-                "r.b1": params.ref_b1,
-                "r.W2": params.ref_W2,
-                "r.b2": params.ref_b2,
-            }
-        )
+        out.update(zip((f"r.{t}" for t in _TENSORS), _weights(params, "reference")))
     return out
 
 
 def _dict_to_params(d: dict[str, np.ndarray], shared: bool) -> tuple[EncoderParams, float]:
-    kw = {}
+    kw = {t: d[f"q.{t}"] for t in _TENSORS}
     if not shared:
-        kw = dict(ref_W1=d["r.W1"], ref_b1=d["r.b1"], ref_W2=d["r.W2"], ref_b2=d["r.b2"])
-    params = EncoderParams(
-        W1=d["q.W1"], b1=d["q.b1"], W2=d["q.W2"], b2=d["q.b2"], shared_weights=shared, **kw
-    )
-    return params, float(d["logit_scale"])
+        kw.update({f"ref_{t}": d[f"r.{t}"] for t in _TENSORS})
+    return EncoderParams(shared_weights=shared, **kw), float(d["logit_scale"])
 
 
 def _decay_keys(d: dict[str, np.ndarray]) -> frozenset[str]:
@@ -338,8 +315,8 @@ def _batch_objective(
     loss_kind: str = "infonce",
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and gradients w.r.t. every entry of the parameter dict."""
-    wq = (pdict["q.W1"], pdict["q.b1"], pdict["q.W2"], pdict["q.b2"])
-    wr = wq if shared else (pdict["r.W1"], pdict["r.b1"], pdict["r.W2"], pdict["r.b2"])
+    wq = tuple(pdict[f"q.{t}"] for t in _TENSORS)
+    wr = wq if shared else tuple(pdict[f"r.{t}"] for t in _TENSORS)
     cfg = replace(loss_cfg, logit_scale=float(pdict["logit_scale"]))
 
     Q, cache_q = _forward(wq, Xq)
@@ -366,23 +343,22 @@ def _batch_objective(
 
     gq = _backward(wq, cache_q, dQ)
     gr = _backward(wr, cache_r, dR)
-    grads = {
-        "q.W1": gq[0],
-        "q.b1": gq[1],
-        "q.W2": gq[2],
-        "q.b2": gq[3],
-        "logit_scale": np.array(dscale),
-    }
     if shared:
-        for i, key in enumerate(("q.W1", "q.b1", "q.W2", "q.b2")):
-            grads[key] = grads[key] + gr[i]
-    else:
-        grads.update({"r.W1": gr[0], "r.b1": gr[1], "r.W2": gr[2], "r.b2": gr[3]})
+        gq = tuple(a + b for a, b in zip(gq, gr))
+    grads = dict(zip((f"q.{t}" for t in _TENSORS), gq))
+    grads["logit_scale"] = np.array(dscale)
+    if not shared:
+        grads.update(zip((f"r.{t}" for t in _TENSORS), gr))
     return out.loss, grads
 
 
 # ---------------------------------------------------------------------------
 # training loop
+
+
+def holdout_size(n: int) -> int:
+    """Pairs held out at the end of an n-pair manifest: 10%, at least one."""
+    return max(1, n // 10)
 
 
 @dataclass(frozen=True)
@@ -402,9 +378,9 @@ def train(
 ) -> TrainResult:
     """Train the encoder on row-aligned features; deterministic given cfg.
 
-    The final 10% of pairs by pair_index are held out; per epoch the
-    history records the mean batch loss, the learning rate at the last
-    step, and the held-out R@1.
+    The final holdout_size(n) pairs by pair_index are held out, and each
+    needs a positive among them; per epoch the history records the mean
+    batch loss, the learning rate at the last step, and the held-out R@1.
     """
     n = len(manifest)
     if query_features.count != n or reference_features.count != n:
@@ -418,11 +394,13 @@ def train(
                     f"feature row {row_id!r} does not align with record {record.id!r}"
                 )
 
-    n_holdout = max(1, n // 10)
-    n_train = n - n_holdout
+    n_train = n - holdout_size(n)
     if n_train < 2:
         raise ValidationError(f"{n} pairs leave only {n_train} for training")
     train_records = manifest[:n_train]
+    holdout = slice_manifest(manifest, n_train, n)
+    holdout_row = {r.id: r.pair_index for r in holdout}
+    holdout_positives = [{holdout_row[p] for p in r.positives} for r in holdout]
     scfg = cfg.sampler
     needs_pools = scfg.strategy != "random"
     if needs_pools and scfg.pool_size > n_train - 1:
@@ -433,12 +411,6 @@ def train(
     Xq = query_features.data.astype(np.float64)
     Xr = reference_features.data.astype(np.float64)
     Xq_train, Xr_train = Xq[:n_train], Xr[:n_train]
-
-    id_to_holdout_row = {manifest[j].id: j - n_train for j in range(n_train, n)}
-    holdout_positives = []
-    for j in range(n_train, n):
-        pos = {id_to_holdout_row[p] for p in manifest[j].positives if p in id_to_holdout_row}
-        holdout_positives.append(pos if pos else {j - n_train})
 
     rng_init = np.random.default_rng([cfg.seed, 0])
     params = init_params(rng_init, query_features.dim, cfg.hidden_dim, cfg.embed_dim,
@@ -515,14 +487,13 @@ def gradcheck(
     cfg: TrainConfig,
     n: int = 8,
     d_in: int = 16,
-    d_h: int = 32,
-    d_out: int = 8,
     seed: int = 0,
     step: float = 1e-5,
     corrupt: float = 0.0,
 ) -> dict[str, float]:
     """Compare backprop gradients of the full batch objective to central
-    finite differences.
+    finite differences, for an encoder of cfg's widths over n random
+    d_in-dimensional pairs.
 
     Returns per-parameter max relative errors plus their overall "max".
     The relative error of a tensor is the sup-norm deviation scaled by
@@ -531,7 +502,7 @@ def gradcheck(
     the harness self-test.
     """
     rng = np.random.default_rng(seed)
-    params = init_params(rng, d_in, d_h, d_out, cfg.shared_weights)
+    params = init_params(rng, d_in, cfg.hidden_dim, cfg.embed_dim, cfg.shared_weights)
     Xq = rng.standard_normal((n, d_in))
     Xr = rng.standard_normal((n, d_in))
     pdict = _params_to_dict(params, cfg.loss.logit_scale)

@@ -59,6 +59,30 @@ def brute_nearest(points, distance, k):
     return out
 
 
+def rescan_plan(class_of, pools, batch_size, picks_per_anchor, rng):
+    """Greedy epoch plan that tops up every batch by rescanning the whole
+    shuffle; pools is None or, per anchor, its neighbour indices nearest
+    first. Consumes ``rng`` as the planner does."""
+    order = [int(i) for i in rng.permutation(len(class_of))]
+    used = set()
+    batches = []
+    for anchor in (a for a in order if a not in used):
+        batch = [anchor]
+        candidates = list(order)
+        if pools is not None:
+            half = picks_per_anchor // 2
+            draw = rng.choice(len(pools[anchor]) - half, picks_per_anchor - half, replace=False)
+            picks = [*range(half), *sorted(half + int(c) for c in draw)]
+            candidates = [pools[anchor][j] for j in picks] + candidates
+        for cand in candidates:
+            if (len(batch) < batch_size and cand not in used and cand not in batch
+                    and all(class_of[cand] != class_of[b] for b in batch)):
+                batch.append(cand)
+        used.update(batch)
+        batches.append(tuple(batch))
+    return batches
+
+
 def law_of_cosines_distance(lat1, lon1, lat2, lon2, radius):
     """Great-circle distance via the spherical law of cosines."""
     p1, p2 = math.radians(lat1), math.radians(lat2)

@@ -9,6 +9,7 @@ import json
 import math
 import statistics
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from crossview.geo import MEAN_EARTH_RADIUS_M, haversine_distance
 from crossview.losses import LossConfig, info_nce
 from crossview.sampler import SamplerConfig, build_geo_pools, build_sim_pools, plan_epoch, plan_rng, validate_plan
 from crossview.simsearch import l2_normalize
-from crossview.trainer import TrainConfig, gradcheck, train
+from crossview.trainer import TrainConfig, gradcheck, holdout_size, train
 
 from oracles import (
     brute_average_precision,
@@ -54,10 +55,10 @@ def test_c1_gradient_correctness():
     for seed in range(20):
         shared, eps = cases[seed % len(cases)]
         cfg = TrainConfig(
-            epochs=1, warmup_epochs=0, shared_weights=shared,
+            epochs=1, warmup_epochs=0, hidden_dim=32, embed_dim=8, shared_weights=shared,
             loss=LossConfig(label_smoothing=eps),
         )
-        rep = gradcheck(cfg, n=8, d_in=16, d_h=32, d_out=8, seed=seed)
+        rep = gradcheck(cfg, n=8, d_in=16, seed=seed)
         worst = max(worst, rep["max"])
     elapsed = time.monotonic() - start
     report(
@@ -110,8 +111,7 @@ def test_c3_plan_validity():
     checked = 0
     for seed in range(100):
         for strategy in ("random", "gps", "dss", "gps_then_dss"):
-            cfg = SamplerConfig(batch_size=128, pool_size=128, picks_per_anchor=64,
-                                strategy=strategy, seed=seed)
+            cfg = replace(base, strategy=strategy, seed=seed)
             epochs = (0, cfg.gps_epochs) if strategy == "gps_then_dss" else (0,)
             for epoch in epochs:
                 effective = {"random": None, "gps": geo_pools, "dss": sim_pools,
@@ -181,26 +181,8 @@ def test_c4_metric_oracle_equivalence():
 
 def _ablation_config(strategy, seed):
     bundle = parse_config(ABLATE_CFG)
-    sampler = SamplerConfig(
-        batch_size=bundle.sampler.batch_size,
-        pool_size=bundle.sampler.pool_size,
-        picks_per_anchor=bundle.sampler.picks_per_anchor,
-        refresh_every=bundle.sampler.refresh_every,
-        gps_epochs=bundle.sampler.gps_epochs,
-        strategy=strategy,
-        seed=seed,
-    )
-    train_cfg = TrainConfig(
-        epochs=bundle.train.epochs,
-        warmup_epochs=bundle.train.warmup_epochs,
-        lr_max=bundle.train.lr_max,
-        hidden_dim=bundle.train.hidden_dim,
-        embed_dim=bundle.train.embed_dim,
-        loss=bundle.train.loss,
-        sampler=sampler,
-        seed=seed,
-    )
-    return bundle.synth, train_cfg
+    sampler = replace(bundle.sampler, strategy=strategy, seed=seed)
+    return bundle.synth, replace(bundle.train, seed=seed, sampler=sampler)
 
 
 def test_c5_sampling_ablation():
@@ -240,18 +222,13 @@ def test_c6_triplet_collapse():
     start = time.monotonic()
     synth, _ = _ablation_config("dss", 0)
     records, queries, references = generate_synthetic(synth)
-    chance = 1.0 / max(1, synth.n_pairs // 10)
+    chance = 1.0 / holdout_size(synth.n_pairs)
     medians = {}
     for kind in ("triplet", "infonce"):
         finals = []
         for seed in range(5):
             _, cfg = _ablation_config("dss", seed)
-            cfg = TrainConfig(
-                epochs=cfg.epochs, warmup_epochs=cfg.warmup_epochs, lr_max=cfg.lr_max,
-                hidden_dim=cfg.hidden_dim, embed_dim=cfg.embed_dim, loss=cfg.loss,
-                sampler=cfg.sampler, seed=cfg.seed, loss_kind=kind,
-            )
-            result = train(records, queries, references, cfg)
+            result = train(records, queries, references, replace(cfg, loss_kind=kind))
             finals.append(result.history[-1]["r1"])
         medians[kind] = statistics.median(finals)
     elapsed = time.monotonic() - start

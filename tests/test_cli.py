@@ -136,6 +136,15 @@ class TestTrain:
         for p1, p2 in zip(run1["plans"], run2["plans"]):
             assert (outs[0] / p1).read_bytes() == (outs[1] / p2).read_bytes()
 
+    def test_non_finite_setting_rejected_before_training(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path)
+        out = tmp_path / "run"
+        rc = main(["train", *TINY_TRAIN, "--set", "train.loss_kind=triplet",
+                   "--set", "loss.triplet_margin=nan", "--data", str(data), "--out", str(out)])
+        assert rc == 1
+        assert "loss.triplet_margin" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_report_written(self, tmp_path):

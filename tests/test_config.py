@@ -1,8 +1,10 @@
 import math
+from dataclasses import astuple
 
 import pytest
+from hypothesis import given, strategies as st
 
-from crossview.config import parse_config, serialize_config
+from crossview.config import _SCHEMA, parse_config, serialize_config
 from crossview.errors import ValidationError
 
 
@@ -67,6 +69,36 @@ class TestParsing:
         path = tmp_path / "c.cfg"
         path.write_text("train.shared_weights=false\n")
         assert parse_config(path).train.shared_weights is False
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key",
+        ["synth.noise_sigma", "train.lr_max", "loss.triplet_margin",
+         "loss.logit_scale_max", "geo.earth_radius_m"],
+    )
+    def test_non_finite_float_reports_key_and_line(self, tmp_path, key, text):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"# comment\n{key}={text}\n")
+        with pytest.raises(ValidationError, match=rf"c\.cfg:2: bad value for '{key}'.*finite"):
+            parse_config(path)
+
+
+VALUE_TEXT = st.one_of(
+    st.text(max_size=30),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["NaN", " -Infinity", "1e999", "1_000", "true", "dss"]),
+)
+
+
+@given(key=st.sampled_from(sorted(_SCHEMA)), text=VALUE_TEXT)
+def test_any_value_text_parses_finite_or_fails_validation(key, text):
+    try:
+        bundle = parse_config(None, [f"{key}={text}"])
+    except ValidationError:
+        return
+    values = [*astuple(bundle.synth), *astuple(bundle.train), *astuple(bundle.geo)]
+    assert all(math.isfinite(v) for v in values if isinstance(v, float))
 
 
 class TestRoundTrip:

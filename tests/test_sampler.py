@@ -21,6 +21,8 @@ from crossview.sampler import (
 )
 from crossview.simsearch import NeighborPool, l2_normalize
 
+from oracles import rescan_plan
+
 
 def records_at(points, class_ids=None):
     n = len(points)
@@ -197,6 +199,24 @@ class TestPlanEpoch:
         p1 = plan_epoch(records, pools, cfg, 3, plan_rng(cfg, 3))
         p2 = plan_epoch(records, pools, cfg, 3, plan_rng(cfg, 3))
         assert p1 == p2
+
+    @pytest.mark.parametrize("strategy", ["random", "gps", "dss"])
+    def test_shared_classes_match_full_rescan(self, strategy):
+        # 300 pairs in 30 classes of 10: top-ups skip many same-class entries
+        rng = np.random.default_rng(6)
+        records = records_at(rng.uniform(0, 100, size=(300, 2)),
+                             class_ids=[f"c{i % 30}" for i in range(300)])
+        cfg = SamplerConfig(batch_size=17, pool_size=32, picks_per_anchor=16, strategy=strategy)
+        ids = tuple(r.id for r in records)
+        table = l2_normalize(EmbeddingTable(rng.standard_normal((300, 6)), ids))
+        pools = {"random": None, "gps": build_geo_pools(records, cfg),
+                 "dss": build_sim_pools(table, table, cfg)}[strategy]
+        indices = None if pools is None else [p.neighbor_indices for p in pools]
+        for seed in range(5):
+            plan = plan_epoch(records, pools, cfg, 0, np.random.default_rng(seed))
+            expected = rescan_plan([r.class_id for r in records], indices, 17, 16,
+                                   np.random.default_rng(seed))
+            assert list(plan.batches) == expected
 
     def test_pool_kind_must_match_strategy(self):
         records = records_at([(0, 0), (1, 0), (2, 0)])

@@ -1,5 +1,6 @@
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,19 +181,20 @@ class TestGradcheck:
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_random_init_passes(self, shared, eps):
-        cfg = tiny_config(shared_weights=shared, loss=LossConfig(label_smoothing=eps))
-        report = gradcheck(cfg, n=6, d_in=8, d_h=12, d_out=5, seed=1)
+        cfg = tiny_config(hidden_dim=12, embed_dim=5, shared_weights=shared,
+                          loss=LossConfig(label_smoothing=eps))
+        report = gradcheck(cfg, n=6, d_in=8, seed=1)
         assert report["max"] <= 1e-6
 
     def test_zero_gradient_direction(self):
-        cfg = tiny_config(loss=LossConfig(label_smoothing=0.0))
-        report = gradcheck(cfg, n=1, d_in=6, d_h=8, d_out=4, seed=2)
+        cfg = tiny_config(hidden_dim=8, embed_dim=4, loss=LossConfig(label_smoothing=0.0))
+        report = gradcheck(cfg, n=1, d_in=6, seed=2)
         # both analytic and numeric vanish; the comparison stays tiny
         assert report["max"] <= 1e-6
 
     def test_corrupted_gradient_detected(self):
-        cfg = tiny_config()
-        report = gradcheck(cfg, n=6, d_in=8, d_h=12, d_out=5, seed=3, corrupt=0.05)
+        cfg = tiny_config(hidden_dim=12, embed_dim=5)
+        report = gradcheck(cfg, n=6, d_in=8, seed=3, corrupt=0.05)
         assert report["max"] > 1e-2
 
 
@@ -268,6 +270,12 @@ class TestTrain:
         cfg = tiny_config()
         with pytest.raises(ValidationError, match="row-aligned"):
             train(records[:-1], q, r, cfg)
+
+    def test_holdout_record_without_holdout_positive_rejected(self):
+        records, q, r = self.make_data()
+        records[-1] = replace(records[-1], positives=(records[0].id,), semi_positives=())
+        with pytest.raises(ValidationError, match=f"{records[-1].id}.*no positives inside"):
+            train(records, q, r, tiny_config(epochs=1, warmup_epochs=0))
 
     def test_logit_scale_clamped(self):
         records, q, r = self.make_data(noise=0.2)
