@@ -131,14 +131,10 @@ def _write_train_artifacts(result: TrainResult, out: Path, dataset_hash: str) ->
         (out / name).write_text(plan_text, encoding="utf-8")
         plan_names.append(name)
 
-    params_tag = _hash8(
-        b"".join(
-            np.ascontiguousarray(t, dtype="<f8").tobytes()
-            for t in (result.params.W1, result.params.b1, result.params.W2, result.params.b2)
-        )
-    )
-    params_dir = f"params-{params_tag}"
-    save_params(result.params, result.loss_config, out / params_dir)
+    # the query encoder's W1 b1 W2 b2: the leading block of theta
+    query_block = result.params.theta[: result.params.layout["q.b2"][0].stop]
+    params_dir = f"params-{_hash8(query_block.astype('<f8').tobytes())}"
+    save_params(result.params, out / params_dir)
 
     run = {
         "dataset_hash": dataset_hash,

@@ -148,6 +148,9 @@ class SynthConfig:
             raise ValidationError("noise_sigma must be >= 0")
         if self.map_extent_m <= 0:
             raise ValidationError("map_extent_m must be > 0")
+        if not math.isfinite(2.0 * self.map_extent_m * self.map_extent_m):  # as planar_block
+            raise ValidationError(f"synth.map_extent_m={self.map_extent_m!r}: the largest "
+                                  "squared planar distance 2*extent^2 overflows float64")
         if self.n_semi_positives < 0:
             raise ValidationError("n_semi_positives must be >= 0")
         if self.region_grid < 1:

@@ -27,6 +27,9 @@ class GeoConfig:
     def __post_init__(self):
         if self.earth_radius_m <= 0:
             raise ValidationError("earth_radius_m must be > 0")
+        if not math.isfinite(2.0 * self.earth_radius_m * math.asin(1.0)):  # as _haversine_block
+            raise ValidationError(f"geo.earth_radius_m={self.earth_radius_m!r}: the largest "
+                                  "haversine distance 2*R*asin(1) overflows float64")
 
 
 def haversine_distance(p: Coordinate, q: Coordinate, cfg: GeoConfig = GeoConfig()) -> float:

@@ -15,8 +15,8 @@ comparison; both use squared Euclidean distances between rows.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +50,15 @@ class LossConfig:
             raise ValidationError(
                 f"direction {self.direction!r} not in {DIRECTIONS}"
             )
+        if self.logit_scale_max > math.log(sys.float_info.max):
+            raise ValidationError(
+                f"loss.logit_scale_max={self.logit_scale_max!r}: its exp overflows float64"
+            )
+        if self.logit_scale > self.logit_scale_max:
+            raise ValidationError(
+                f"loss.logit_scale={self.logit_scale!r} exceeds "
+                f"loss.logit_scale_max={self.logit_scale_max!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -77,13 +86,17 @@ def _as_batch(name: str, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def info_nce(queries: np.ndarray, references: np.ndarray, cfg: LossConfig) -> LossOutput:
+def info_nce(
+    queries: np.ndarray, references: np.ndarray, cfg: LossConfig, *, logit_scale: float | None = None
+) -> LossOutput:
     """Smoothed batch softmax cross-entropy between two embedding batches.
 
     Row i of ``references`` is the positive for row i of ``queries``.
-    Returns the loss for cfg.direction along with analytic gradients
-    w.r.t. queries, references, and logit_scale; the symmetric loss is
-    exactly the arithmetic mean of the two single directions.
+    ``logit_scale`` (the trainer passes its learned one) overrides
+    cfg.logit_scale. Returns the loss for cfg.direction along with
+    analytic gradients w.r.t. queries, references, and logit_scale; the
+    symmetric loss is exactly the arithmetic mean of the two single
+    directions.
     """
     q = _as_batch("queries", queries)
     r = _as_batch("references", references)
@@ -93,7 +106,7 @@ def info_nce(queries: np.ndarray, references: np.ndarray, cfg: LossConfig) -> Lo
     if n < 1:
         raise ValidationError("batch must contain at least one pair")
 
-    scale = math.exp(cfg.logit_scale)
+    scale = math.exp(cfg.logit_scale if logit_scale is None else logit_scale)
     logits = scale * (q @ r.T)
     eps = cfg.label_smoothing
     target = np.full((n, n), eps / n)
@@ -184,8 +197,6 @@ def soft_margin_triplet_loss(
     return LossOutput(loss=loss, grad_queries=grad_a, grad_references=grad_p, grad_negatives=grad_n)
 
 
-def clamp_logit_scale(cfg: LossConfig) -> LossConfig:
+def clamp_logit_scale(logit_scale: float, logit_scale_max: float) -> float:
     """Cap logit_scale at logit_scale_max; idempotent."""
-    if cfg.logit_scale <= cfg.logit_scale_max:
-        return cfg
-    return dataclasses.replace(cfg, logit_scale=cfg.logit_scale_max)
+    return min(logit_scale, logit_scale_max)

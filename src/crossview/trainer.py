@@ -8,6 +8,14 @@ schedule with linear warm-up. Each epoch the sampler plans batches from
 geographic or visual hard-negative pools; visual pools are refreshed by
 re-encoding the full training set with the current weights.
 
+All trainable state is one float64 vector ``theta``: the query encoder's
+W1, b1, W2, b2 (each row-major), then the reference encoder's four when
+weights are not shared, then the logit scale. ``EncoderParams`` reads
+the tensors as reshaped views into it; the objective writes its
+gradient as one theta-shaped vector, AdamW updates theta in place, the
+temperature clamp touches its last entry, and gradcheck perturbs its
+entries one at a time.
+
 Everything runs in float64 so the analytic gradients can be validated
 against central finite differences, and every random stream is derived
 from explicit seeds so a rerun reproduces plans and losses exactly.
@@ -59,66 +67,88 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
-@dataclass(frozen=True)
-class EncoderParams:
-    """Two-layer MLP weights; the ref_* set exists only when not shared."""
+_TENSORS = ("W1", "b1", "W2", "b2")  # one encoder's tensors, in layer order
 
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
+
+def theta_layout(
+    d_in: int, d_hidden: int, d_out: int, shared_weights: bool = True
+) -> dict[str, tuple[slice, tuple[int, ...]]]:
+    """Name -> (slice of theta, shape): q.W1 q.b1 q.W2 q.b2, then r.* when
+    the reference encoder has its own weights, then logit_scale."""
+    shapes = ((d_in, d_hidden), (d_hidden,), (d_hidden, d_out), (d_out,))
+    layout, start = {}, 0
+    for prefix in ("q.",) if shared_weights else ("q.", "r."):
+        for t, shape in zip(_TENSORS, shapes):
+            layout[prefix + t] = (slice(start, start + math.prod(shape)), shape)
+            start += math.prod(shape)
+    layout["logit_scale"] = (slice(start, start + 1), ())
+    return layout
+
+
+def _view(name: str):
+    return property(lambda self: self.tensors.get(name))
+
+
+@dataclass(frozen=True, eq=False)
+class EncoderParams:
+    """All trainable state as one float64 vector ``theta``, laid out by
+    ``theta_layout``.
+
+    W1 ... b2, the ref_* set (None when weights are shared) and the
+    entries of ``tensors`` are reshaped views into theta, so an in-place
+    update of theta moves them all.
+    """
+
+    theta: np.ndarray
+    d_in: int
+    d_hidden: int
+    d_out: int
     shared_weights: bool = True
-    ref_W1: np.ndarray | None = None
-    ref_b1: np.ndarray | None = None
-    ref_W2: np.ndarray | None = None
-    ref_b2: np.ndarray | None = None
+    layout: dict = field(init=False, repr=False)
+    tensors: dict = field(init=False, repr=False)
+
+    W1, b1, W2, b2 = (_view("q." + t) for t in _TENSORS)
+    ref_W1, ref_b1, ref_W2, ref_b2 = (_view("r." + t) for t in _TENSORS)
 
     def __post_init__(self):
-        _check_mlp_shapes("query", self.W1, self.b1, self.W2, self.b2)
-        refs = (self.ref_W1, self.ref_b1, self.ref_W2, self.ref_b2)
-        if self.shared_weights:
-            if any(r is not None for r in refs):
-                raise ValidationError("shared_weights=True forbids a reference parameter set")
-        else:
-            if any(r is None for r in refs):
-                raise ValidationError("shared_weights=False requires a reference parameter set")
-            _check_mlp_shapes("reference", *refs)
-            if self.ref_W1.shape != self.W1.shape or self.ref_W2.shape != self.W2.shape:
-                raise ValidationError("query and reference encoders must share shapes")
+        layout = theta_layout(self.d_in, self.d_hidden, self.d_out, self.shared_weights)
+        size = layout["logit_scale"][0].stop
+        if self.theta.dtype != np.float64 or self.theta.shape != (size,):
+            raise ValidationError(f"theta must be float64 of shape ({size},) for dims "
+                                  f"{self.d_in}-{self.d_hidden}-{self.d_out}, shared="
+                                  f"{self.shared_weights}; got {self.theta.dtype} {self.theta.shape}")
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "tensors", {name: self.theta[s].reshape(shape)
+                                             for name, (s, shape) in layout.items()})
+        bad = np.flatnonzero(~np.isfinite(self.theta))
+        if bad.size:
+            raise ValidationError(f"non-finite entries in parameter {self.name_at(bad[0])!r}")
+
+    def name_at(self, i: int) -> str:
+        """The tensor that theta entry i belongs to."""
+        return next(name for name, (s, _) in self.layout.items() if i < s.stop)
 
     @property
-    def d_in(self) -> int:
-        return self.W1.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.W2.shape[1]
-
-
-def _check_mlp_shapes(name, W1, b1, W2, b2):
-    if W1.ndim != 2 or W2.ndim != 2 or b1.ndim != 1 or b2.ndim != 1:
-        raise ValidationError(f"{name} encoder: W must be 2-D and b 1-D")
-    if b1.shape[0] != W1.shape[1] or W2.shape[0] != W1.shape[1] or b2.shape[0] != W2.shape[1]:
-        raise ValidationError(f"{name} encoder: inconsistent layer shapes")
-    for arr in (W1, b1, W2, b2):
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"{name} encoder: non-finite parameter entries")
+    def logit_scale(self) -> float:
+        return float(self.theta[-1])
 
 
 def init_params(
-    rng: np.random.Generator, d_in: int, d_h: int, d_out: int, shared_weights: bool = True
+    rng: np.random.Generator, d_in: int, d_h: int, d_out: int, shared_weights: bool = True,
+    logit_scale: float = LossConfig.logit_scale,
 ) -> EncoderParams:
     """Glorot-normal weights, zero biases."""
 
     def layer(m, n):
         return rng.standard_normal((m, n)) * math.sqrt(2.0 / (m + n))
 
-    def encoder(prefix):
-        return {prefix + "W1": layer(d_in, d_h), prefix + "b1": np.zeros(d_h),
-                prefix + "W2": layer(d_h, d_out), prefix + "b2": np.zeros(d_out)}
+    def encoder():
+        return layer(d_in, d_h), np.zeros(d_h), layer(d_h, d_out), np.zeros(d_out)
 
-    ref = {} if shared_weights else encoder("ref_")  # drawn first
-    return EncoderParams(**encoder(""), shared_weights=shared_weights, **ref)
+    # the reference encoder, when there is one, is drawn first
+    encoders = [encoder() for _ in range(1 if shared_weights else 2)][::-1]
+    theta = np.concatenate([t.ravel() for enc in encoders for t in enc] + [[logit_scale]])
+    return EncoderParams(theta, d_in, d_h, d_out, shared_weights)
 
 
 @dataclass(frozen=True)
@@ -161,14 +191,11 @@ class TrainConfig:
 # forward / backward
 
 
-_TENSORS = ("W1", "b1", "W2", "b2")  # one encoder's tensors, in layer order
-
-
 def _weights(params: EncoderParams, view: str):
     if view not in ("query", "reference"):
         raise ValidationError(f"view must be 'query' or 'reference', got {view!r}")
-    prefix = "" if params.shared_weights or view == "query" else "ref_"
-    return tuple(getattr(params, prefix + t) for t in _TENSORS)
+    prefix = "q." if params.shared_weights or view == "query" else "r."
+    return tuple(params.tensors[prefix + t] for t in _TENSORS)
 
 
 def _forward(w, X):
@@ -235,95 +262,64 @@ def lr_at(step: int, steps_per_epoch: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class AdamState:
+    """Moments of one AdamW run over theta, and the entries that decay."""
+
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
+    decay: np.ndarray  # bool per theta entry: the weight matrices
 
 
-def adamw_init(params: dict[str, np.ndarray]) -> AdamState:
-    return AdamState(
-        step=0,
-        m={k: np.zeros_like(v) for k, v in params.items()},
-        v={k: np.zeros_like(v) for k, v in params.items()},
-    )
+def adamw_init(params: EncoderParams) -> AdamState:
+    decay = np.concatenate([np.full(t.size, t.ndim == 2) for t in params.tensors.values()])
+    return AdamState(step=0, m=np.zeros_like(params.theta), v=np.zeros_like(params.theta),
+                     decay=decay)
 
 
 def adamw_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    cfg: TrainConfig,
-    decay_keys: frozenset[str] = frozenset(),
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One decoupled-weight-decay adaptive-moment update.
+    params: EncoderParams, grad: np.ndarray, state: AdamState, lr: float, cfg: TrainConfig
+) -> None:
+    """One decoupled-weight-decay adaptive-moment update of params.theta,
+    in place; state advances with it.
 
-    Decay hits only the keys in ``decay_keys`` (the trainer passes its
-    weight matrices, never biases or the logit scale).
+    Decay hits only the weight matrices, never biases or the logit scale.
     """
-    t = state.step + 1
+    bad = np.flatnonzero(~np.isfinite(grad))
+    if bad.size:
+        raise ValidationError(f"non-finite gradient for parameter {params.name_at(bad[0])!r}")
+    theta = params.theta
     b1, b2, eps = cfg.beta1, cfg.beta2, cfg.eps
-    new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    for key, theta in params.items():
-        g = grads[key]
-        if not np.all(np.isfinite(g)):
-            raise ValidationError(f"non-finite gradient for parameter {key!r}")
-        m = b1 * state.m[key] + (1.0 - b1) * g
-        v = b2 * state.v[key] + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        update = lr * m_hat / (np.sqrt(v_hat) + eps)
-        if key in decay_keys and cfg.weight_decay > 0:
-            update = update + lr * cfg.weight_decay * theta
-        new_params[key] = theta - update
-        new_m[key] = m
-        new_v[key] = v
-    return new_params, AdamState(step=t, m=new_m, v=new_v)
+    state.step += 1
+    t = state.step
+    state.m = b1 * state.m + (1.0 - b1) * grad
+    state.v = b2 * state.v + (1.0 - b2) * grad * grad
+    m_hat = state.m / (1.0 - b1**t)
+    v_hat = state.v / (1.0 - b2**t)
+    update = lr * m_hat / (np.sqrt(v_hat) + eps)
+    if cfg.weight_decay > 0:
+        update[state.decay] += lr * cfg.weight_decay * theta[state.decay]
+    theta -= update
 
 
 # ---------------------------------------------------------------------------
-# the flat parameter dictionary used by the optimiser
-
-
-def _params_to_dict(params: EncoderParams, logit_scale: float) -> dict[str, np.ndarray]:
-    out = dict(zip((f"q.{t}" for t in _TENSORS), _weights(params, "query")))
-    out["logit_scale"] = np.array(logit_scale)
-    if not params.shared_weights:
-        out.update(zip((f"r.{t}" for t in _TENSORS), _weights(params, "reference")))
-    return out
-
-
-def _dict_to_params(d: dict[str, np.ndarray], shared: bool) -> tuple[EncoderParams, float]:
-    kw = {t: d[f"q.{t}"] for t in _TENSORS}
-    if not shared:
-        kw.update({f"ref_{t}": d[f"r.{t}"] for t in _TENSORS})
-    return EncoderParams(shared_weights=shared, **kw), float(d["logit_scale"])
-
-
-def _decay_keys(d: dict[str, np.ndarray]) -> frozenset[str]:
-    return frozenset(k for k in d if k.endswith(".W1") or k.endswith(".W2"))
+# the batch objective
 
 
 def _batch_objective(
-    pdict: dict[str, np.ndarray],
+    params: EncoderParams,
     Xq: np.ndarray,
     Xr: np.ndarray,
-    shared: bool,
     loss_cfg: LossConfig,
     loss_kind: str = "infonce",
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and gradients w.r.t. every entry of the parameter dict."""
-    wq = tuple(pdict[f"q.{t}"] for t in _TENSORS)
-    wr = wq if shared else tuple(pdict[f"r.{t}"] for t in _TENSORS)
-    cfg = replace(loss_cfg, logit_scale=float(pdict["logit_scale"]))
-
+) -> tuple[float, np.ndarray]:
+    """Loss and its gradient w.r.t. every entry of params.theta."""
+    wq = _weights(params, "query")
+    wr = _weights(params, "reference")
     Q, cache_q = _forward(wq, Xq)
     R, cache_r = _forward(wr, Xr)
 
     if loss_kind == "infonce":
-        out = info_nce(Q, R, cfg)
+        out = info_nce(Q, R, loss_cfg, logit_scale=params.logit_scale)
         dQ, dR, dscale = out.grad_queries, out.grad_references, out.grad_logit_scale
     else:
         n = Q.shape[0]
@@ -333,7 +329,7 @@ def _batch_objective(
         # when the sampler filled the batch with the anchor's neighbours)
         neg = np.roll(np.arange(n), -1)
         if loss_kind == "triplet":
-            out = triplet_loss(Q, R, R[neg], margin=cfg.triplet_margin)
+            out = triplet_loss(Q, R, R[neg], margin=loss_cfg.triplet_margin)
         else:
             out = soft_margin_triplet_loss(Q, R, R[neg])
         dQ = out.grad_queries
@@ -343,13 +339,8 @@ def _batch_objective(
 
     gq = _backward(wq, cache_q, dQ)
     gr = _backward(wr, cache_r, dR)
-    if shared:
-        gq = tuple(a + b for a, b in zip(gq, gr))
-    grads = dict(zip((f"q.{t}" for t in _TENSORS), gq))
-    grads["logit_scale"] = np.array(dscale)
-    if not shared:
-        grads.update(zip((f"r.{t}" for t in _TENSORS), gr))
-    return out.loss, grads
+    blocks = [a + b for a, b in zip(gq, gr)] if params.shared_weights else [*gq, *gr]
+    return out.loss, np.concatenate([g.ravel() for g in blocks] + [[dscale]])
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +405,8 @@ def train(
 
     rng_init = np.random.default_rng([cfg.seed, 0])
     params = init_params(rng_init, query_features.dim, cfg.hidden_dim, cfg.embed_dim,
-                         cfg.shared_weights)
-    loss_cfg = cfg.loss
-    pdict = _params_to_dict(params, loss_cfg.logit_scale)
-    state = adamw_init(pdict)
-    decay = _decay_keys(pdict)
+                         cfg.shared_weights, cfg.loss.logit_scale)
+    state = adamw_init(params)
 
     geo_pools = None
     if scfg.strategy == "gps" or (scfg.strategy == "gps_then_dss" and scfg.gps_epochs > 0):
@@ -432,7 +420,6 @@ def train(
 
     for epoch in range(cfg.epochs):
         if should_refresh(epoch, scfg):
-            params, _ = _dict_to_params(pdict, cfg.shared_weights)
             q_emb = encode(params, Xq_train, "query")
             r_emb = encode(params, Xr_train, "reference")
             sim_pools = build_sim_pools(q_emb, r_emb, scfg)
@@ -449,19 +436,14 @@ def train(
             if cfg.loss_kind != "infonce" and len(idx) < 2:
                 continue  # a lone pair has no in-batch negative
             lr = lr_at(global_step, steps_per_epoch, cfg)
-            loss, grads = _batch_objective(
-                pdict, Xq_train[idx], Xr_train[idx], cfg.shared_weights, loss_cfg, cfg.loss_kind
+            loss, grad = _batch_objective(
+                params, Xq_train[idx], Xr_train[idx], cfg.loss, cfg.loss_kind
             )
-            pdict, state = adamw_step(pdict, grads, state, lr, cfg, decay)
-            clamped = clamp_logit_scale(
-                replace(loss_cfg, logit_scale=float(pdict["logit_scale"]))
-            )
-            pdict["logit_scale"] = np.array(clamped.logit_scale)
-            loss_cfg = clamped
+            adamw_step(params, grad, state, lr, cfg)
+            params.theta[-1] = clamp_logit_scale(params.logit_scale, cfg.loss.logit_scale_max)
             losses.append(loss)
             global_step += 1
 
-        params, _ = _dict_to_params(pdict, cfg.shared_weights)
         Q, _ = _forward(_weights(params, "query"), Xq[n_train:])
         R, _ = _forward(_weights(params, "reference"), Xr[n_train:])
         r1 = recall_at_k(Q @ R.T, holdout_positives, 1)
@@ -470,10 +452,9 @@ def train(
              "lr": lr, "r1": r1}
         )
 
-    params, final_scale = _dict_to_params(pdict, cfg.shared_weights)
     return TrainResult(
         params=params,
-        loss_config=replace(cfg.loss, logit_scale=final_scale),
+        loss_config=replace(cfg.loss, logit_scale=params.logit_scale),
         history=history,
         plans=plans,
     )
@@ -502,37 +483,35 @@ def gradcheck(
     the harness self-test.
     """
     rng = np.random.default_rng(seed)
-    params = init_params(rng, d_in, cfg.hidden_dim, cfg.embed_dim, cfg.shared_weights)
+    params = init_params(rng, d_in, cfg.hidden_dim, cfg.embed_dim, cfg.shared_weights,
+                         cfg.loss.logit_scale)
     Xq = rng.standard_normal((n, d_in))
     Xr = rng.standard_normal((n, d_in))
-    pdict = _params_to_dict(params, cfg.loss.logit_scale)
 
-    _, analytic = _batch_objective(pdict, Xq, Xr, cfg.shared_weights, cfg.loss, cfg.loss_kind)
-    if corrupt:
-        analytic["q.W1"] = analytic["q.W1"] * (1.0 + corrupt)
-
-    def loss_at(d):
-        value, _ = _batch_objective(d, Xq, Xr, cfg.shared_weights, cfg.loss, cfg.loss_kind)
+    def loss_at():
+        value, _ = _batch_objective(params, Xq, Xr, cfg.loss, cfg.loss_kind)
         return value
 
+    _, analytic = _batch_objective(params, Xq, Xr, cfg.loss, cfg.loss_kind)
+    if corrupt:
+        analytic[params.layout["q.W1"][0]] *= 1.0 + corrupt
+
+    theta = params.theta
+    numeric = np.empty_like(theta)
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + step
+        up = loss_at()
+        theta[i] = orig - step
+        down = loss_at()
+        theta[i] = orig
+        numeric[i] = (up - down) / (2.0 * step)
+
     report: dict[str, float] = {}
-    for key, theta in pdict.items():
-        work = np.array(theta, dtype=np.float64)
-        probe = dict(pdict)
-        probe[key] = work
-        view = np.atleast_1d(work)  # shares work's buffer
-        numeric = np.zeros(view.size)
-        for i in range(view.size):
-            orig = view.flat[i]
-            view.flat[i] = orig + step
-            up = loss_at(probe)
-            view.flat[i] = orig - step
-            down = loss_at(probe)
-            view.flat[i] = orig
-            numeric[i] = (up - down) / (2.0 * step)
-        a = np.atleast_1d(analytic[key]).ravel()
-        diff = float(np.max(np.abs(a - numeric)))
-        denom = max(float(np.max(np.abs(a))), float(np.max(np.abs(numeric))))
+    for key, (s, _) in params.layout.items():
+        a, num = analytic[s], numeric[s]
+        diff = float(np.max(np.abs(a - num)))
+        denom = max(float(np.max(np.abs(a))), float(np.max(np.abs(num))))
         report[key] = diff / denom if denom > 1e-10 else diff
     report["max"] = max(report.values())
     return report
@@ -542,18 +521,19 @@ def gradcheck(
 # parameter persistence
 
 
-def save_params(params: EncoderParams, loss_cfg: LossConfig, out_dir: str | Path) -> None:
-    """Write tensors as EMB1 blocks beside a JSON shape header."""
+def save_params(params: EncoderParams, out_dir: str | Path) -> None:
+    """Write each tensor as an EMB1 block beside a JSON shape header that
+    also carries shared_weights and logit_scale."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tensors = _params_to_dict(params, loss_cfg.logit_scale)
-    del tensors["logit_scale"]
     header = {
         "shared_weights": params.shared_weights,
-        "logit_scale": loss_cfg.logit_scale,
+        "logit_scale": params.logit_scale,
         "tensors": {},
     }
-    for key, arr in sorted(tensors.items()):
+    for key, arr in sorted(params.tensors.items()):
+        if key == "logit_scale":
+            continue
         mat = arr if arr.ndim == 2 else arr[None, :]
         fname = key.replace(".", "_") + ".emb"
         table = EmbeddingTable(
@@ -566,14 +546,13 @@ def save_params(params: EncoderParams, loss_cfg: LossConfig, out_dir: str | Path
     )
 
 
-def load_params(in_dir: str | Path) -> tuple[EncoderParams, float]:
+def load_params(in_dir: str | Path) -> EncoderParams:
+    """Read back what save_params wrote (weights rounded to float32)."""
     in_dir = Path(in_dir)
     header = json.loads((in_dir / "header.json").read_text(encoding="utf-8"))
-    tensors: dict[str, np.ndarray] = {}
-    for key, meta in header["tensors"].items():
-        table = read_embeddings(in_dir / meta["file"])
-        arr = table.data.astype(np.float64).reshape(meta["shape"])
-        tensors[key] = arr
-    tensors["logit_scale"] = np.array(float(header["logit_scale"]))
-    params, scale = _dict_to_params(tensors, header["shared_weights"])
-    return params, scale
+    metas, shared = header["tensors"], header["shared_weights"]
+    (d_in, d_hidden), (_, d_out) = metas["q.W1"]["shape"], metas["q.W2"]["shape"]
+    names = list(theta_layout(d_in, d_hidden, d_out, shared))[:-1]
+    theta = np.concatenate([read_embeddings(in_dir / metas[k]["file"]).data.ravel() for k in names]
+                           + [[float(header["logit_scale"])]], dtype=np.float64)
+    return EncoderParams(theta, d_in, d_hidden, d_out, shared)

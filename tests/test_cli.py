@@ -1,6 +1,8 @@
 import json
 import struct
 
+import pytest
+
 from crossview.cli import main
 from crossview.datasets import load_manifest, read_embeddings
 from crossview.sampler import read_plan
@@ -46,6 +48,13 @@ class TestGenSynth:
             assert main(["gen-synth", *TINY_SYNTH, "--out", str(d)]) == 0
         for name in ("manifest.jsonl", "query.emb", "reference.emb"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+    def test_map_extent_too_large_named(self, tmp_path, capsys):
+        rc = main(["gen-synth", *TINY_SYNTH, "--set", "synth.map_extent_m=1e308",
+                   "--out", str(tmp_path / "data")])
+        assert rc == 1
+        assert "synth.map_extent_m=1e+308" in capsys.readouterr().err
 
 
 class TestPlan:
@@ -105,6 +114,25 @@ class TestPlan:
         err = capsys.readouterr().err
         assert "manifest line 4" in err and "not finite" in err
 
+    def test_earth_radius_too_large_named(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path)
+        manifest = data / "manifest.jsonl"
+        lines = []
+        for line in manifest.read_text().splitlines():
+            obj = json.loads(line)
+            obj.update(crs="wgs84", lat=obj.pop("y") / 1e4, lon=obj.pop("x") / 1e4)
+            lines.append(json.dumps(obj))
+        manifest.write_text("\n".join(lines) + "\n")
+        rc = main([
+            "plan", *TINY_TRAIN,
+            "--set", "geo.earth_radius_m=1e308",
+            "--set", "sampler.strategy=gps",
+            "--manifest", str(manifest),
+            "--epoch", "0", "--out", str(tmp_path / "plan.jsonl"),
+        ])
+        assert rc == 1
+        assert "geo.earth_radius_m=1e+308" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_writes_artifacts(self, tmp_path):
@@ -143,6 +171,16 @@ class TestTrain:
                    "--set", "loss.triplet_margin=nan", "--data", str(data), "--out", str(out)])
         assert rc == 1
         assert "loss.triplet_margin" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_logit_scale_above_max_rejected_before_training(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path)
+        out = tmp_path / "run"
+        rc = main(["train", *TINY_TRAIN, "--set", "loss.logit_scale=800",
+                   "--set", "sampler.strategy=random", "--data", str(data), "--out", str(out)])
+        assert rc == 1
+        assert "loss.logit_scale=800.0 exceeds" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -191,6 +229,24 @@ class TestGradcheck:
             "--n", "4", "--inits", "2",
         ])
         assert rc == 0
+
+    @pytest.mark.parametrize("shared", ["true", "false"])
+    def test_report_names_every_tensor(self, capsys, shared):
+        rc = main([
+            "gradcheck",
+            "--set", "synth.view_dim=4",
+            "--set", "train.hidden_dim=6",
+            "--set", "train.embed_dim=3",
+            "--set", f"train.shared_weights={shared}",
+            "--n", "3",
+        ])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        keys = ["logit_scale", "max", "q.W1", "q.W2", "q.b1", "q.b2"]
+        if shared == "false":
+            keys += ["r.W1", "r.W2", "r.b1", "r.b2"]
+        assert list(report) == keys
+        assert report["max"] == max(v for k, v in report.items() if k != "max") <= 1e-6
 
 
 class TestAblate:

@@ -40,6 +40,12 @@ class TestHaversine:
         d = haversine_distance(wgs(0.0, 0.0), wgs(0.0, 180.0), cfg)
         assert d == pytest.approx(math.pi, rel=1e-12)
 
+    def test_radius_whose_largest_distance_overflows_rejected(self):
+        # 2 * R * asin(1) = pi * R must stay finite
+        assert GeoConfig(earth_radius_m=5e307).earth_radius_m == 5e307
+        with pytest.raises(ValidationError, match="geo.earth_radius_m=6e\\+307"):
+            GeoConfig(earth_radius_m=6e307)
+
     def test_against_law_of_cosines(self):
         rng = np.random.default_rng(11)
         for _ in range(500):

@@ -60,6 +60,16 @@ class TestInfoNce:
         out = info_nce(np.eye(2), np.eye(2), cfg)
         assert out.loss == pytest.approx(math.log(1 + math.exp(-1)), abs=1e-12)
 
+    def test_logit_scale_argument_overrides_config(self):
+        rng = np.random.default_rng(1)
+        q, r = unit(rng, 5, 3), unit(rng, 5, 3)
+        given_arg = info_nce(q, r, LossConfig(), logit_scale=1.7)
+        from_cfg = info_nce(q, r, LossConfig(logit_scale=1.7))
+        assert given_arg.loss == from_cfg.loss
+        assert given_arg.grad_logit_scale == from_cfg.grad_logit_scale
+        np.testing.assert_array_equal(given_arg.grad_queries, from_cfg.grad_queries)
+        np.testing.assert_array_equal(given_arg.grad_references, from_cfg.grad_references)
+
     def test_symmetric_is_mean_of_directions(self):
         rng = np.random.default_rng(0)
         q, r = unit(rng, 6, 4), unit(rng, 6, 4)
@@ -212,17 +222,14 @@ class TestSoftMarginTriplet:
 
 class TestClampLogitScale:
     def test_below_max_unchanged(self):
-        cfg = LossConfig(logit_scale=0.0)
-        assert clamp_logit_scale(cfg).logit_scale == 0.0
+        assert clamp_logit_scale(0.0, math.log(100.0)) == 0.0
 
     def test_clamp_active(self):
-        cfg = LossConfig(logit_scale=10.0)
-        assert clamp_logit_scale(cfg).logit_scale == pytest.approx(math.log(100.0))
+        assert clamp_logit_scale(10.0, math.log(100.0)) == math.log(100.0)
 
     def test_idempotent(self):
-        cfg = LossConfig(logit_scale=7.5)
-        once = clamp_logit_scale(cfg)
-        assert clamp_logit_scale(once) == once
+        once = clamp_logit_scale(7.5, math.log(100.0))
+        assert clamp_logit_scale(once, math.log(100.0)) == once
 
 
 class TestLossConfig:
@@ -235,6 +242,16 @@ class TestLossConfig:
     def test_direction_checked(self):
         with pytest.raises(ValidationError):
             LossConfig(direction="sideways")
+
+    def test_logit_scale_above_max_rejected(self):
+        with pytest.raises(ValidationError, match="loss.logit_scale=10.0 exceeds"):
+            LossConfig(logit_scale=10.0)
+        assert LossConfig(logit_scale=math.log(100.0)).logit_scale == math.log(100.0)
+
+    def test_logit_scale_max_whose_exp_overflows_rejected(self):
+        with pytest.raises(ValidationError, match="loss.logit_scale_max=800.0"):
+            LossConfig(logit_scale_max=800.0)
+        assert LossConfig(logit_scale_max=700.0).logit_scale_max == 700.0
 
     def test_default_temperature(self):
         assert math.exp(LossConfig().logit_scale) == pytest.approx(1 / 0.07)

@@ -43,16 +43,14 @@ class TestEncoderParams:
     def test_shared_forbids_reference_set(self):
         rng = np.random.default_rng(0)
         p = init_params(rng, 4, 8, 3, shared_weights=False)
-        with pytest.raises(ValidationError):
-            EncoderParams(W1=p.W1, b1=p.b1, W2=p.W2, b2=p.b2,
-                          shared_weights=True, ref_W1=p.ref_W1, ref_b1=p.ref_b1,
-                          ref_W2=p.ref_W2, ref_b2=p.ref_b2)
+        with pytest.raises(ValidationError, match="theta must be"):
+            EncoderParams(p.theta, 4, 8, 3, shared_weights=True)
 
     def test_separate_requires_reference_set(self):
         rng = np.random.default_rng(0)
         p = init_params(rng, 4, 8, 3)
-        with pytest.raises(ValidationError):
-            EncoderParams(W1=p.W1, b1=p.b1, W2=p.W2, b2=p.b2, shared_weights=False)
+        with pytest.raises(ValidationError, match="theta must be"):
+            EncoderParams(p.theta, 4, 8, 3, shared_weights=False)
 
     def test_parameter_count_halves_when_shared(self):
         rng = np.random.default_rng(0)
@@ -63,18 +61,41 @@ class TestEncoderParams:
         n_separate = count(separate.W1, separate.b1, separate.W2, separate.b2,
                            separate.ref_W1, separate.ref_b1, separate.ref_W2, separate.ref_b2)
         assert n_separate == 2 * n_shared
+        # theta holds the encoders plus the one logit scale
+        assert separate.theta.size - 1 == 2 * (shared.theta.size - 1)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_tensors_are_views_into_theta(self, shared):
+        rng = np.random.default_rng(5)
+        p = init_params(rng, 3, 4, 2, shared_weights=shared, logit_scale=1.5)
+        names = ["q.W1", "q.b1", "q.W2", "q.b2"]
+        if not shared:
+            names += ["r.W1", "r.b1", "r.W2", "r.b2"]
+        assert list(p.tensors) == names + ["logit_scale"]
+        np.testing.assert_array_equal(
+            np.concatenate([p.tensors[k].ravel() for k in names] + [[1.5]]), p.theta
+        )
+        p.theta[:] = 0.25
+        assert p.W1.shape == (3, 4) and np.all(p.W1 == 0.25)
+        assert p.b2.shape == (2,) and np.all(p.b2 == 0.25)
+        assert p.logit_scale == 0.25
+        if not shared:
+            assert np.all(p.ref_W2 == 0.25)
+        else:
+            assert p.ref_W1 is None
 
 
 class TestEncode:
     def test_zero_params_rejected(self):
-        zeros = EncoderParams(W1=np.zeros((3, 4)), b1=np.zeros(4),
-                              W2=np.zeros((4, 2)), b2=np.zeros(2))
+        zeros = EncoderParams(np.zeros(3 * 4 + 4 + 4 * 2 + 2 + 1), 3, 4, 2)
         with pytest.raises(ValidationError, match="zero-norm"):
             encode(zeros, np.ones((2, 3)))
 
     def test_identity_weights_give_normalised_gelu(self):
         d = 4
-        params = EncoderParams(W1=np.eye(d), b1=np.zeros(d), W2=np.eye(d), b2=np.zeros(d))
+        params = init_params(np.random.default_rng(0), d, d, d)
+        params.W1[...] = np.eye(d)
+        params.W2[...] = np.eye(d)
         x = np.array([[0.5, -0.25, 1.0, -1.5]])
         out = encode(params, x)
         # independent scalar gelu via math.erf
@@ -131,50 +152,75 @@ class TestLrSchedule:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+def unit_params(value):
+    """A 1-1-1 encoder: theta = [W1, b1, W2, b2, logit_scale], all ``value``."""
+    return EncoderParams(np.full(5, value), 1, 1, 1)
+
+
 class TestAdamW:
     def test_zero_gradient_zero_decay_keeps_params(self):
         cfg = tiny_config(weight_decay=0.0)
-        params = {"w": np.array([1.0, -2.0])}
-        state = adamw_init(params)
-        new, _ = adamw_step(params, {"w": np.zeros(2)}, state, lr=0.1, cfg=cfg)
-        np.testing.assert_array_equal(new["w"], params["w"])
+        params = init_params(np.random.default_rng(0), 2, 3, 2)
+        before = params.theta.copy()
+        adamw_step(params, np.zeros_like(before), adamw_init(params), lr=0.1, cfg=cfg)
+        np.testing.assert_array_equal(params.theta, before)
 
     def test_unit_gradient_scalar_recursion(self):
         cfg = tiny_config(beta1=0.0, beta2=0.0, weight_decay=0.01)
-        theta = {"w": np.array(2.0)}
-        state = adamw_init(theta)
+        params = unit_params(2.0)
         lr = 0.1
-        new, state = adamw_step(theta, {"w": np.array(1.0)}, state, lr, cfg,
-                                decay_keys=frozenset({"w"}))
-        expected = 2.0 - lr / (1.0 + cfg.eps) - lr * 0.01 * 2.0
-        assert float(new["w"]) == pytest.approx(expected, rel=1e-15)
+        adamw_step(params, np.ones(5), adamw_init(params), lr, cfg)
+        undecayed = 2.0 - lr / (1.0 + cfg.eps)
+        decayed = undecayed - lr * 0.01 * 2.0
+        expected = [decayed, undecayed, decayed, undecayed, undecayed]
+        np.testing.assert_allclose(params.theta, expected, rtol=1e-15)
 
     def test_hundred_steps_match_scalar_oracle(self):
         cfg = tiny_config(weight_decay=0.02)
         rng = np.random.default_rng(8)
         grads = rng.standard_normal(100)
-        params = {"w": np.array(0.7)}
+        params = unit_params(0.7)
         state = adamw_init(params)
         for g in grads:
-            params, state = adamw_step(params, {"w": np.array(g)}, state, 0.01, cfg,
-                                       decay_keys=frozenset({"w"}))
+            adamw_step(params, np.full(5, g), state, 0.01, cfg)
         expected = scalar_adamw(0.7, grads.tolist(), 0.01, cfg.beta1, cfg.beta2,
                                 cfg.eps, 0.02)
-        assert float(params["w"]) == pytest.approx(expected, abs=1e-12)
+        assert float(params.W1[0, 0]) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_each_entry_matches_scalar_oracle(self, shared):
+        # weights decay, biases and the logit scale do not
+        cfg = tiny_config(weight_decay=0.05)
+        rng = np.random.default_rng(9)
+        params = init_params(rng, 2, 3, 2, shared_weights=shared)
+        start = params.theta.copy()
+        grads = rng.standard_normal((30, start.size))
+        state = adamw_init(params)
+        for g in grads:
+            adamw_step(params, g, state, 0.01, cfg)
+        for i in range(start.size):
+            name = params.name_at(i)
+            wd = 0.05 if name.endswith((".W1", ".W2")) else 0.0
+            expected = scalar_adamw(start[i], grads[:, i].tolist(), 0.01, cfg.beta1,
+                                    cfg.beta2, cfg.eps, wd)
+            assert params.theta[i] == pytest.approx(expected, abs=1e-12), name
 
     def test_decay_skipped_for_non_decay_keys(self):
         cfg = tiny_config(weight_decay=0.5)
-        params = {"b": np.array(10.0)}
-        state = adamw_init(params)
-        new, _ = adamw_step(params, {"b": np.array(0.0)}, state, 0.1, cfg,
-                            decay_keys=frozenset())
-        assert float(new["b"]) == 10.0
+        params = unit_params(10.0)
+        adamw_step(params, np.zeros(5), adamw_init(params), 0.1, cfg)
+        assert params.b1[0] == params.b2[0] == params.logit_scale == 10.0
+        assert params.W1[0, 0] == params.W2[0, 0] < 10.0
 
     def test_non_finite_gradient_rejected(self):
         cfg = tiny_config()
-        params = {"w": np.array(1.0)}
-        with pytest.raises(ValidationError, match="non-finite"):
-            adamw_step(params, {"w": np.array(np.inf)}, adamw_init(params), 0.1, cfg)
+        params = init_params(np.random.default_rng(0), 2, 3, 2)
+        before = params.theta.copy()
+        grad = np.zeros_like(before)
+        grad[params.layout["q.W2"][0].start + 1] = np.inf
+        with pytest.raises(ValidationError, match="non-finite gradient for parameter 'q.W2'"):
+            adamw_step(params, grad, adamw_init(params), 0.1, cfg)
+        np.testing.assert_array_equal(params.theta, before)
 
 
 class TestGradcheck:
@@ -282,19 +328,20 @@ class TestTrain:
         cfg = tiny_config(epochs=2, loss=LossConfig(logit_scale=4.6))
         result = train(records, q, r, cfg)
         assert result.loss_config.logit_scale <= result.loss_config.logit_scale_max
+        assert result.params.logit_scale == result.loss_config.logit_scale
 
 
 class TestParamsIO:
     @pytest.mark.parametrize("shared", [True, False])
     def test_round_trip(self, tmp_path, shared):
         rng = np.random.default_rng(4)
-        params = init_params(rng, 5, 8, 4, shared_weights=shared)
-        loss_cfg = LossConfig(logit_scale=1.25)
-        save_params(params, loss_cfg, tmp_path / "params")
-        loaded, scale = load_params(tmp_path / "params")
-        assert scale == 1.25
+        params = init_params(rng, 5, 8, 4, shared_weights=shared, logit_scale=1.25)
+        save_params(params, tmp_path / "params")
+        loaded = load_params(tmp_path / "params")
+        assert loaded.logit_scale == 1.25
         assert loaded.shared_weights == shared
         # float32 storage bounds the round-trip error
+        np.testing.assert_allclose(loaded.theta, params.theta, atol=1e-6)
         np.testing.assert_allclose(loaded.W1, params.W1, atol=1e-6)
         np.testing.assert_allclose(loaded.b2, params.b2, atol=1e-6)
         if not shared:
