@@ -68,6 +68,16 @@ def _haversine_block(a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     return 2.0 * radius * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
 
+def _check_planar_span(a: np.ndarray, c: np.ndarray) -> None:
+    # planar_block squares and sums the axis differences; bound the largest pair once
+    lo = np.minimum(a.min(axis=0), c.min(axis=0)).tolist()
+    hi = np.maximum(a.max(axis=0), c.max(axis=0)).tolist()
+    dx, dy = hi[0] - lo[0], hi[1] - lo[1]
+    if not math.isfinite(dx * dx + dy * dy):
+        raise ValidationError(f"planar coordinates span {dx!r} m in x and {dy!r} m in y: "
+                              "the planar distance overflows float64")
+
+
 def geo_topk(
     anchors: list[Coordinate],
     candidates: list[Coordinate],
@@ -93,5 +103,6 @@ def geo_topk(
     if crs_a == "wgs84":
         keys = lambda start, stop: _haversine_block(a[start:stop], c, cfg.earth_radius_m)
     else:
+        _check_planar_span(a, c)
         keys = lambda start, stop: planar_block(a[start:stop], c)
     return pools_from_arrays(*nearest_k(keys, len(anchors), K), "geographic")

@@ -49,14 +49,18 @@ def brute_average_precision(ranking, positives):
 
 def brute_nearest(points, distance, k):
     """Per point, the k nearest others by the given scalar distance function."""
-    out = []
-    for i, p in enumerate(points):
-        order = sorted(
-            (j for j in range(len(points)) if j != i),
-            key=lambda j: (distance(p, points[j]), j),
-        )
-        out.append(order[:k])
-    return out
+    return brute_nearest_keys([[distance(p, q) for q in points] for p in points], k)[0]
+
+
+def brute_nearest_keys(keys, k):
+    """Per row of a key matrix, the k columns with the smallest keys and those
+    keys: a full stable sort of the row with its own column left out."""
+    indices, nearest = [], []
+    for i, row in enumerate(keys):
+        order = sorted((j for j in range(len(row)) if j != i), key=lambda j: (row[j], j))[:k]
+        indices.append(order)
+        nearest.append([row[j] for j in order])
+    return indices, nearest
 
 
 def rescan_plan(class_of, pools, batch_size, picks_per_anchor, rng):

@@ -114,6 +114,23 @@ class TestPlan:
         err = capsys.readouterr().err
         assert "manifest line 4" in err and "not finite" in err
 
+    def test_overflowing_planar_distance_named(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path)
+        manifest = data / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        bad = json.loads(lines[0])
+        bad["x"] = 1e200
+        lines[0] = json.dumps(bad)
+        manifest.write_text("\n".join(lines) + "\n")
+        rc = main([
+            "plan", *TINY_TRAIN,
+            "--set", "sampler.strategy=gps",
+            "--manifest", str(manifest),
+            "--epoch", "0", "--out", str(tmp_path / "plan.jsonl"),
+        ])
+        assert rc == 1
+        assert "planar distance overflows float64" in capsys.readouterr().err
+
     def test_earth_radius_too_large_named(self, tmp_path, capsys):
         data = gen_dataset(tmp_path)
         manifest = data / "manifest.jsonl"
