@@ -44,7 +44,7 @@ from .sampler import (
     plan_epoch,
     should_refresh,
 )
-from .simsearch import NeighborPool, cosine_matrix, l2_normalize, visual_topk
+from .simsearch import NeighborPool, Pools, cosine_matrix, l2_normalize, visual_topk
 from .trainer import (
     EncoderParams,
     TrainConfig,

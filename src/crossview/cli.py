@@ -25,6 +25,7 @@ from .datasets import (
     generate_synthetic,
     load_manifest,
     read_embeddings,
+    require_aligned,
     slice_manifest,
     write_embeddings,
     write_manifest,
@@ -84,9 +85,11 @@ def cmd_plan(args) -> int:
             raise ValidationError("DSS planning needs --embeddings Q.emb R.emb")
         queries = l2_normalize(read_embeddings(args.embeddings[0]))
         references = l2_normalize(read_embeddings(args.embeddings[1]))
-        pools = build_sim_pools(queries, references, scfg)
         if records is None:
             records = _records_from_ids(queries.row_ids)
+        require_aligned("query", queries.row_ids, records)
+        require_aligned("reference", references.row_ids, records)
+        pools = build_sim_pools(queries, references, scfg)
     else:
         pools = None
         if records is None:

@@ -247,6 +247,18 @@ def slice_manifest(records: list[SampleRecord], start: int, stop: int) -> list[S
     return out
 
 
+def require_aligned(what: str, row_ids: tuple[str, ...], records: list[SampleRecord]) -> None:
+    """Raise unless row i of the ``what`` table carries record i's id; the
+    message names the first row that does not."""
+    if len(row_ids) != len(records):
+        raise ValidationError(f"{len(row_ids)} {what} rows for {len(records)} manifest records")
+    for i, (row_id, record) in enumerate(zip(row_ids, records)):
+        if row_id != record.id:
+            raise ValidationError(
+                f"{what} row {i} ({row_id!r}) does not align with record {record.id!r}"
+            )
+
+
 def write_manifest(records: list[SampleRecord], path: str | Path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:

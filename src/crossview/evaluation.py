@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import EmbeddingTable, SampleRecord
+from .datasets import EmbeddingTable, SampleRecord, require_aligned
 from .errors import ValidationError
 from .simsearch import cosine_matrix, l2_normalize
 
@@ -142,15 +142,7 @@ def evaluate(
     when any record lists semi-positives, mean AP only when some query
     has multiple positives or the gallery holds distractor references.
     """
-    if queries.count != len(manifest):
-        raise ValidationError(
-            f"{queries.count} query rows for {len(manifest)} manifest records"
-        )
-    for row_id, record in zip(queries.row_ids, manifest):
-        if row_id != record.id:
-            raise ValidationError(
-                f"query row {row_id!r} does not align with record {record.id!r}"
-            )
+    require_aligned("query", queries.row_ids, manifest)
     ref_row = {rid: j for j, rid in enumerate(references.row_ids)}
 
     def resolve(ids: tuple[str, ...], record_id: str) -> set[int]:

@@ -15,7 +15,7 @@ import numpy as np
 from .datasets import Coordinate
 from .errors import ValidationError
 from .neighbors import nearest_k, planar_block
-from .simsearch import NeighborPool, pools_from_arrays
+from .simsearch import Pools
 
 MEAN_EARTH_RADIUS_M = 6_371_008.8
 
@@ -83,7 +83,7 @@ def geo_topk(
     candidates: list[Coordinate],
     K: int,
     cfg: GeoConfig = GeoConfig(),
-) -> list[NeighborPool]:
+) -> Pools:
     """For each anchor, its K geographically nearest candidates.
 
     Candidate j == anchor position i is excluded (an anchor never pools
@@ -105,4 +105,4 @@ def geo_topk(
     else:
         _check_planar_span(a, c)
         keys = lambda start, stop: planar_block(a[start:stop], c)
-    return pools_from_arrays(*nearest_k(keys, len(anchors), K), "geographic")
+    return Pools(*nearest_k(keys, len(anchors), K), "geographic")

@@ -24,7 +24,7 @@ import numpy as np
 from .datasets import EmbeddingTable, SampleRecord
 from .errors import ValidationError
 from .geo import GeoConfig, geo_topk
-from .simsearch import NeighborPool, visual_topk
+from .simsearch import NeighborPool, Pools, visual_topk
 
 STRATEGIES = ("random", "gps", "dss", "gps_then_dss")
 
@@ -92,7 +92,7 @@ def should_refresh(epoch: int, cfg: SamplerConfig) -> bool:
 
 def build_geo_pools(
     records: list[SampleRecord], cfg: SamplerConfig, geo: GeoConfig = GeoConfig()
-) -> list[NeighborPool]:
+) -> Pools:
     """Geographic pools of size pool_size over the records' own coordinates."""
     coords = [r.coord for r in records]
     return geo_topk(coords, coords, cfg.pool_size, geo)
@@ -100,7 +100,7 @@ def build_geo_pools(
 
 def build_sim_pools(
     queries: EmbeddingTable, references: EmbeddingTable, cfg: SamplerConfig
-) -> list[NeighborPool]:
+) -> Pools:
     """Visual pools of size pool_size from unit-normalised embedding tables."""
     return visual_topk(queries, references, cfg.pool_size)
 
@@ -130,7 +130,7 @@ def pick_from_pool(
 
 def plan_epoch(
     records: list[SampleRecord],
-    pools: list[NeighborPool] | None,
+    pools: Pools | None,
     cfg: SamplerConfig,
     epoch: int,
     rng_state: np.random.Generator,
@@ -153,9 +153,14 @@ def plan_epoch(
             raise ValidationError(f"strategy {strategy!r} at epoch {epoch} requires pools")
         if len(pools) != n:
             raise ValidationError(f"{len(pools)} pools for {n} records")
-        if pools[0].kind != expected_kind:
+        if pools.kind != expected_kind:
             raise ValidationError(
-                f"strategy {strategy!r} needs {expected_kind} pools, got {pools[0].kind!r}"
+                f"strategy {strategy!r} needs {expected_kind} pools, got {pools.kind!r}"
+            )
+        if pools.indices.shape[1] < cfg.picks_per_anchor:
+            raise ValidationError(
+                f"pools hold {pools.indices.shape[1]} entries per anchor, "
+                f"need picks_per_anchor={cfg.picks_per_anchor}"
             )
 
     class_of = [r.class_id for r in records]

@@ -19,11 +19,11 @@ from .neighbors import nearest_k
 
 @dataclass(frozen=True)
 class NeighborPool:
-    """Ordered candidate hard negatives for one anchor.
+    """One anchor's row of a ``Pools``, as plain Python values.
 
     Scores are similarities (descending) for kind='visual' and distances
-    (ascending) for kind='geographic'. The anchor's own paired candidate
-    never appears.
+    (ascending) for kind='geographic'. Built by ``Pools`` indexing and
+    checked there, so the record itself checks nothing.
     """
 
     anchor_index: int
@@ -31,25 +31,55 @@ class NeighborPool:
     scores: tuple[float, ...]
     kind: str
 
+    def __len__(self) -> int:
+        return len(self.neighbor_indices)
+
+
+@dataclass(frozen=True, eq=False)
+class Pools:
+    """Ordered candidate hard negatives for every anchor, one row per anchor.
+
+    ``indices`` (n, K) holds candidate indices and ``scores`` (n, K) their
+    float64 scores; row i belongs to anchor i and never holds i itself.
+    Every invariant is checked once, over the whole arrays, and both arrays
+    are made read-only so the check stays true. ``pools[i]`` reads anchor
+    i's row as a ``NeighborPool``.
+    """
+
+    indices: np.ndarray
+    scores: np.ndarray
+    kind: str
+
     def __post_init__(self):
         if self.kind not in ("geographic", "visual"):
             raise ValidationError(f"unknown pool kind {self.kind!r}")
-        if len(self.neighbor_indices) != len(self.scores):
-            raise ValidationError("neighbor_indices and scores must have equal length")
-        if self.anchor_index in self.neighbor_indices:
-            raise ValidationError(
-                f"pool for anchor {self.anchor_index} contains the anchor itself"
-            )
-        s = np.asarray(self.scores)
-        if s.size > 1:
-            diffs = np.diff(s)
-            if self.kind == "geographic" and np.any(diffs < 0):
-                raise ValidationError("geographic pool distances must be non-decreasing")
-            if self.kind == "visual" and np.any(diffs > 0):
-                raise ValidationError("visual pool similarities must be non-increasing")
+        if self.indices.ndim != 2 or self.indices.shape != self.scores.shape:
+            raise ValidationError(f"pool indices {self.indices.shape} and scores "
+                                  f"{self.scores.shape} must be (anchors, K) of equal shape")
+        own = np.flatnonzero((self.indices == np.arange(len(self))[:, None]).any(axis=1))
+        if own.size:
+            raise ValidationError(f"pool for anchor {own[0]} contains the anchor itself")
+        steps = np.diff(self.scores, axis=1)
+        if self.kind == "geographic":
+            bad, order = (steps < 0).any(axis=1), "distances must be non-decreasing"
+        else:
+            bad, order = (steps > 0).any(axis=1), "similarities must be non-increasing"
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            raise ValidationError(f"{self.kind} pool for anchor {rows[0]}: {order}")
+        self.indices.setflags(write=False)
+        self.scores.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.neighbor_indices)
+        return self.indices.shape[0]
+
+    def __getitem__(self, anchor: int) -> NeighborPool:
+        anchor = range(len(self))[anchor]
+        return NeighborPool(anchor, tuple(self.indices[anchor].tolist()),
+                            tuple(self.scores[anchor].tolist()), self.kind)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 def l2_normalize(table: EmbeddingTable) -> EmbeddingTable:
@@ -74,7 +104,7 @@ def cosine_matrix(queries: EmbeddingTable, references: EmbeddingTable) -> np.nda
 
 def visual_topk(
     queries: EmbeddingTable, references: EmbeddingTable, K: int
-) -> list[NeighborPool]:
+) -> Pools:
     """Per query, the K most similar references excluding its own positive.
 
     Query i's positive is reference i (row-aligned tables); ties break
@@ -91,12 +121,4 @@ def visual_topk(
     indices, neg_sims = nearest_k(
         lambda start, stop: -(q64[start:stop] @ r64.T), queries.count, K
     )
-    return pools_from_arrays(indices, -neg_sims, "visual")
-
-
-def pools_from_arrays(indices: np.ndarray, scores: np.ndarray, kind: str) -> list[NeighborPool]:
-    """One NeighborPool per row of the (n, K) index and score arrays; row i is anchor i."""
-    return [
-        NeighborPool(anchor_index=i, neighbor_indices=tuple(idx), scores=tuple(row), kind=kind)
-        for i, (idx, row) in enumerate(zip(indices.tolist(), scores.tolist()))
-    ]
+    return Pools(indices, -neg_sims, "visual")

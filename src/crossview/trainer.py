@@ -31,7 +31,14 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
-from .datasets import EmbeddingTable, SampleRecord, read_embeddings, slice_manifest, write_embeddings
+from .datasets import (
+    EmbeddingTable,
+    SampleRecord,
+    read_embeddings,
+    require_aligned,
+    slice_manifest,
+    write_embeddings,
+)
 from .errors import ValidationError
 from .evaluation import recall_at_k
 from .geo import GeoConfig
@@ -378,12 +385,8 @@ def train(
         raise ValidationError("feature tables must be row-aligned with the manifest")
     if query_features.dim != reference_features.dim:
         raise ValidationError("query and reference features must share a dimension")
-    for t in (query_features, reference_features):
-        for row_id, record in zip(t.row_ids, manifest):
-            if row_id != record.id:
-                raise ValidationError(
-                    f"feature row {row_id!r} does not align with record {record.id!r}"
-                )
+    require_aligned("query feature", query_features.row_ids, manifest)
+    require_aligned("reference feature", reference_features.row_ids, manifest)
 
     n_train = n - holdout_size(n)
     if n_train < 2:

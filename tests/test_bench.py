@@ -2,13 +2,17 @@
 drops or renames one, or changes what it returns, breaks ``bench/run.py``.
 Catch it here."""
 
+import hashlib
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 
-from crossview.datasets import SynthConfig, generate_synthetic
+import oracles
+from crossview import sampler
+from crossview.datasets import Coordinate, EmbeddingTable, SynthConfig, generate_synthetic
 from crossview.geo import geo_topk
 from crossview.simsearch import l2_normalize, visual_topk
 
@@ -42,3 +46,56 @@ def test_gate_accepts_pools():
     gate.check_pools("geo.topk", (coords, coords, 16), geo_topk(coords, coords, 16), rng)
     gate.check_pools("simsearch.topk", (queries, references, 16),
                      visual_topk(queries, references, 16), rng)
+
+
+def _digest_of(lines):
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()[:16]
+
+
+def _oracle_lines(keys, k, kind, score):
+    indices, nearest = oracles.brute_nearest_keys(keys, k)
+    return [f"{i} {kind} {tuple(row)} {[score(key).hex() for key in row_keys]}"
+            for i, (row, row_keys) in enumerate(zip(indices, nearest))]
+
+
+def test_pool_digest_reads_plain_python_values():
+    # the recorded train.pools / mine.pools digests hash this text; a numpy
+    # repr of a row ("[1 2 3]", "np.int64(1)") would change every one of them
+    gate = load_bench("gate")
+    n, k = 300, 16
+    rng = np.random.default_rng(11)
+    xy = rng.integers(0, 40, size=(n, 2)).tolist()  # integer grid: exact distance ties
+    coords = [Coordinate(float(x), float(y), "planar") for x, y in xy]
+    dist = [[math.sqrt((xa - xb) * (xa - xb) + (ya - yb) * (ya - yb)) for xb, yb in xy]
+            for xa, ya in xy]
+    watch = gate.PoolWatch(check_rows=False, rng=None)
+    watch.observe("geo.topk", (coords, coords, k), geo_topk(coords, coords, k))
+    assert watch.digest() == _digest_of(_oracle_lines(dist, k, "geographic", float))
+
+    # entries in {-2, -1, 1, 2}: every dot product is an exact integer in any order
+    q = rng.choice([-2, -1, 1, 2], size=(n, 6)).tolist()
+    r = rng.choice([-2, -1, 1, 2], size=(n, 6)).tolist()
+    neg_sims = [[-float(sum(a * b for a, b in zip(qi, rj))) for rj in r] for qi in q]
+    ids = tuple(str(i) for i in range(n))
+    queries = EmbeddingTable(np.array(q, dtype=np.float32), ids)
+    references = EmbeddingTable(np.array(r, dtype=np.float32), ids)
+    watch = gate.PoolWatch(check_rows=False, rng=None)
+    watch.observe("simsearch.topk", (queries, references, k), visual_topk(queries, references, k))
+    assert watch.digest() == _digest_of(_oracle_lines(neg_sims, k, "visual", lambda x: -x))
+
+
+def test_traced_plan_counts_picks():
+    # the "picks" marker reads pool.anchor_index from pick_from_pool's first argument
+    tracer = load_bench("tracer")
+    records, _, _ = generate_synthetic(SynthConfig(n_pairs=300, seed=4))
+    cfg = sampler.SamplerConfig(batch_size=16, pool_size=16, picks_per_anchor=8, strategy="gps")
+    recorder = tracer.Recorder("trace")
+    with recorder.installed():
+        pools = sampler.build_geo_pools(records, cfg)
+        sampler.plan_epoch(records, pools, cfg, 0, sampler.plan_rng(cfg, 0))
+    assert recorder.counters["sampler.plan_calls"] == 1
+    assert recorder.counters["sampler.picks_offered"] > 0

@@ -1,10 +1,11 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from crossview.cli import main
-from crossview.datasets import load_manifest, read_embeddings
+from crossview.datasets import EmbeddingTable, load_manifest, read_embeddings, write_embeddings
 from crossview.sampler import read_plan
 
 TINY_SYNTH = [
@@ -150,6 +151,26 @@ class TestPlan:
         assert rc == 1
         assert "geo.earth_radius_m=1e+308" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("with_manifest", [False, True], ids=["ids", "manifest"])
+    def test_dss_misaligned_reference_ids_named(self, tmp_path, capsys, with_manifest):
+        data = gen_dataset(tmp_path)
+        ref = read_embeddings(data / "reference.emb")
+        rolled = tmp_path / "ref_rolled.emb"
+        write_embeddings(EmbeddingTable(np.roll(ref.data, 1, axis=0),
+                                        ref.row_ids[-1:] + ref.row_ids[:-1]), rolled)
+        manifest = ["--manifest", str(data / "manifest.jsonl")] if with_manifest else []
+        out = tmp_path / "plan.jsonl"
+        rc = main([
+            "plan", *TINY_TRAIN,
+            "--set", "sampler.strategy=dss",
+            "--embeddings", str(data / "query.emb"), str(rolled), *manifest,
+            "--epoch", "0", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "reference row 0 ('p000049') does not align with record 'p000000'" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
 class TestTrain:
     def test_writes_artifacts(self, tmp_path):

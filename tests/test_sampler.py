@@ -84,7 +84,10 @@ class TestBuildPools:
     def test_geo_pools_deterministic(self):
         records = records_at(np.random.default_rng(1).uniform(0, 9, size=(6, 2)))
         cfg = SamplerConfig(pool_size=4, picks_per_anchor=2)
-        assert build_geo_pools(records, cfg) == build_geo_pools(records, cfg)
+        a, b = build_geo_pools(records, cfg), build_geo_pools(records, cfg)
+        assert a.kind == b.kind == "geographic"
+        assert a.indices.tobytes() == b.indices.tobytes()
+        assert a.scores.tobytes() == b.scores.tobytes()
 
     def test_sim_pools_delegate_to_visual_topk(self):
         rng = np.random.default_rng(2)
@@ -224,6 +227,13 @@ class TestPlanEpoch:
         geo_pools = build_geo_pools(records, cfg)
         with pytest.raises(ValidationError, match="visual"):
             plan_epoch(records, geo_pools, cfg, 0, np.random.default_rng(0))
+
+    def test_pools_narrower_than_picks_rejected_before_planning(self):
+        records = records_at([(i, 0) for i in range(6)])
+        pools = build_geo_pools(records, SamplerConfig(pool_size=2, picks_per_anchor=2))
+        cfg = SamplerConfig(batch_size=3, pool_size=4, picks_per_anchor=4, strategy="gps")
+        with pytest.raises(ValidationError, match="2 entries per anchor, need picks_per_anchor=4"):
+            plan_epoch(records, pools, cfg, 0, np.random.default_rng(0))
 
     def test_pools_required_unless_random(self):
         records = records_at([(0, 0), (1, 0), (2, 0)])

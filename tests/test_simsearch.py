@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from crossview.datasets import EmbeddingTable
 from crossview.errors import ValidationError
-from crossview.simsearch import NeighborPool, cosine_matrix, l2_normalize, visual_topk
+from crossview.simsearch import NeighborPool, Pools, cosine_matrix, l2_normalize, visual_topk
 
 
 def table(rows, ids=None):
@@ -21,20 +21,39 @@ def unit_rows(rng, n, d):
     return table(x / np.linalg.norm(x, axis=1, keepdims=True))
 
 
-class TestNeighborPool:
+def pools(indices, scores, kind):
+    return Pools(np.array(indices), np.array(scores, dtype=np.float64), kind)
+
+
+class TestPools:
     def test_rejects_anchor_in_pool(self):
-        with pytest.raises(ValidationError):
-            NeighborPool(0, (0, 1), (0.9, 0.8), "visual")
+        with pytest.raises(ValidationError, match="anchor 2 contains the anchor itself"):
+            pools([[1, 2], [0, 2], [0, 2]], [[0.9, 0.8]] * 3, "visual")
 
     def test_rejects_wrong_ordering(self):
-        with pytest.raises(ValidationError):
-            NeighborPool(0, (1, 2), (0.5, 0.9), "visual")
-        with pytest.raises(ValidationError):
-            NeighborPool(0, (1, 2), (5.0, 1.0), "geographic")
+        with pytest.raises(ValidationError, match="visual pool for anchor 1: similarities"):
+            pools([[1, 2], [0, 2], [0, 1]], [[0.9, 0.8], [0.5, 0.9], [0.9, 0.8]], "visual")
+        with pytest.raises(ValidationError, match="geographic pool for anchor 2: distances"):
+            pools([[1, 2], [0, 2], [0, 1]], [[1.0, 5.0], [1.0, 2.0], [5.0, 1.0]], "geographic")
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            NeighborPool(0, (1, 2), (0.5,), "visual")
+        with pytest.raises(ValidationError, match=r"\(3, 2\) and scores \(3, 1\)"):
+            pools([[1, 2], [0, 2], [0, 1]], [[0.5], [0.5], [0.5]], "visual")
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValidationError, match="unknown pool kind 'semantic'"):
+            pools([[1], [0]], [[0.5], [0.5]], "semantic")
+
+    def test_rows_are_plain_records(self):
+        p = pools([[1, 2], [2, 0], [0, 1]], [[0.5, 0.25], [0.75, 0.5], [1.0, 0.0]], "visual")
+        assert len(p) == 3
+        assert p[1] == NeighborPool(1, (2, 0), (0.75, 0.5), "visual")
+        assert p[-1].anchor_index == 2
+        assert all(type(i) is int for row in p for i in row.neighbor_indices)
+        assert [len(row) for row in p] == [2, 2, 2]
+        assert str(p[0].neighbor_indices) == "(1, 2)"
+        with pytest.raises(ValueError):
+            p.indices[0, 0] = 0  # checked once, so frozen
 
 
 class TestL2Normalize:
