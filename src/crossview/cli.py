@@ -5,6 +5,11 @@ success, 1 on validation errors, 2 on IO errors. Artifact files written
 by train and ablate carry a short content hash in their names; outputs
 contain no timestamps, so identical configs and seeds reproduce the same
 bytes.
+
+``ablate`` runs one axis of the experiment grid (``trainer.AXES``) on one
+synthetic dataset: ``--axis strategy`` compares the sampling strategies,
+``--axis loss`` the InfoNCE and triplet losses, each over ``--seeds`` seed
+offsets from the config's seeds.
 """
 
 from __future__ import annotations
@@ -15,10 +20,7 @@ import hashlib
 import json
 import statistics
 import sys
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .config import ConfigBundle, parse_config
 from .datasets import (
@@ -26,7 +28,6 @@ from .datasets import (
     load_manifest,
     read_embeddings,
     require_aligned,
-    slice_manifest,
     write_embeddings,
     write_manifest,
 )
@@ -41,13 +42,18 @@ from .sampler import (
     write_plan,
 )
 from .simsearch import l2_normalize
-from .trainer import TrainResult, encode, gradcheck, holdout_size, save_params, train
-
-STRATEGY_ORDER = ("random", "gps", "dss", "gps_then_dss")
+from .trainer import AXES, TrainResult, ablation_configs, gradcheck, holdout_report
+from .trainer import save_params, train
 
 
 def _hash8(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:8]
+
+
+def _require_at_least(args, option: str, minimum: int) -> None:
+    value = getattr(args, option)
+    if value < minimum:
+        raise ValidationError(f"--{option} must be >= {minimum}, got {value}")
 
 
 def _load_bundle(args) -> ConfigBundle:
@@ -184,6 +190,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _require_at_least(args, "n", 2)  # one pair has no negative to check against
+    _require_at_least(args, "inits", 1)
     bundle = _load_bundle(args)
     worst: dict[str, float] = {}
     for i in range(args.inits):
@@ -197,18 +205,11 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _holdout_report(result: TrainResult, manifest, queries, references):
-    n = len(manifest)
-    start = n - holdout_size(n)
-    sub = slice_manifest(manifest, start, n)
-    ids = tuple(r.id for r in sub)
-    q = encode(result.params, queries.data[start:].astype(np.float64), "query", ids)
-    r = encode(result.params, references.data[start:].astype(np.float64), "reference", ids)
-    return evaluate(q, r, sub)
-
-
 def cmd_ablate(args) -> int:
+    _require_at_least(args, "seeds", 1)
     bundle = _load_bundle(args)
+    axis = args.axis
+    configs = ablation_configs(bundle.train, axis, args.seeds)
     records, queries, references = generate_synthetic(bundle.synth)
     h = hashlib.sha256()
     h.update("".join(r.id for r in records).encode())
@@ -218,49 +219,40 @@ def cmd_ablate(args) -> int:
     out_csv = Path(args.out)
     out_csv.parent.mkdir(parents=True, exist_ok=True)
 
+    runs = []
+    for i, cfg in enumerate(configs):
+        result = train(records, queries, references, cfg, bundle.geo)
+        report = holdout_report(result, records, queries, references)
+        recall = report.recall_at
+        runs.append({axis: AXES[axis][i // args.seeds], "seed": i % args.seeds,
+                     "r_at_1": recall[1], "r_at_5": recall[5], "r_at_10": recall[10],
+                     "r_at_1pct": report.recall_at_1pct, "hit_rate": report.hit_rate})
+
+    metrics = ("r_at_1", "r_at_5", "r_at_10", "r_at_1pct", "hit_rate")
     rows = []
-    detail = {"dataset_hash": dataset_hash, "seeds": args.seeds, "runs": []}
-    for strategy in STRATEGY_ORDER:
-        per_seed = []
-        for s in range(args.seeds):
-            tcfg = replace(
-                bundle.train,
-                seed=bundle.train.seed + s,
-                sampler=replace(bundle.sampler, strategy=strategy, seed=bundle.sampler.seed + s),
-            )
-            result = train(records, queries, references, tcfg, bundle.geo)
-            report = _holdout_report(result, records, queries, references)
-            metrics = {
-                "strategy": strategy,
-                "seed": s,
-                "r_at_1": report.recall_at[1],
-                "r_at_5": report.recall_at[5],
-                "r_at_10": report.recall_at[10],
-                "r_at_1pct": report.recall_at_1pct,
-                "hit_rate": report.hit_rate,
-            }
-            per_seed.append(metrics)
-            detail["runs"].append(metrics)
-        row = {"strategy": strategy, "seeds": args.seeds, "dataset_hash": dataset_hash}
-        for key in ("r_at_1", "r_at_5", "r_at_10", "r_at_1pct", "hit_rate"):
+    for value in AXES[axis]:
+        per_seed = [run for run in runs if run[axis] == value]
+        row = {axis: value, "seeds": args.seeds, "dataset_hash": dataset_hash}
+        for key in metrics:
             values = [m[key] for m in per_seed if m[key] is not None]
             row[key] = statistics.median(values) if values else None
         rows.append(row)
 
-    fields = ["strategy", "r_at_1", "r_at_5", "r_at_10", "r_at_1pct", "hit_rate",
-              "seeds", "dataset_hash"]
     with out_csv.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=[axis, *metrics, "seeds", "dataset_hash"])
         writer.writeheader()
         writer.writerows(rows)
-    out_json = out_csv.with_suffix(".json")
-    out_json.write_text(json.dumps(detail, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    detail = {"dataset_hash": dataset_hash, "seeds": args.seeds, "runs": runs}
+    out_csv.with_suffix(".json").write_text(
+        json.dumps(detail, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
+    def fmt(value):
+        return "n/a" if value is None else f"{value:.4f}"
+
+    width = max(len(value) for value in AXES[axis])
     for row in rows:
-        print(
-            f"{row['strategy']:>12}  R@1={row['r_at_1']:.4f}  "
-            f"hit_rate={row['hit_rate']:.4f}"
-        )
+        print(f"{row[axis]:>{width}}  R@1={fmt(row['r_at_1'])}  "
+              f"hit_rate={fmt(row['hit_rate'])}")
     return 0
 
 
@@ -310,8 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("ablate", help="compare sampling strategies on shared synthetic data")
+    p = sub.add_parser(
+        "ablate",
+        help="compare sampling strategies (--axis strategy) or losses (--axis loss) "
+             "on shared synthetic data",
+    )
     add_config(p)
+    p.add_argument("--axis", choices=tuple(AXES), default="strategy",
+                   help="config field to vary: sampler.strategy or train.loss_kind")
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--out", required=True, help="CSV path (a .json sibling is written too)")
     p.set_defaults(func=cmd_ablate)

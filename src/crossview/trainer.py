@@ -40,7 +40,7 @@ from .datasets import (
     write_embeddings,
 )
 from .errors import ValidationError
-from .evaluation import recall_at_k
+from .evaluation import RetrievalReport, evaluate, recall_at_k
 from .geo import GeoConfig
 from .losses import (
     LossConfig,
@@ -50,6 +50,7 @@ from .losses import (
     triplet_loss,
 )
 from .sampler import (
+    STRATEGIES,
     BatchPlan,
     SamplerConfig,
     build_geo_pools,
@@ -61,6 +62,8 @@ from .sampler import (
 )
 
 LOSS_KINDS = ("infonce", "triplet", "soft_margin_triplet")
+# the experiment grid's axes: each compares the values of one config field
+AXES = {"strategy": STRATEGIES, "loss": LOSS_KINDS}
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -461,6 +464,36 @@ def train(
         history=history,
         plans=plans,
     )
+
+
+def holdout_report(result: TrainResult, manifest: list[SampleRecord],
+                   queries: EmbeddingTable, references: EmbeddingTable) -> RetrievalReport:
+    """Every retrieval metric of the trained encoder on the held-out pairs."""
+    n = len(manifest)
+    start = n - holdout_size(n)
+    sub = slice_manifest(manifest, start, n)
+    ids = tuple(r.id for r in sub)
+    q = encode(result.params, queries.data[start:].astype(np.float64), "query", ids)
+    r = encode(result.params, references.data[start:].astype(np.float64), "reference", ids)
+    return evaluate(q, r, sub)
+
+
+def ablation_configs(cfg: TrainConfig, axis: str, seeds: int) -> list[TrainConfig]:
+    """cfg with the axis field (sampler.strategy or loss_kind) set to each
+    value of AXES[axis] in order, each at seed offsets s = 0..seeds-1; an
+    offset shifts both train.seed and sampler.seed by s."""
+    if axis not in AXES:
+        raise ValidationError(f"axis {axis!r} not in {tuple(AXES)}")
+    if seeds < 1:
+        raise ValidationError(f"seeds={seeds} must be >= 1")
+    runs = []
+    for value in AXES[axis]:
+        base = (replace(cfg, loss_kind=value) if axis == "loss"
+                else replace(cfg, sampler=replace(cfg.sampler, strategy=value)))
+        runs += [replace(base, seed=base.seed + s,
+                         sampler=replace(base.sampler, seed=base.sampler.seed + s))
+                 for s in range(seeds)]
+    return runs
 
 
 # ---------------------------------------------------------------------------

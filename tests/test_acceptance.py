@@ -1,14 +1,19 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v`` for one pass/fail line per
-criterion; each test also prints its own summary line. The sampling and
-loss-comparison experiments share the tuned recipe in configs/ablate.cfg.
+criterion; each test also prints its own summary line. The sampling (c5)
+and loss-comparison (c6) experiments take their runs from
+``trainer.ablation_configs`` over the tuned recipe in configs/ablate.cfg and
+share memoised trainings: training is a pure function of the TrainConfig
+(c8), so c6's InfoNCE/dss runs, equal to c5's dss runs, train only once.
 """
 
+import functools
 import json
 import math
 import statistics
 import time
+from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +28,7 @@ from crossview.geo import MEAN_EARTH_RADIUS_M, haversine_distance
 from crossview.losses import LossConfig, info_nce
 from crossview.sampler import SamplerConfig, build_geo_pools, build_sim_pools, plan_epoch, plan_rng, validate_plan
 from crossview.simsearch import l2_normalize
-from crossview.trainer import TrainConfig, gradcheck, holdout_size, train
+from crossview.trainer import TrainConfig, ablation_configs, gradcheck, holdout_size, train
 
 from oracles import (
     brute_average_precision,
@@ -179,26 +184,34 @@ def test_c4_metric_oracle_equivalence():
     report("4 metric oracle equivalence", ok, "(200 instances, fixtures exact)")
 
 
-def _ablation_config(strategy, seed):
-    bundle = parse_config(ABLATE_CFG)
-    sampler = replace(bundle.sampler, strategy=strategy, seed=seed)
-    return bundle.synth, replace(bundle.train, seed=seed, sampler=sampler)
+DESK = parse_config(ABLATE_CFG)
+
+
+@functools.cache
+def _desk_data():
+    return generate_synthetic(DESK.synth)
+
+
+@functools.cache
+def _final_r1(cfg: TrainConfig) -> float:
+    """Held-out R@1 after the last epoch of one desk-recipe training."""
+    return train(*_desk_data(), cfg, DESK.geo).history[-1]["r1"]
+
+
+def _median_r1(configs, value_of):
+    finals = defaultdict(list)
+    for cfg in configs:
+        finals[value_of(cfg)].append(_final_r1(cfg))
+    return {value: statistics.median(r1s) for value, r1s in finals.items()}
 
 
 def test_c5_sampling_ablation():
     """Median held-out R@1 over 5 seeds: GPS+DSS > Random, DSS >= Random."""
     start = time.monotonic()
-    synth, _ = _ablation_config("random", 0)
+    synth = DESK.synth
     assert synth.n_pairs == 2000 and synth.latent_dim == 32 and synth.view_dim == 64
-    records, queries, references = generate_synthetic(synth)
-    medians = {}
-    for strategy in ("random", "gps", "dss", "gps_then_dss"):
-        finals = []
-        for seed in range(5):
-            _, cfg = _ablation_config(strategy, seed)
-            result = train(records, queries, references, cfg)
-            finals.append(result.history[-1]["r1"])
-        medians[strategy] = statistics.median(finals)
+    medians = _median_r1(ablation_configs(DESK.train, "strategy", 5),
+                         lambda cfg: cfg.sampler.strategy)
     elapsed = time.monotonic() - start
 
     ordering = " <= ".join(
@@ -220,17 +233,11 @@ def test_c6_triplet_collapse():
     The chance level is 1/n_holdout_references.
     """
     start = time.monotonic()
-    synth, _ = _ablation_config("dss", 0)
-    records, queries, references = generate_synthetic(synth)
-    chance = 1.0 / holdout_size(synth.n_pairs)
-    medians = {}
-    for kind in ("triplet", "infonce"):
-        finals = []
-        for seed in range(5):
-            _, cfg = _ablation_config("dss", seed)
-            result = train(records, queries, references, replace(cfg, loss_kind=kind))
-            finals.append(result.history[-1]["r1"])
-        medians[kind] = statistics.median(finals)
+    chance = 1.0 / holdout_size(DESK.synth.n_pairs)
+    dss = replace(DESK.train, sampler=replace(DESK.sampler, strategy="dss"))
+    configs = [cfg for cfg in ablation_configs(dss, "loss", 5)
+               if cfg.loss_kind in ("triplet", "infonce")]
+    medians = _median_r1(configs, lambda cfg: cfg.loss_kind)
     elapsed = time.monotonic() - start
     ok = (
         medians["triplet"] <= 5 * chance

@@ -1,12 +1,22 @@
+import csv
 import json
+import re
+import shlex
 import struct
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crossview.cli import main
+from crossview.cli import build_parser, main
+from crossview.config import parse_config
 from crossview.datasets import EmbeddingTable, load_manifest, read_embeddings, write_embeddings
+from crossview.datasets import generate_synthetic
 from crossview.sampler import read_plan
+from crossview.trainer import LOSS_KINDS, train
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 TINY_SYNTH = [
     "--set", "synth.n_pairs=50",
@@ -290,14 +300,10 @@ class TestGradcheck:
 class TestAblate:
     def test_four_rows_shared_dataset(self, tmp_path):
         out = tmp_path / "table.csv"
-        rc = main([
-            "ablate", *TINY_SYNTH, *TINY_TRAIN,
-            "--seeds", "1", "--out", str(out),
-        ])
+        rc = main(["ablate", *TINY_SYNTH, *TINY_TRAIN, "--seeds", "1", "--out", str(out)])
         assert rc == 0
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 5  # header + 4 strategies
-        rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert [r["strategy"] for r in rows] == ["random", "gps", "dss", "gps_then_dss"]
         assert len({r["dataset_hash"] for r in rows}) == 1
         detail = json.loads(out.with_suffix(".json").read_text())
@@ -308,6 +314,46 @@ class TestAblate:
         rc = main(["ablate", *TINY_SYNTH, *TINY_TRAIN, "--seeds", "1", "--out", str(out)])
         assert rc == 0
         assert out.exists() and out.with_suffix(".json").exists()
+
+    def test_loss_axis_keeps_config_fields(self, tmp_path):
+        # one row per loss kind, in order; fields the axis does not vary reach
+        # train() as the config set them, and each run's R@1 is its last epoch's
+        overrides = [*TINY_SYNTH, *TINY_TRAIN, "--set", "train.shared_weights=false",
+                     "--set", "train.weight_decay=0.5", "--set", "sampler.strategy=gps"]
+        out = tmp_path / "loss.csv"
+        rc = main(["ablate", "--axis", "loss", *overrides, "--seeds", "1", "--out", str(out)])
+        assert rc == 0
+        with out.open(newline="") as fh:
+            assert [row["loss"] for row in csv.DictReader(fh)] == list(LOSS_KINDS)
+        runs = json.loads(out.with_suffix(".json").read_text())["runs"]
+        assert [run["loss"] for run in runs] == list(LOSS_KINDS)
+        bundle = parse_config(None, overrides[1::2])
+        data = generate_synthetic(bundle.synth)
+        for run in runs:
+            cfg = replace(bundle.train, loss_kind=run["loss"])
+            assert run["r_at_1"] == train(*data, cfg, bundle.geo).history[-1]["r1"]
+
+    def test_no_semi_positives_prints_na(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        rc = main(["ablate", *TINY_SYNTH, *TINY_TRAIN, "--set", "synth.n_semi_positives=0",
+                   "--seeds", "1", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out.count("hit_rate=n/a") == 4
+        with out.open(newline="") as fh:
+            assert [row["hit_rate"] for row in csv.DictReader(fh)] == [""] * 4
+
+
+def test_readme_commands_parse():
+    blocks = re.findall(r"^```\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [line for line in lines if line.startswith("crossview ")]
+    assert len(commands) >= 7
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
 
 
 class TestExitCodes:
@@ -325,3 +371,14 @@ class TestExitCodes:
             "--manifest", str(tmp_path / "missing.jsonl"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv, option", [
+        (["ablate", "--seeds", "0", "--out", "unused.csv"], "--seeds"),
+        (["gradcheck", "--inits", "0"], "--inits"),
+        (["gradcheck", "--n", "1"], "--n"),
+    ])
+    def test_count_below_minimum_named(self, monkeypatch, capsys, argv, option):
+        for work in ("generate_synthetic", "gradcheck"):  # must not start
+            monkeypatch.setattr(f"crossview.cli.{work}", None)
+        assert main(argv) == 1
+        assert f"{option} must be >=" in capsys.readouterr().err

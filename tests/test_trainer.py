@@ -10,8 +10,10 @@ from crossview.errors import ValidationError
 from crossview.losses import LossConfig
 from crossview.sampler import SamplerConfig
 from crossview.trainer import (
+    AXES,
     EncoderParams,
     TrainConfig,
+    ablation_configs,
     adamw_init,
     adamw_step,
     encode,
@@ -329,6 +331,27 @@ class TestTrain:
         result = train(records, q, r, cfg)
         assert result.loss_config.logit_scale <= result.loss_config.logit_scale_max
         assert result.params.logit_scale == result.loss_config.logit_scale
+
+
+@pytest.mark.parametrize("axis", ["strategy", "loss"])
+def test_ablation_configs(axis):
+    base = tiny_config(seed=3, sampler=replace(TINY_SAMPLER, seed=7), loss_kind="triplet")
+    configs = ablation_configs(base, axis, 2)
+
+    def fields_of(cfg):
+        return {**{f"train.{k}": v for k, v in vars(cfg).items() if k != "sampler"},
+                **{f"sampler.{k}": v for k, v in vars(cfg.sampler).items()}}
+
+    field = {"strategy": "sampler.strategy", "loss": "train.loss_kind"}[axis]
+    assert [fields_of(c)[field] for c in configs] == [v for v in AXES[axis] for _ in (0, 1)]
+    assert [(c.seed, c.sampler.seed) for c in configs] == [(3, 7), (4, 8)] * len(AXES[axis])
+    for cfg in configs:  # only the axis field and the two seeds move
+        moved = {k for k, v in fields_of(base).items() if fields_of(cfg)[k] != v}
+        assert moved <= {field, "train.seed", "sampler.seed"}
+    with pytest.raises(ValidationError, match="axis"):
+        ablation_configs(base, "lr_max", 2)
+    with pytest.raises(ValidationError, match="seeds"):
+        ablation_configs(base, axis, 0)
 
 
 class TestParamsIO:
