@@ -315,16 +315,28 @@ class TestAblate:
         assert rc == 0
         assert out.exists() and out.with_suffix(".json").exists()
 
+    def test_loss_axis_reports_every_kind(self, tmp_path, capsys):
+        # one stdout line, CSV row and JSON run per loss kind, in order
+        out = tmp_path / "loss.csv"
+        rc = main(["ablate", "--axis", "loss", *TINY_SYNTH, *TINY_TRAIN,
+                   "--seeds", "1", "--out", str(out)])
+        assert rc == 0
+        stdout = capsys.readouterr().out
+        for kind in LOSS_KINDS:
+            assert kind in stdout
+        with out.open(newline="") as fh:
+            assert [row["loss"] for row in csv.DictReader(fh)] == list(LOSS_KINDS)
+        runs = json.loads(out.with_suffix(".json").read_text())["runs"]
+        assert [run["loss"] for run in runs] == list(LOSS_KINDS)
+
     def test_loss_axis_keeps_config_fields(self, tmp_path):
-        # one row per loss kind, in order; fields the axis does not vary reach
-        # train() as the config set them, and each run's R@1 is its last epoch's
+        # fields the axis does not vary reach train() as the config set them,
+        # and each run's R@1 is its last epoch's
         overrides = [*TINY_SYNTH, *TINY_TRAIN, "--set", "train.shared_weights=false",
                      "--set", "train.weight_decay=0.5", "--set", "sampler.strategy=gps"]
         out = tmp_path / "loss.csv"
         rc = main(["ablate", "--axis", "loss", *overrides, "--seeds", "1", "--out", str(out)])
         assert rc == 0
-        with out.open(newline="") as fh:
-            assert [row["loss"] for row in csv.DictReader(fh)] == list(LOSS_KINDS)
         runs = json.loads(out.with_suffix(".json").read_text())["runs"]
         assert [run["loss"] for run in runs] == list(LOSS_KINDS)
         bundle = parse_config(None, overrides[1::2])
