@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import statistics
@@ -260,20 +261,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crossview",
         description="Two-view contrastive retrieval: training, sampling, and evaluation.",
+        allow_abbrev=False,  # a prefix such as --seed must not silently set --seeds
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def add_config(p):
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="config override, applied after the file")
 
-    p = sub.add_parser("gen-synth", help="generate a synthetic two-view dataset")
+    p = add_parser("gen-synth", help="generate a synthetic two-view dataset")
     add_config(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen_synth)
 
-    p = sub.add_parser("plan", help="plan one epoch of batches")
+    p = add_parser("plan", help="plan one epoch of batches")
     add_config(p)
     p.add_argument("--embeddings", nargs=2, metavar=("Q.emb", "R.emb"))
     p.add_argument("--manifest", default=None)
@@ -281,20 +284,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("train", help="train the encoder")
+    p = add_parser("train", help="train the encoder")
     add_config(p)
     p.add_argument("--data", required=True, help="directory from gen-synth")
     p.add_argument("--out", required=True, help="artifact directory")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="retrieval metrics for embedding tables")
+    p = add_parser("eval", help="retrieval metrics for embedding tables")
     p.add_argument("--query", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("gradcheck", help="check analytic gradients against finite differences")
+    p = add_parser("gradcheck", help="check analytic gradients against finite differences")
     add_config(p)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--inits", type=int, default=1)
@@ -302,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser(
+    p = add_parser(
         "ablate",
         help="compare sampling strategies (--axis strategy) or losses (--axis loss) "
              "on shared synthetic data",

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import EmbeddingTable, SampleRecord, require_aligned
 from .errors import ValidationError
-from .simsearch import cosine_matrix, l2_normalize
+# cosine_matrix stays importable here: the bench tracer binds evaluation.cosine_matrix
+from .simsearch import cosine_matrix, l2_normalize  # noqa: F401
 
 RECALL_KS = (1, 5, 10)
 
@@ -45,17 +47,19 @@ RANK_BLOCK = 256  # (query, positive) pairs scored per block
 
 
 def _positive_ranks(
-    sim: np.ndarray, positives: list[set[int]], semi_positives: list[set[int]]
+    scores: Callable[[np.ndarray], np.ndarray], n_q: int, n_r: int,
+    positives: list[set[int]], semi_positives: list[set[int]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rank of each query's positives under descending similarity.
 
-    A rank is 1 + the references scored strictly higher + those tied with
-    the positive at a lower index; the masked rank leaves the query's
-    semi-positives out of that count. Returns each query's best rank and
-    best masked rank, every pair's rank and the first pair of each query.
+    ``scores(q)`` returns the float64 similarity rows (len(q), n_r) of the
+    queries q of one block of at most RANK_BLOCK (query, positive) pairs,
+    so no n_q x n_r matrix need exist. A rank is 1 + the references scored
+    strictly higher + those tied with the positive at a lower index; the
+    masked rank leaves the query's semi-positives out of that count.
+    Returns each query's best rank and best masked rank, every pair's rank
+    and the first pair of each query.
     """
-    sim = np.asarray(sim, dtype=np.float64)
-    n_q, n_r = sim.shape
     for name, sets in (("positive", positives), ("semi-positive", semi_positives)):
         if not n_q or len(sets) != n_q:
             raise ValidationError(f"{len(sets)} {name} sets for {n_q} queries")
@@ -74,9 +78,11 @@ def _positive_ranks(
     ranks = np.empty((len(pairs), 2), dtype=np.int64)  # plain, masked
     for a in range(0, len(pairs), RANK_BLOCK):
         q, c = pairs[a:a + RANK_BLOCK].T
-        rows = sim[q]
-        s = sim[q, c][:, None]
-        ahead = (rows > s) | ((rows == s) & (np.arange(n_r) < c[:, None]))
+        rows = scores(q)
+        s = rows[np.arange(len(q)), c][:, None]
+        ahead = rows > s
+        ahead |= (rows == s) & (np.arange(n_r) < c[:, None])
+        del rows  # freed before the next block is scored
         ranks[a:a + len(q), 0] = ahead.sum(axis=1) + 1
         lo, hi = np.searchsorted(semis[:, 0], [a, a + len(q)])
         ahead[semis[lo:hi, 0] - a, semis[lo:hi, 1]] = False
@@ -84,6 +90,14 @@ def _positive_ranks(
     starts = np.flatnonzero(np.diff(pairs[:, 0], prepend=-1))
     best = np.minimum.reduceat(ranks, starts)
     return best[:, 0], best[:, 1], ranks[:, 0], starts
+
+
+def _matrix_ranks(
+    sim: np.ndarray, positives: list[set[int]], semi_positives: list[set[int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_positive_ranks over the rows of a given (n_q, n_r) similarity matrix."""
+    sim = np.asarray(sim, dtype=np.float64)
+    return _positive_ranks(lambda q: sim[q], *sim.shape, positives, semi_positives)
 
 
 def _recall(best_ranks: np.ndarray, k: int) -> float:
@@ -95,7 +109,7 @@ def recall_at_k(sim: np.ndarray, positives: list[set[int]], k: int) -> float:
     n_r = np.shape(sim)[1]
     if not 1 <= k <= n_r:
         raise ValidationError(f"k={k} outside [1, {n_r}]")
-    return _recall(_positive_ranks(sim, positives, [set()] * len(positives))[0], k)
+    return _recall(_matrix_ranks(sim, positives, [set()] * len(positives))[0], k)
 
 
 def recall_at_percent(sim: np.ndarray, positives: list[set[int]], pct: float = 1.0) -> float:
@@ -109,7 +123,7 @@ def hit_rate(
     sim: np.ndarray, positives: list[set[int]], semi_positives: list[set[int]]
 ) -> float:
     """R@1 after removing each query's semi-positives from its gallery."""
-    return _recall(_positive_ranks(sim, positives, semi_positives)[1], 1)
+    return _recall(_matrix_ranks(sim, positives, semi_positives)[1], 1)
 
 
 def _average_precision(ranks: list[int], n_positives: int) -> float:
@@ -158,9 +172,14 @@ def evaluate(
     positives = [resolve(r.positives, r.id) for r in manifest]
     semis = [resolve(r.semi_positives, r.id) for r in manifest]
 
-    sim = cosine_matrix(l2_normalize(queries), l2_normalize(references))
+    q, r = l2_normalize(queries), l2_normalize(references)
+    if q.dim != r.dim:
+        raise ValidationError(f"dim mismatch: queries {q.dim} vs references {r.dim}")
+    q64, r64 = q.data.astype(np.float64), r.data.astype(np.float64)
     n_r = references.count
-    best, best_masked, pair_ranks, starts = _positive_ranks(sim, positives, semis)
+    best, best_masked, pair_ranks, starts = _positive_ranks(
+        lambda rows: q64[rows] @ r64.T, queries.count, n_r, positives, semis
+    )
 
     recall = {k: _recall(best, min(k, n_r)) for k in RECALL_KS}
     r1pct = _recall(best, math.ceil(1.0 / 100.0 * n_r))  # recall_at_percent's k

@@ -518,6 +518,8 @@ def gradcheck(
     vanish). ``corrupt`` scales the analytic q.W1 gradient, a hook for
     the harness self-test.
     """
+    if n < 2:  # one pair has no in-batch negative: every gradient vanishes
+        raise ValidationError(f"gradcheck needs n >= 2 pairs, got n={n}")
     rng = np.random.default_rng(seed)
     params = init_params(rng, d_in, cfg.hidden_dim, cfg.embed_dim, cfg.shared_weights,
                          cfg.loss.logit_scale)

@@ -266,6 +266,20 @@ class TestEval:
         assert rc == 1
         assert "'p000003' (index 3)" in capsys.readouterr().err
 
+    def test_dim_mismatch_named(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path)
+        for name, dim in (("query.emb", 4), ("reference.emb", 5)):
+            table = read_embeddings(data / name)
+            write_embeddings(EmbeddingTable(table.data[:, :dim], table.row_ids), data / name)
+        rc = main([
+            "eval",
+            "--query", str(data / "query.emb"),
+            "--ref", str(data / "reference.emb"),
+            "--manifest", str(data / "manifest.jsonl"),
+        ])
+        assert rc == 1
+        assert "dim mismatch: queries 4 vs references 5" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_passes_at_default_tolerance(self, tmp_path):
@@ -394,3 +408,15 @@ class TestExitCodes:
             monkeypatch.setattr(f"crossview.cli.{work}", None)
         assert main(argv) == 1
         assert f"{option} must be >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (["ablate", "--seed", "3", "--out", "unused.csv"], "--seed"),  # not --seeds
+        (["gradcheck", "--init", "2"], "--init"),  # not --inits
+    ])
+    def test_option_prefix_rejected(self, monkeypatch, capsys, argv, prefix):
+        for work in ("generate_synthetic", "gradcheck"):  # must not start
+            monkeypatch.setattr(f"crossview.cli.{work}", None)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err

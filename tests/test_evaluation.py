@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from crossview.errors import ValidationError
 from crossview.evaluation import (
     RANK_BLOCK,
     RECALL_KS,
+    _average_precision,
+    _positive_ranks,
     average_precision,
     evaluate,
     hit_rate,
@@ -195,6 +198,33 @@ class TestOracleEquivalence:
             assert report.mean_ap == float(np.mean(aps))
         assert sum(len(p) for p in positives) > RANK_BLOCK
 
+    def test_two_positives_straddle_a_rank_block_edge(self):
+        # queries 0..RANK_BLOCK-2 hold one positive each, query RANK_BLOCK-1
+        # two, so its pairs sit at positions RANK_BLOCK-1 and RANK_BLOCK, the
+        # last of one scored block and the first of the next; small-integer
+        # scores tie often
+        rng = np.random.default_rng(11)
+        n_q, n_r, edge = RANK_BLOCK, 40, RANK_BLOCK - 1
+        sim = rng.integers(0, 6, (n_q, n_r)).astype(np.float64)
+        positives = [{int(rng.integers(n_r))} for _ in range(edge)]
+        positives.append({int(j) for j in rng.choice(n_r, 2, replace=False)})
+        blocks = []
+
+        def scores(q):
+            blocks.append(q.tolist())
+            return sim[q]
+
+        best, _, pair_ranks, starts = _positive_ranks(
+            scores, n_q, n_r, positives, [set()] * n_q
+        )
+        assert [len(b) for b in blocks] == [RANK_BLOCK, 1]
+        assert blocks[0][-1] == blocks[1][0] == edge and starts[edge] == edge
+        row = sim[edge].tolist()
+        for k in range(1, n_r + 1):
+            assert float(best[edge] <= k) == brute_recall_at_k([row], positives[edge:], k)
+        ap = _average_precision(sorted(pair_ranks[edge:].tolist()), 2)
+        assert ap == brute_average_precision(rank_references(row), positives[edge])
+
     def test_rank_transform_invariance(self):
         rng = np.random.default_rng(7)
         sim = rng.standard_normal((10, 12))
@@ -273,6 +303,38 @@ class TestEvaluate:
         report = evaluate(table, gallery, records)
         assert report.mean_ap is not None
         assert 0.0 < report.mean_ap <= 1.0
+
+    def test_never_holds_the_full_matrix(self):
+        # one positive per query and 500 distractors; the scores are held one
+        # rank block at a time, far below the n_q x n_r float64 matrix
+        n_q, n_r, dim = 2000, 2500, 4
+        rng = np.random.default_rng(3)
+        q = EmbeddingTable(rng.standard_normal((n_q, dim)).astype(np.float32),
+                           tuple(f"q{i}" for i in range(n_q)))
+        r = EmbeddingTable(rng.standard_normal((n_r, dim)).astype(np.float32),
+                           tuple(f"r{j}" for j in range(n_r)))
+        records = [
+            SampleRecord(id=f"q{i}", pair_index=i, class_id=f"q{i}",
+                         coord=Coordinate(0, 0, "planar"), positives=(f"r{i}",))
+            for i in range(n_q)
+        ]
+        tracemalloc.start()
+        try:
+            report = evaluate(q, r, records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.mean_ap is not None  # distractors: every metric ran
+        assert peak < n_q * n_r * 8 / 4
+
+    def test_dim_mismatch_named(self):
+        rng = np.random.default_rng(4)
+        q = EmbeddingTable(rng.standard_normal((3, 4)).astype(np.float32), ("a", "b", "c"))
+        r = EmbeddingTable(rng.standard_normal((3, 5)).astype(np.float32), ("a", "b", "c"))
+        records = [SampleRecord(id=i, pair_index=n, class_id=i, coord=Coordinate(0, 0, "planar"),
+                                positives=(i,)) for n, i in enumerate(q.row_ids)]
+        with pytest.raises(ValidationError, match="dim mismatch: queries 4 vs references 5"):
+            evaluate(q, r, records)
 
     def test_misaligned_rows_rejected(self):
         table, records = self.identity_setup()

@@ -234,11 +234,13 @@ class TestGradcheck:
         report = gradcheck(cfg, n=6, d_in=8, seed=1)
         assert report["max"] <= 1e-6
 
-    def test_zero_gradient_direction(self):
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_single_pair_rejected(self, n):
+        # one pair has no in-batch negative, so both gradients vanish and a
+        # report would pass a check never made
         cfg = tiny_config(hidden_dim=8, embed_dim=4, loss=LossConfig(label_smoothing=0.0))
-        report = gradcheck(cfg, n=1, d_in=6, seed=2)
-        # both analytic and numeric vanish; the comparison stays tiny
-        assert report["max"] <= 1e-6
+        with pytest.raises(ValidationError, match=f"n={n}"):
+            gradcheck(cfg, n=n, d_in=6, seed=2)
 
     def test_corrupted_gradient_detected(self):
         cfg = tiny_config(hidden_dim=12, embed_dim=5)
