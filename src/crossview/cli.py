@@ -39,12 +39,12 @@ from .sampler import (
     build_sim_pools,
     plan_epoch,
     plan_rng,
+    plan_text,
     resolve_strategy,
     write_plan,
 )
 from .simsearch import l2_normalize
-from .trainer import AXES, TrainResult, ablation_configs, gradcheck, holdout_report
-from .trainer import save_params, train
+from .trainer import AXES, TrainResult, ablation_configs, gradcheck, save_params, train
 
 
 def _hash8(data: bytes) -> str:
@@ -75,6 +75,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    _require_at_least(args, "epoch", 0)
     bundle = _load_bundle(args)
     scfg = bundle.sampler
     strategy = resolve_strategy(scfg, args.epoch)
@@ -136,9 +137,9 @@ def _write_train_artifacts(result: TrainResult, out: Path, dataset_hash: str) ->
 
     plan_names = []
     for plan in result.plans:
-        plan_text = "".join(json.dumps(list(batch)) + "\n" for batch in plan.batches)
-        name = f"plan-e{plan.epoch:03d}-{_hash8(plan_text.encode())}.jsonl"
-        (out / name).write_text(plan_text, encoding="utf-8")
+        text = plan_text(plan)
+        name = f"plan-e{plan.epoch:03d}-{_hash8(text.encode())}.jsonl"
+        (out / name).write_text(text, encoding="utf-8")
         plan_names.append(name)
 
     # the query encoder's W1 b1 W2 b2: the leading block of theta
@@ -193,6 +194,7 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     _require_at_least(args, "n", 2)  # one pair has no negative to check against
     _require_at_least(args, "inits", 1)
+    _require_at_least(args, "seed", 0)
     bundle = _load_bundle(args)
     worst: dict[str, float] = {}
     for i in range(args.inits):
@@ -222,8 +224,7 @@ def cmd_ablate(args) -> int:
 
     runs = []
     for i, cfg in enumerate(configs):
-        result = train(records, queries, references, cfg, bundle.geo)
-        report = holdout_report(result, records, queries, references)
+        report = train(records, queries, references, cfg, bundle.geo).holdout
         recall = report.recall_at
         runs.append({axis: AXES[axis][i // args.seeds], "seed": i % args.seeds,
                      "r_at_1": recall[1], "r_at_5": recall[5], "r_at_10": recall[10],

@@ -157,6 +157,8 @@ class SynthConfig:
             raise ValidationError("region_grid must be >= 1")
         if not 0.0 < self.region_within <= 1.0:
             raise ValidationError("region_within must be in (0, 1]")
+        if self.seed < 0:
+            raise ValidationError(f"synth.seed={self.seed} must be >= 0")
 
 
 def _record_from_json(obj: dict, pair_index: int) -> SampleRecord:

@@ -112,11 +112,15 @@ def recall_at_k(sim: np.ndarray, positives: list[set[int]], k: int) -> float:
     return _recall(_matrix_ranks(sim, positives, [set()] * len(positives))[0], k)
 
 
+def _percent_k(pct: float, n_r: int) -> int:
+    return math.ceil(pct / 100.0 * n_r)
+
+
 def recall_at_percent(sim: np.ndarray, positives: list[set[int]], pct: float = 1.0) -> float:
     """recall_at_k with k = ceil(pct/100 * gallery size)."""
     if not 0.0 < pct <= 100.0:
         raise ValidationError(f"pct={pct} outside (0, 100]")
-    return recall_at_k(sim, positives, math.ceil(pct / 100.0 * np.shape(sim)[1]))
+    return recall_at_k(sim, positives, _percent_k(pct, np.shape(sim)[1]))
 
 
 def hit_rate(
@@ -146,18 +150,11 @@ def average_precision(ranking: list[int], positives: set[int]) -> float:
     return _average_precision(ranks, len(positives))
 
 
-def evaluate(
-    queries: EmbeddingTable, references: EmbeddingTable, manifest: list[SampleRecord]
-) -> RetrievalReport:
-    """Full metric suite for a query table against a reference gallery.
-
-    Query rows align with manifest records; positives/semi-positives are
-    resolved through the reference table's row ids. hit_rate appears only
-    when any record lists semi-positives, mean AP only when some query
-    has multiple positives or the gallery holds distractor references.
-    """
-    require_aligned("query", queries.row_ids, manifest)
-    ref_row = {rid: j for j, rid in enumerate(references.row_ids)}
+def resolve_links(
+    manifest: list[SampleRecord], ref_ids: tuple[str, ...]
+) -> tuple[list[set[int]], list[set[int]]]:
+    """Each record's positives and semi-positives as row indices of ref_ids."""
+    ref_row = {rid: j for j, rid in enumerate(ref_ids)}
 
     def resolve(ids: tuple[str, ...], record_id: str) -> set[int]:
         out = set()
@@ -169,37 +166,47 @@ def evaluate(
             out.add(ref_row[rid])
         return out
 
-    positives = [resolve(r.positives, r.id) for r in manifest]
-    semis = [resolve(r.semi_positives, r.id) for r in manifest]
+    return ([resolve(r.positives, r.id) for r in manifest],
+            [resolve(r.semi_positives, r.id) for r in manifest])
 
-    q, r = l2_normalize(queries), l2_normalize(references)
-    if q.dim != r.dim:
-        raise ValidationError(f"dim mismatch: queries {q.dim} vs references {r.dim}")
-    q64, r64 = q.data.astype(np.float64), r.data.astype(np.float64)
-    n_r = references.count
+
+def retrieval_report(
+    q64: np.ndarray, r64: np.ndarray, positives: list[set[int]], semi_positives: list[set[int]]
+) -> RetrievalReport:
+    """Every metric of float64 unit query rows against float64 unit
+    reference rows, from one rank pass over blocks of score rows.
+
+    hit_rate is set only when some query has semi-positives, mean AP only
+    when some query has multiple positives or the gallery holds
+    distractor references.
+    """
+    n_q, n_r = len(q64), len(r64)
     best, best_masked, pair_ranks, starts = _positive_ranks(
-        lambda rows: q64[rows] @ r64.T, queries.count, n_r, positives, semis
+        lambda rows: q64[rows] @ r64.T, n_q, n_r, positives, semi_positives
     )
-
     recall = {k: _recall(best, min(k, n_r)) for k in RECALL_KS}
-    r1pct = _recall(best, math.ceil(1.0 / 100.0 * n_r))  # recall_at_percent's k
-
-    hit = _recall(best_masked, 1) if any(s for s in semis) else None
-
-    referenced = set().union(*positives)
-    has_distractors = len(referenced) < n_r
-    multi_positive = any(len(p) > 1 for p in positives)
+    hit = _recall(best_masked, 1) if any(s for s in semi_positives) else None
     mean_ap = None
-    if multi_positive or has_distractors:
+    if any(len(p) > 1 for p in positives) or len(set().union(*positives)) < n_r:
         per_query = np.split(pair_ranks, starts[1:])
         aps = [_average_precision(sorted(r.tolist()), len(p)) for r, p in zip(per_query, positives)]
         mean_ap = float(np.mean(aps))
+    return RetrievalReport(recall_at=recall, recall_at_1pct=_recall(best, _percent_k(1.0, n_r)),
+                           hit_rate=hit, mean_ap=mean_ap, n_queries=n_q, n_references=n_r)
 
-    return RetrievalReport(
-        recall_at=recall,
-        recall_at_1pct=r1pct,
-        hit_rate=hit,
-        mean_ap=mean_ap,
-        n_queries=queries.count,
-        n_references=n_r,
-    )
+
+def evaluate(
+    queries: EmbeddingTable, references: EmbeddingTable, manifest: list[SampleRecord]
+) -> RetrievalReport:
+    """Full metric suite for a query table against a reference gallery.
+
+    Query rows align with manifest records; positives/semi-positives are
+    resolved through the reference table's row ids. Both tables are
+    L2-normalised, then scored by retrieval_report.
+    """
+    require_aligned("query", queries.row_ids, manifest)
+    positives, semis = resolve_links(manifest, references.row_ids)
+    q, r = l2_normalize(queries), l2_normalize(references)
+    if q.dim != r.dim:
+        raise ValidationError(f"dim mismatch: queries {q.dim} vs references {r.dim}")
+    return retrieval_report(q.data.astype(np.float64), r.data.astype(np.float64), positives, semis)

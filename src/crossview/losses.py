@@ -145,6 +145,26 @@ def _pair_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (d * d).sum(axis=1)
 
 
+def _triplet(anchor, positive, negative, score) -> LossOutput:
+    """The body both triplet losses share. ``score(x)`` maps each row's
+    x = d(a,p)^2 - d(a,n)^2 to the loss value and the per-row weight of
+    the gradients."""
+    a = _as_batch("anchor", anchor)
+    p = _as_batch("positive", positive)
+    ng = _as_batch("negative", negative)
+    if not (a.shape == p.shape == ng.shape):
+        raise ValidationError(
+            f"shape mismatch: anchor {a.shape}, positive {p.shape}, negative {ng.shape}"
+        )
+    n = a.shape[0]
+    loss, weight = score(_pair_sq_dists(a, p) - _pair_sq_dists(a, ng))
+    w = weight[:, None]
+    grad_a = w * 2.0 * (ng - p) / n
+    grad_p = w * (-2.0) * (a - p) / n
+    grad_n = w * 2.0 * (a - ng) / n
+    return LossOutput(loss=loss, grad_queries=grad_a, grad_references=grad_p, grad_negatives=grad_n)
+
+
 def triplet_loss(
     anchor: np.ndarray,
     positive: np.ndarray,
@@ -155,21 +175,12 @@ def triplet_loss(
 
     The subgradient at the hinge kink is taken as 0.
     """
-    a = _as_batch("anchor", anchor)
-    p = _as_batch("positive", positive)
-    ng = _as_batch("negative", negative)
-    if not (a.shape == p.shape == ng.shape):
-        raise ValidationError(
-            f"shape mismatch: anchor {a.shape}, positive {p.shape}, negative {ng.shape}"
-        )
-    n = a.shape[0]
-    arg = _pair_sq_dists(a, p) - _pair_sq_dists(a, ng) + margin
-    active = (arg > 0).astype(np.float64)[:, None]
-    loss = float(np.mean(np.maximum(arg, 0.0)))
-    grad_a = active * 2.0 * (ng - p) / n
-    grad_p = active * (-2.0) * (a - p) / n
-    grad_n = active * 2.0 * (a - ng) / n
-    return LossOutput(loss=loss, grad_queries=grad_a, grad_references=grad_p, grad_negatives=grad_n)
+
+    def hinge(x):
+        arg = x + margin
+        return float(np.mean(np.maximum(arg, 0.0))), (arg > 0).astype(np.float64)
+
+    return _triplet(anchor, positive, negative, hinge)
 
 
 def soft_margin_triplet_loss(
@@ -180,21 +191,8 @@ def soft_margin_triplet_loss(
     Evaluated through logaddexp so large positive arguments cannot
     overflow.
     """
-    a = _as_batch("anchor", anchor)
-    p = _as_batch("positive", positive)
-    ng = _as_batch("negative", negative)
-    if not (a.shape == p.shape == ng.shape):
-        raise ValidationError(
-            f"shape mismatch: anchor {a.shape}, positive {p.shape}, negative {ng.shape}"
-        )
-    n = a.shape[0]
-    x = _pair_sq_dists(a, p) - _pair_sq_dists(a, ng)
-    loss = float(np.mean(np.logaddexp(0.0, x)))
-    sig = expit(x)[:, None]
-    grad_a = sig * 2.0 * (ng - p) / n
-    grad_p = sig * (-2.0) * (a - p) / n
-    grad_n = sig * 2.0 * (a - ng) / n
-    return LossOutput(loss=loss, grad_queries=grad_a, grad_references=grad_p, grad_negatives=grad_n)
+    return _triplet(anchor, positive, negative,
+                    lambda x: (float(np.mean(np.logaddexp(0.0, x))), expit(x)))
 
 
 def clamp_logit_scale(logit_scale: float, logit_scale_max: float) -> float:

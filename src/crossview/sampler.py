@@ -56,6 +56,8 @@ class SamplerConfig:
             raise ValidationError("refresh_every must be >= 1")
         if self.gps_epochs < 0:
             raise ValidationError("gps_epochs must be >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"sampler.seed={self.seed} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -212,12 +214,14 @@ def validate_plan(plan: BatchPlan, records: list[SampleRecord], cfg: SamplerConf
         raise ValidationError("plan does not cover every pair exactly once")
 
 
+def plan_text(plan: BatchPlan) -> str:
+    """The plan as JSON-lines, one batch per line as an array of pair indices."""
+    return "".join(json.dumps(list(batch)) + "\n" for batch in plan.batches)
+
+
 def write_plan(plan: BatchPlan, path: str | Path) -> None:
-    """Serialise as JSON-lines, one batch per line as an array of pair indices."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for batch in plan.batches:
-            fh.write(json.dumps(list(batch)) + "\n")
+    """Write plan_text(plan) to path."""
+    Path(path).write_text(plan_text(plan), encoding="utf-8")
 
 
 def read_plan(path: str | Path, epoch: int = 0, strategy_used: str = "random") -> BatchPlan:

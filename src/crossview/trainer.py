@@ -40,7 +40,7 @@ from .datasets import (
     write_embeddings,
 )
 from .errors import ValidationError
-from .evaluation import RetrievalReport, evaluate, recall_at_k
+from .evaluation import RetrievalReport, resolve_links, retrieval_report
 from .geo import GeoConfig
 from .losses import (
     LossConfig,
@@ -195,6 +195,8 @@ class TrainConfig:
             raise ValidationError("encoder dims must be >= 1")
         if self.loss_kind not in LOSS_KINDS:
             raise ValidationError(f"loss_kind {self.loss_kind!r} not in {LOSS_KINDS}")
+        if self.seed < 0:
+            raise ValidationError(f"train.seed={self.seed} must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +370,7 @@ class TrainResult:
     loss_config: LossConfig
     history: list[dict]
     plans: list[BatchPlan]
+    holdout: RetrievalReport  # the held-out pairs' report after the last epoch
 
 
 def train(
@@ -381,7 +384,8 @@ def train(
 
     The final holdout_size(n) pairs by pair_index are held out, and each
     needs a positive among them; per epoch the history records the mean
-    batch loss, the learning rate at the last step, and the held-out R@1.
+    batch loss, the learning rate at the last step, and the held-out R@1
+    of retrieval_report, whose last report the result keeps.
     """
     n = len(manifest)
     if query_features.count != n or reference_features.count != n:
@@ -396,11 +400,9 @@ def train(
         raise ValidationError(f"{n} pairs leave only {n_train} for training")
     train_records = manifest[:n_train]
     holdout = slice_manifest(manifest, n_train, n)
-    holdout_row = {r.id: r.pair_index for r in holdout}
-    holdout_positives = [{holdout_row[p] for p in r.positives} for r in holdout]
+    holdout_links = resolve_links(holdout, tuple(r.id for r in holdout))
     scfg = cfg.sampler
-    needs_pools = scfg.strategy != "random"
-    if needs_pools and scfg.pool_size > n_train - 1:
+    if scfg.strategy != "random" and scfg.pool_size > n_train - 1:
         raise ValidationError(
             f"pool_size={scfg.pool_size} exceeds training pairs - 1 = {n_train - 1}"
         )
@@ -414,24 +416,20 @@ def train(
                          cfg.shared_weights, cfg.loss.logit_scale)
     state = adamw_init(params)
 
-    geo_pools = None
-    if scfg.strategy == "gps" or (scfg.strategy == "gps_then_dss" and scfg.gps_epochs > 0):
-        geo_pools = build_geo_pools(train_records, scfg, geo_cfg)
-    sim_pools = None
-
+    pools = None  # the pools of the current strategy; None while random
     steps_per_epoch = math.ceil(n_train / scfg.batch_size)
     global_step = 0
     history: list[dict] = []
     plans: list[BatchPlan] = []
 
     for epoch in range(cfg.epochs):
+        if resolve_strategy(scfg, epoch) == "gps" and pools is None:
+            pools = build_geo_pools(train_records, scfg, geo_cfg)
         if should_refresh(epoch, scfg):
             q_emb = encode(params, Xq_train, "query")
             r_emb = encode(params, Xr_train, "reference")
-            sim_pools = build_sim_pools(q_emb, r_emb, scfg)
+            pools = build_sim_pools(q_emb, r_emb, scfg)
 
-        strategy = resolve_strategy(scfg, epoch)
-        pools = {"random": None, "gps": geo_pools, "dss": sim_pools}[strategy]
         plan = plan_epoch(train_records, pools, scfg, epoch, plan_rng(scfg, epoch))
         plans.append(plan)
 
@@ -452,10 +450,10 @@ def train(
 
         Q, _ = _forward(_weights(params, "query"), Xq[n_train:])
         R, _ = _forward(_weights(params, "reference"), Xr[n_train:])
-        r1 = recall_at_k(Q @ R.T, holdout_positives, 1)
+        report = retrieval_report(Q, R, *holdout_links)
         history.append(
             {"epoch": epoch, "loss": float(np.mean(losses)) if losses else 0.0,
-             "lr": lr, "r1": r1}
+             "lr": lr, "r1": report.recall_at[1]}
         )
 
     return TrainResult(
@@ -463,19 +461,8 @@ def train(
         loss_config=replace(cfg.loss, logit_scale=params.logit_scale),
         history=history,
         plans=plans,
+        holdout=report,
     )
-
-
-def holdout_report(result: TrainResult, manifest: list[SampleRecord],
-                   queries: EmbeddingTable, references: EmbeddingTable) -> RetrievalReport:
-    """Every retrieval metric of the trained encoder on the held-out pairs."""
-    n = len(manifest)
-    start = n - holdout_size(n)
-    sub = slice_manifest(manifest, start, n)
-    ids = tuple(r.id for r in sub)
-    q = encode(result.params, queries.data[start:].astype(np.float64), "query", ids)
-    r = encode(result.params, references.data[start:].astype(np.float64), "reference", ids)
-    return evaluate(q, r, sub)
 
 
 def ablation_configs(cfg: TrainConfig, axis: str, seeds: int) -> list[TrainConfig]:

@@ -13,7 +13,7 @@ from crossview.cli import build_parser, main
 from crossview.config import parse_config
 from crossview.datasets import EmbeddingTable, load_manifest, read_embeddings, write_embeddings
 from crossview.datasets import generate_synthetic
-from crossview.sampler import read_plan
+from crossview.sampler import read_plan, write_plan
 from crossview.trainer import LOSS_KINDS, train
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -212,6 +212,19 @@ class TestTrain:
         for p1, p2 in zip(run1["plans"], run2["plans"]):
             assert (outs[0] / p1).read_bytes() == (outs[1] / p2).read_bytes()
 
+    def test_plan_files_are_write_plan_bytes(self, tmp_path):
+        data = gen_dataset(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", *TINY_TRAIN, "--data", str(data), "--out", str(out)]) == 0
+        run = json.loads((out / "run.json").read_text())
+        bundle = parse_config(None, TINY_TRAIN[1::2])
+        result = train(load_manifest(data / "manifest.jsonl"), read_embeddings(data / "query.emb"),
+                       read_embeddings(data / "reference.emb"), bundle.train, bundle.geo)
+        assert len(run["plans"]) == len(result.plans)
+        for name, plan in zip(run["plans"], result.plans):
+            write_plan(plan, tmp_path / "expected.jsonl")
+            assert (out / name).read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+
     def test_non_finite_setting_rejected_before_training(self, tmp_path, capsys):
         data = gen_dataset(tmp_path)
         out = tmp_path / "run"
@@ -408,6 +421,24 @@ class TestExitCodes:
             monkeypatch.setattr(f"crossview.cli.{work}", None)
         assert main(argv) == 1
         assert f"{option} must be >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [
+        (["gen-synth", "--set", "synth.seed=-1"], "synth.seed"),
+        (["plan", "--set", "sampler.seed=-2", "--epoch", "0"], "sampler.seed"),
+        (["train", "--set", "train.seed=-1"], "train.seed"),
+        (["plan", "--epoch", "-1"], "--epoch"),
+        (["gradcheck", "--seed", "-1"], "--seed"),
+    ])
+    def test_negative_seed_or_epoch_named(self, tmp_path, capsys, command, key):
+        data = gen_dataset(tmp_path)
+        paths = {"gen-synth": ["--out", str(tmp_path / "d")],
+                 "plan": ["--manifest", str(data / "manifest.jsonl"),
+                          "--out", str(tmp_path / "plan.jsonl")],
+                 "train": ["--data", str(data), "--out", str(tmp_path / "run")],
+                 "gradcheck": []}[command[0]]
+        capsys.readouterr()
+        assert main([*command, *paths]) == 1
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, prefix", [
         (["ablate", "--seed", "3", "--out", "unused.csv"], "--seed"),  # not --seeds

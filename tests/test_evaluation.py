@@ -16,6 +16,8 @@ from crossview.evaluation import (
     hit_rate,
     recall_at_k,
     recall_at_percent,
+    resolve_links,
+    retrieval_report,
 )
 from crossview.simsearch import cosine_matrix, l2_normalize
 
@@ -224,6 +226,32 @@ class TestOracleEquivalence:
             assert float(best[edge] <= k) == brute_recall_at_k([row], positives[edge:], k)
         ap = _average_precision(sorted(pair_ranks[edge:].tolist()), 2)
         assert ap == brute_average_precision(rank_references(row), positives[edge])
+
+    def test_report_of_float64_rows_matches_brute_force(self):
+        # the trainer's path: float64 unit rows, links resolved by row id
+        rng = np.random.default_rng(7)
+        n_q, n_r = RANK_BLOCK + 40, 50
+        q, r = rng.standard_normal((n_q, 5)), rng.standard_normal((n_r, 5))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        r /= np.linalg.norm(r, axis=1, keepdims=True)
+        ref_ids = tuple(f"r{j}" for j in range(n_r))
+        records = []
+        for i in range(n_q):
+            pool = [ref_ids[j] for j in rng.permutation(n_r)[:4]]
+            records.append(SampleRecord(id=f"q{i}", pair_index=i, class_id=f"q{i}",
+                                        coord=Coordinate(0, 0, "planar"),
+                                        positives=tuple(pool[:1 + i % 2]),
+                                        semi_positives=tuple(pool[2:])))
+        positives, semis = resolve_links(records, ref_ids)
+        report = retrieval_report(q, r, positives, semis)
+        sim = (q @ r.T).tolist()
+        for k in RECALL_KS:
+            assert report.recall_at[k] == brute_recall_at_k(sim, positives, k)
+        assert report.recall_at_1pct == brute_recall_at_percent(sim, positives, 1.0)
+        assert report.hit_rate == brute_hit_rate(sim, positives, semis)
+        aps = [brute_average_precision(rank_references(row), p) for row, p in zip(sim, positives)]
+        assert report.mean_ap == float(np.mean(aps))
+        assert (report.n_queries, report.n_references) == (n_q, n_r)
 
     def test_rank_transform_invariance(self):
         rng = np.random.default_rng(7)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from crossview.datasets import SynthConfig, generate_synthetic
+from crossview import trainer
 from crossview.errors import ValidationError
 from crossview.losses import LossConfig
-from crossview.sampler import SamplerConfig
+from crossview.sampler import SamplerConfig, build_geo_pools, build_sim_pools, plan_epoch
 from crossview.trainer import (
     AXES,
     EncoderParams,
@@ -18,6 +19,7 @@ from crossview.trainer import (
     adamw_step,
     encode,
     gradcheck,
+    holdout_size,
     init_params,
     load_params,
     lr_at,
@@ -333,6 +335,46 @@ class TestTrain:
         result = train(records, q, r, cfg)
         assert result.loss_config.logit_scale <= result.loss_config.logit_scale_max
         assert result.params.logit_scale == result.loss_config.logit_scale
+
+    @pytest.mark.parametrize("n_semi", [0, 3])
+    def test_holdout_report_is_the_last_epoch(self, n_semi):
+        # 20 held-out pairs: with 3 semi-positives each, some stay in the slice
+        cfg = SynthConfig(n_pairs=200, latent_dim=4, view_dim=8, noise_sigma=0.3,
+                          map_extent_m=100.0, n_semi_positives=n_semi, seed=1)
+        records, q, r = generate_synthetic(cfg)
+        result = train(records, q, r, tiny_config(epochs=3))
+        report = result.holdout
+        assert report.recall_at[1] == result.history[-1]["r1"]
+        assert report.n_queries == report.n_references == holdout_size(len(records))
+        held_out = records[len(records) - holdout_size(len(records)):]
+        held_ids = {rec.id for rec in held_out}
+        keeps_semis = any(set(rec.semi_positives) & held_ids for rec in held_out)
+        assert keeps_semis == (n_semi > 0)
+        assert (report.hit_rate is not None) == keeps_semis
+
+    @pytest.mark.parametrize("strategy, gps_epochs, expected", [
+        ("random", 2, []),
+        ("gps", 2, [("geo", 0)]),
+        ("dss", 2, [("sim", 0), ("sim", 2), ("sim", 4)]),
+        ("gps_then_dss", 0, [("sim", 0), ("sim", 2), ("sim", 4)]),
+        ("gps_then_dss", 2, [("geo", 0), ("sim", 2), ("sim", 4)]),
+        ("gps_then_dss", 6, [("geo", 0)]),
+    ])
+    def test_pool_builds_follow_the_schedule(self, monkeypatch, strategy, gps_epochs, expected):
+        # every pool build as (kind, epoch), over 6 epochs with refresh_every=2
+        builds, planned = [], []
+        monkeypatch.setattr(trainer, "build_geo_pools",
+                            lambda *a: builds.append(("geo", len(planned))) or build_geo_pools(*a))
+        monkeypatch.setattr(trainer, "build_sim_pools",
+                            lambda *a: builds.append(("sim", len(planned))) or build_sim_pools(*a))
+        monkeypatch.setattr(trainer, "plan_epoch", lambda *a: planned.append(a) or plan_epoch(*a))
+        records, q, r = self.make_data(n=80, noise=0.2)
+        cfg = tiny_config(epochs=6, sampler=SamplerConfig(
+            batch_size=16, pool_size=8, picks_per_anchor=4, gps_epochs=gps_epochs,
+            refresh_every=2, strategy=strategy, seed=0))
+        train(records, q, r, cfg)
+        assert builds == expected
+        assert len(planned) == 6
 
 
 @pytest.mark.parametrize("axis", ["strategy", "loss"])
