@@ -195,6 +195,8 @@ def cmd_gradcheck(args) -> int:
     _require_at_least(args, "n", 2)  # one pair has no negative to check against
     _require_at_least(args, "inits", 1)
     _require_at_least(args, "seed", 0)
+    if not 0 < args.tol < float("inf"):  # worst > nan is never true: the check could not fail
+        raise ValidationError(f"--tol must be finite and > 0, got {args.tol}")
     bundle = _load_bundle(args)
     worst: dict[str, float] = {}
     for i in range(args.inits):

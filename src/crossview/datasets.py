@@ -269,7 +269,15 @@ def write_manifest(records: list[SampleRecord], path: str | Path) -> None:
 
 
 def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
-    """Write ``table`` in EMB1 format plus the ``<path>.ids`` sidecar."""
+    """Write ``table`` in EMB1 format plus the ``<path>.ids`` sidecar.
+
+    Rejects, before writing anything, a row id that would not read back as
+    one line of the sidecar (one holding a line boundary such as "\\r").
+    """
+    bad = [i for i, rid in enumerate(table.row_ids) if (rid + "\n").splitlines() != [rid]]
+    if bad:
+        raise ValidationError(f"row id {table.row_ids[bad[0]]!r} (index {bad[0]}) holds a "
+                              f"line boundary and cannot be stored in the ids sidecar")
     path = Path(path)
     payload = np.ascontiguousarray(table.data, dtype="<f4").tobytes()
     with path.open("wb") as fh:

@@ -85,11 +85,8 @@ def should_refresh(epoch: int, cfg: SamplerConfig) -> bool:
     """Whether visual pools must be (re)built from fresh embeddings at ``epoch``."""
     if epoch < 0:
         raise ValidationError("epoch must be >= 0")
-    if cfg.strategy in ("random", "gps"):
-        return False
-    if cfg.strategy == "dss":
-        return epoch % cfg.refresh_every == 0
-    return epoch >= cfg.gps_epochs and (epoch - cfg.gps_epochs) % cfg.refresh_every == 0
+    first = cfg.gps_epochs if cfg.strategy == "gps_then_dss" else 0  # the first dss epoch
+    return resolve_strategy(cfg, epoch) == "dss" and (epoch - first) % cfg.refresh_every == 0
 
 
 def build_geo_pools(

@@ -82,14 +82,19 @@ class Pools:
         return map(self.__getitem__, range(len(self)))
 
 
-def l2_normalize(table: EmbeddingTable) -> EmbeddingTable:
-    """Scale every row to unit L2 norm. Raises on a zero-norm row."""
-    data = table.data.astype(np.float64)
-    norms = np.linalg.norm(data, axis=1)
+def unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X with every row scaled to unit L2 norm, the row norms). Raises on
+    a zero-norm row."""
+    norms = np.linalg.norm(X, axis=1)
     bad = np.flatnonzero(norms <= 1e-35)
     if bad.size:
         raise ValidationError(f"zero-norm row {int(bad[0])} cannot be normalised")
-    normalized = data / norms[:, None]
+    return X / norms[:, None], norms
+
+
+def l2_normalize(table: EmbeddingTable) -> EmbeddingTable:
+    """Scale every row to unit L2 norm in float64. Raises on a zero-norm row."""
+    normalized, _ = unit_rows(table.data.astype(np.float64))
     return EmbeddingTable(normalized.astype(np.float32), table.row_ids)
 
 

@@ -13,8 +13,9 @@ W1, b1, W2, b2 (each row-major), then the reference encoder's four when
 weights are not shared, then the logit scale. ``EncoderParams`` reads
 the tensors as reshaped views into it; the objective writes its
 gradient as one theta-shaped vector, AdamW updates theta in place, the
-temperature clamp touches its last entry, and gradcheck perturbs its
-entries one at a time.
+temperature clamp touches its last entry, gradcheck perturbs its
+entries one at a time, and save_params writes it as one EMB1 row.
+``theta_layout`` is the one place that knows the tensor shapes.
 
 Everything runs in float64 so the analytic gradients can be validated
 against central finite differences, and every random stream is derived
@@ -60,6 +61,7 @@ from .sampler import (
     resolve_strategy,
     should_refresh,
 )
+from .simsearch import unit_rows
 
 LOSS_KINDS = ("infonce", "triplet", "soft_margin_triplet")
 # the experiment grid's axes: each compares the values of one config field
@@ -147,17 +149,16 @@ def init_params(
     rng: np.random.Generator, d_in: int, d_h: int, d_out: int, shared_weights: bool = True,
     logit_scale: float = LossConfig.logit_scale,
 ) -> EncoderParams:
-    """Glorot-normal weights, zero biases."""
-
-    def layer(m, n):
-        return rng.standard_normal((m, n)) * math.sqrt(2.0 / (m + n))
-
-    def encoder():
-        return layer(d_in, d_h), np.zeros(d_h), layer(d_h, d_out), np.zeros(d_out)
-
+    """Glorot-normal weight matrices drawn into a zero theta, so biases
+    start at zero; the logit scale goes last."""
+    layout = theta_layout(d_in, d_h, d_out, shared_weights)
+    theta = np.zeros(layout["logit_scale"][0].stop)
+    weights = [name for name, (_, shape) in layout.items() if len(shape) == 2]
     # the reference encoder, when there is one, is drawn first
-    encoders = [encoder() for _ in range(1 if shared_weights else 2)][::-1]
-    theta = np.concatenate([t.ravel() for enc in encoders for t in enc] + [[logit_scale]])
+    for name in sorted(weights, key=lambda name: name.startswith("q.")):
+        s, (m, n) = layout[name]
+        theta[s] = (rng.standard_normal((m, n)) * math.sqrt(2.0 / (m + n))).ravel()
+    theta[-1] = logit_scale
     return EncoderParams(theta, d_in, d_h, d_out, shared_weights)
 
 
@@ -216,12 +217,7 @@ def _forward(w, X):
         raise ValidationError(f"input dim {X.shape[1]} does not match encoder d_in {W1.shape[0]}")
     H_pre = X @ W1 + b1
     H = gelu(H_pre)
-    Y = H @ W2 + b2
-    norms = np.linalg.norm(Y, axis=1)
-    bad = np.flatnonzero(norms <= 1e-35)
-    if bad.size:
-        raise ValidationError(f"zero-norm embedding row {int(bad[0])} before normalisation")
-    U = Y / norms[:, None]
+    U, norms = unit_rows(H @ W2 + b2)
     return U, (X, H_pre, H, norms, U)
 
 
@@ -493,7 +489,6 @@ def gradcheck(
     d_in: int = 16,
     seed: int = 0,
     step: float = 1e-5,
-    corrupt: float = 0.0,
 ) -> dict[str, float]:
     """Compare backprop gradients of the full batch objective to central
     finite differences, for an encoder of cfg's widths over n random
@@ -502,8 +497,7 @@ def gradcheck(
     Returns per-parameter max relative errors plus their overall "max".
     The relative error of a tensor is the sup-norm deviation scaled by
     the larger of the two gradients' sup-norms (absolute when both
-    vanish). ``corrupt`` scales the analytic q.W1 gradient, a hook for
-    the harness self-test.
+    vanish).
     """
     if n < 2:  # one pair has no in-batch negative: every gradient vanishes
         raise ValidationError(f"gradcheck needs n >= 2 pairs, got n={n}")
@@ -518,8 +512,6 @@ def gradcheck(
         return value
 
     _, analytic = _batch_objective(params, Xq, Xr, cfg.loss, cfg.loss_kind)
-    if corrupt:
-        analytic[params.layout["q.W1"][0]] *= 1.0 + corrupt
 
     theta = params.theta
     numeric = np.empty_like(theta)
@@ -546,26 +538,17 @@ def gradcheck(
 # parameter persistence
 
 
+_HEADER_KEYS = ("d_in", "d_hidden", "d_out", "shared_weights", "logit_scale")
+
+
 def save_params(params: EncoderParams, out_dir: str | Path) -> None:
-    """Write each tensor as an EMB1 block beside a JSON shape header that
-    also carries shared_weights and logit_scale."""
+    """Write theta without its logit scale as one float32 EMB1 row,
+    ``theta.emb``, beside ``header.json`` with the widths, shared_weights
+    and the logit scale."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = {
-        "shared_weights": params.shared_weights,
-        "logit_scale": params.logit_scale,
-        "tensors": {},
-    }
-    for key, arr in sorted(params.tensors.items()):
-        if key == "logit_scale":
-            continue
-        mat = arr if arr.ndim == 2 else arr[None, :]
-        fname = key.replace(".", "_") + ".emb"
-        table = EmbeddingTable(
-            mat.astype(np.float32), tuple(str(i) for i in range(mat.shape[0]))
-        )
-        write_embeddings(table, out_dir / fname)
-        header["tensors"][key] = {"file": fname, "shape": list(arr.shape)}
+    write_embeddings(EmbeddingTable(params.theta[None, :-1], ("theta",)), out_dir / "theta.emb")
+    header = {key: getattr(params, key) for key in _HEADER_KEYS}
     (out_dir / "header.json").write_text(
         json.dumps(header, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
@@ -575,9 +558,9 @@ def load_params(in_dir: str | Path) -> EncoderParams:
     """Read back what save_params wrote (weights rounded to float32)."""
     in_dir = Path(in_dir)
     header = json.loads((in_dir / "header.json").read_text(encoding="utf-8"))
-    metas, shared = header["tensors"], header["shared_weights"]
-    (d_in, d_hidden), (_, d_out) = metas["q.W1"]["shape"], metas["q.W2"]["shape"]
-    names = list(theta_layout(d_in, d_hidden, d_out, shared))[:-1]
-    theta = np.concatenate([read_embeddings(in_dir / metas[k]["file"]).data.ravel() for k in names]
-                           + [[float(header["logit_scale"])]], dtype=np.float64)
-    return EncoderParams(theta, d_in, d_hidden, d_out, shared)
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise ValidationError(f"{in_dir / 'header.json'}: missing key {missing[0]!r}")
+    theta = np.concatenate([read_embeddings(in_dir / "theta.emb").data.ravel(),
+                            [float(header["logit_scale"])]], dtype=np.float64)
+    return EncoderParams(theta, **{key: header[key] for key in _HEADER_KEYS[:-1]})

@@ -2,6 +2,7 @@
 drops or renames one, or changes what it returns, breaks ``bench/run.py``.
 Catch it here."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import oracles
-from crossview import sampler
+from crossview import sampler, trainer
 from crossview.datasets import Coordinate, EmbeddingTable, SynthConfig, generate_synthetic
 from crossview.geo import geo_topk
 from crossview.simsearch import l2_normalize, visual_topk
@@ -35,6 +36,34 @@ def test_tracer_bindings_resolve():
         if not callable(getattr(importlib.import_module(mod), attr, None))
     ]
     assert not missing, f"bench/tracer.py wraps names the library no longer has: {missing}"
+
+
+LIBRARY_MODULES = ("config", "datasets", "evaluation", "sampler", "simsearch", "trainer")
+
+
+def test_bench_reads_only_library_names_that_exist():
+    # harness.py and gate.py call the library as module.name, e.g. sampler.plan_epoch
+    used = set()
+    for name in ("harness", "gate"):
+        for node in ast.walk(ast.parse((BENCH / f"{name}.py").read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in LIBRARY_MODULES):
+                used.add((node.value.id, node.attr))
+    assert len(used) >= 18  # a walk that finds nothing would pass vacuously
+    missing = sorted(f"{mod}.{attr}" for mod, attr in used
+                     if not hasattr(importlib.import_module(f"crossview.{mod}"), attr))
+    assert not missing, f"bench/ reads names the library no longer has: {missing}"
+
+
+def test_gate_digests_accept_a_train_result():
+    gate = load_bench("gate")
+    records, queries, references = generate_synthetic(SynthConfig(n_pairs=40, view_dim=6, seed=2))
+    cfg = trainer.TrainConfig(epochs=2, hidden_dim=5, embed_dim=3, sampler=sampler.SamplerConfig(
+        batch_size=8, pool_size=4, picks_per_anchor=2, strategy="gps_then_dss", gps_epochs=1))
+    result = trainer.train(records, queries, references, cfg)
+    for digest in (gate.digest_params(result), gate.digest_history(result.history),
+                   gate.digest_plans(result.plans)):
+        assert isinstance(digest, str) and len(digest) == 16
 
 
 def test_gate_accepts_pools():

@@ -323,6 +323,13 @@ class TestGradcheck:
         assert list(report) == keys
         assert report["max"] == max(v for k, v in report.items() if k != "max") <= 1e-6
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6"])
+    def test_tolerance_that_cannot_fail_rejected(self, monkeypatch, capsys, tol):
+        # worst > nan and worst > inf are never true: such a check always passes
+        monkeypatch.setattr("crossview.cli.gradcheck", None)  # must not start
+        assert main(["gradcheck", f"--tol={tol}"]) == 1  # "-1e-6" alone reads as an option
+        assert "--tol" in capsys.readouterr().err
+
 
 class TestAblate:
     def test_four_rows_shared_dataset(self, tmp_path):

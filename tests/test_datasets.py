@@ -173,6 +173,16 @@ class TestEmb1:
         assert (tmp_path / "t.emb.ids").read_text().splitlines() == ["x", "y"]
         assert read_embeddings(path).row_ids == ("x", "y")
 
+    @pytest.mark.parametrize("bad", ["a\r", "a\u2028b", "a\nb", "\x85"])
+    def test_id_with_line_boundary_rejected_before_writing(self, tmp_path, bad):
+        # str.splitlines on read back would turn "a\r" into "a" and split
+        # "a\u2028b" into two ids
+        table = make_table(np.ones((2, 2), dtype=np.float32), ids=("x", bad))
+        path = tmp_path / "t.emb"
+        with pytest.raises(ValidationError, match="index 1"):
+            write_embeddings(table, path)
+        assert not path.exists() and not (tmp_path / "t.emb.ids").exists()
+
     @given(
         rows=st.integers(0, 20),
         cols=st.integers(1, 16),

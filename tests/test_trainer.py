@@ -1,3 +1,4 @@
+import json
 import math
 import statistics
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crossview.datasets import SynthConfig, generate_synthetic
+from crossview.datasets import EmbeddingTable, SynthConfig, generate_synthetic, write_embeddings
 from crossview import trainer
 from crossview.errors import ValidationError
 from crossview.losses import LossConfig
@@ -87,6 +88,22 @@ class TestEncoderParams:
             assert np.all(p.ref_W2 == 0.25)
         else:
             assert p.ref_W1 is None
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_init_draw_order(self, shared):
+        # Glorot-normal matrices from one generator, the reference encoder
+        # first; biases zero, the logit scale last
+        d_in, d_h, d_out = 5, 7, 3
+        p = init_params(np.random.default_rng(9), d_in, d_h, d_out, shared, logit_scale=1.5)
+        rng = np.random.default_rng(9)
+        order = ["q."] if shared else ["r.", "q."]
+        for prefix in order:
+            for name, (m, n) in (("W1", (d_in, d_h)), ("W2", (d_h, d_out))):
+                expected = rng.standard_normal((m, n)) * math.sqrt(2.0 / (m + n))
+                np.testing.assert_array_equal(p.tensors[prefix + name], expected)
+        for prefix in order:
+            assert not p.tensors[prefix + "b1"].any() and not p.tensors[prefix + "b2"].any()
+        assert p.logit_scale == 1.5
 
 
 class TestEncode:
@@ -244,9 +261,17 @@ class TestGradcheck:
         with pytest.raises(ValidationError, match=f"n={n}"):
             gradcheck(cfg, n=n, d_in=6, seed=2)
 
-    def test_corrupted_gradient_detected(self):
+    def test_corrupted_gradient_detected(self, monkeypatch):
         cfg = tiny_config(hidden_dim=12, embed_dim=5)
-        report = gradcheck(cfg, n=6, d_in=8, seed=3, corrupt=0.05)
+        objective = trainer._batch_objective
+
+        def corrupted(params, *args):
+            loss, grad = objective(params, *args)
+            grad[params.layout["q.W1"][0]] *= 1.05
+            return loss, grad
+
+        monkeypatch.setattr(trainer, "_batch_objective", corrupted)
+        report = gradcheck(cfg, n=6, d_in=8, seed=3)
         assert report["max"] > 1e-2
 
 
@@ -413,3 +438,30 @@ class TestParamsIO:
         np.testing.assert_allclose(loaded.b2, params.b2, atol=1e-6)
         if not shared:
             np.testing.assert_allclose(loaded.ref_W2, params.ref_W2, atol=1e-6)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_directory_holds_theta_bit_for_bit(self, tmp_path, shared):
+        params = init_params(np.random.default_rng(6), 5, 8, 4, shared, logit_scale=1.3)
+        save_params(params, tmp_path / "params")
+        assert sorted(f.name for f in (tmp_path / "params").iterdir()) == [
+            "header.json", "theta.emb", "theta.emb.ids"]
+        loaded = load_params(tmp_path / "params")
+        expected = np.append(params.theta[:-1].astype(np.float32).astype(np.float64), 1.3)
+        assert loaded.theta.tobytes() == expected.tobytes()
+        assert (loaded.d_in, loaded.d_hidden, loaded.d_out) == (5, 8, 4)
+
+    def test_header_without_key_named(self, tmp_path):
+        save_params(init_params(np.random.default_rng(0), 5, 8, 4), tmp_path)
+        header = json.loads((tmp_path / "header.json").read_text())
+        del header["d_in"]
+        (tmp_path / "header.json").write_text(json.dumps(header))
+        with pytest.raises(ValidationError, match="d_in"):
+            load_params(tmp_path)
+
+    def test_theta_of_wrong_width_rejected(self, tmp_path):
+        params = init_params(np.random.default_rng(0), 5, 8, 4)
+        save_params(params, tmp_path)
+        short = EmbeddingTable(params.theta[None, :-2], ("theta",))  # one weight short
+        write_embeddings(short, tmp_path / "theta.emb")
+        with pytest.raises(ValidationError, match="theta must be"):
+            load_params(tmp_path)
