@@ -15,6 +15,7 @@ comparison; both use squared Euclidean distances between rows.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -86,6 +87,15 @@ def _as_batch(name: str, x: np.ndarray) -> np.ndarray:
     return x
 
 
+@functools.lru_cache(maxsize=64)
+def _smoothed_target(n: int, eps: float) -> np.ndarray:
+    """The n x n label-smoothed target, built once per (n, eps) and read-only."""
+    target = np.full((n, n), eps / n)
+    np.fill_diagonal(target, 1.0 - eps + eps / n)
+    target.flags.writeable = False
+    return target
+
+
 def info_nce(
     queries: np.ndarray, references: np.ndarray, cfg: LossConfig, *, logit_scale: float | None = None
 ) -> LossOutput:
@@ -108,15 +118,13 @@ def info_nce(
 
     scale = math.exp(cfg.logit_scale if logit_scale is None else logit_scale)
     logits = scale * (q @ r.T)
-    eps = cfg.label_smoothing
-    target = np.full((n, n), eps / n)
-    np.fill_diagonal(target, 1.0 - eps + eps / n)
+    target = _smoothed_target(n, cfg.label_smoothing)
 
     def direction_loss(lg: np.ndarray) -> tuple[float, np.ndarray]:
         # rows of lg are softmax rows; target is symmetric so it serves both
         m = lg.max(axis=1, keepdims=True)
         lse = m[:, 0] + np.log(np.exp(lg - m).sum(axis=1))
-        loss = float(np.mean(lse - (target * lg).sum(axis=1)))
+        loss = float((lse - (target * lg).sum(axis=1)).sum() / n)  # the mean, bit for bit
         probs = np.exp(lg - lse[:, None])
         return loss, (probs - target) / n
 

@@ -172,7 +172,7 @@ def plan_epoch(
             f"{n_batches} batches; the class-uniqueness constraint is unsatisfiable"
         )
 
-    order = [int(i) for i in rng_state.permutation(n)]
+    order = rng_state.permutation(n).tolist()
     used = [False] * n
     cursor = 0  # every order entry before it is used
     batches: list[tuple[int, ...]] = []

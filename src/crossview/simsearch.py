@@ -86,9 +86,10 @@ def unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(X with every row scaled to unit L2 norm, the row norms). Raises on
     a zero-norm row."""
     norms = np.linalg.norm(X, axis=1)
-    bad = np.flatnonzero(norms <= 1e-35)
-    if bad.size:
-        raise ValidationError(f"zero-norm row {int(bad[0])} cannot be normalised")
+    if norms.size and not norms.min() > 1e-35:  # a NaN norm lands here too; the scan decides
+        bad = np.flatnonzero(norms <= 1e-35)
+        if bad.size:
+            raise ValidationError(f"zero-norm row {int(bad[0])} cannot be normalised")
     return X / norms[:, None], norms
 
 

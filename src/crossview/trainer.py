@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -69,15 +70,6 @@ AXES = {"strategy": STRATEGIES, "loss": LOSS_KINDS}
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-
 
 _TENSORS = ("W1", "b1", "W2", "b2")  # one encoder's tensors, in layer order
 
@@ -216,18 +208,20 @@ def _forward(w, X):
     if X.shape[1] != W1.shape[0]:
         raise ValidationError(f"input dim {X.shape[1]} does not match encoder d_in {W1.shape[0]}")
     H_pre = X @ W1 + b1
-    H = gelu(H_pre)
+    cdf = 0.5 * (1.0 + erf(H_pre * _INV_SQRT2))  # the normal CDF; gelu(x) = x * cdf(x)
+    H = H_pre * cdf
     U, norms = unit_rows(H @ W2 + b2)
-    return U, (X, H_pre, H, norms, U)
+    return U, (X, H_pre, cdf, H, norms, U)
 
 
 def _backward(w, cache, dU):
     W1, b1, W2, b2 = w
-    X, H_pre, H, norms, U = cache
+    X, H_pre, cdf, H, norms, U = cache
     dY = (dU - U * (U * dU).sum(axis=1, keepdims=True)) / norms[:, None]
     dW2 = H.T @ dY
     db2 = dY.sum(axis=0)
-    dH_pre = (dY @ W2.T) * gelu_grad(H_pre)
+    # gelu'(x) = cdf(x) + x * pdf(x), reusing the forward pass's cdf
+    dH_pre = (dY @ W2.T) * (cdf + H_pre * np.exp(-0.5 * H_pre * H_pre) * _INV_SQRT_2PI)
     dW1 = X.T @ dH_pre
     db1 = dH_pre.sum(axis=0)
     return dW1, db1, dW2, db2
@@ -275,11 +269,11 @@ class AdamState:
     step: int
     m: np.ndarray
     v: np.ndarray
-    decay: np.ndarray  # bool per theta entry: the weight matrices
+    decay: tuple[slice, ...]  # the slices of theta that hold weight matrices
 
 
 def adamw_init(params: EncoderParams) -> AdamState:
-    decay = np.concatenate([np.full(t.size, t.ndim == 2) for t in params.tensors.values()])
+    decay = tuple(s for s, shape in params.layout.values() if len(shape) == 2)
     return AdamState(step=0, m=np.zeros_like(params.theta), v=np.zeros_like(params.theta),
                      decay=decay)
 
@@ -291,21 +285,33 @@ def adamw_step(
     in place; state advances with it.
 
     Decay hits only the weight matrices, never biases or the logit scale.
+    The moments are updated in place, each operation in the order of the
+    formula beside it, so the bits equal those of the plain expressions.
     """
-    bad = np.flatnonzero(~np.isfinite(grad))
-    if bad.size:
+    if not np.isfinite(grad).all():
+        bad = np.flatnonzero(~np.isfinite(grad))
         raise ValidationError(f"non-finite gradient for parameter {params.name_at(bad[0])!r}")
-    theta = params.theta
+    theta, m, v = params.theta, state.m, state.v
     b1, b2, eps = cfg.beta1, cfg.beta2, cfg.eps
     state.step += 1
     t = state.step
-    state.m = b1 * state.m + (1.0 - b1) * grad
-    state.v = b2 * state.v + (1.0 - b2) * grad * grad
-    m_hat = state.m / (1.0 - b1**t)
-    v_hat = state.v / (1.0 - b2**t)
-    update = lr * m_hat / (np.sqrt(v_hat) + eps)
+    scratch = np.multiply(grad, 1.0 - b1)
+    m *= b1
+    m += scratch  # m = b1 * m + (1 - b1) * grad
+    np.multiply(grad, 1.0 - b2, out=scratch)
+    scratch *= grad
+    v *= b2
+    v += scratch  # v = b2 * v + (1 - b2) * grad * grad
+    np.divide(v, 1.0 - b2**t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += eps  # sqrt(v_hat) + eps
+    update = np.divide(m, 1.0 - b1**t)
+    update *= lr
+    update /= scratch  # lr * m_hat / (sqrt(v_hat) + eps)
     if cfg.weight_decay > 0:
-        update[state.decay] += lr * cfg.weight_decay * theta[state.decay]
+        rate = lr * cfg.weight_decay
+        for s in state.decay:
+            update[s] += rate * theta[s]
     theta -= update
 
 
@@ -319,10 +325,14 @@ def _batch_objective(
     Xr: np.ndarray,
     loss_cfg: LossConfig,
     loss_kind: str = "infonce",
+    weights: tuple | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Loss and its gradient w.r.t. every entry of params.theta."""
-    wq = _weights(params, "query")
-    wr = _weights(params, "reference")
+    """Loss and its gradient w.r.t. every entry of params.theta.
+
+    ``weights`` is the (query, reference) pair of ``_weights`` views, for
+    a caller that holds them across steps; None looks them up.
+    """
+    wq, wr = weights or (_weights(params, "query"), _weights(params, "reference"))
     Q, cache_q = _forward(wq, Xq)
     R, cache_r = _forward(wr, Xr)
 
@@ -415,6 +425,8 @@ def train(
     pools = None  # the pools of the current strategy; None while random
     steps_per_epoch = math.ceil(n_train / scfg.batch_size)
     global_step = 0
+    # views into theta, which every update changes in place
+    weights = (_weights(params, "query"), _weights(params, "reference"))
     history: list[dict] = []
     plans: list[BatchPlan] = []
 
@@ -432,20 +444,20 @@ def train(
         losses = []
         lr = 0.0
         for batch in plan.batches:
-            idx = list(batch)
-            if cfg.loss_kind != "infonce" and len(idx) < 2:
+            if cfg.loss_kind != "infonce" and len(batch) < 2:
                 continue  # a lone pair has no in-batch negative
+            idx = np.array(batch)
             lr = lr_at(global_step, steps_per_epoch, cfg)
             loss, grad = _batch_objective(
-                params, Xq_train[idx], Xr_train[idx], cfg.loss, cfg.loss_kind
+                params, Xq_train[idx], Xr_train[idx], cfg.loss, cfg.loss_kind, weights
             )
             adamw_step(params, grad, state, lr, cfg)
             params.theta[-1] = clamp_logit_scale(params.logit_scale, cfg.loss.logit_scale_max)
             losses.append(loss)
             global_step += 1
 
-        Q, _ = _forward(_weights(params, "query"), Xq[n_train:])
-        R, _ = _forward(_weights(params, "reference"), Xr[n_train:])
+        Q, _ = _forward(weights[0], Xq[n_train:])
+        R, _ = _forward(weights[1], Xr[n_train:])
         report = retrieval_report(Q, R, *holdout_links)
         history.append(
             {"epoch": epoch, "loss": float(np.mean(losses)) if losses else 0.0,
@@ -538,7 +550,24 @@ def gradcheck(
 # parameter persistence
 
 
-_HEADER_KEYS = ("d_in", "d_hidden", "d_out", "shared_weights", "logit_scale")
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _is_finite_real(value) -> bool:
+    # NaN, the infinities and ints beyond float range all fail the abs test
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+# header.json key -> (check of its value, what the check asks for)
+_HEADER = {
+    "d_in": (_is_count, "an int >= 1"),
+    "d_hidden": (_is_count, "an int >= 1"),
+    "d_out": (_is_count, "an int >= 1"),
+    "shared_weights": (lambda value: isinstance(value, bool), "a bool"),
+    "logit_scale": (_is_finite_real, "a finite real number"),
+}
 
 
 def save_params(params: EncoderParams, out_dir: str | Path) -> None:
@@ -548,7 +577,7 @@ def save_params(params: EncoderParams, out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_embeddings(EmbeddingTable(params.theta[None, :-1], ("theta",)), out_dir / "theta.emb")
-    header = {key: getattr(params, key) for key in _HEADER_KEYS}
+    header = {key: getattr(params, key) for key in _HEADER}
     (out_dir / "header.json").write_text(
         json.dumps(header, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
@@ -557,10 +586,19 @@ def save_params(params: EncoderParams, out_dir: str | Path) -> None:
 def load_params(in_dir: str | Path) -> EncoderParams:
     """Read back what save_params wrote (weights rounded to float32)."""
     in_dir = Path(in_dir)
-    header = json.loads((in_dir / "header.json").read_text(encoding="utf-8"))
-    missing = [key for key in _HEADER_KEYS if key not in header]
+    path = in_dir / "header.json"
+    try:
+        header = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {type(header).__name__}")
+    missing = [key for key in _HEADER if key not in header]
     if missing:
-        raise ValidationError(f"{in_dir / 'header.json'}: missing key {missing[0]!r}")
+        raise ValidationError(f"{path}: missing key {missing[0]!r}")
+    for key, (check, wanted) in _HEADER.items():
+        if not check(header[key]):
+            raise ValidationError(f"{path}: {key}={header[key]!r} must be {wanted}")
     theta = np.concatenate([read_embeddings(in_dir / "theta.emb").data.ravel(),
                             [float(header["logit_scale"])]], dtype=np.float64)
-    return EncoderParams(theta, **{key: header[key] for key in _HEADER_KEYS[:-1]})
+    return EncoderParams(theta, **{key: header[key] for key in tuple(_HEADER)[:-1]})

@@ -128,3 +128,18 @@ def test_traced_plan_counts_picks():
         sampler.plan_epoch(records, pools, cfg, 0, sampler.plan_rng(cfg, 0))
     assert recorder.counters["sampler.plan_calls"] == 1
     assert recorder.counters["sampler.picks_offered"] > 0
+
+
+def test_traced_train_counts_one_step_per_batch():
+    # the step markers (lr_at, clamp_logit_scale) and the info_nce span must
+    # each fire once per planned batch
+    tracer = load_bench("tracer")
+    records, queries, references = generate_synthetic(SynthConfig(n_pairs=40, view_dim=6, seed=2))
+    cfg = trainer.TrainConfig(epochs=3, hidden_dim=5, embed_dim=3, sampler=sampler.SamplerConfig(
+        batch_size=8, pool_size=4, picks_per_anchor=2, strategy="gps_then_dss", gps_epochs=1))
+    recorder = tracer.Recorder("trace")
+    with recorder.installed():
+        result = trainer.train(records, queries, references, cfg)
+    batches = sum(len(plan.batches) for plan in result.plans)
+    assert batches > 0
+    assert len(recorder.step_ms) == recorder.counters["losses.info_nce_calls"] == batches

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from crossview import losses
 from crossview.errors import ValidationError
 from crossview.losses import (
     LossConfig,
@@ -12,6 +13,7 @@ from crossview.losses import (
     soft_margin_triplet_loss,
     triplet_loss,
 )
+from oracles import legacy_info_nce
 
 
 def unit(rng, n, d):
@@ -136,6 +138,26 @@ class TestInfoNce:
         bad = np.array([[1.0, np.nan]])
         with pytest.raises(ValidationError):
             info_nce(bad, np.ones((1, 2)), LossConfig())
+
+    @pytest.mark.parametrize("direction", ["symmetric", "query_to_ref", "ref_to_query"])
+    def test_interleaved_batches_match_a_fresh_target(self, direction):
+        # the cached target of one (n, smoothing) must not leak into another
+        rng = np.random.default_rng(12)
+        for n, eps in [(5, 0.1), (3, 0.0), (5, 0.0), (3, 0.1), (1, 0.2), (5, 0.1), (3, 0.0)]:
+            q, r = unit(rng, n, 4), unit(rng, n, 4)
+            out = info_nce(q, r, LossConfig(label_smoothing=eps, direction=direction),
+                           logit_scale=1.7)
+            loss, dq, dr, dscale = legacy_info_nce(q, r, eps, 1.7, direction)
+            assert (out.loss, out.grad_logit_scale) == (loss, dscale)
+            assert out.grad_queries.tobytes() == dq.tobytes()
+            assert out.grad_references.tobytes() == dr.tobytes()
+
+    def test_cached_target_is_read_only(self):
+        target = losses._smoothed_target(4, 0.1)
+        assert target is losses._smoothed_target(4, 0.1)
+        assert not target.flags.writeable
+        with pytest.raises(ValueError):
+            target[0, 0] = 1.0
 
 
 class TestTripletLoss:

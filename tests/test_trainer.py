@@ -28,7 +28,7 @@ from crossview.trainer import (
     train,
 )
 
-from oracles import scalar_adamw
+from oracles import LegacyStep, scalar_adamw
 
 TINY_SAMPLER = SamplerConfig(
     batch_size=16, pool_size=8, picks_per_anchor=4, strategy="random", seed=0
@@ -243,6 +243,30 @@ class TestAdamW:
             adamw_step(params, grad, adamw_init(params), 0.1, cfg)
         np.testing.assert_array_equal(params.theta, before)
 
+    def test_non_finite_gradient_leaves_state_unchanged(self):
+        cfg = tiny_config()
+        rng = np.random.default_rng(3)
+        params = init_params(rng, 2, 3, 2, shared_weights=False)
+        state = adamw_init(params)
+        adamw_step(params, rng.standard_normal(params.theta.size), state, 0.1, cfg)
+        before = [params.theta.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step]
+        grad = rng.standard_normal(params.theta.size)
+        grad[params.layout["r.b1"][0].start] = np.nan
+        with pytest.raises(ValidationError, match="non-finite gradient for parameter 'r.b1'"):
+            adamw_step(params, grad, state, 0.1, cfg)
+        after = [params.theta.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step]
+        assert after == before
+
+    def test_moments_updated_in_place(self):
+        cfg = tiny_config()
+        rng = np.random.default_rng(4)
+        params = init_params(rng, 2, 3, 2)
+        state = adamw_init(params)
+        m, v = state.m, state.v
+        adamw_step(params, rng.standard_normal(params.theta.size), state, 0.1, cfg)
+        assert state.m is m and state.v is v
+        assert np.all(m != 0) and np.all(v > 0)
+
 
 class TestGradcheck:
     @pytest.mark.parametrize("shared", [True, False])
@@ -275,29 +299,30 @@ class TestGradcheck:
         assert report["max"] > 1e-2
 
 
-class TestTrain:
-    def make_data(self, n=60, noise=0.0, seed=1):
-        # region_within=1 gives independent latents: separability depends
-        # only on the noise level
-        cfg = SynthConfig(n_pairs=n, latent_dim=4, view_dim=8, noise_sigma=noise,
-                          map_extent_m=100.0, region_within=1.0, seed=seed)
-        return generate_synthetic(cfg)
+def separable_data(n=60, noise=0.0, seed=1):
+    # region_within=1 gives independent latents: separability depends only
+    # on the noise level
+    cfg = SynthConfig(n_pairs=n, latent_dim=4, view_dim=8, noise_sigma=noise,
+                      map_extent_m=100.0, region_within=1.0, seed=seed)
+    return generate_synthetic(cfg)
 
+
+class TestTrain:
     def test_single_epoch_smoke(self):
-        records, q, r = self.make_data()
+        records, q, r = separable_data()
         cfg = tiny_config(epochs=1, warmup_epochs=0)
         result = train(records, q, r, cfg)
         assert len(result.history) == 1
         assert math.isfinite(result.history[0]["loss"])
 
     def test_separable_data_reaches_perfect_recall(self):
-        records, q, r = self.make_data(noise=0.0)
+        records, q, r = separable_data(noise=0.0)
         cfg = tiny_config(epochs=20)
         result = train(records, q, r, cfg)
         assert result.history[-1]["r1"] == 1.0
 
     def test_same_seed_identical_history(self):
-        records, q, r = self.make_data(noise=0.3)
+        records, q, r = separable_data(noise=0.3)
         cfg = tiny_config(epochs=3)
         a = train(records, q, r, cfg)
         b = train(records, q, r, cfg)
@@ -305,7 +330,7 @@ class TestTrain:
         assert a.plans == b.plans
 
     def test_loss_decreases_in_median_over_seeds(self):
-        records, q, r = self.make_data(noise=0.2)
+        records, q, r = separable_data(noise=0.2)
         first, later = [], []
         for seed in range(5):
             cfg = tiny_config(epochs=5, seed=seed,
@@ -319,7 +344,7 @@ class TestTrain:
         assert statistics.median(later) < statistics.median(first)
 
     def test_gps_then_dss_full_pipeline(self):
-        records, q, r = self.make_data(n=80, noise=0.2)
+        records, q, r = separable_data(n=80, noise=0.2)
         cfg = tiny_config(
             epochs=6,
             sampler=SamplerConfig(batch_size=16, pool_size=8, picks_per_anchor=4,
@@ -330,32 +355,32 @@ class TestTrain:
         assert [p.strategy_used for p in result.plans] == ["gps"] * 2 + ["dss"] * 4
 
     def test_triplet_loss_kind_runs(self):
-        records, q, r = self.make_data(noise=0.2)
+        records, q, r = separable_data(noise=0.2)
         cfg = tiny_config(epochs=2, loss_kind="triplet")
         result = train(records, q, r, cfg)
         assert all(math.isfinite(h["loss"]) for h in result.history)
 
     def test_separate_encoder_runs(self):
-        records, q, r = self.make_data(noise=0.2)
+        records, q, r = separable_data(noise=0.2)
         cfg = tiny_config(epochs=2, shared_weights=False)
         result = train(records, q, r, cfg)
         assert not result.params.shared_weights
         assert result.params.ref_W1 is not None
 
     def test_feature_alignment_checked(self):
-        records, q, r = self.make_data()
+        records, q, r = separable_data()
         cfg = tiny_config()
         with pytest.raises(ValidationError, match="row-aligned"):
             train(records[:-1], q, r, cfg)
 
     def test_holdout_record_without_holdout_positive_rejected(self):
-        records, q, r = self.make_data()
+        records, q, r = separable_data()
         records[-1] = replace(records[-1], positives=(records[0].id,), semi_positives=())
         with pytest.raises(ValidationError, match=f"{records[-1].id}.*no positives inside"):
             train(records, q, r, tiny_config(epochs=1, warmup_epochs=0))
 
     def test_logit_scale_clamped(self):
-        records, q, r = self.make_data(noise=0.2)
+        records, q, r = separable_data(noise=0.2)
         cfg = tiny_config(epochs=2, loss=LossConfig(logit_scale=4.6))
         result = train(records, q, r, cfg)
         assert result.loss_config.logit_scale <= result.loss_config.logit_scale_max
@@ -393,7 +418,7 @@ class TestTrain:
         monkeypatch.setattr(trainer, "build_sim_pools",
                             lambda *a: builds.append(("sim", len(planned))) or build_sim_pools(*a))
         monkeypatch.setattr(trainer, "plan_epoch", lambda *a: planned.append(a) or plan_epoch(*a))
-        records, q, r = self.make_data(n=80, noise=0.2)
+        records, q, r = separable_data(n=80, noise=0.2)
         cfg = tiny_config(epochs=6, sampler=SamplerConfig(
             batch_size=16, pool_size=8, picks_per_anchor=4, gps_epochs=gps_epochs,
             refresh_every=2, strategy=strategy, seed=0))
@@ -421,6 +446,36 @@ def test_ablation_configs(axis):
         ablation_configs(base, "lr_max", 2)
     with pytest.raises(ValidationError, match="seeds"):
         ablation_configs(base, axis, 0)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_train_matches_legacy_step_bit_for_bit(shared, eps):
+    # the optimised step must reproduce the plain numpy step's every bit
+    records, q, r = separable_data(noise=0.3, seed=5)
+    cfg = tiny_config(epochs=15, hidden_dim=12, embed_dim=5, shared_weights=shared,
+                      weight_decay=0.05, loss=LossConfig(label_smoothing=eps),
+                      sampler=replace(TINY_SAMPLER, batch_size=4))
+    result = train(records, q, r, cfg)
+
+    n_train = len(records) - holdout_size(len(records))
+    steps_per_epoch = math.ceil(n_train / cfg.sampler.batch_size)
+    Xq, Xr = q.data.astype(np.float64)[:n_train], r.data.astype(np.float64)[:n_train]
+    start = init_params(np.random.default_rng([cfg.seed, 0]), q.dim, cfg.hidden_dim,
+                        cfg.embed_dim, shared, cfg.loss.logit_scale)
+    legacy = LegacyStep(start.theta, q.dim, cfg.hidden_dim, cfg.embed_dim, shared,
+                        cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
+    step = 0
+    for plan, record in zip(result.plans, result.history, strict=True):
+        losses = []
+        for batch in plan.batches:
+            idx = list(batch)
+            losses.append(legacy.step(Xq[idx], Xr[idx], lr_at(step, steps_per_epoch, cfg), eps,
+                                      cfg.loss.logit_scale_max))
+            step += 1
+        assert float(np.mean(losses)) == record["loss"]
+    assert step >= 200
+    assert result.params.theta.tobytes() == legacy.theta.tobytes()
 
 
 class TestParamsIO:
@@ -456,6 +511,33 @@ class TestParamsIO:
         del header["d_in"]
         (tmp_path / "header.json").write_text(json.dumps(header))
         with pytest.raises(ValidationError, match="d_in"):
+            load_params(tmp_path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("d_in", "5"), ("d_in", 5.0), ("d_hidden", True), ("d_out", 0),
+        ("shared_weights", "false"), ("shared_weights", 1),
+        ("logit_scale", None), ("logit_scale", "1.5"), ("logit_scale", float("nan")),
+        ("logit_scale", False), pytest.param("logit_scale", 10**400, id="logit_scale-10**400"),
+    ])
+    def test_header_value_of_wrong_type_named(self, tmp_path, key, value):
+        save_params(init_params(np.random.default_rng(0), 5, 8, 4), tmp_path)
+        header = json.loads((tmp_path / "header.json").read_text())
+        header[key] = value
+        (tmp_path / "header.json").write_text(json.dumps(header))
+        with pytest.raises(ValidationError, match=rf"header\.json: {key}=.* must be"):
+            load_params(tmp_path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        save_params(init_params(np.random.default_rng(0), 5, 8, 4), tmp_path)
+        text = (tmp_path / "header.json").read_text()
+        (tmp_path / "header.json").write_text(text[: len(text) // 2])
+        with pytest.raises(ValidationError, match=r"header\.json: not valid JSON"):
+            load_params(tmp_path)
+
+    def test_header_not_an_object_rejected(self, tmp_path):
+        save_params(init_params(np.random.default_rng(0), 5, 8, 4), tmp_path)
+        (tmp_path / "header.json").write_text("[5, 8, 4]")
+        with pytest.raises(ValidationError, match=r"header\.json: expected a JSON object"):
             load_params(tmp_path)
 
     def test_theta_of_wrong_width_rejected(self, tmp_path):
