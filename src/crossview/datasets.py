@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .neighbors import nearest_k, planar_block
+from .neighbors import planar_nearest_k
 
 EMB1_MAGIC = b"EMB1"
 _HEADER = struct.Struct("<II")
@@ -148,7 +148,7 @@ class SynthConfig:
             raise ValidationError("noise_sigma must be >= 0")
         if self.map_extent_m <= 0:
             raise ValidationError("map_extent_m must be > 0")
-        if not math.isfinite(2.0 * self.map_extent_m * self.map_extent_m):  # as planar_block
+        if not math.isfinite(2.0 * self.map_extent_m * self.map_extent_m):  # as planar_keys
             raise ValidationError(f"synth.map_extent_m={self.map_extent_m!r}: the largest "
                                   "squared planar distance 2*extent^2 overflows float64")
         if self.n_semi_positives < 0:
@@ -334,8 +334,10 @@ def generate_synthetic(
     latent of each pair mixes its map region's cluster center with an
     individual component (see SynthConfig), keeping unit variance. Each
     record's semi_positives are its n_semi_positives geographically
-    nearest other references. Pure function of cfg: the same config
-    yields bit-identical outputs.
+    nearest other references, found by the exact planar grid search
+    ``neighbors.planar_nearest_k`` (the same lists a dense scan of all
+    pairs gives, at about linear cost in n_pairs). Pure function of cfg:
+    the same config yields bit-identical outputs.
     """
     if cfg.n_semi_positives >= cfg.n_pairs:
         raise ValidationError(
@@ -365,9 +367,7 @@ def generate_synthetic(
     reference = latents @ map_r + cfg.noise_sigma * rng.standard_normal((n, d_view))
 
     ids = [f"p{i:06d}" for i in range(n)]
-    semi_sets = nearest_k(
-        lambda start, stop: planar_block(coords[start:stop], coords), n, cfg.n_semi_positives
-    )[0].tolist()
+    semi_sets = planar_nearest_k(coords, coords, cfg.n_semi_positives)[0].tolist()
     records = [
         SampleRecord(
             id=ids[i],

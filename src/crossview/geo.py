@@ -14,7 +14,7 @@ import numpy as np
 
 from .datasets import Coordinate
 from .errors import ValidationError
-from .neighbors import nearest_k, planar_block
+from .neighbors import nearest_k, planar_nearest_k
 from .simsearch import Pools
 
 MEAN_EARTH_RADIUS_M = 6_371_008.8
@@ -69,7 +69,7 @@ def _haversine_block(a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _check_planar_span(a: np.ndarray, c: np.ndarray) -> None:
-    # planar_block squares and sums the axis differences; bound the largest pair once
+    # planar_keys squares and sums the axis differences; bound the largest pair once
     lo = np.minimum(a.min(axis=0), c.min(axis=0)).tolist()
     hi = np.maximum(a.max(axis=0), c.max(axis=0)).tolist()
     dx, dy = hi[0] - lo[0], hi[1] - lo[1]
@@ -88,7 +88,11 @@ def geo_topk(
 
     Candidate j == anchor position i is excluded (an anchor never pools
     its own paired candidate); ties break toward the lower candidate
-    index. Exact brute force over distance blocks.
+    index. Exact either way: planar pools come from the grid search
+    ``neighbors.planar_nearest_k``, which scores only nearby cells and
+    redoes densely any row a farther candidate could reach; wgs84 pools
+    score every pair in haversine distance blocks, since a lat/lon cell
+    bound would have to cover the poles and the antimeridian.
     """
     a, crs_a = _coord_array(anchors)
     c, crs_c = _coord_array(candidates)
@@ -102,7 +106,6 @@ def geo_topk(
 
     if crs_a == "wgs84":
         keys = lambda start, stop: _haversine_block(a[start:stop], c, cfg.earth_radius_m)
-    else:
-        _check_planar_span(a, c)
-        keys = lambda start, stop: planar_block(a[start:stop], c)
-    return Pools(*nearest_k(keys, len(anchors), K), "geographic")
+        return Pools(*nearest_k(keys, len(anchors), K), "geographic")
+    _check_planar_span(a, c)
+    return Pools(*planar_nearest_k(a, c, K), "geographic")

@@ -1,18 +1,30 @@
-"""Exact K-nearest search: one kernel for every neighbour list in the package.
+"""Exact K-nearest search: one selection step behind every neighbour list.
 
 GPS pools (geographic distances), DSS pools (negated similarities) and the
 synthetic generator's semi-positives (planar distances) all reduce to the
 same question: per row, the K columns with the smallest keys, the row's
-own column excluded, ties toward the lower column index. Rows are scored
-in blocks so memory stays O(block x columns).
+own column excluded, ties toward the lower column index. Two producers
+feed candidate key blocks to one selection step (``_select``):
 
-Each block is reduced by exact partial selection rather than a full sort,
-so a block costs about linear time per row; a row with many ties at its
-K-th key keeps every tie, and its cost falls back to a sort's.
+- ``nearest_k`` scores every column, in blocks of rows so memory stays
+  O(block x columns). wgs84 pools and visual (DSS) pools use it: the grid's
+  planar bound does not hold for great-circle distances, and a visual key's
+  bits depend on the gemm that scored its block, so re-scoring a subset
+  would not reproduce them.
+- ``planar_nearest_k`` buckets the candidates into a uniform grid and
+  scores only the 3x3 cells around each anchor. A row is kept only when no
+  column outside those cells can reach its K-th key; every other row is
+  redone densely. Planar GPS pools and semi-positives use it, so their cost
+  grows about linearly in N on spread-out points instead of as N^2.
+
+Selection is exact partial selection rather than a full sort, so a block
+costs about linear time per row; a row with many ties at its K-th key
+keeps every tie, and its cost falls back to a sort's.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -22,14 +34,40 @@ from .errors import ValidationError
 _BLOCK = 256
 
 
-def planar_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances (m, n) between the rows of a (m, 2) and b (n, 2)."""
-    dx = a[:, 0:1] - b[:, 0]
-    dy = a[:, 1:2] - b[:, 1]
+def planar_keys(ax, ay, bx, by) -> np.ndarray:
+    """Euclidean distances between points (ax, ay) and (bx, by), element-wise
+    under broadcasting: the one planar formula, so a distance has the same
+    bits whether it is scored in a dense block or gathered from grid cells."""
+    dx = ax - bx
+    dy = ay - by
     dx *= dx
     dy *= dy
     dx += dy
     return np.sqrt(dx, out=dx)
+
+
+def _select(block: np.ndarray, K: int, cols: np.ndarray | None = None):
+    """Per row of a key block, the K smallest keys and their columns, ordered
+    by (key, column). ``cols[r, j]`` names the column of ``block[r, j]``;
+    without it, the column is j. Returns (indices, keys), each (rows, K).
+
+    ``np.partition`` finds each row's K-th smallest key and every entry <= it
+    survives (all ties at the cut among them). The survivors are packed left
+    into one row each, padded with (+inf, largest index), and one
+    ``np.lexsort`` along the rows orders them by (key, column); the first K
+    per row equal the first K of a full stable sort.
+    """
+    kth = np.partition(block, K - 1, axis=1)[:, K - 1:K]
+    flat = np.flatnonzero(block <= kth)
+    rows, pos = np.divmod(flat, block.shape[1])
+    counts = np.bincount(rows, minlength=len(block))
+    slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    keys = np.full((len(block), counts.max()), np.inf)
+    keys[rows, slot] = block.take(flat)
+    col = np.full(keys.shape, np.iinfo(np.intp).max)
+    col[rows, slot] = pos if cols is None else cols.take(flat)
+    first = np.lexsort((col, keys), axis=1)[:, :K]
+    return np.take_along_axis(col, first, 1), np.take_along_axis(keys, first, 1)
 
 
 def nearest_k(
@@ -42,17 +80,11 @@ def nearest_k(
     never appears in row i's list (where i < n_cols). Returns the (n_rows, K)
     column indices and their keys. A non-finite key raises ValidationError
     naming its row.
-
-    Per block: ``np.partition`` finds each row's K-th smallest key, every
-    entry <= it survives (all ties at the cut among them), one
-    ``np.lexsort`` orders the survivors by (row, key, column) and the first K
-    per row are kept, which equals the first K of a full stable sort.
     """
     indices = np.empty((n_rows, K), dtype=np.intp)
     nearest = np.empty((n_rows, K), dtype=np.float64)
     if K == 0:
         return indices, nearest
-    first_k = np.arange(K)
     for start in range(0, n_rows, _BLOCK):
         stop = min(start + _BLOCK, n_rows)
         block = keys(start, stop)
@@ -63,13 +95,98 @@ def nearest_k(
                                   f"at column {col} is not finite")
         own = np.arange(start, min(stop, block.shape[1]))
         block[own - start, own] = np.inf
-        kth = np.partition(block, K - 1, axis=1)[:, K - 1:K]
-        flat = np.flatnonzero(block <= kth)
-        rows, cols = np.divmod(flat, block.shape[1])
-        vals = block.take(flat)
-        order = np.lexsort((cols, vals, rows))
-        counts = np.bincount(rows, minlength=stop - start)
-        take = order[(np.cumsum(counts) - counts)[:, None] + first_k]
-        indices[start:stop] = cols[take]
-        nearest[start:stop] = vals[take]
+        indices[start:stop], nearest[start:stop] = _select(block, K)
+    return indices, nearest
+
+
+def planar_nearest_k(
+    anchors: np.ndarray, candidates: np.ndarray, K: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``nearest_k`` over the planar distances from anchors (m, 2) to
+    candidates (n, 2), byte for byte, without scoring every pair.
+
+    Needs 0 <= K < n and every pairwise distance finite (callers bound the
+    coordinate span). The grid spans the candidates' bounding box with cell
+    side h = sqrt(area * (K + 1) / n), about K + 1 candidates per cell, but
+    at least the longer side / n so a thin box keeps O(n) cells; a box of
+    zero area is one cell. Per block of anchors, the candidates in the 3x3
+    cells around each anchor are re-scored with ``planar_keys`` into a block
+    padded with +inf, and ``_select`` picks from it. A row is accepted when
+    its K-th key lies below the anchor's distance to the outside of its 3x3
+    square (a side on the grid edge counts as infinitely far) by more than
+    the rounding slack: then every column holding a key <= the K-th is among
+    the gathered ones, so the selection equals the dense one. Other rows are
+    scored against every candidate.
+    """
+    m, n = len(anchors), len(candidates)
+    indices = np.empty((m, K), dtype=np.intp)
+    nearest = np.empty((m, K), dtype=np.float64)
+    if K == 0:
+        return indices, nearest
+    lo = candidates.min(axis=0)
+    width, height = (candidates.max(axis=0) - lo).tolist()
+    h = max(math.sqrt(width * height / n * (K + 1)), max(width, height) / n)
+    if width * height > 0.0 and math.isfinite(h):
+        nx, ny = int(width / h) + 1, int(height / h) + 1
+    else:
+        h, nx, ny = 1.0, 1, 1
+
+    def cell_of(points):
+        return np.clip(np.floor((points - lo) / h), 0, (nx - 1, ny - 1)).astype(np.intp)
+
+    cell = cell_of(candidates) @ np.array([1, nx])
+    order = np.argsort(cell, kind="stable")
+    starts = np.searchsorted(cell[order], np.arange(nx * ny + 1))
+    sx, sy = candidates[order, 0], candidates[order, 1]
+
+    # each anchor's 3x3 square is three runs of the cell-sorted candidates, one per cell row
+    ac = cell_of(anchors)
+    x_lo = np.maximum(ac[:, 0:1] - 1, 0)
+    x_hi = np.minimum(ac[:, 0:1] + 1, nx - 1)
+    cell_row = ac[:, 1:2] + np.arange(-1, 2)
+    inside = (cell_row >= 0) & (cell_row < ny)
+    cell_row = cell_row.clip(0, ny - 1) * nx
+    run_lo = starts[cell_row + x_lo]
+    run_len = np.where(inside, starts[cell_row + x_hi + 1] - run_lo, 0)
+    run_end = np.cumsum(run_len, axis=1)
+    shift = run_lo - run_end + run_len  # slot j of run r reads candidate j + shift[r]
+    # each anchor's distance to the outside of its square; inf where a side is on the grid edge
+    gap = np.minimum(np.where(ac >= 2, anchors - (lo + (ac - 1) * h), np.inf),
+                     np.where(ac + 2 < (nx, ny), (lo + (ac + 2) * h) - anchors, np.inf)).min(axis=1)
+    # A column outside the square has a cell index beyond a side at lo + k*h
+    # (0 < k < nx, so |k*h| <= width <= 2C for C the largest coordinate
+    # magnitude). floor((x - lo) / h) rounds twice, so such a column lies
+    # within 2.01u*|k*h| of the side; forming the side and the anchor's gap
+    # to it rounds by at most 5uC; the computed key of a pair at most
+    # 2*sqrt(2)*C apart is at least (1 - 3u) times the true distance, and
+    # squares that fall into subnormals lose at most 1e-161 absolute. The
+    # sum is below 18uC = 9*eps*C + 1e-161, whatever h is: an absolute slack
+    # scaled to the coordinates, since a relative one cannot cover rounding
+    # at 1e12 m when h is 1 m. Four times that margin is used.
+    mag = max(np.abs(candidates).max(), np.abs(anchors).max())
+    bound = gap - (36.0 * np.finfo(np.float64).eps * mag + math.sqrt(np.finfo(np.float64).tiny))
+
+    # anchors in order of square size, so a crowded square widens only its own block
+    by_size = np.argsort(run_end[:, 2], kind="stable")
+    for start in range(0, m, _BLOCK):
+        rows = by_size[start:start + _BLOCK]
+        end = run_end[rows]
+        slot = np.arange(max(int(end[:, 2].max()), K))
+        run = (slot >= end[:, 0:1]).astype(np.intp) + (slot >= end[:, 1:2])
+        pad = slot >= end[:, 2:]
+        pos = slot + np.take_along_axis(shift[rows], np.minimum(run, 2), axis=1)
+        pos[pad] = 0
+        block = planar_keys(anchors[rows, 0:1], anchors[rows, 1:2], sx[pos], sy[pos])
+        cols = order[pos]
+        block[pad | (cols == rows[:, None])] = np.inf
+        idx, keys = _select(block, K, cols)
+        redo = np.flatnonzero(~(keys[:, K - 1] < bound[rows]))
+        if len(redo):
+            row = rows[redo]
+            dense = planar_keys(anchors[row, 0:1], anchors[row, 1:2],
+                                candidates[:, 0], candidates[:, 1])
+            own = row < n
+            dense[np.flatnonzero(own), row[own]] = np.inf
+            idx[redo], keys[redo] = _select(dense, K)
+        indices[rows], nearest[rows] = idx, keys
     return indices, nearest

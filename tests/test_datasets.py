@@ -199,7 +199,7 @@ class TestEmb1:
 
 class TestGenerateSynthetic:
     def test_extent_whose_squared_distance_overflows_rejected(self):
-        # planar_block sums two squared axis differences of up to extent^2
+        # planar_keys sums two squared axis differences of up to extent^2
         assert SynthConfig(map_extent_m=9e153).map_extent_m == 9e153
         with pytest.raises(ValidationError, match="synth.map_extent_m=1e\\+154"):
             SynthConfig(map_extent_m=1e154)

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import crossview
+from crossview import neighbors
 from crossview.errors import ValidationError
-from crossview.neighbors import nearest_k, planar_block
+from crossview.geo import _check_planar_span
+from crossview.neighbors import nearest_k, planar_keys, planar_nearest_k
 
 from oracles import brute_nearest_keys
 
@@ -69,9 +77,103 @@ class TestNearestK:
 
 
 def test_planar_block_bit_identical_to_3d_form():
+    # the dense block and the grid's element-wise re-score are one formula
     rng = np.random.default_rng(5)
     for scale in (1.0, 1e4, 1e150):
         a = rng.uniform(-scale, scale, (37, 2))
         b = rng.uniform(-scale, scale, (53, 2))
         diff = a[:, None, :] - b[None, :, :]
-        assert planar_block(a, b).tobytes() == np.sqrt((diff * diff).sum(axis=2)).tobytes()
+        block = planar_keys(a[:, 0:1], a[:, 1:2], b[:, 0], b[:, 1])
+        assert block.tobytes() == np.sqrt((diff * diff).sum(axis=2)).tobytes()
+        cols = rng.integers(0, 53, (37, 29))
+        gathered = planar_keys(a[:, 0:1], a[:, 1:2], b[cols, 0], b[cols, 1])
+        assert gathered.tobytes() == np.take_along_axis(block, cols, axis=1).tobytes()
+
+
+def planar_oracle(anchors, candidates, K):
+    diff = anchors[:, None, :] - candidates[None, :, :]
+    return brute_nearest_keys(np.sqrt((diff * diff).sum(axis=2)).tolist(), K)
+
+
+def dense_planar(anchors, candidates, K):
+    def keys(start, stop):
+        a = anchors[start:stop]
+        return planar_keys(a[:, 0:1], a[:, 1:2], candidates[:, 0], candidates[:, 1])
+
+    return nearest_k(keys, len(anchors), K)
+
+
+def planar_layout(n_rows, n_cols, lattice, seed):
+    rng = np.random.default_rng(seed)
+    if lattice:  # small integers: mass ties, coincident points
+        draw = lambda n, spill: rng.integers(-2 * spill, 4 + 2 * spill, (n, 2)).astype(float)
+    else:
+        draw = lambda n, spill: rng.uniform(-1e3 - 500 * spill, 1e3 + 500 * spill, (n, 2))
+    candidates = draw(n_cols, 0)
+    # the first anchors stand on their own candidate; extra ones spill past the box
+    return np.concatenate([candidates[:n_rows], draw(max(0, n_rows - n_cols), 1)]), candidates
+
+
+class TestPlanarNearestK:
+    @settings(max_examples=30)
+    @given(shape=shapes(), lattice=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(shape=(600, 40, 5), lattice=True, seed=1)  # more anchors than candidates, three blocks
+    @example(shape=(300, 420, 7), lattice=True, seed=2)  # fewer anchors than candidates
+    @example(shape=(257, 257, 3), lattice=False, seed=3)  # one row past the block
+    def test_matches_full_stable_sort(self, shape, lattice, seed):
+        n_rows, n_cols, K = shape
+        anchors, candidates = planar_layout(n_rows, n_cols, lattice, seed)
+        indices, nearest = planar_nearest_k(anchors, candidates, K)
+        idx, keys = planar_oracle(anchors, candidates, K)
+        assert indices.tolist() == idx
+        assert nearest.tobytes() == np.array(keys, dtype=np.float64).reshape(-1, K).tobytes()
+
+
+def _layout(name, rng):
+    if name == "all equal":
+        return np.full((300, 2), 7.25)
+    if name == "collinear":  # zero-area bounding box
+        return np.stack([rng.uniform(0, 1e3, 300), np.full(300, 5.0)], axis=1)
+    if name == "half in a 10 m cluster":
+        return np.concatenate([rng.uniform(0, 1e4, (300, 2)), 5e3 + rng.uniform(0, 10, (300, 2))])
+    if name == "large offset":
+        return 1e12 + rng.uniform(0, 1e3, (600, 2))
+    points = rng.uniform(0, 9.48e153, (300, 2))  # span at the planar overflow limit
+    points[:2] = [[0.0, 0.0], [9.48e153, 9.48e153]]
+    return points
+
+
+@pytest.mark.parametrize("name, Ks, branch", [
+    ("all equal", (1, 3, 32, 299), "one cell"),
+    ("collinear", (1, 3, 32, 299), "one cell"),
+    ("half in a 10 m cluster", (1, 3, 32), "dense rows"),
+    ("large offset", (1, 3, 32), None),
+    ("span limit", (1, 32, 299), None),
+])
+def test_planar_grid_byte_identical_to_dense(monkeypatch, name, Ks, branch):
+    points = _layout(name, np.random.default_rng(9))
+    _check_planar_span(points, points)
+    want = {K: dense_planar(points, points, K) for K in Ks}
+    blocks = []  # (shape, dense) per selection the grid search makes
+    select = neighbors._select
+    monkeypatch.setattr(neighbors, "_select", lambda block, K, cols=None: (
+        blocks.append((block.shape, cols is None)) or select(block, K, cols)))
+    for K in Ks:
+        indices, nearest = planar_nearest_k(points, points, K)
+        assert indices.tobytes() == want[K][0].tobytes()
+        assert nearest.tobytes() == want[K][1].tobytes()
+    if branch == "one cell":  # every block gathers every candidate, no row is redone
+        assert all(shape[1] == len(points) and not dense for shape, dense in blocks)
+    if branch == "dense rows":
+        assert any(dense for _, dense in blocks)
+
+
+def test_planar_search_leaves_scipy_spatial_unimported():
+    code = ("import sys, crossview\n"
+            "from crossview.datasets import SynthConfig, generate_synthetic\n"
+            "from crossview.geo import geo_topk\n"
+            "records = generate_synthetic(SynthConfig(n_pairs=300))[0]\n"
+            "geo_topk([r.coord for r in records], [r.coord for r in records], 5)\n"
+            "assert 'scipy.spatial' not in sys.modules\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(crossview.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
