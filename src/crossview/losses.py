@@ -82,7 +82,11 @@ def _as_batch(name: str, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValidationError(f"{name} must be 2-D, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    return x
+
+
+def _require_finite(name: str, x: np.ndarray) -> np.ndarray:
+    if not np.isfinite(x).all():
         raise ValidationError(f"{name} contains non-finite values")
     return x
 
@@ -107,6 +111,12 @@ def info_nce(
     analytic gradients w.r.t. queries, references, and logit_scale; the
     symmetric loss is exactly the arithmetic mean of the two single
     directions.
+
+    Both batches are scanned for non-finite entries only when the loss
+    comes out non-finite, which any such entry guarantees: a NaN or inf in
+    row i of queries (references) makes logit row (column) i non-finite,
+    as inf * 0 is NaN, and one non-finite logit makes the loss of every
+    direction non-finite.
     """
     q = _as_batch("queries", queries)
     r = _as_batch("references", references)
@@ -140,6 +150,9 @@ def info_nce(
         loss = 0.5 * (loss_qr + loss_rq)
         grad_logits = 0.5 * (g_qr + g_rq)
 
+    if not math.isfinite(loss):
+        _require_finite("queries", q)
+        _require_finite("references", r)
     return LossOutput(
         loss=loss,
         grad_queries=scale * grad_logits @ r,
@@ -157,9 +170,9 @@ def _triplet(anchor, positive, negative, score) -> LossOutput:
     """The body both triplet losses share. ``score(x)`` maps each row's
     x = d(a,p)^2 - d(a,n)^2 to the loss value and the per-row weight of
     the gradients."""
-    a = _as_batch("anchor", anchor)
-    p = _as_batch("positive", positive)
-    ng = _as_batch("negative", negative)
+    a = _require_finite("anchor", _as_batch("anchor", anchor))
+    p = _require_finite("positive", _as_batch("positive", positive))
+    ng = _require_finite("negative", _as_batch("negative", negative))
     if not (a.shape == p.shape == ng.shape):
         raise ValidationError(
             f"shape mismatch: anchor {a.shape}, positive {p.shape}, negative {ng.shape}"

@@ -3,7 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from crossview import evaluation
 from crossview.datasets import Coordinate, EmbeddingTable, SampleRecord, SynthConfig, generate_synthetic
 from crossview.errors import ValidationError
 from crossview.evaluation import (
@@ -253,6 +255,92 @@ class TestOracleEquivalence:
         assert report.mean_ap == float(np.mean(aps))
         assert (report.n_queries, report.n_references) == (n_q, n_r)
 
+    @given(n_q=st.integers(1, 2 * RANK_BLOCK + 1), n_r=st.integers(1, 12),
+           top=st.integers(0, 3), max_pos=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @example(n_q=RANK_BLOCK, n_r=9, top=2, max_pos=1, seed=1)  # exactly one full block
+    @example(n_q=RANK_BLOCK + 1, n_r=9, top=2, max_pos=1, seed=2)  # one pair past it
+    @example(n_q=RANK_BLOCK - 1, n_r=9, top=1, max_pos=3, seed=3)  # multi-positive edge
+    @example(n_q=2 * RANK_BLOCK + 1, n_r=12, top=0, max_pos=3, seed=4)  # every score tied
+    def test_tie_heavy_ranks_match_brute_force(self, n_q, n_r, top, max_pos, seed):
+        # scores in 0..top tie exactly and often, on both sides of a
+        # positive's index; every other semi-positive copies the score of
+        # one of the query's positives
+        rng = np.random.default_rng(seed)
+        sim = rng.integers(0, top + 1, (n_q, n_r)).astype(np.float64)
+        positives, semis = [], []
+        for i in range(n_q):
+            order = [int(j) for j in rng.permutation(n_r)]
+            n_pos = int(rng.integers(1, min(max_pos, n_r) + 1))
+            semi = order[n_pos:n_pos + int(rng.integers(0, 4))]
+            for j in semi[::2]:
+                sim[i, j] = sim[i, order[int(rng.integers(n_pos))]]
+            positives.append(set(order[:n_pos]))
+            semis.append(set(semi))
+        blocks = []
+
+        def scores(q):
+            blocks.append(len(q))
+            return sim[q]
+
+        best, best_masked, pair_ranks, starts = _positive_ranks(
+            scores, n_q, n_r, positives, semis)
+        n_pairs = sum(map(len, positives))
+        assert sum(blocks) == n_pairs and max(blocks) <= RANK_BLOCK
+        assert len(blocks) == -(-n_pairs // RANK_BLOCK)
+        for i, row in enumerate(sim.tolist()):
+            pos, semi = positives[i], semis[i]
+            ranking = rank_references(row)
+            mine = sorted(pair_ranks[starts[i]:starts[i] + len(pos)].tolist())
+            assert mine == sorted(ranking.index(j) + 1 for j in pos)
+            unmasked = [j for j in ranking if j not in semi]
+            assert best_masked[i] == min(unmasked.index(j) + 1 for j in pos)
+            for k in range(1, n_r + 1):
+                assert float(best[i] <= k) == brute_recall_at_k([row], [pos], k)
+            assert float(best_masked[i] == 1) == brute_hit_rate([row], [pos], [semi])
+            assert _average_precision(mine, len(pos)) == brute_average_precision(ranking, pos)
+
+    @staticmethod
+    def unit_rows(rng, n, dim):
+        x = rng.standard_normal((n, dim))
+        return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+    def test_single_positive_ap_is_the_per_query_mean(self, monkeypatch):
+        # one positive per query and 30 distractors: mean AP comes from the
+        # pair ranks directly, with the bits of the per-query loop
+        rng = np.random.default_rng(17)
+        n_q, n_r = RANK_BLOCK + 7, RANK_BLOCK + 37
+        q, r = self.unit_rows(rng, n_q, 3), self.unit_rows(rng, n_r, 3)
+        positives = [{int(j)} for j in rng.permutation(n_r)[:n_q]]
+        semis = [set()] * n_q
+        calls = []
+        monkeypatch.setattr(evaluation, "_average_precision",
+                            lambda *a: calls.append(a) or _average_precision(*a))
+        report = retrieval_report(q, r, positives, semis)
+        assert calls == []
+        _, _, pair_ranks, _ = _positive_ranks(lambda rows: q[rows] @ r.T, n_q, n_r,
+                                              positives, semis)
+        per_query = [_average_precision([rank], 1) for rank in pair_ranks.tolist()]
+        assert report.mean_ap == float(np.mean(per_query))
+        sim = (q @ r.T).tolist()
+        brute = [brute_average_precision(rank_references(row), p) for row, p in zip(sim, positives)]
+        assert report.mean_ap == float(np.mean(brute))
+
+    def test_one_two_positive_query_takes_the_general_ap_path(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        n_q, n_r = RANK_BLOCK + 7, RANK_BLOCK + 37
+        q, r = self.unit_rows(rng, n_q, 3), self.unit_rows(rng, n_r, 3)
+        order = [int(j) for j in rng.permutation(n_r)]
+        positives = [{j} for j in order[:n_q]]
+        positives[5].add(order[n_q])
+        calls = []
+        monkeypatch.setattr(evaluation, "_average_precision",
+                            lambda *a: calls.append(a) or _average_precision(*a))
+        report = retrieval_report(q, r, positives, [set()] * n_q)
+        assert len(calls) == n_q
+        sim = (q @ r.T).tolist()
+        brute = [brute_average_precision(rank_references(row), p) for row, p in zip(sim, positives)]
+        assert report.mean_ap == float(np.mean(brute))
+
     def test_rank_transform_invariance(self):
         rng = np.random.default_rng(7)
         sim = rng.standard_normal((10, 12))
@@ -354,6 +442,29 @@ class TestEvaluate:
             tracemalloc.stop()
         assert report.mean_ap is not None  # distractors: every metric ran
         assert peak < n_q * n_r * 8 / 4
+
+    def test_smaller_blocks_bound_the_peak(self):
+        # the same 2000 x 2500 task: the peak follows one block of score rows
+        # (RANK_BLOCK x n_r float64) and the query and link bookkeeping,
+        # about 3.3 blocks at RANK_BLOCK = 32
+        n_q, n_r, dim = 2000, 2500, 4
+        rng = np.random.default_rng(3)
+        q = EmbeddingTable(rng.standard_normal((n_q, dim)).astype(np.float32),
+                           tuple(f"q{i}" for i in range(n_q)))
+        r = EmbeddingTable(rng.standard_normal((n_r, dim)).astype(np.float32),
+                           tuple(f"r{j}" for j in range(n_r)))
+        records = [
+            SampleRecord(id=f"q{i}", pair_index=i, class_id=f"q{i}",
+                         coord=Coordinate(0, 0, "planar"), positives=(f"r{i}",))
+            for i in range(n_q)
+        ]
+        tracemalloc.start()
+        try:
+            evaluate(q, r, records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * RANK_BLOCK * n_r * 8
 
     def test_dim_mismatch_named(self):
         rng = np.random.default_rng(4)

@@ -139,6 +139,43 @@ class TestInfoNce:
         with pytest.raises(ValidationError):
             info_nce(bad, np.ones((1, 2)), LossConfig())
 
+    # the batches are scanned only after a non-finite loss; numpy may warn
+    # about the inf arithmetic on the way there
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("direction", ["symmetric", "query_to_ref", "ref_to_query"])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["queries", "references"])
+    def test_non_finite_entry_named(self, direction, eps, value, side):
+        rng = np.random.default_rng(5)
+        cfg = LossConfig(label_smoothing=eps, direction=direction)
+        n, d = 4, 3
+        for i in range(n):
+            for k in range(d):
+                for zero_column in (False, True):
+                    q, r = unit(rng, n, d), unit(rng, n, d)
+                    bad, other = (q, r) if side == "queries" else (r, q)
+                    bad[i, k] = value
+                    if zero_column:  # the entry meets only zeros: inf * 0 = NaN
+                        other[:, k] = 0.0
+                    with pytest.raises(ValidationError,
+                                       match=f"^{side} contains non-finite values$"):
+                        info_nce(q, r, cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_queries_named_before_references(self):
+        q, r = np.ones((2, 2)), np.ones((2, 2))
+        q[1, 0], r[0, 1] = np.inf, np.nan
+        with pytest.raises(ValidationError, match="^queries contains non-finite values$"):
+            info_nce(q, r, LossConfig())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_of_finite_batches_is_returned(self):
+        # a loss that overflows from finite inputs is no input fault
+        q = np.full((2, 2), 1e200)
+        out = info_nce(q, -q, LossConfig())
+        assert not math.isfinite(out.loss)
+
     @pytest.mark.parametrize("direction", ["symmetric", "query_to_ref", "ref_to_query"])
     def test_interleaved_batches_match_a_fresh_target(self, direction):
         # the cached target of one (n, smoothing) must not leak into another
