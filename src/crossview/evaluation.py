@@ -16,8 +16,9 @@ import numpy as np
 
 from .datasets import EmbeddingTable, SampleRecord, require_aligned
 from .errors import ValidationError
+from .neighbors import block_rows
 # cosine_matrix stays importable here: the bench tracer binds evaluation.cosine_matrix
-from .simsearch import cosine_matrix, l2_normalize  # noqa: F401
+from .simsearch import cosine_matrix, l2_normalize, similarity_blocks  # noqa: F401
 
 RECALL_KS = (1, 5, 10)
 
@@ -43,9 +44,6 @@ class RetrievalReport:
         return json.dumps(obj, sort_keys=True)
 
 
-RANK_BLOCK = 32  # (query, positive) pairs per block: 1.28 MB of scores at n_r = 5000, in L2
-
-
 def _positive_ranks(
     scores: Callable[[np.ndarray], np.ndarray], n_q: int, n_r: int,
     positives: list[set[int]], semi_positives: list[set[int]],
@@ -53,12 +51,12 @@ def _positive_ranks(
     """Rank of each query's positives under descending similarity.
 
     ``scores(q)`` returns the float64 similarity rows (len(q), n_r) of the
-    queries q of one block of at most RANK_BLOCK (query, positive) pairs,
-    so no n_q x n_r matrix need exist. A rank is 1 + the references scored
-    strictly higher + those tied with the positive at a lower index. Each
-    row is counted in two passes (scores above, scores equal to the
-    positive's); only a row with another exact tie is searched for the
-    ties at a lower index. The masked rank subtracts the query's
+    queries q of one block of at most ``block_rows(n_r)`` (query, positive)
+    pairs, so no n_q x n_r matrix need exist. A rank is 1 + the references
+    scored strictly higher + those tied with the positive at a lower index.
+    Each row is counted in two passes (scores above, scores equal to the
+    positive's); only a row with another exact tie is searched for the ties
+    at a lower index. The masked rank subtracts the query's
     semi-positives that the same rule puts ahead of the positive.
     Returns each query's best rank and best masked rank, every pair's rank
     and the first pair of each query.
@@ -79,8 +77,9 @@ def _positive_ranks(
         pairs += [(i, j) for j in sorted(pos)]
     pairs, semis = np.array(pairs), np.array(semis, dtype=np.intp).reshape(-1, 2)
     ranks = np.empty((len(pairs), 2), dtype=np.int64)  # plain, masked
-    for a in range(0, len(pairs), RANK_BLOCK):
-        q, c = pairs[a:a + RANK_BLOCK].T
+    step = block_rows(n_r)
+    for a in range(0, len(pairs), step):
+        q, c = pairs[a:a + step].T
         rows = scores(q)
         s = rows[np.arange(len(q)), c][:, None]
         # int32 sums take half the time of count_nonzero's intp ones; n_r < 2**31
@@ -181,7 +180,8 @@ def retrieval_report(
     q64: np.ndarray, r64: np.ndarray, positives: list[set[int]], semi_positives: list[set[int]]
 ) -> RetrievalReport:
     """Every metric of float64 unit query rows against float64 unit
-    reference rows, from one rank pass over blocks of score rows.
+    reference rows, from one rank pass over blocks of score rows, in which
+    identical reference rows score alike (``similarity_blocks``).
 
     hit_rate is set only when some query has semi-positives, mean AP only
     when some query has multiple positives or the gallery holds
@@ -189,7 +189,7 @@ def retrieval_report(
     """
     n_q, n_r = len(q64), len(r64)
     best, best_masked, pair_ranks, starts = _positive_ranks(
-        lambda rows: q64[rows] @ r64.T, n_q, n_r, positives, semi_positives
+        similarity_blocks(q64, r64), n_q, n_r, positives, semi_positives
     )
     recall = {k: _recall(best, min(k, n_r)) for k in RECALL_KS}
     hit = _recall(best_masked, 1) if any(s for s in semi_positives) else None

@@ -105,7 +105,7 @@ def geo_topk(
         raise ValidationError(f"K={K} exceeds candidate count - 1 = {n_c - 1}")
 
     if crs_a == "wgs84":
-        keys = lambda start, stop: _haversine_block(a[start:stop], c, cfg.earth_radius_m)
-        return Pools(*nearest_k(keys, len(anchors), K), "geographic")
+        keys = lambda part: _haversine_block(a[part], c, cfg.earth_radius_m)
+        return Pools(*nearest_k(keys, np.arange(len(a)), n_c, K), "geographic")
     _check_planar_span(a, c)
     return Pools(*planar_nearest_k(a, c, K), "geographic")

@@ -6,16 +6,21 @@ same question: per row, the K columns with the smallest keys, the row's
 own column excluded, ties toward the lower column index. Two producers
 feed candidate key blocks to one selection step (``_select``):
 
-- ``nearest_k`` scores every column, in blocks of rows so memory stays
-  O(block x columns). wgs84 pools and visual (DSS) pools use it: the grid's
-  planar bound does not hold for great-circle distances, and a visual key's
-  bits depend on the gemm that scored its block, so re-scoring a subset
-  would not reproduce them.
+- ``nearest_k`` scores every column of the rows it is given, in blocks of
+  rows so memory stays within the block budget. wgs84 pools and visual
+  (DSS) pools use it over all rows: the grid's planar bound does not hold
+  for great-circle distances, and a visual key's bits depend on the gemm
+  that scored its block, so re-scoring a subset would not reproduce them.
 - ``planar_nearest_k`` buckets the candidates into a uniform grid and
   scores only the 3x3 cells around each anchor. A row is kept only when no
   column outside those cells can reach its K-th key; every other row is
-  redone densely. Planar GPS pools and semi-positives use it, so their cost
-  grows about linearly in N on spread-out points instead of as N^2.
+  redone by ``nearest_k``. Planar GPS pools and semi-positives use it, so
+  their cost grows about linearly in N on spread-out points instead of as
+  N^2.
+
+Every streamed block, here and in ``evaluation``, holds at most
+``BLOCK_BYTES`` of float64 keys: ``block_rows(width)`` rows of a given
+width, at least one.
 
 Selection is exact partial selection rather than a full sort, so a block
 costs about linear time per row; a row with many ties at its K-th key
@@ -31,7 +36,13 @@ import numpy as np
 
 from .errors import ValidationError
 
-_BLOCK = 256
+BLOCK_BYTES = 640 * 1024
+
+
+def block_rows(width):
+    """Rows of ``width`` float64 keys that fit in BLOCK_BYTES, at least 1;
+    element-wise over an array of widths."""
+    return np.maximum(1, BLOCK_BYTES // (8 * width))
 
 
 def planar_keys(ax, ay, bx, by) -> np.ndarray:
@@ -71,31 +82,32 @@ def _select(block: np.ndarray, K: int, cols: np.ndarray | None = None):
 
 
 def nearest_k(
-    keys: Callable[[int, int], np.ndarray], n_rows: int, K: int
+    keys: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, n_cols: int, K: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the K columns with the smallest keys, ascending.
+    """Per row in ``rows``, the K columns with the smallest keys, ascending.
 
-    ``keys(start, stop)`` returns the float key block (stop - start, n_cols)
-    of rows [start, stop); smaller means nearer, and K < n_cols. Column i
-    never appears in row i's list (where i < n_cols). Returns the (n_rows, K)
-    column indices and their keys. A non-finite key raises ValidationError
-    naming its row.
+    ``keys(part)`` returns the float key block (len(part), n_cols) of the
+    rows ``part``, a slice of ``rows``; smaller means nearer, and
+    K < n_cols. Column ``part[i]`` never appears in row i's list (where
+    ``part[i]`` < n_cols). Returns the (len(rows), K) column indices and
+    their keys. A non-finite key raises ValidationError naming its row.
     """
-    indices = np.empty((n_rows, K), dtype=np.intp)
-    nearest = np.empty((n_rows, K), dtype=np.float64)
+    indices = np.empty((len(rows), K), dtype=np.intp)
+    nearest = np.empty((len(rows), K), dtype=np.float64)
     if K == 0:
         return indices, nearest
-    for start in range(0, n_rows, _BLOCK):
-        stop = min(start + _BLOCK, n_rows)
-        block = keys(start, stop)
+    step = block_rows(n_cols)
+    for start in range(0, len(rows), step):
+        part = rows[start:start + step]
+        block = keys(part)
         finite = np.isfinite(block)
         if not finite.all():
             row, col = np.argwhere(~finite)[0]
-            raise ValidationError(f"row {start + row}: key {float(block[row, col])!r} "
+            raise ValidationError(f"row {part[row]}: key {float(block[row, col])!r} "
                                   f"at column {col} is not finite")
-        own = np.arange(start, min(stop, block.shape[1]))
-        block[own - start, own] = np.inf
-        indices[start:stop], nearest[start:stop] = _select(block, K)
+        own = np.flatnonzero(part < n_cols)
+        block[own, part[own]] = np.inf
+        indices[start:start + step], nearest[start:start + step] = _select(block, K)
     return indices, nearest
 
 
@@ -115,8 +127,8 @@ def planar_nearest_k(
     its K-th key lies below the anchor's distance to the outside of its 3x3
     square (a side on the grid edge counts as infinitely far) by more than
     the rounding slack: then every column holding a key <= the K-th is among
-    the gathered ones, so the selection equals the dense one. Other rows are
-    scored against every candidate.
+    the gathered ones, so the selection equals the dense one. The other rows
+    go to one ``nearest_k`` call over every candidate.
     """
     m, n = len(anchors), len(candidates)
     indices = np.empty((m, K), dtype=np.intp)
@@ -168,25 +180,32 @@ def planar_nearest_k(
 
     # anchors in order of square size, so a crowded square widens only its own block
     by_size = np.argsort(run_end[:, 2], kind="stable")
-    for start in range(0, m, _BLOCK):
-        rows = by_size[start:start + _BLOCK]
+    width = np.maximum(run_end[by_size, 2], K)  # non-decreasing
+    redo, start = [], 0
+    while start < m:
+        # a block is as wide as its last row: end it before rows x width passes the budget
+        ahead = width[start:start + block_rows(width[start])]
+        stop = start + np.count_nonzero(np.arange(1, len(ahead) + 1) <= block_rows(ahead))
+        rows = by_size[start:stop]
         end = run_end[rows]
-        slot = np.arange(max(int(end[:, 2].max()), K))
-        run = (slot >= end[:, 0:1]).astype(np.intp) + (slot >= end[:, 1:2])
+        slot = np.arange(width[stop - 1])
+        run = (slot >= end[:, 0:1]).astype(np.intp)
+        run += slot >= end[:, 1:2]
+        pos = np.take_along_axis(shift[rows], run, axis=1)
+        del run
+        pos += slot
         pad = slot >= end[:, 2:]
-        pos = slot + np.take_along_axis(shift[rows], np.minimum(run, 2), axis=1)
         pos[pad] = 0
         block = planar_keys(anchors[rows, 0:1], anchors[rows, 1:2], sx[pos], sy[pos])
         cols = order[pos]
+        del pos
         block[pad | (cols == rows[:, None])] = np.inf
-        idx, keys = _select(block, K, cols)
-        redo = np.flatnonzero(~(keys[:, K - 1] < bound[rows]))
-        if len(redo):
-            row = rows[redo]
-            dense = planar_keys(anchors[row, 0:1], anchors[row, 1:2],
-                                candidates[:, 0], candidates[:, 1])
-            own = row < n
-            dense[np.flatnonzero(own), row[own]] = np.inf
-            idx[redo], keys[redo] = _select(dense, K)
-        indices[rows], nearest[rows] = idx, keys
+        indices[rows], nearest[rows] = _select(block, K, cols)
+        del block, cols  # freed before the next block is gathered
+        redo.append(rows[~(nearest[rows, K - 1] < bound[rows])])
+        start = stop
+    redo = np.concatenate(redo)
+    indices[redo], nearest[redo] = nearest_k(
+        lambda part: planar_keys(anchors[part, 0:1], anchors[part, 1:2],
+                                 candidates[:, 0], candidates[:, 1]), redo, n, K)
     return indices, nearest

@@ -108,23 +108,49 @@ def cosine_matrix(queries: EmbeddingTable, references: EmbeddingTable) -> np.nda
     return queries.data.astype(np.float64) @ references.data.astype(np.float64).T
 
 
+def similarity_blocks(q64: np.ndarray, r64: np.ndarray):
+    """Scorer of the float64 similarity blocks ``q64[part] @ r64.T``.
+
+    A gemm may round the same dot product differently in different columns,
+    so identical reference rows need not score alike. When some reference
+    row repeats an earlier one, each block copies the first copy's column
+    onto the later copies, so they tie and the tie goes to the lower index.
+    """
+    r64 = np.ascontiguousarray(r64)
+    first = np.zeros(len(r64), dtype=np.intp)  # zero-width rows: all copies of row 0
+    if r64.shape[1]:  # each row's bytes as one void item
+        rows = r64.view(np.dtype((np.void, r64.dtype.itemsize * r64.shape[1])))[:, 0]
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        first = first[inverse]
+    later = np.flatnonzero(first != np.arange(len(r64)))
+
+    def scores(part: np.ndarray) -> np.ndarray:
+        block = q64[part] @ r64.T
+        if later.size:
+            block[:, later] = block[:, first[later]]
+        return block
+
+    return scores
+
+
 def visual_topk(
     queries: EmbeddingTable, references: EmbeddingTable, K: int
 ) -> Pools:
     """Per query, the K most similar references excluding its own positive.
 
     Query i's positive is reference i (row-aligned tables); ties break
-    toward the lower reference index. Blocked evaluation, identical to a
-    single pass.
+    toward the lower reference index, identical reference rows included.
+    Queries are scored in blocks of ``neighbors.block_rows`` rows. A gemm's
+    bits may depend on the block's shape, so the output is deterministic
+    for a given N and block budget, not always equal to one
+    full-matrix pass.
     """
     n_r = references.count
     if K < 1:
         raise ValidationError("K must be >= 1")
     if K > n_r - 1:
         raise ValidationError(f"K={K} exceeds reference count - 1 = {n_r - 1}")
-    q64 = queries.data.astype(np.float64)
-    r64 = references.data.astype(np.float64)
-    indices, neg_sims = nearest_k(
-        lambda start, stop: -(q64[start:stop] @ r64.T), queries.count, K
-    )
+    scores = similarity_blocks(queries.data.astype(np.float64),
+                               references.data.astype(np.float64))
+    indices, neg_sims = nearest_k(lambda part: -scores(part), np.arange(queries.count), n_r, K)
     return Pools(indices, -neg_sims, "visual")

@@ -205,8 +205,6 @@ def _weights(params: EncoderParams, view: str):
 
 def _forward(w, X):
     W1, b1, W2, b2 = w
-    if X.shape[1] != W1.shape[0]:
-        raise ValidationError(f"input dim {X.shape[1]} does not match encoder d_in {W1.shape[0]}")
     H_pre = X @ W1 + b1
     cdf = 0.5 * (1.0 + erf(H_pre * _INV_SQRT2))  # the normal CDF; gelu(x) = x * cdf(x)
     H = H_pre * cdf
@@ -237,7 +235,10 @@ def encode(
     X = np.asarray(inputs, dtype=np.float64)
     if X.ndim != 2:
         raise ValidationError(f"inputs must be 2-D, got shape {X.shape}")
-    U, _ = _forward(_weights(params, view), X)
+    w = _weights(params, view)
+    if X.shape[1] != params.d_in:
+        raise ValidationError(f"input dim {X.shape[1]} does not match encoder d_in {params.d_in}")
+    U, _ = _forward(w, X)
     if row_ids is None:
         row_ids = tuple(str(i) for i in range(X.shape[0]))
     return EmbeddingTable(U.astype(np.float32), row_ids)

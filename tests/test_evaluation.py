@@ -9,7 +9,6 @@ from crossview import evaluation
 from crossview.datasets import Coordinate, EmbeddingTable, SampleRecord, SynthConfig, generate_synthetic
 from crossview.errors import ValidationError
 from crossview.evaluation import (
-    RANK_BLOCK,
     RECALL_KS,
     _average_precision,
     _positive_ranks,
@@ -30,6 +29,13 @@ from oracles import (
     brute_recall_at_percent,
     rank_references,
 )
+
+RANK_BLOCK = 32  # (query, positive) pairs per rank block in the block-edge tests
+
+
+@pytest.fixture
+def rank_blocks(monkeypatch):
+    monkeypatch.setattr(evaluation, "block_rows", lambda width: RANK_BLOCK)
 
 
 def sim_with_positive_at_rank(rank, n_r):
@@ -148,7 +154,7 @@ class TestAveragePrecision:
 
 
 class TestOracleEquivalence:
-    def test_matches_brute_force_on_random_instances(self):
+    def test_matches_brute_force_on_random_instances(self, rank_blocks):
         # odd cases use small-integer embeddings: their raw dot products are
         # integer-valued and duplicate rows tie exactly; the last case holds
         # more (query, positive) pairs than one rank block
@@ -202,7 +208,7 @@ class TestOracleEquivalence:
             assert report.mean_ap == float(np.mean(aps))
         assert sum(len(p) for p in positives) > RANK_BLOCK
 
-    def test_two_positives_straddle_a_rank_block_edge(self):
+    def test_two_positives_straddle_a_rank_block_edge(self, rank_blocks):
         # queries 0..RANK_BLOCK-2 hold one positive each, query RANK_BLOCK-1
         # two, so its pairs sit at positions RANK_BLOCK-1 and RANK_BLOCK, the
         # last of one scored block and the first of the next; small-integer
@@ -229,7 +235,7 @@ class TestOracleEquivalence:
         ap = _average_precision(sorted(pair_ranks[edge:].tolist()), 2)
         assert ap == brute_average_precision(rank_references(row), positives[edge])
 
-    def test_report_of_float64_rows_matches_brute_force(self):
+    def test_report_of_float64_rows_matches_brute_force(self, rank_blocks):
         # the trainer's path: float64 unit rows, links resolved by row id
         rng = np.random.default_rng(7)
         n_q, n_r = RANK_BLOCK + 40, 50
@@ -282,8 +288,10 @@ class TestOracleEquivalence:
             blocks.append(len(q))
             return sim[q]
 
-        best, best_masked, pair_ranks, starts = _positive_ranks(
-            scores, n_q, n_r, positives, semis)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "block_rows", lambda width: RANK_BLOCK)
+            best, best_masked, pair_ranks, starts = _positive_ranks(
+                scores, n_q, n_r, positives, semis)
         n_pairs = sum(map(len, positives))
         assert sum(blocks) == n_pairs and max(blocks) <= RANK_BLOCK
         assert len(blocks) == -(-n_pairs // RANK_BLOCK)
@@ -304,7 +312,7 @@ class TestOracleEquivalence:
         x = rng.standard_normal((n, dim))
         return x / np.linalg.norm(x, axis=1, keepdims=True)
 
-    def test_single_positive_ap_is_the_per_query_mean(self, monkeypatch):
+    def test_single_positive_ap_is_the_per_query_mean(self, monkeypatch, rank_blocks):
         # one positive per query and 30 distractors: mean AP comes from the
         # pair ranks directly, with the bits of the per-query loop
         rng = np.random.default_rng(17)
@@ -325,7 +333,7 @@ class TestOracleEquivalence:
         brute = [brute_average_precision(rank_references(row), p) for row, p in zip(sim, positives)]
         assert report.mean_ap == float(np.mean(brute))
 
-    def test_one_two_positive_query_takes_the_general_ap_path(self, monkeypatch):
+    def test_one_two_positive_query_takes_the_general_ap_path(self, monkeypatch, rank_blocks):
         rng = np.random.default_rng(19)
         n_q, n_r = RANK_BLOCK + 7, RANK_BLOCK + 37
         q, r = self.unit_rows(rng, n_q, 3), self.unit_rows(rng, n_r, 3)
@@ -420,6 +428,25 @@ class TestEvaluate:
         assert report.mean_ap is not None
         assert 0.0 < report.mean_ap <= 1.0
 
+    @pytest.mark.parametrize("pairs", [1, 32, 64])
+    def test_identical_references_tie_toward_the_lower_index(self, monkeypatch, pairs):
+        # reference 1000 copies reference 0 and is every query's positive. A
+        # gemm may round its last column apart from the others, but the two
+        # copies must tie, so the positive ranks after reference 0
+        monkeypatch.setattr(evaluation, "block_rows", lambda width: pairs)
+        rng = np.random.default_rng(2)
+        r = rng.standard_normal((1001, 32)).astype(np.float32)
+        r[1000] = r[0]
+        q = r[0] + 0.5 * rng.standard_normal((64, 32)).astype(np.float32)
+        refs = EmbeddingTable(r, tuple(f"r{j}" for j in range(1001)))
+        queries = EmbeddingTable(q, tuple(f"q{i}" for i in range(64)))
+        records = [SampleRecord(id=f"q{i}", pair_index=i, class_id=f"q{i}",
+                                coord=Coordinate(0, 0, "planar"), positives=("r1000",))
+                   for i in range(64)]
+        report = evaluate(queries, refs, records)
+        assert report.recall_at == {1: 0.0, 5: 1.0, 10: 1.0}
+        assert report.mean_ap == 0.5
+
     def test_never_holds_the_full_matrix(self):
         # one positive per query and 500 distractors; the scores are held one
         # rank block at a time, far below the n_q x n_r float64 matrix
@@ -445,8 +472,8 @@ class TestEvaluate:
 
     def test_smaller_blocks_bound_the_peak(self):
         # the same 2000 x 2500 task: the peak follows one block of score rows
-        # (RANK_BLOCK x n_r float64) and the query and link bookkeeping,
-        # about 3.3 blocks at RANK_BLOCK = 32
+        # (block_rows(n_r) x n_r float64) and the query and link bookkeeping;
+        # the bound is four blocks of 32 pairs
         n_q, n_r, dim = 2000, 2500, 4
         rng = np.random.default_rng(3)
         q = EmbeddingTable(rng.standard_normal((n_q, dim)).astype(np.float32),
@@ -464,7 +491,7 @@ class TestEvaluate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * RANK_BLOCK * n_r * 8
+        assert peak < 4 * 32 * n_r * 8
 
     def test_dim_mismatch_named(self):
         rng = np.random.default_rng(4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from crossview import neighbors
 from crossview.datasets import Coordinate
 from crossview.errors import ValidationError
 from crossview.geo import GeoConfig, MEAN_EARTH_RADIUS_M, geo_topk, haversine_distance, planar_distance
@@ -121,8 +122,9 @@ class TestGeoTopk:
         for pool, exp in zip(pools, expected):
             assert list(pool.neighbor_indices) == exp
 
-    def test_integer_grid_across_blocks_matches_brute_force(self):
+    def test_integer_grid_across_blocks_matches_brute_force(self, monkeypatch):
         # 306 points span two row blocks; a grid makes many exact distance ties
+        monkeypatch.setattr(neighbors, "block_rows", lambda width: 256)
         rng = np.random.default_rng(24)
         grid = [(x, y) for x in range(18) for y in range(17)]
         coords = [pla(*grid[i]) for i in rng.permutation(len(grid))]

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import crossview
 from crossview import neighbors
+from crossview.datasets import Coordinate
 from crossview.errors import ValidationError
-from crossview.geo import _check_planar_span
+from crossview.geo import _check_planar_span, geo_topk
 from crossview.neighbors import nearest_k, planar_keys, planar_nearest_k
 
 from oracles import brute_nearest_keys
@@ -26,11 +28,11 @@ def key_matrix(n_rows, n_cols, small_ints, seed):
 def run_kernel(matrix, K):
     calls = []
 
-    def keys(start, stop):
-        calls.append((start, stop))
-        return matrix[start:stop].copy()
+    def keys(part):
+        calls.append(part.tolist())
+        return matrix[part]
 
-    return nearest_k(keys, len(matrix), K), calls
+    return nearest_k(keys, np.arange(len(matrix)), matrix.shape[1], K), calls
 
 
 def assert_matches_oracle(matrix, K, expected=None):
@@ -47,6 +49,14 @@ def shapes(draw):
     return draw(st.integers(1, 600)), n_cols, draw(st.integers(1, n_cols - 1))
 
 
+def blocks_of(rows):
+    return lambda width: rows
+
+
+# byte budgets for 1-row blocks, blocks of a few dozen rows and a single block
+BUDGETS = [8, 8 * 640 * 37, 1 << 60]
+
+
 class TestNearestK:
     @settings(max_examples=30)
     @given(shape=shapes(), small_ints=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -54,10 +64,13 @@ class TestNearestK:
     @example(shape=(300, 420, 7), small_ints=True, seed=2)  # rows < cols, two blocks
     def test_matches_full_stable_sort(self, shape, small_ints, seed):
         n_rows, n_cols, K = shape
-        assert_matches_oracle(key_matrix(n_rows, n_cols, small_ints, seed), K)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "block_rows", blocks_of(256))
+            assert_matches_oracle(key_matrix(n_rows, n_cols, small_ints, seed), K)
 
     @pytest.mark.parametrize("n_rows, n_cols", [(270, 12), (260, 275)])
-    def test_every_k_with_ties_across_blocks(self, n_rows, n_cols):
+    def test_every_k_with_ties_across_blocks(self, monkeypatch, n_rows, n_cols):
+        monkeypatch.setattr(neighbors, "block_rows", blocks_of(256))
         matrix = key_matrix(n_rows, n_cols, True, n_rows)
         expected = brute_nearest_keys(matrix.tolist(), n_cols - 1)
         for K in range(1, n_cols):
@@ -69,11 +82,40 @@ class TestNearestK:
         assert calls == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_key_names_row(self, bad):
+    def test_non_finite_key_names_row(self, monkeypatch, bad):
+        monkeypatch.setattr(neighbors, "block_rows", blocks_of(256))  # row 261 in block 2
         matrix = key_matrix(300, 20, False, 0)
         matrix[261, 4] = bad
         with pytest.raises(ValidationError, match=r"row 261: key .* at column 4 is not finite"):
             run_kernel(matrix, 3)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_non_finite_key_names_row_under_any_budget(self, monkeypatch, budget):
+        monkeypatch.setattr(neighbors, "BLOCK_BYTES", budget)
+        matrix = key_matrix(300, 20, False, 0)
+        matrix[261, 4] = np.inf
+        with pytest.raises(ValidationError, match=r"row 261: key inf at column 4 is not finite"):
+            run_kernel(matrix, 3)
+
+    def test_rows_name_their_own_column(self, monkeypatch):
+        # a subset of rows, out of order: row part[i] skips column part[i]
+        monkeypatch.setattr(neighbors, "BLOCK_BYTES", 8 * 30 * 4)
+        matrix = key_matrix(50, 30, True, 3)
+        rows = np.array([41, 7, 29, 3, 30, 12, 0, 45, 18])
+        calls = []
+        got = nearest_k(lambda part: calls.append(part.tolist()) or matrix[part], rows, 30, 5)
+        assert calls == [[41, 7, 29, 3], [30, 12, 0, 45], [18]]
+        for i, row in enumerate(rows.tolist()):
+            keys = matrix[row].copy()
+            if row < 30:
+                keys[row] = np.inf
+            order = np.lexsort((np.arange(30), keys))[:5]
+            assert got[0][i].tolist() == order.tolist()
+            assert got[1][i].tobytes() == keys[order].tobytes()
+        bad = matrix.copy()
+        bad[45, 2] = np.nan
+        with pytest.raises(ValidationError, match=r"row 45: key nan at column 2"):
+            nearest_k(lambda part: bad[part], rows, 30, 5)
 
 
 def test_planar_block_bit_identical_to_3d_form():
@@ -96,11 +138,11 @@ def planar_oracle(anchors, candidates, K):
 
 
 def dense_planar(anchors, candidates, K):
-    def keys(start, stop):
-        a = anchors[start:stop]
+    def keys(part):
+        a = anchors[part]
         return planar_keys(a[:, 0:1], a[:, 1:2], candidates[:, 0], candidates[:, 1])
 
-    return nearest_k(keys, len(anchors), K)
+    return nearest_k(keys, np.arange(len(anchors)), len(candidates), K)
 
 
 def planar_layout(n_rows, n_cols, lattice, seed):
@@ -123,7 +165,9 @@ class TestPlanarNearestK:
     def test_matches_full_stable_sort(self, shape, lattice, seed):
         n_rows, n_cols, K = shape
         anchors, candidates = planar_layout(n_rows, n_cols, lattice, seed)
-        indices, nearest = planar_nearest_k(anchors, candidates, K)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "block_rows", blocks_of(256))
+            indices, nearest = planar_nearest_k(anchors, candidates, K)
         idx, keys = planar_oracle(anchors, candidates, K)
         assert indices.tolist() == idx
         assert nearest.tobytes() == np.array(keys, dtype=np.float64).reshape(-1, K).tobytes()
@@ -177,3 +221,52 @@ def test_planar_search_leaves_scipy_spatial_unimported():
             "assert 'scipy.spatial' not in sys.modules\n")
     env = {**os.environ, "PYTHONPATH": str(Path(crossview.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def wgs84_layout(rng):
+    # near a pole, across the antimeridian, repeated points: exact ties
+    lat = np.concatenate([rng.uniform(-89.9, 89.9, 200), rng.uniform(88, 90, 60)])
+    lon = np.concatenate([rng.uniform(-180, 180, 200), rng.uniform(179, 180, 60)])
+    lat[200:220], lon[200:220] = lat[220:240], lon[220:240]
+    return [Coordinate(a, b, "wgs84") for a, b in zip(lat, lon)]
+
+
+@pytest.mark.parametrize("name", ["half in a 10 m cluster", "large offset", "all equal"])
+def test_element_wise_keys_ignore_the_block_budget(monkeypatch, name):
+    # planar and haversine keys are element-wise, so the grid (redo rows
+    # included) and the wgs84 scan give the same bytes under any budget
+    rng = np.random.default_rng(9)
+    points, coords = _layout(name, rng), wgs84_layout(rng)
+    runs, redone = [], []
+    nearest_k = neighbors.nearest_k
+    monkeypatch.setattr(neighbors, "nearest_k", lambda keys, rows, n_cols, K: (
+        redone.append(len(rows)) or nearest_k(keys, rows, n_cols, K)))
+    for budget in BUDGETS:
+        monkeypatch.setattr(neighbors, "BLOCK_BYTES", budget)
+        run = []
+        for K in (1, 3, 32):
+            run += [a.tobytes() for a in planar_nearest_k(points, points, K)]
+            pools = geo_topk(coords, coords, K)
+            run += [pools.indices.tobytes(), pools.scores.tobytes()]
+        runs.append(run)
+    assert runs[0] == runs[1] == runs[2]
+    if name == "half in a 10 m cluster":
+        assert sum(redone) > 0  # the grid redid some rows
+
+
+def test_planar_peak_follows_the_block_budget():
+    # half the points sit in one 10 m cluster, so each of their 3x3 squares
+    # gathers about n/2 candidates. A block holds at most BLOCK_BYTES of
+    # keys; about five block-sized arrays (gathered coordinates, their
+    # differences, positions) live at once, beside the per-point bookkeeping.
+    rng = np.random.default_rng(9)
+    n = 3000
+    points = np.concatenate([rng.uniform(0, 1e4, (n // 2, 2)),
+                             5e3 + rng.uniform(0, 10, (n // 2, 2))])
+    tracemalloc.start()
+    try:
+        planar_nearest_k(points, points, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * neighbors.BLOCK_BYTES

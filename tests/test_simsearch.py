@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from crossview import neighbors
 from crossview.datasets import EmbeddingTable
 from crossview.errors import ValidationError
 from crossview.simsearch import NeighborPool, Pools, cosine_matrix, l2_normalize, visual_topk
@@ -143,8 +144,25 @@ class TestVisualTopk:
         with pytest.raises(ValidationError):
             visual_topk(t, t, K=0)
 
-    def test_blocked_equals_single_pass(self):
-        # more queries than the internal block size
+    def test_identical_reference_rows_tie_in_every_block(self):
+        # reference 1000 copies reference 0, and every query lies near both:
+        # a gemm may round the last column apart from the others, but the
+        # copies must tie, so 0 comes first in every pool holding both
+        rng = np.random.default_rng(0)
+        r = rng.standard_normal((1001, 32)).astype(np.float32)
+        r[1000] = r[0]
+        q = r[0] + 0.1 * rng.standard_normal((1001, 32))
+        pools = visual_topk(table(q), table(r), K=8)
+        both = [(row.neighbor_indices, row.scores) for row in pools
+                if {0, 1000} <= set(row.neighbor_indices)]
+        assert len(both) == 999
+        for indices, scores in both:
+            first, copy = indices.index(0), indices.index(1000)
+            assert first < copy and scores[first] == scores[copy]
+
+    def test_blocked_equals_single_pass(self, monkeypatch):
+        # more queries than one block of 256 rows
+        monkeypatch.setattr(neighbors, "block_rows", lambda width: 256)
         rng = np.random.default_rng(4)
         q = unit_rows(rng, 300, 6)
         r = unit_rows(rng, 40, 6)

@@ -139,6 +139,12 @@ class TestEncode:
         assert not np.allclose(encode(params, x, "query").data,
                                encode(params, x, "reference").data)
 
+    @pytest.mark.parametrize("view", ["query", "reference"])
+    def test_input_width_named(self, view):
+        params = init_params(np.random.default_rng(4), 6, 10, 5, shared_weights=False)
+        with pytest.raises(ValidationError, match="input dim 7 does not match encoder d_in 6"):
+            encode(params, np.ones((3, 7)), view)
+
     def test_rows_unit_norm(self):
         rng = np.random.default_rng(3)
         params = init_params(rng, 6, 10, 5)
