@@ -80,8 +80,8 @@ class EmbeddingTable:
     row_ids: tuple[str, ...]
 
     def __post_init__(self):
-        if self.data.ndim != 2:
-            raise ValidationError(f"embedding data must be 2-D, got shape {self.data.shape}")
+        if self.data.ndim != 2 or not self.data.shape[1]:
+            raise ValidationError(f"embedding data must be 2-D, width >= 1, got {self.data.shape}")
         if self.data.dtype != np.float32:
             object.__setattr__(self, "data", self.data.astype(np.float32))
         if not self.data.flags["C_CONTIGUOUS"]:
@@ -300,6 +300,8 @@ def read_embeddings(path: str | Path) -> EmbeddingTable:
     if len(raw) < 4 + _HEADER.size:
         raise ValidationError(f"{path}: truncated header")
     count, dim = _HEADER.unpack_from(raw, 4)
+    if not dim:
+        raise ValidationError(f"{path}: header width dim=0, embeddings need dim >= 1")
     expected = count * dim * 4
     actual = len(raw) - 4 - _HEADER.size
     if actual != expected:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -33,38 +34,67 @@ class RetrievalReport:
     n_references: int
 
     def to_json(self) -> str:
-        obj = {
-            "recall_at": {str(k): v for k, v in sorted(self.recall_at.items())},
-            "recall_at_1pct": self.recall_at_1pct,
-            "hit_rate": self.hit_rate,
-            "mean_ap": self.mean_ap,
-            "n_queries": self.n_queries,
-            "n_references": self.n_references,
-        }
-        return json.dumps(obj, sort_keys=True)
+        recall_at = {str(k): v for k, v in self.recall_at.items()}
+        return json.dumps({**asdict(self), "recall_at": recall_at}, sort_keys=True)
 
 
-def _positive_ranks(
-    scores: Callable[[np.ndarray], np.ndarray], n_q: int, n_r: int,
-    positives: list[set[int]], semi_positives: list[set[int]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rank of each query's positives under descending similarity.
+def _positive_ranks(scores: Callable[[np.ndarray], np.ndarray], n_q: int, n_r: int,
+                    positives: np.ndarray, semi_positives: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rank of each query's positives under descending similarity, for link
+    arrays as ``_link_rows`` makes them, with a positive for every query.
 
     ``scores(q)`` returns the float64 similarity rows (len(q), n_r) of the
     queries q of one block of at most ``block_rows(n_r)`` (query, positive)
     pairs, so no n_q x n_r matrix need exist. A rank is 1 + the references
-    scored strictly higher + those tied with the positive at a lower index.
-    Each row is counted in two passes (scores above, scores equal to the
-    positive's); only a row with another exact tie is searched for the ties
-    at a lower index. The masked rank subtracts the query's
-    semi-positives that the same rule puts ahead of the positive.
+    scored strictly higher + those tied with the positive at a lower index,
+    counted in two passes per row; only a row with another exact tie is
+    searched for the ties at a lower index. The masked rank subtracts the
+    query's semi-positives that the same rule puts ahead of the positive.
     Returns each query's best rank and best masked rank, every pair's rank
     and the first pair of each query.
     """
+    if not n_q:
+        raise ValidationError("0 positive sets for 0 queries")
+    # each (query, positive) pair takes its query's run of semi_positives
+    n_semi = np.bincount(semi_positives[:, 0], minlength=n_q)[positives[:, 0]]
+    semi_pair = np.repeat(np.arange(len(positives)), n_semi)
+    run = np.searchsorted(semi_positives[:, 0], positives[:, 0]) - np.cumsum(n_semi) + n_semi
+    semi_ref = semi_positives[np.arange(len(semi_pair)) + run[semi_pair], 1]
+    ranks = np.empty((len(positives), 2), dtype=np.int64)  # plain, masked
+    step = block_rows(n_r)
+    for a in range(0, len(positives), step):
+        q, c = positives[a:a + step].T
+        rows = scores(q)
+        s = rows[np.arange(len(q)), c][:, None]
+        # int32 sums take half the time of count_nonzero's intp ones; n_r < 2**31
+        rank = (rows > s).sum(axis=1, dtype=np.int32) + 1
+        for i in np.flatnonzero((rows == s).sum(axis=1, dtype=np.int32) > 1):
+            rank[i] += np.count_nonzero(rows[i, :c[i]] == s[i])
+        lo, hi = np.searchsorted(semi_pair, [a, a + len(q)])
+        p, j = semi_pair[lo:hi] - a, semi_ref[lo:hi]
+        v, sp = rows[p, j], s[p, 0]
+        ahead = (v > sp) | ((v == sp) & (j < c[p]))
+        del rows  # freed before the next block is scored
+        ranks[a:a + len(q), 0] = rank
+        ranks[a:a + len(q), 1] = rank - np.bincount(p[ahead], minlength=len(q))
+    starts = np.flatnonzero(np.diff(positives[:, 0], prepend=-1))
+    best = np.minimum.reduceat(ranks, starts)
+    return best[:, 0], best[:, 1], ranks[:, 0], starts
+
+
+def _link_rows(counts: list[int], rows: list[int], n_r: int) -> np.ndarray:
+    """Sorted (query, reference row) rows, each once: query i takes the next counts[i] rows."""
+    key = np.sort(np.repeat(np.arange(len(counts)), counts) * (n_r + 1) + np.array(rows, np.int64))
+    key = key[np.diff(key, prepend=-1) != 0]  # np.unique takes ~17x as long here
+    return np.stack(np.divmod(key, n_r + 1), axis=1)
+
+
+def link_arrays(positives: list[set[int]], semi_positives: list[set[int]], n_q: int,
+                n_r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-query index sets, checked, as link arrays; errors name the first bad query."""
     for name, sets in (("positive", positives), ("semi-positive", semi_positives)):
         if not n_q or len(sets) != n_q:
             raise ValidationError(f"{len(sets)} {name} sets for {n_q} queries")
-    pairs, semis = [], []  # (query, positive), (pair, semi-positive)
     for i, (pos, semi) in enumerate(zip(positives, semi_positives)):
         if not pos:
             raise ValidationError(f"query {i} has an empty positive set")
@@ -73,37 +103,16 @@ def _positive_ranks(
                 raise ValidationError(f"query {i} has a {name} index outside the gallery")
         if clash := pos & semi:
             raise ValidationError(f"query {i}: positives {sorted(clash)} are also semi-positives")
-        semis += [(len(pairs) + m, j) for m in range(len(pos)) for j in semi]
-        pairs += [(i, j) for j in sorted(pos)]
-    pairs, semis = np.array(pairs), np.array(semis, dtype=np.intp).reshape(-1, 2)
-    ranks = np.empty((len(pairs), 2), dtype=np.int64)  # plain, masked
-    step = block_rows(n_r)
-    for a in range(0, len(pairs), step):
-        q, c = pairs[a:a + step].T
-        rows = scores(q)
-        s = rows[np.arange(len(q)), c][:, None]
-        # int32 sums take half the time of count_nonzero's intp ones; n_r < 2**31
-        rank = (rows > s).sum(axis=1, dtype=np.int32) + 1
-        for i in np.flatnonzero((rows == s).sum(axis=1, dtype=np.int32) > 1):
-            rank[i] += np.count_nonzero(rows[i, :c[i]] == s[i])
-        lo, hi = np.searchsorted(semis[:, 0], [a, a + len(q)])
-        p, j = semis[lo:hi, 0] - a, semis[lo:hi, 1]
-        v, sp = rows[p, j], s[p, 0]
-        ahead = (v > sp) | ((v == sp) & (j < c[p]))
-        del rows  # freed before the next block is scored
-        ranks[a:a + len(q), 0] = rank
-        ranks[a:a + len(q), 1] = rank - np.bincount(p[ahead], minlength=len(q))
-    starts = np.flatnonzero(np.diff(pairs[:, 0], prepend=-1))
-    best = np.minimum.reduceat(ranks, starts)
-    return best[:, 0], best[:, 1], ranks[:, 0], starts
+    return tuple(_link_rows(list(map(len, sets)), list(chain.from_iterable(sets)), n_r)
+                 for sets in (positives, semi_positives))
 
 
-def _matrix_ranks(
-    sim: np.ndarray, positives: list[set[int]], semi_positives: list[set[int]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _matrix_ranks(sim: np.ndarray, positives: list[set[int]],
+                  semi_positives: list[set[int]]) -> tuple[np.ndarray, ...]:
     """_positive_ranks over the rows of a given (n_q, n_r) similarity matrix."""
     sim = np.asarray(sim, dtype=np.float64)
-    return _positive_ranks(lambda q: sim[q], *sim.shape, positives, semi_positives)
+    return _positive_ranks(lambda q: sim[q], *sim.shape,
+                           *link_arrays(positives, semi_positives, *sim.shape))
 
 
 def _recall(best_ranks: np.ndarray, k: int) -> float:
@@ -156,51 +165,42 @@ def average_precision(ranking: list[int], positives: set[int]) -> float:
     return _average_precision(ranks, len(positives))
 
 
-def resolve_links(
-    manifest: list[SampleRecord], ref_ids: tuple[str, ...]
-) -> tuple[list[set[int]], list[set[int]]]:
-    """Each record's positives and semi-positives as row indices of ref_ids."""
+def resolve_links(manifest: list[SampleRecord],
+                  ref_ids: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The records' positives and semi-positives as ``_link_rows`` of ref_ids."""
     ref_row = {rid: j for j, rid in enumerate(ref_ids)}
-
-    def resolve(ids: tuple[str, ...], record_id: str) -> set[int]:
-        out = set()
-        for rid in ids:
-            if rid not in ref_row:
-                raise ValidationError(
-                    f"record {record_id!r} references {rid!r}, absent from the gallery"
-                )
-            out.add(ref_row[rid])
-        return out
-
-    return ([resolve(r.positives, r.id) for r in manifest],
-            [resolve(r.semi_positives, r.id) for r in manifest])
+    links = []
+    for ids in ([r.positives for r in manifest], [r.semi_positives for r in manifest]):
+        rows = [ref_row.get(rid, -1) for rid in chain.from_iterable(ids)]
+        if -1 in rows:  # name the first absent id
+            r, rid = next((r, x) for r, i in zip(manifest, ids) for x in i if x not in ref_row)
+            raise ValidationError(f"record {r.id!r} references {rid!r}, absent from the gallery")
+        links.append(_link_rows(list(map(len, ids)), rows, len(ref_ids)))
+    return links[0], links[1]
 
 
-def retrieval_report(
-    q64: np.ndarray, r64: np.ndarray, positives: list[set[int]], semi_positives: list[set[int]]
-) -> RetrievalReport:
-    """Every metric of float64 unit query rows against float64 unit
-    reference rows, from one rank pass over blocks of score rows, in which
-    identical reference rows score alike (``similarity_blocks``).
+def retrieval_report(q64: np.ndarray, r64: np.ndarray, positives: np.ndarray,
+                     semi_positives: np.ndarray) -> RetrievalReport:
+    """Every metric of float64 unit query and reference rows and link arrays
+    (``resolve_links``, ``link_arrays``), from one rank pass over blocks of
+    score rows, in which identical reference rows score alike (``similarity_blocks``).
 
     hit_rate is set only when some query has semi-positives, mean AP only
     when some query has multiple positives or the gallery holds
     distractor references.
     """
     n_q, n_r = len(q64), len(r64)
-    best, best_masked, pair_ranks, starts = _positive_ranks(
-        similarity_blocks(q64, r64), n_q, n_r, positives, semi_positives
-    )
+    best, best_masked, pair_ranks, starts = _positive_ranks(similarity_blocks(q64, r64), n_q, n_r,
+                                                            positives, semi_positives)
     recall = {k: _recall(best, min(k, n_r)) for k in RECALL_KS}
-    hit = _recall(best_masked, 1) if any(s for s in semi_positives) else None
+    hit = _recall(best_masked, 1) if len(semi_positives) else None
     mean_ap = None
-    if any(len(p) > 1 for p in positives) or len(set().union(*positives)) < n_r:
+    if len(positives) > n_q or not np.bincount(positives[:, 1], minlength=n_r).all():
         if len(pair_ranks) == n_q:  # one positive each: its AP is 1 / rank, the same bits
             mean_ap = float(np.mean(1.0 / pair_ranks))
-        else:
-            per_query = np.split(pair_ranks, starts[1:])
-            aps = [_average_precision(sorted(r.tolist()), len(p))
-                   for r, p in zip(per_query, positives)]
+        else:  # a query's pair ranks, one per positive
+            aps = [_average_precision(sorted(r.tolist()), len(r))
+                   for r in np.split(pair_ranks, starts[1:])]
             mean_ap = float(np.mean(aps))
     return RetrievalReport(recall_at=recall, recall_at_1pct=_recall(best, _percent_k(1.0, n_r)),
                            hit_rate=hit, mean_ap=mean_ap, n_queries=n_q, n_references=n_r)

@@ -117,11 +117,9 @@ def similarity_blocks(q64: np.ndarray, r64: np.ndarray):
     onto the later copies, so they tie and the tie goes to the lower index.
     """
     r64 = np.ascontiguousarray(r64)
-    first = np.zeros(len(r64), dtype=np.intp)  # zero-width rows: all copies of row 0
-    if r64.shape[1]:  # each row's bytes as one void item
-        rows = r64.view(np.dtype((np.void, r64.dtype.itemsize * r64.shape[1])))[:, 0]
-        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-        first = first[inverse]
+    row_bytes = r64.view(np.dtype((np.void, r64.dtype.itemsize * r64.shape[1])))[:, 0]
+    _, first, inverse = np.unique(row_bytes, return_index=True, return_inverse=True)
+    first = first[inverse]
     later = np.flatnonzero(first != np.arange(len(r64)))
 
     def scores(part: np.ndarray) -> np.ndarray:

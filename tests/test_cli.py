@@ -262,6 +262,18 @@ class TestEval:
         assert report["n_queries"] == 50
 
 
+    def test_zero_width_table_named(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path)
+        (data / "query.emb").write_bytes(b"EMB1" + struct.pack("<II", 50, 0))
+        rc = main([
+            "eval",
+            "--query", str(data / "query.emb"),
+            "--ref", str(data / "reference.emb"),
+            "--manifest", str(data / "manifest.jsonl"),
+        ])
+        assert rc == 1
+        assert "dim=0" in capsys.readouterr().err
+
     def test_nan_query_row_named(self, tmp_path, capsys):
         data = gen_dataset(tmp_path)
         path = data / "query.emb"

@@ -127,6 +127,11 @@ class TestEmbeddingTable:
         with np.errstate(over="ignore"), pytest.raises(ValidationError, match="index 0"):
             EmbeddingTable(np.array([[1e39]]), ("a",))
 
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_zero_width_rejected(self, rows):
+        with pytest.raises(ValidationError, match=rf"width >= 1, got \({rows}, 0\)"):
+            make_table(np.zeros((rows, 0), dtype=np.float32))
+
 
 class TestEmb1:
     def test_minimal_table_layout(self, tmp_path):
@@ -156,6 +161,14 @@ class TestEmb1:
         path = tmp_path / "t.emb"
         path.write_bytes(b"NOPE" + b"\x00" * 12)
         with pytest.raises(ValidationError, match="bad magic"):
+            read_embeddings(path)
+
+    def test_zero_width_header_rejected(self, tmp_path):
+        # 7 rows of width 0 fit an empty payload; without an ids sidecar the
+        # reader would number the rows before any table check ran
+        path = tmp_path / "t.emb"
+        path.write_bytes(b"EMB1" + struct.pack("<II", 7, 0))
+        with pytest.raises(ValidationError, match="dim=0"):
             read_embeddings(path)
 
     def test_truncated_payload_reports_counts(self, tmp_path):

@@ -15,6 +15,7 @@ from crossview.evaluation import (
     average_precision,
     evaluate,
     hit_rate,
+    link_arrays,
     recall_at_k,
     recall_at_percent,
     resolve_links,
@@ -134,6 +135,12 @@ class TestHitRate:
         with pytest.raises(ValidationError, match="semi-positive index outside the gallery"):
             hit_rate(np.array([[0.1, 0.9]]), [{0}], [{semi}])
 
+    def test_first_bad_query_named(self):
+        # query 0 has an out-of-gallery semi-positive, query 1 no positive
+        with pytest.raises(ValidationError,
+                           match="^query 0 has a semi-positive index outside the gallery$"):
+            hit_rate(np.eye(2, 3), [{0}, set()], [{7}, set()])
+
 
 class TestAveragePrecision:
     def test_single_positive_at_rank_one(self):
@@ -225,7 +232,7 @@ class TestOracleEquivalence:
             return sim[q]
 
         best, _, pair_ranks, starts = _positive_ranks(
-            scores, n_q, n_r, positives, [set()] * n_q
+            scores, n_q, n_r, *link_arrays(positives, [set()] * n_q, n_q, n_r)
         )
         assert [len(b) for b in blocks] == [RANK_BLOCK, 1]
         assert blocks[0][-1] == blocks[1][0] == edge and starts[edge] == edge
@@ -243,15 +250,20 @@ class TestOracleEquivalence:
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         r /= np.linalg.norm(r, axis=1, keepdims=True)
         ref_ids = tuple(f"r{j}" for j in range(n_r))
-        records = []
+        records, positives, semis = [], [], []
         for i in range(n_q):
-            pool = [ref_ids[j] for j in rng.permutation(n_r)[:4]]
+            rows = [int(j) for j in rng.permutation(n_r)[:4]]
+            pool = [ref_ids[j] for j in rows]
             records.append(SampleRecord(id=f"q{i}", pair_index=i, class_id=f"q{i}",
                                         coord=Coordinate(0, 0, "planar"),
                                         positives=tuple(pool[:1 + i % 2]),
                                         semi_positives=tuple(pool[2:])))
-        positives, semis = resolve_links(records, ref_ids)
-        report = retrieval_report(q, r, positives, semis)
+            positives.append(set(rows[:1 + i % 2]))
+            semis.append(set(rows[2:]))
+        links = resolve_links(records, ref_ids)
+        for resolved, expected in zip(links, link_arrays(positives, semis, n_q, n_r)):
+            np.testing.assert_array_equal(resolved, expected)
+        report = retrieval_report(q, r, *links)
         sim = (q @ r.T).tolist()
         for k in RECALL_KS:
             assert report.recall_at[k] == brute_recall_at_k(sim, positives, k)
@@ -291,7 +303,7 @@ class TestOracleEquivalence:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluation, "block_rows", lambda width: RANK_BLOCK)
             best, best_masked, pair_ranks, starts = _positive_ranks(
-                scores, n_q, n_r, positives, semis)
+                scores, n_q, n_r, *link_arrays(positives, semis, n_q, n_r))
         n_pairs = sum(map(len, positives))
         assert sum(blocks) == n_pairs and max(blocks) <= RANK_BLOCK
         assert len(blocks) == -(-n_pairs // RANK_BLOCK)
@@ -323,10 +335,10 @@ class TestOracleEquivalence:
         calls = []
         monkeypatch.setattr(evaluation, "_average_precision",
                             lambda *a: calls.append(a) or _average_precision(*a))
-        report = retrieval_report(q, r, positives, semis)
+        links = link_arrays(positives, semis, n_q, n_r)
+        report = retrieval_report(q, r, *links)
         assert calls == []
-        _, _, pair_ranks, _ = _positive_ranks(lambda rows: q[rows] @ r.T, n_q, n_r,
-                                              positives, semis)
+        _, _, pair_ranks, _ = _positive_ranks(lambda rows: q[rows] @ r.T, n_q, n_r, *links)
         per_query = [_average_precision([rank], 1) for rank in pair_ranks.tolist()]
         assert report.mean_ap == float(np.mean(per_query))
         sim = (q @ r.T).tolist()
@@ -343,7 +355,7 @@ class TestOracleEquivalence:
         calls = []
         monkeypatch.setattr(evaluation, "_average_precision",
                             lambda *a: calls.append(a) or _average_precision(*a))
-        report = retrieval_report(q, r, positives, [set()] * n_q)
+        report = retrieval_report(q, r, *link_arrays(positives, [set()] * n_q, n_q, n_r))
         assert len(calls) == n_q
         sim = (q @ r.T).tolist()
         brute = [brute_average_precision(rank_references(row), p) for row, p in zip(sim, positives)]
@@ -506,6 +518,43 @@ class TestEvaluate:
         table, records = self.identity_setup()
         with pytest.raises(ValidationError, match="align"):
             evaluate(table, table, list(reversed(records)))
+
+    def test_repeated_links_count_once(self):
+        # record i lists its positives and semi-positives twice over: the
+        # report (recall, hit rate, multi-positive AP) is the one of listing
+        # each once
+        rng = np.random.default_rng(12)
+        n_q, n_r = 20, 30
+        q = EmbeddingTable(rng.standard_normal((n_q, 4)).astype(np.float32),
+                           tuple(f"q{i}" for i in range(n_q)))
+        r = EmbeddingTable(rng.standard_normal((n_r, 4)).astype(np.float32),
+                           tuple(f"r{j}" for j in range(n_r)))
+        once, twice = [], []
+        for i in range(n_q):
+            refs = [f"r{j}" for j in rng.permutation(n_r)[:5]]
+            pos, semi = tuple(refs[:1 + i % 2]), tuple(refs[2:])
+            for records, reps in ((once, 1), (twice, 2)):
+                records.append(SampleRecord(id=f"q{i}", pair_index=i, class_id=f"q{i}",
+                                            coord=Coordinate(0, 0, "planar"),
+                                            positives=pos * reps,
+                                            semi_positives=semi[:1] * reps + semi[1:]))
+        for a, b in zip(resolve_links(once, r.row_ids), resolve_links(twice, r.row_ids)):
+            np.testing.assert_array_equal(a, b)
+        report = evaluate(q, r, once)
+        assert report.hit_rate is not None and report.mean_ap is not None
+        assert evaluate(q, r, twice).to_json() == report.to_json()
+
+    def test_absent_positive_named_before_an_earlier_absent_semi_positive(self):
+        ids = ("r0", "r1")
+        records = [
+            SampleRecord(id="q0", pair_index=0, class_id="q0", coord=Coordinate(0, 0, "planar"),
+                         positives=("r0",), semi_positives=("gone-semi",)),
+            SampleRecord(id="q1", pair_index=1, class_id="q1", coord=Coordinate(0, 0, "planar"),
+                         positives=("r1", "gone-pos")),
+        ]
+        with pytest.raises(ValidationError,
+                           match="^record 'q1' references 'gone-pos', absent from the gallery$"):
+            resolve_links(records, ids)
 
     def test_positive_missing_from_gallery_rejected(self):
         table, records = self.identity_setup(n=4)
