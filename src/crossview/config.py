@@ -13,13 +13,12 @@ Unknown keys are errors; an empty file yields every default. Overrides
 
 from __future__ import annotations
 
-import math
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, Field, fields
 from pathlib import Path
 from typing import NamedTuple
 
 from .datasets import SynthConfig
-from .errors import ValidationError
+from .errors import ValidationError, check_setting
 from .geo import GeoConfig
 from .losses import LossConfig
 from .sampler import SamplerConfig
@@ -42,21 +41,14 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
-    return value
+_SECTIONS = {cls.SECTION: cls for cls in (SynthConfig, SamplerConfig, TrainConfig, LossConfig,
+                                           GeoConfig)}
+_PARSERS = {bool: _parse_bool, int: int, float: float, str: str}
 
-
-_SECTIONS = {"synth": SynthConfig, "sampler": SamplerConfig, "train": TrainConfig,
-             "loss": LossConfig, "geo": GeoConfig}
-_PARSERS = {bool: _parse_bool, int: int, float: _parse_float, str: str}
-
-# key -> (section, field name, parser): every config field with a plain
-# default is a key; TrainConfig.loss and .sampler are the loss/sampler sections
-_SCHEMA: dict[str, tuple[str, str, type | callable]] = {
-    f"{section}.{f.name}": (section, f.name, _PARSERS[type(f.default)])
+# key -> (section, field, parser): every config field with a plain default
+# is a key; TrainConfig.loss and .sampler are the loss/sampler sections
+_SCHEMA: dict[str, tuple[str, Field, type | callable]] = {
+    f"{section}.{f.name}": (section, f, _PARSERS[type(f.default)])
     for section, cls in _SECTIONS.items()
     for f in fields(cls)
     if f.default is not MISSING
@@ -71,11 +63,13 @@ def _parse_line(line: str, where: str, sections: dict[str, dict]) -> None:
     value = value.strip()
     if key not in _SCHEMA:
         raise ValidationError(f"{where}: unknown key {key!r}")
-    section, name, parser = _SCHEMA[key]
+    section, f, parser = _SCHEMA[key]
     try:
-        sections[section][name] = parser(value)
+        parsed = parser(value)
+        check_setting(key, f, parsed)
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"{where}: bad value for {key!r}: {exc}") from exc
+    sections[section][f.name] = parsed
 
 
 def parse_config(path: str | Path | None, overrides: list[str] = ()) -> ConfigBundle:
@@ -107,9 +101,8 @@ def _format(value) -> str:
 
 def serialize_config(bundle: ConfigBundle) -> str:
     """Emit every key as key=value lines; parse(serialize(x)) == x."""
-    sources = {"synth": bundle.synth, "sampler": bundle.sampler, "train": bundle.train,
-               "loss": bundle.train.loss, "geo": bundle.geo}
+    sources = {c.SECTION: c for c in (*bundle, bundle.train.loss)}
     return "".join(
-        f"{key}={_format(getattr(sources[section], name))}\n"
-        for key, (section, name, _) in sorted(_SCHEMA.items())
+        f"{key}={_format(getattr(sources[section], f.name))}\n"
+        for key, (section, f, _) in sorted(_SCHEMA.items())
     )

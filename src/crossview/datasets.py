@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_settings, setting
 from .neighbors import planar_nearest_k
 
 EMB1_MAGIC = b"EMB1"
@@ -129,36 +129,23 @@ class SynthConfig:
     relies on.
     """
 
-    n_pairs: int = 2000
-    latent_dim: int = 32
-    view_dim: int = 64
-    noise_sigma: float = 0.25
-    map_extent_m: float = 10_000.0
-    n_semi_positives: int = 3
-    region_grid: int = 16
-    region_within: float = 0.5
-    seed: int = 0
+    SECTION = "synth"
+
+    n_pairs: int = setting(2000, ge=2)
+    latent_dim: int = setting(32, ge=1)
+    view_dim: int = setting(64, ge=1)
+    noise_sigma: float = setting(0.25, ge=0)
+    map_extent_m: float = setting(10_000.0, gt=0)
+    n_semi_positives: int = setting(3, ge=0)
+    region_grid: int = setting(16, ge=1)
+    region_within: float = setting(0.5, gt=0, le=1)
+    seed: int = setting(0, ge=0)
 
     def __post_init__(self):
-        if self.n_pairs < 2:
-            raise ValidationError("n_pairs must be >= 2")
-        if self.latent_dim < 1 or self.view_dim < 1:
-            raise ValidationError("latent_dim and view_dim must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be >= 0")
-        if self.map_extent_m <= 0:
-            raise ValidationError("map_extent_m must be > 0")
+        check_settings(self)
         if not math.isfinite(2.0 * self.map_extent_m * self.map_extent_m):  # as planar_keys
             raise ValidationError(f"synth.map_extent_m={self.map_extent_m!r}: the largest "
                                   "squared planar distance 2*extent^2 overflows float64")
-        if self.n_semi_positives < 0:
-            raise ValidationError("n_semi_positives must be >= 0")
-        if self.region_grid < 1:
-            raise ValidationError("region_grid must be >= 1")
-        if not 0.0 < self.region_within <= 1.0:
-            raise ValidationError("region_within must be in (0, 1]")
-        if self.seed < 0:
-            raise ValidationError(f"synth.seed={self.seed} must be >= 0")
 
 
 def _record_from_json(obj: dict, pair_index: int) -> SampleRecord:

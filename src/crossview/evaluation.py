@@ -41,7 +41,8 @@ class RetrievalReport:
 def _positive_ranks(scores: Callable[[np.ndarray], np.ndarray], n_q: int, n_r: int,
                     positives: np.ndarray, semi_positives: np.ndarray) -> tuple[np.ndarray, ...]:
     """Rank of each query's positives under descending similarity, for link
-    arrays as ``_link_rows`` makes them, with a positive for every query.
+    arrays as ``_link_rows`` makes them, with a positive for every one of
+    n_q >= 1 queries.
 
     ``scores(q)`` returns the float64 similarity rows (len(q), n_r) of the
     queries q of one block of at most ``block_rows(n_r)`` (query, positive)
@@ -53,8 +54,6 @@ def _positive_ranks(scores: Callable[[np.ndarray], np.ndarray], n_q: int, n_r: i
     Returns each query's best rank and best masked rank, every pair's rank
     and the first pair of each query.
     """
-    if not n_q:
-        raise ValidationError("0 positive sets for 0 queries")
     # each (query, positive) pair takes its query's run of semi_positives
     n_semi = np.bincount(semi_positives[:, 0], minlength=n_q)[positives[:, 0]]
     semi_pair = np.repeat(np.arange(len(positives)), n_semi)
@@ -215,6 +214,8 @@ def evaluate(
     resolved through the reference table's row ids. Both tables are
     L2-normalised, then scored by retrieval_report.
     """
+    if not manifest:
+        raise ValidationError("the manifest holds no queries")
     require_aligned("query", queries.row_ids, manifest)
     positives, semis = resolve_links(manifest, references.row_ids)
     q, r = l2_normalize(queries), l2_normalize(references)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Coordinate
-from .errors import ValidationError
+from .errors import ValidationError, check_settings, setting
 from .neighbors import nearest_k, planar_nearest_k
 from .simsearch import Pools
 
@@ -22,11 +22,12 @@ MEAN_EARTH_RADIUS_M = 6_371_008.8
 
 @dataclass(frozen=True)
 class GeoConfig:
-    earth_radius_m: float = MEAN_EARTH_RADIUS_M
+    SECTION = "geo"
+
+    earth_radius_m: float = setting(MEAN_EARTH_RADIUS_M, gt=0)
 
     def __post_init__(self):
-        if self.earth_radius_m <= 0:
-            raise ValidationError("earth_radius_m must be > 0")
+        check_settings(self)
         if not math.isfinite(2.0 * self.earth_radius_m * math.asin(1.0)):  # as _haversine_block
             raise ValidationError(f"geo.earth_radius_m={self.earth_radius_m!r}: the largest "
                                   "haversine distance 2*R*asin(1) overflows float64")

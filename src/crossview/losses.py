@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import ValidationError
+from .errors import ValidationError, check_settings, setting
 
 DIRECTIONS = ("query_to_ref", "ref_to_query", "symmetric")
 
@@ -38,19 +38,16 @@ class LossConfig:
     tau = 0.07.
     """
 
-    label_smoothing: float = 0.1
+    SECTION = "loss"
+
+    label_smoothing: float = setting(0.1, ge=0, lt=1)
     logit_scale: float = math.log(1.0 / 0.07)
     logit_scale_max: float = math.log(100.0)
-    direction: str = "symmetric"
+    direction: str = setting("symmetric", choices=DIRECTIONS)
     triplet_margin: float = 0.3
 
     def __post_init__(self):
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ValidationError("label_smoothing must be in [0, 1)")
-        if self.direction not in DIRECTIONS:
-            raise ValidationError(
-                f"direction {self.direction!r} not in {DIRECTIONS}"
-            )
+        check_settings(self)
         if self.logit_scale_max > math.log(sys.float_info.max):
             raise ValidationError(
                 f"loss.logit_scale_max={self.logit_scale_max!r}: its exp overflows float64"

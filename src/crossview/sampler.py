@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import EmbeddingTable, SampleRecord
-from .errors import ValidationError
+from .errors import ValidationError, check_settings, setting
 from .geo import GeoConfig, geo_topk
 from .simsearch import NeighborPool, Pools, visual_topk
 
@@ -31,33 +31,23 @@ STRATEGIES = ("random", "gps", "dss", "gps_then_dss")
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    batch_size: int = 128
-    pool_size: int = 128
-    picks_per_anchor: int = 64
-    refresh_every: int = 4
-    gps_epochs: int = 4
-    strategy: str = "gps_then_dss"
-    seed: int = 0
+    SECTION = "sampler"
+
+    batch_size: int = setting(128, ge=1)
+    pool_size: int = setting(128, ge=2)
+    picks_per_anchor: int = setting(64, ge=2)
+    refresh_every: int = setting(4, ge=1)
+    gps_epochs: int = setting(4, ge=0)
+    strategy: str = setting("gps_then_dss", choices=STRATEGIES)
+    seed: int = setting(0, ge=0)
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValidationError(f"strategy {self.strategy!r} not in {STRATEGIES}")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
-        if self.picks_per_anchor < 2:
-            raise ValidationError("picks_per_anchor must be >= 2")
+        check_settings(self)
         if self.picks_per_anchor % 2 != 0:
-            raise ValidationError("picks_per_anchor must be even")
+            raise ValidationError(f"sampler.picks_per_anchor={self.picks_per_anchor} must be even")
         if self.picks_per_anchor > self.pool_size:
-            raise ValidationError(
-                f"picks_per_anchor={self.picks_per_anchor} exceeds pool_size={self.pool_size}"
-            )
-        if self.refresh_every < 1:
-            raise ValidationError("refresh_every must be >= 1")
-        if self.gps_epochs < 0:
-            raise ValidationError("gps_epochs must be >= 0")
-        if self.seed < 0:
-            raise ValidationError(f"sampler.seed={self.seed} must be >= 0")
+            raise ValidationError(f"sampler.picks_per_anchor={self.picks_per_anchor} exceeds "
+                                  f"sampler.pool_size={self.pool_size}")
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from .datasets import (
     slice_manifest,
     write_embeddings,
 )
-from .errors import ValidationError
+from .errors import ValidationError, check_settings, setting
 from .evaluation import RetrievalReport, resolve_links, retrieval_report
 from .geo import GeoConfig
 from .losses import (
@@ -156,40 +156,28 @@ def init_params(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 40
-    lr_max: float = 0.001
+    SECTION = "train"
+
+    epochs: int = setting(40, ge=1)
+    lr_max: float = setting(0.001, gt=0)
     warmup_epochs: int = 1
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    hidden_dim: int = 128
-    embed_dim: int = 32
+    weight_decay: float = setting(0.01, ge=0)
+    beta1: float = setting(0.9, ge=0, lt=1)
+    beta2: float = setting(0.999, ge=0, lt=1)
+    eps: float = setting(1e-8, gt=0)
+    hidden_dim: int = setting(128, ge=1)
+    embed_dim: int = setting(32, ge=1)
     shared_weights: bool = True
-    loss_kind: str = "infonce"
+    loss_kind: str = setting("infonce", choices=LOSS_KINDS)
     loss: LossConfig = field(default_factory=LossConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    seed: int = 0
+    seed: int = setting(0, ge=0)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
-        if self.lr_max <= 0:
-            raise ValidationError("lr_max must be > 0")
+        check_settings(self)
         if not 0 <= self.warmup_epochs < self.epochs:
-            raise ValidationError("warmup_epochs must satisfy 0 <= warmup < epochs")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValidationError("betas must be in [0, 1)")
-        if self.eps <= 0:
-            raise ValidationError("eps must be > 0")
-        if self.weight_decay < 0:
-            raise ValidationError("weight_decay must be >= 0")
-        if self.hidden_dim < 1 or self.embed_dim < 1:
-            raise ValidationError("encoder dims must be >= 1")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValidationError(f"loss_kind {self.loss_kind!r} not in {LOSS_KINDS}")
-        if self.seed < 0:
-            raise ValidationError(f"train.seed={self.seed} must be >= 0")
+            raise ValidationError(f"train.warmup_epochs={self.warmup_epochs} must be >= 0 "
+                                  f"and < train.epochs={self.epochs}")
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +383,6 @@ def train(
     of retrieval_report, whose last report the result keeps.
     """
     n = len(manifest)
-    if query_features.count != n or reference_features.count != n:
-        raise ValidationError("feature tables must be row-aligned with the manifest")
     if query_features.dim != reference_features.dim:
         raise ValidationError("query and reference features must share a dimension")
     require_aligned("query feature", query_features.row_ids, manifest)

@@ -67,6 +67,20 @@ class TestGenSynth:
         assert rc == 1
         assert "synth.map_extent_m=1e+308" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("train.beta2=1.0", "train.beta2=1.0 must be < 1"),
+        ("train.hidden_dim=0", "train.hidden_dim=0 must be >= 1"),
+        ("sampler.batch_size=0", "sampler.batch_size=0 must be >= 1"),
+    ])
+    def test_out_of_range_setting_names_key_and_value(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{line}\n")
+        rc = main(["gen-synth", *TINY_SYNTH, "--config", str(cfg), "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert f"c.cfg:1: bad value for '{line.partition('=')[0]}': {message}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestPlan:
     def test_dss_plan_from_embeddings(self, tmp_path):
@@ -273,6 +287,20 @@ class TestEval:
         ])
         assert rc == 1
         assert "dim=0" in capsys.readouterr().err
+
+    def test_empty_manifest_named(self, tmp_path, capsys):
+        empty = EmbeddingTable(np.zeros((0, 4), dtype=np.float32), ())
+        for name in ("query.emb", "reference.emb"):
+            write_embeddings(empty, tmp_path / name)
+        (tmp_path / "manifest.jsonl").write_text("")
+        rc = main([
+            "eval",
+            "--query", str(tmp_path / "query.emb"),
+            "--ref", str(tmp_path / "reference.emb"),
+            "--manifest", str(tmp_path / "manifest.jsonl"),
+        ])
+        assert rc == 1
+        assert "the manifest holds no queries" in capsys.readouterr().err
 
     def test_nan_query_row_named(self, tmp_path, capsys):
         data = gen_dataset(tmp_path)

@@ -1,11 +1,15 @@
 import math
-from dataclasses import astuple
+import operator
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from crossview.config import _SCHEMA, parse_config, serialize_config
+from crossview.datasets import SynthConfig
 from crossview.errors import ValidationError
+from crossview.losses import LossConfig
+from crossview.trainer import TrainConfig
 
 
 class TestDefaults:
@@ -83,12 +87,61 @@ class TestParsing:
             parse_config(path)
 
 
+def _outside(rule, bound, default):
+    """The value nearest to bound that breaks one declared rule, as config text."""
+    if rule == "choices":
+        return "".join(bound)
+    if isinstance(default, int):
+        return str({"ge": bound - 1, "gt": bound, "le": bound + 1, "lt": bound}[rule])
+    toward = {"ge": -math.inf, "le": math.inf}
+    return repr(math.nextafter(bound, toward[rule]) if rule in toward else float(bound))
+
+
+DECLARED = [(key, rule, _outside(rule, bound, f.default))
+            for key, (_, f, _) in sorted(_SCHEMA.items())
+            for rule, bound in f.metadata.items()]
+
+
+def test_every_key_with_a_range_declares_one():
+    assert {key for key, _, _ in DECLARED} >= {"sampler.batch_size", "train.beta2",
+                                               "loss.label_smoothing", "geo.earth_radius_m",
+                                               "synth.region_within", "sampler.strategy"}
+
+
+@pytest.mark.parametrize("key, rule, text", DECLARED)
+def test_nearest_value_outside_a_declared_range_names_line_and_key(tmp_path, key, rule, text):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"# comment\n{key}={text}\n")
+    k = re.escape(key)
+    with pytest.raises(ValidationError, match=rf"c\.cfg:2: bad value for '{k}': {k}="):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("cls, kwargs, message", [
+    (TrainConfig, {"lr_max": math.nan}, "train.lr_max=nan"),
+    (TrainConfig, {"eps": math.inf}, "train.eps=inf"),
+    (TrainConfig, {"weight_decay": math.nan}, "train.weight_decay=nan"),
+    (LossConfig, {"triplet_margin": math.nan}, "loss.triplet_margin=nan"),
+    (LossConfig, {"logit_scale": math.nan}, "loss.logit_scale=nan"),
+    (SynthConfig, {"noise_sigma": math.inf}, "synth.noise_sigma=inf"),
+])
+def test_direct_construction_rejects_non_finite_setting(cls, kwargs, message):
+    with pytest.raises(ValidationError, match=f"{message} must be finite"):
+        cls(**kwargs)
+
+
 VALUE_TEXT = st.one_of(
     st.text(max_size=30),
     st.floats().map(repr),
+    st.floats(min_value=1e300, allow_infinity=False).flatmap(
+        lambda x: st.sampled_from([repr(x), repr(-x)])),
     st.integers().map(str),
-    st.sampled_from(["NaN", " -Infinity", "1e999", "1_000", "true", "dss"]),
+    st.integers(min_value=2**63, max_value=2**200).flatmap(
+        lambda n: st.sampled_from([str(n), str(-n)])),
+    st.sampled_from(["NaN", " -Infinity", "1e999", "1e308", "1_000", "true", "dss"]),
 )
+HOLDS = {"ge": operator.ge, "gt": operator.gt, "le": operator.le, "lt": operator.lt,
+         "choices": lambda value, choices: value in choices}
 
 
 @given(key=st.sampled_from(sorted(_SCHEMA)), text=VALUE_TEXT)
@@ -97,8 +150,13 @@ def test_any_value_text_parses_finite_or_fails_validation(key, text):
         bundle = parse_config(None, [f"{key}={text}"])
     except ValidationError:
         return
-    values = [*astuple(bundle.synth), *astuple(bundle.train), *astuple(bundle.geo)]
-    assert all(math.isfinite(v) for v in values if isinstance(v, float))
+    sources = {"synth": bundle.synth, "sampler": bundle.sampler, "train": bundle.train,
+               "loss": bundle.train.loss, "geo": bundle.geo}
+    for section, f, _ in _SCHEMA.values():
+        value = getattr(sources[section], f.name)
+        assert type(value) is type(f.default)
+        assert not isinstance(value, float) or math.isfinite(value)
+        assert all(HOLDS[rule](value, bound) for rule, bound in f.metadata.items()), (f, value)
 
 
 class TestRoundTrip:

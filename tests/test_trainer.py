@@ -376,7 +376,8 @@ class TestTrain:
     def test_feature_alignment_checked(self):
         records, q, r = separable_data()
         cfg = tiny_config()
-        with pytest.raises(ValidationError, match="row-aligned"):
+        with pytest.raises(ValidationError, match=rf"{len(q.row_ids)} query feature rows for "
+                                                  rf"{len(records) - 1} manifest records"):
             train(records[:-1], q, r, cfg)
 
     def test_holdout_record_without_holdout_positive_rejected(self):
