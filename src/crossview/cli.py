@@ -19,6 +19,7 @@ import csv
 import functools
 import hashlib
 import json
+import re
 import statistics
 import sys
 from pathlib import Path
@@ -260,8 +261,20 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number in any float form
+    (``-1e-6``, ``-inf``) as an option's value. argparse's own pattern knows
+    only forms like ``-1`` and ``-.5`` and takes the rest for an unknown
+    option, so ``--tol -1e-6`` would exit 2 before its range check."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crossview",
         description="Two-view contrastive retrieval: training, sampling, and evaluation.",
         allow_abbrev=False,  # a prefix such as --seed must not silently set --seeds

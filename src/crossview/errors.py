@@ -23,9 +23,24 @@ def setting(default, *, ge=None, gt=None, le=None, lt=None, choices=None) -> Fie
     return field(default=default, metadata={k: v for k, v in rules.items() if v is not None})
 
 
+_TYPE_NAMES = {bool: "a bool", int: "an int", float: "a float or an int", str: "a str"}
+
+
+def _fits(default, value) -> bool:
+    """Whether a setting with this default takes value's type: an int setting
+    an int, a float setting a float or an int, a bool or str setting its own
+    type alone. bool, an int to Python, fits a bool setting only."""
+    if isinstance(value, bool) or type(default) in (bool, str):
+        return type(value) is type(default)
+    return isinstance(value, int if type(default) is int else (int, float))
+
+
 def check_setting(key: str, f: Field, value) -> None:
-    """Raise ValidationError naming ``key=value`` unless value keeps the rules
-    ``setting`` declared on f; a float setting must also be finite."""
+    """Raise ValidationError naming ``key=value`` unless value has a type that
+    fits f's default (``_fits``) and keeps the rules ``setting`` declared on
+    f; a float setting must also be finite."""
+    if type(f.default) in _TYPE_NAMES and not _fits(f.default, value):
+        raise ValidationError(f"{key}={value!r} must be {_TYPE_NAMES[type(f.default)]}")
     if isinstance(f.default, float) and not -math.inf < value < math.inf:
         raise ValidationError(f"{key}={value!r} must be finite")
     for rule, bound in f.metadata.items():

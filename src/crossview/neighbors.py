@@ -4,7 +4,8 @@ GPS pools (geographic distances), DSS pools (negated similarities) and the
 synthetic generator's semi-positives (planar distances) all reduce to the
 same question: per row, the K columns with the smallest keys, the row's
 own column excluded, ties toward the lower column index. Two producers
-feed candidate key blocks to one selection step (``_select``):
+feed candidate key blocks to one selection step (``_survivors``, then
+``_first_k``):
 
 - ``nearest_k`` scores every column of the rows it is given, in blocks of
   rows so memory stays within the block budget. wgs84 pools and visual
@@ -22,9 +23,17 @@ Every streamed block, here and in ``evaluation``, holds at most
 ``BLOCK_BYTES`` of float64 keys: ``block_rows(width)`` rows of a given
 width, at least one.
 
-Selection is exact partial selection rather than a full sort, so a block
-costs about linear time per row; a row with many ties at its K-th key
-keeps every tie, and its cost falls back to a sort's.
+Selection is exact without sorting whole rows, and on wide rows without
+partitioning them either. ``_survivors`` bounds each row's K-th key from
+above by the K-th smallest of 4K column-group minima (one pass over the
+block, then a partition of 4K values per row; a row narrower than 16K is
+partitioned whole instead) and keeps every key at or below that cut-off:
+a superset of the row's K smallest, ties at the K-th key included, about
+1.15K keys per row on unstructured keys. ``_first_k`` orders the
+survivors by (key, column) and keeps K per row; ``nearest_k`` runs it
+once per batch of blocks, so one-row blocks do not pay it row by row. A
+row with many ties at its K-th key keeps every tie, and its cost falls
+back to a sort's.
 """
 
 from __future__ import annotations
@@ -57,28 +66,48 @@ def planar_keys(ax, ay, bx, by) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
-def _select(block: np.ndarray, K: int, cols: np.ndarray | None = None):
-    """Per row of a key block, the K smallest keys and their columns, ordered
-    by (key, column). ``cols[r, j]`` names the column of ``block[r, j]``;
-    without it, the column is j. Returns (indices, keys), each (rows, K).
+def _survivors(block: np.ndarray, K: int) -> np.ndarray:
+    """Flat indices of the entries of a key block (rows, width) that can be
+    among their row's K smallest (1 <= K <= width), ascending: every entry
+    <= its row's cut-off.
 
-    ``np.partition`` finds each row's K-th smallest key and every entry <= it
-    survives (all ties at the cut among them). The survivors are packed left
-    into one row each, padded with (+inf, largest index), and one
-    ``np.lexsort`` along the rows orders them by (key, column); the first K
-    per row equal the first K of a full stable sort.
+    Column j falls in group j mod G of G = 4K groups (the last width mod G
+    columns in none). The K smallest group minima are K distinct entries,
+    so the K-th smallest of them bounds the row's K-th key from above and
+    serves as the cut-off. Groups of fewer than 4 columns bound it loosely,
+    and partitioning such a narrow row costs no more than the group minima,
+    so there the cut-off is the row's K-th key itself.
     """
-    kth = np.partition(block, K - 1, axis=1)[:, K - 1:K]
-    flat = np.flatnonzero(block <= kth)
-    rows, pos = np.divmod(flat, block.shape[1])
-    counts = np.bincount(rows, minlength=len(block))
-    slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-    keys = np.full((len(block), counts.max()), np.inf)
-    keys[rows, slot] = block.take(flat)
-    col = np.full(keys.shape, np.iinfo(np.intp).max)
-    col[rows, slot] = pos if cols is None else cols.take(flat)
-    first = np.lexsort((col, keys), axis=1)[:, :K]
-    return np.take_along_axis(col, first, 1), np.take_along_axis(keys, first, 1)
+    n_rows, width = block.shape
+    groups = 4 * K
+    depth = width // groups
+    if depth >= 4:
+        block_or_mins = block[:, :groups * depth].reshape(n_rows, depth, groups).min(axis=1)
+    else:
+        block_or_mins = block
+    cut = np.partition(block_or_mins, K - 1, axis=1)[:, K - 1:K]
+    return np.flatnonzero(block <= cut)
+
+
+def _first_k(row: np.ndarray, col: np.ndarray, key: np.ndarray, n_rows: int, K: int):
+    """Per row r < n_rows, the K smallest of its survivors by (key, column),
+    in that order. Survivor i is (row[i], col[i], key[i]); ``row`` is
+    non-decreasing and holds every r at least K times. Returns (indices,
+    keys), each (n_rows, K).
+
+    The survivors are packed left into one row each, padded with (+inf,
+    largest index), and one ``np.lexsort`` along the rows orders them; the
+    first K per row equal the first K of a full stable sort of all keys
+    when the survivors include every key <= the row's K-th.
+    """
+    counts = np.bincount(row, minlength=n_rows)
+    slot = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
+    keys = np.full((n_rows, counts.max()), np.inf)
+    keys[row, slot] = key
+    cols = np.full(keys.shape, np.iinfo(np.intp).max)
+    cols[row, slot] = col
+    first = np.lexsort((cols, keys), axis=1)[:, :K]
+    return np.take_along_axis(cols, first, 1), np.take_along_axis(keys, first, 1)
 
 
 def nearest_k(
@@ -97,17 +126,34 @@ def nearest_k(
     if K == 0:
         return indices, nearest
     step = block_rows(n_cols)
+    slots = BLOCK_BYTES // 128  # bound on rows x widest row packed by one ordering step
+    held, first, widest = [], 0, 0  # survivors of rows[first:start], most in one row
+
+    def order(stop):
+        row, col, key = map(np.concatenate, zip(*held))
+        indices[first:stop], nearest[first:stop] = _first_k(row, col, key, stop - first, K)
+
     for start in range(0, len(rows), step):
         part = rows[start:start + step]
         block = keys(part)
-        finite = np.isfinite(block)
-        if not finite.all():
-            row, col = np.argwhere(~finite)[0]
+        if not np.isfinite(block).all():
+            row, col = np.argwhere(~np.isfinite(block))[0]
             raise ValidationError(f"row {part[row]}: key {float(block[row, col])!r} "
                                   f"at column {col} is not finite")
         own = np.flatnonzero(part < n_cols)
         block[own, part[own]] = np.inf
-        indices[start:start + step], nearest[start:start + step] = _select(block, K)
+        flat = _survivors(block, K)
+        row, col = np.divmod(flat, n_cols)
+        most = np.bincount(row).max()
+        # order the held rows first when packing this block with them would
+        # pass the bound; a block alone is packed whatever its width
+        if held and (start + len(part) - first) * max(widest, most) > slots:
+            order(start)
+            held, first, widest = [], start, 0
+        held.append((row + (start - first), col, block.take(flat)))
+        widest = max(widest, most)
+    if held:
+        order(len(rows))
     return indices, nearest
 
 
@@ -123,12 +169,13 @@ def planar_nearest_k(
     at least the longer side / n so a thin box keeps O(n) cells; a box of
     zero area is one cell. Per block of anchors, the candidates in the 3x3
     cells around each anchor are re-scored with ``planar_keys`` into a block
-    padded with +inf, and ``_select`` picks from it. A row is accepted when
-    its K-th key lies below the anchor's distance to the outside of its 3x3
-    square (a side on the grid edge counts as infinitely far) by more than
-    the rounding slack: then every column holding a key <= the K-th is among
-    the gathered ones, so the selection equals the dense one. The other rows
-    go to one ``nearest_k`` call over every candidate.
+    padded with +inf, and ``_survivors`` and ``_first_k`` pick from it. A
+    row is accepted when its K-th key lies below the anchor's distance to
+    the outside of its 3x3 square (a side on the grid edge counts as
+    infinitely far) by more than the rounding slack: then every column
+    holding a key <= the K-th is among the gathered ones, so the selection
+    equals the dense one. The other rows go to one ``nearest_k`` call over
+    every candidate.
     """
     m, n = len(anchors), len(candidates)
     indices = np.empty((m, K), dtype=np.intp)
@@ -200,7 +247,9 @@ def planar_nearest_k(
         cols = order[pos]
         del pos
         block[pad | (cols == rows[:, None])] = np.inf
-        indices[rows], nearest[rows] = _select(block, K, cols)
+        flat = _survivors(block, K)
+        indices[rows], nearest[rows] = _first_k(flat // block.shape[1], cols.take(flat),
+                                                block.take(flat), len(rows), K)
         del block, cols  # freed before the next block is gathered
         redo.append(rows[~(nearest[rows, K - 1] < bound[rows])])
         start = stop

@@ -115,12 +115,17 @@ def similarity_blocks(q64: np.ndarray, r64: np.ndarray):
     so identical reference rows need not score alike. When some reference
     row repeats an earlier one, each block copies the first copy's column
     onto the later copies, so they tie and the tie goes to the lower index.
+    Rows whose first values all differ (strictly increasing once sorted,
+    so no NaN and no 0.0 beside -0.0) cannot repeat, and skip the search.
     """
     r64 = np.ascontiguousarray(r64)
-    row_bytes = r64.view(np.dtype((np.void, r64.dtype.itemsize * r64.shape[1])))[:, 0]
-    _, first, inverse = np.unique(row_bytes, return_index=True, return_inverse=True)
-    first = first[inverse]
-    later = np.flatnonzero(first != np.arange(len(r64)))
+    later = np.empty(0, dtype=np.intp)
+    lead = np.sort(r64[:, 0])
+    if not (lead[1:] > lead[:-1]).all():
+        row_bytes = r64.view(np.dtype((np.void, r64.dtype.itemsize * r64.shape[1])))[:, 0]
+        _, first, inverse = np.unique(row_bytes, return_index=True, return_inverse=True)
+        first = first[inverse]
+        later = np.flatnonzero(first != np.arange(len(r64)))
 
     def scores(part: np.ndarray) -> np.ndarray:
         block = q64[part] @ r64.T
@@ -150,5 +155,10 @@ def visual_topk(
         raise ValidationError(f"K={K} exceeds reference count - 1 = {n_r - 1}")
     scores = similarity_blocks(queries.data.astype(np.float64),
                                references.data.astype(np.float64))
-    indices, neg_sims = nearest_k(lambda part: -scores(part), np.arange(queries.count), n_r, K)
-    return Pools(indices, -neg_sims, "visual")
+
+    def keys(part):  # negated in place: -(q.r) bit for bit, not (-q).r, whose exact zeros differ
+        block = scores(part)
+        return np.negative(block, out=block)
+
+    indices, neg_sims = nearest_k(keys, np.arange(queries.count), n_r, K)
+    return Pools(indices, np.negative(neg_sims, out=neg_sims), "visual")

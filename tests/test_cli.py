@@ -367,8 +367,16 @@ class TestGradcheck:
     def test_tolerance_that_cannot_fail_rejected(self, monkeypatch, capsys, tol):
         # worst > nan and worst > inf are never true: such a check always passes
         monkeypatch.setattr("crossview.cli.gradcheck", None)  # must not start
-        assert main(["gradcheck", f"--tol={tol}"]) == 1  # "-1e-6" alone reads as an option
+        assert main(["gradcheck", f"--tol={tol}"]) == 1
         assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1e-6", "-1E+3", "-.5e-2", "-2.", "-inf", "-nan"])
+    def test_negative_tolerance_as_its_own_argument_reaches_the_range_check(
+            self, monkeypatch, capsys, tol):
+        # argparse alone takes "-1e-6" for an unknown option and exits 2
+        monkeypatch.setattr("crossview.cli.gradcheck", None)
+        assert main(["gradcheck", "--tol", tol]) == 1
+        assert "--tol must be finite and > 0" in capsys.readouterr().err
 
 
 class TestAblate:

@@ -130,6 +130,27 @@ def test_direct_construction_rejects_non_finite_setting(cls, kwargs, message):
         cls(**kwargs)
 
 
+@pytest.mark.parametrize("cls, kwargs, message", [
+    (SynthConfig, {"n_pairs": 20.5}, "synth.n_pairs=20.5 must be an int"),
+    (SynthConfig, {"n_pairs": True}, "synth.n_pairs=True must be an int"),
+    (SynthConfig, {"seed": "3"}, "synth.seed='3' must be an int"),
+    (SynthConfig, {"noise_sigma": False}, "synth.noise_sigma=False must be a float or an int"),
+    (SynthConfig, {"noise_sigma": "0.1"}, "synth.noise_sigma='0.1' must be a float or an int"),
+    (TrainConfig, {"shared_weights": 1}, "train.shared_weights=1 must be a bool"),
+    (TrainConfig, {"shared_weights": "false"}, "train.shared_weights='false' must be a bool"),
+    (TrainConfig, {"loss_kind": 3}, "train.loss_kind=3 must be a str"),
+    (LossConfig, {"direction": b"symmetric"}, "loss.direction=b'symmetric' must be a str"),
+])
+def test_direct_construction_rejects_wrong_type(cls, kwargs, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        cls(**kwargs)
+
+
+def test_float_setting_takes_an_int():
+    assert SynthConfig(noise_sigma=1, map_extent_m=500).map_extent_m == 500
+    assert TrainConfig(lr_max=1).lr_max == 1
+
+
 VALUE_TEXT = st.one_of(
     st.text(max_size=30),
     st.floats().map(repr),

@@ -10,10 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import crossview
 from crossview import neighbors
-from crossview.datasets import Coordinate
+from crossview.datasets import Coordinate, EmbeddingTable
 from crossview.errors import ValidationError
 from crossview.geo import _check_planar_span, geo_topk
 from crossview.neighbors import nearest_k, planar_keys, planar_nearest_k
+from crossview.simsearch import visual_topk
 
 from oracles import brute_nearest_keys
 
@@ -118,6 +119,86 @@ class TestNearestK:
             nearest_k(lambda part: bad[part], rows, 30, 5)
 
 
+@st.composite
+def bounded_cases(draw):
+    # widths up to 300 let one ordering step span several blocks; K up to
+    # n_cols - 1 takes in widths below 16K, where groups of 4K would hold
+    # fewer than 4 columns and the cut-off is the K-th key itself
+    n_cols = draw(st.integers(2, 300))
+    K = draw(st.one_of(st.integers(1, min(4, n_cols - 1)), st.integers(1, n_cols - 1)))
+    kind = draw(st.sampled_from(["normal", "ties", "ascending", "descending"]))
+    # one-row blocks with a flush after each, 3- and 16-row blocks, one block
+    budget = draw(st.sampled_from([8, 8 * 3 * n_cols, 8 * 16 * n_cols, 1 << 60]))
+    return draw(st.integers(1, 400)), n_cols, K, kind, budget
+
+
+def bounded_matrix(n_rows, n_cols, kind, seed):
+    if kind == "ties":
+        return key_matrix(n_rows, n_cols, True, seed)
+    matrix = key_matrix(n_rows, n_cols, False, seed)
+    if kind == "normal":
+        return matrix
+    matrix.sort(axis=1)  # the smallest keys crowd the low (or high) columns
+    return matrix if kind == "ascending" else matrix[:, ::-1].copy()
+
+
+def spy_first_k(monkeypatch):
+    calls = []  # rows per ordering step
+    first_k = neighbors._first_k
+    monkeypatch.setattr(neighbors, "_first_k", lambda row, col, key, n_rows, K: (
+        calls.append(n_rows) or first_k(row, col, key, n_rows, K)))
+    return calls
+
+
+class TestBoundedSelection:
+    @settings(max_examples=60, deadline=None)
+    @given(case=bounded_cases(), seed=st.integers(0, 2**32 - 1))
+    @example(case=(300, 8, 7, "ties", 8), seed=0)  # the K-th key as cut-off, one-row blocks
+    @example(case=(400, 300, 1, "normal", 8 * 3 * 300), seed=1)  # steps span blocks
+    @example(case=(200, 256, 32, "ascending", 1 << 60), seed=2)
+    def test_matches_full_stable_sort_under_any_budget(self, case, seed):
+        n_rows, n_cols, K, kind, budget = case
+        matrix = bounded_matrix(n_rows, n_cols, kind, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "BLOCK_BYTES", budget)
+            calls = spy_first_k(mp)
+            assert_matches_oracle(matrix, K)
+        assert sum(calls) == n_rows  # every row ordered exactly once
+
+    def test_one_ordering_step_spans_blocks_and_flushes_mid_run(self, monkeypatch):
+        monkeypatch.setattr(neighbors, "BLOCK_BYTES", 8 * 2 * 256)  # 2-row blocks
+        calls = spy_first_k(monkeypatch)
+        matrix = key_matrix(100, 256, False, 4)
+        assert_matches_oracle(matrix, 1)
+        assert len(calls) > 1 and max(calls) > 2
+
+    def test_tied_rows_flush_before_they_widen_the_packing(self, monkeypatch):
+        # rows 2 and 3 tie at every column, so each keeps all 256 keys: rows
+        # 0-1 are ordered before that block joins, and rows 2-3 by themselves
+        monkeypatch.setattr(neighbors, "BLOCK_BYTES", 8 * 2 * 256)  # 2-row blocks
+        calls = spy_first_k(monkeypatch)
+        matrix = key_matrix(100, 256, False, 5)
+        matrix[2:4] = 0.5
+        assert_matches_oracle(matrix, 3)
+        assert calls[:2] == [2, 2] and sum(calls) == 100
+
+
+def test_visual_peak_follows_the_block_budget():
+    # one score block, its finiteness and cut-off masks, and a few packed
+    # survivors live at once, beside the two (n, K) outputs
+    rng = np.random.default_rng(6)
+    n, K = 3000, 32
+    q, r = (EmbeddingTable(rng.standard_normal((n, 6)).astype(np.float32),
+                           tuple(map(str, range(n)))) for _ in range(2))
+    tracemalloc.start()
+    try:
+        visual_topk(q, r, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * K * 8 + 3 * neighbors.BLOCK_BYTES
+
+
 def test_planar_block_bit_identical_to_3d_form():
     # the dense block and the grid's element-wise re-score are one formula
     rng = np.random.default_rng(5)
@@ -198,18 +279,23 @@ def test_planar_grid_byte_identical_to_dense(monkeypatch, name, Ks, branch):
     points = _layout(name, np.random.default_rng(9))
     _check_planar_span(points, points)
     want = {K: dense_planar(points, points, K) for K in Ks}
-    blocks = []  # (shape, dense) per selection the grid search makes
-    select = neighbors._select
-    monkeypatch.setattr(neighbors, "_select", lambda block, K, cols=None: (
-        blocks.append((block.shape, cols is None)) or select(block, K, cols)))
+    redone = []  # rows the grid search hands to the dense scan, per call
+    nearest_k = neighbors.nearest_k
+    monkeypatch.setattr(neighbors, "nearest_k", lambda keys, rows, n_cols, K: (
+        redone.append(len(rows)) or nearest_k(keys, rows, n_cols, K)))
+    gathered = []  # shape of each block of candidate coordinates scored
+    score = neighbors.planar_keys
+    monkeypatch.setattr(neighbors, "planar_keys", lambda ax, ay, bx, by: (
+        gathered.append(np.shape(bx)) or score(ax, ay, bx, by)))
     for K in Ks:
         indices, nearest = planar_nearest_k(points, points, K)
         assert indices.tobytes() == want[K][0].tobytes()
         assert nearest.tobytes() == want[K][1].tobytes()
     if branch == "one cell":  # every block gathers every candidate, no row is redone
-        assert all(shape[1] == len(points) and not dense for shape, dense in blocks)
+        assert all(shape[-1] == len(points) for shape in gathered)
+        assert len(redone) == len(Ks) and sum(redone) == 0
     if branch == "dense rows":
-        assert any(dense for _, dense in blocks)
+        assert sum(redone) > 0
 
 
 def test_planar_search_leaves_scipy_spatial_unimported():

@@ -7,7 +7,14 @@ from hypothesis import given, strategies as st
 from crossview import neighbors
 from crossview.datasets import EmbeddingTable
 from crossview.errors import ValidationError
-from crossview.simsearch import NeighborPool, Pools, cosine_matrix, l2_normalize, visual_topk
+from crossview.simsearch import (
+    NeighborPool,
+    Pools,
+    cosine_matrix,
+    l2_normalize,
+    similarity_blocks,
+    visual_topk,
+)
 
 
 def table(rows, ids=None):
@@ -172,3 +179,42 @@ class TestVisualTopk:
             candidates = [j for j in range(40) if j != i]
             expected = sorted(candidates, key=lambda j: (-sims[i, j], j))[:5]
             assert list(pool.neighbor_indices) == expected
+
+
+class TestSimilarityBlocks:
+    def unique_calls(self, monkeypatch, r64):
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        q64 = np.random.default_rng(7).standard_normal((5, r64.shape[1]))
+        block = similarity_blocks(q64, r64)(np.arange(5))
+        return len(calls), block, q64 @ r64.T
+
+    def test_distinct_first_values_skip_the_row_search(self, monkeypatch):
+        r64 = np.random.default_rng(8).standard_normal((50, 6))
+        calls, block, plain = self.unique_calls(monkeypatch, r64)
+        assert calls == 0
+        assert block.tobytes() == plain.tobytes()
+
+    def test_signed_zero_first_values_still_searched(self, monkeypatch):
+        # -0.0 == 0.0, so the first values alone cannot tell these rows apart
+        r64 = np.random.default_rng(8).standard_normal((50, 6))
+        r64[3, 0], r64[40, 0] = 0.0, -0.0
+        r64[40, 1:] = r64[3, 1:]
+        calls, block, plain = self.unique_calls(monkeypatch, r64)
+        assert calls == 1
+        assert block.tobytes() == plain.tobytes()  # the rows' bytes differ: nothing copied
+
+    def test_rows_sharing_only_a_first_value_still_searched(self, monkeypatch):
+        r64 = np.random.default_rng(8).standard_normal((50, 6))
+        r64[20, 0] = r64[9, 0]
+        calls, block, plain = self.unique_calls(monkeypatch, r64)
+        assert calls == 1
+        assert block.tobytes() == plain.tobytes()
+
+    def test_repeated_row_copies_the_first_copy_column(self, monkeypatch):
+        r64 = np.random.default_rng(8).standard_normal((50, 6))
+        r64[31] = r64[4]
+        calls, block, _ = self.unique_calls(monkeypatch, r64)
+        assert calls == 1
+        assert block[:, 31].tobytes() == block[:, 4].tobytes()
