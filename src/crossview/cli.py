@@ -33,7 +33,7 @@ from .datasets import (
     write_embeddings,
     write_manifest,
 )
-from .errors import ValidationError
+from .errors import ValidationError, check_setting, setting
 from .evaluation import evaluate
 from .sampler import (
     build_geo_pools,
@@ -50,12 +50,6 @@ from .trainer import AXES, TrainResult, ablation_configs, gradcheck, save_params
 
 def _hash8(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:8]
-
-
-def _require_at_least(args, option: str, minimum: int) -> None:
-    value = getattr(args, option)
-    if value < minimum:
-        raise ValidationError(f"--{option} must be >= {minimum}, got {value}")
 
 
 def _load_bundle(args) -> ConfigBundle:
@@ -76,7 +70,6 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    _require_at_least(args, "epoch", 0)
     bundle = _load_bundle(args)
     scfg = bundle.sampler
     strategy = resolve_strategy(scfg, args.epoch)
@@ -193,11 +186,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    _require_at_least(args, "n", 2)  # one pair has no negative to check against
-    _require_at_least(args, "inits", 1)
-    _require_at_least(args, "seed", 0)
-    if not 0 < args.tol < float("inf"):  # worst > nan is never true: the check could not fail
-        raise ValidationError(f"--tol must be finite and > 0, got {args.tol}")
     bundle = _load_bundle(args)
     worst: dict[str, float] = {}
     for i in range(args.inits):
@@ -212,7 +200,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    _require_at_least(args, "seeds", 1)
     bundle = _load_bundle(args)
     axis = args.axis
     configs = ablation_configs(bundle.train, axis, args.seeds)
@@ -261,6 +248,18 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+# every numeric option: argparse takes its type and default from here, and
+# main checks each one with check_setting before any command starts
+_OPTIONS = {
+    "epoch": setting(0, ge=0),
+    "n": setting(8, ge=2),  # one pair has no negative to check against
+    "inits": setting(1, ge=1),
+    "seed": setting(0, ge=0),
+    "tol": setting(1e-6, gt=0),  # a float setting is finite: worst > nan could never fail
+    "seeds": setting(5, ge=1),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reads a negative number in any float form
     (``-1e-6``, ``-inf``) as an option's value. argparse's own pattern knows
@@ -287,6 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="config override, applied after the file")
 
+    def add_option(p, name, **kwargs):
+        f = _OPTIONS[name]
+        p.add_argument(f"--{name}", type=type(f.default), default=f.default, **kwargs)
+
     p = add_parser("gen-synth", help="generate a synthetic two-view dataset")
     add_config(p)
     p.add_argument("--out", required=True, help="output directory")
@@ -296,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(p)
     p.add_argument("--embeddings", nargs=2, metavar=("Q.emb", "R.emb"))
     p.add_argument("--manifest", default=None)
-    p.add_argument("--epoch", type=int, required=True)
+    add_option(p, "epoch", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plan)
 
@@ -315,10 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("gradcheck", help="check analytic gradients against finite differences")
     add_config(p)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--inits", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
+    for name in ("n", "inits", "seed", "tol"):
+        add_option(p, name)
     p.set_defaults(func=cmd_gradcheck)
 
     p = add_parser(
@@ -329,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(p)
     p.add_argument("--axis", choices=tuple(AXES), default="strategy",
                    help="config field to vary: sampler.strategy or train.loss_kind")
-    p.add_argument("--seeds", type=int, default=5)
+    add_option(p, "seeds")
     p.add_argument("--out", required=True, help="CSV path (a .json sibling is written too)")
     p.set_defaults(func=cmd_ablate)
 
@@ -340,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, f in _OPTIONS.items():
+            if name in vars(args):
+                check_setting(f"--{name}", f, getattr(args, name))
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -154,13 +154,17 @@ def _record_from_json(obj: dict, pair_index: int) -> SampleRecord:
         coord = Coordinate(float(obj["x"]), float(obj["y"]), "planar")
     else:
         coord = Coordinate(float(obj["lat"]), float(obj["lon"]), "wgs84")
+    positives, semi_positives = obj["positives"], obj.get("semi_positives", [])
+    for key, ids in (("positives", positives), ("semi_positives", semi_positives)):
+        if not isinstance(ids, list):  # a JSON string would read as one id per character
+            raise TypeError(f"{key} must be a JSON list, got {ids!r}")
     return SampleRecord(
         id=str(obj["id"]),
         pair_index=pair_index,
         class_id=str(obj["class_id"]),
         coord=coord,
-        positives=tuple(str(p) for p in obj["positives"]),
-        semi_positives=tuple(str(s) for s in obj.get("semi_positives", ())),
+        positives=tuple(str(p) for p in positives),
+        semi_positives=tuple(str(s) for s in semi_positives),
     )
 
 

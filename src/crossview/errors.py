@@ -1,7 +1,7 @@
 """Exception types and setting declarations shared across the package."""
 
-import math
 import operator
+import sys
 from dataclasses import Field, field, fields
 
 
@@ -17,8 +17,8 @@ _SYMBOLS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}  # bound rules, named 
 
 
 def setting(default, *, ge=None, gt=None, le=None, lt=None, choices=None) -> Field:
-    """A config dataclass field: its default, plus the bounds and the tuple of
-    choices that ``check_setting`` holds every value to."""
+    """A config field, CLI option or params header key: its default, plus the
+    bounds and the tuple of choices that ``check_setting`` holds values to."""
     rules = {"ge": ge, "gt": gt, "le": le, "lt": lt, "choices": choices}
     return field(default=default, metadata={k: v for k, v in rules.items() if v is not None})
 
@@ -38,10 +38,10 @@ def _fits(default, value) -> bool:
 def check_setting(key: str, f: Field, value) -> None:
     """Raise ValidationError naming ``key=value`` unless value has a type that
     fits f's default (``_fits``) and keeps the rules ``setting`` declared on
-    f; a float setting must also be finite."""
+    f; a float setting must also be finite (no NaN, inf or int beyond float range)."""
     if type(f.default) in _TYPE_NAMES and not _fits(f.default, value):
         raise ValidationError(f"{key}={value!r} must be {_TYPE_NAMES[type(f.default)]}")
-    if isinstance(f.default, float) and not -math.inf < value < math.inf:
+    if isinstance(f.default, float) and not abs(value) <= sys.float_info.max:
         raise ValidationError(f"{key}={value!r} must be finite")
     for rule, bound in f.metadata.items():
         if rule == "choices":

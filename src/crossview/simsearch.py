@@ -59,11 +59,11 @@ class Pools:
         own = np.flatnonzero((self.indices == np.arange(len(self))[:, None]).any(axis=1))
         if own.size:
             raise ValidationError(f"pool for anchor {own[0]} contains the anchor itself")
-        steps = np.diff(self.scores, axis=1)
+        before, after = self.scores[:, :-1], self.scores[:, 1:]
         if self.kind == "geographic":
-            bad, order = (steps < 0).any(axis=1), "distances must be non-decreasing"
+            bad, order = (after < before).any(axis=1), "distances must be non-decreasing"
         else:
-            bad, order = (steps > 0).any(axis=1), "similarities must be non-increasing"
+            bad, order = (after > before).any(axis=1), "similarities must be non-increasing"
         rows = np.flatnonzero(bad)
         if rows.size:
             raise ValidationError(f"{self.kind} pool for anchor {rows[0]}: {order}")

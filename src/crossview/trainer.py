@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -41,7 +40,7 @@ from .datasets import (
     slice_manifest,
     write_embeddings,
 )
-from .errors import ValidationError, check_settings, setting
+from .errors import ValidationError, check_setting, check_settings, setting
 from .evaluation import RetrievalReport, resolve_links, retrieval_report
 from .geo import GeoConfig
 from .losses import (
@@ -313,15 +312,15 @@ def _batch_objective(
     Xq: np.ndarray,
     Xr: np.ndarray,
     loss_cfg: LossConfig,
-    loss_kind: str = "infonce",
-    weights: tuple | None = None,
+    loss_kind: str,
+    weights: tuple,
 ) -> tuple[float, np.ndarray]:
     """Loss and its gradient w.r.t. every entry of params.theta.
 
-    ``weights`` is the (query, reference) pair of ``_weights`` views, for
-    a caller that holds them across steps; None looks them up.
+    ``weights`` is the (query, reference) pair of ``_weights`` views into
+    params.theta, looked up once: they stay valid while theta changes in place.
     """
-    wq, wr = weights or (_weights(params, "query"), _weights(params, "reference"))
+    wq, wr = weights
     Q, cache_q = _forward(wq, Xq)
     R, cache_r = _forward(wr, Xr)
 
@@ -505,12 +504,13 @@ def gradcheck(
                          cfg.loss.logit_scale)
     Xq = rng.standard_normal((n, d_in))
     Xr = rng.standard_normal((n, d_in))
+    weights = (_weights(params, "query"), _weights(params, "reference"))
 
     def loss_at():
-        value, _ = _batch_objective(params, Xq, Xr, cfg.loss, cfg.loss_kind)
+        value, _ = _batch_objective(params, Xq, Xr, cfg.loss, cfg.loss_kind, weights)
         return value
 
-    _, analytic = _batch_objective(params, Xq, Xr, cfg.loss, cfg.loss_kind)
+    _, analytic = _batch_objective(params, Xq, Xr, cfg.loss, cfg.loss_kind, weights)
 
     theta = params.theta
     numeric = np.empty_like(theta)
@@ -537,23 +537,13 @@ def gradcheck(
 # parameter persistence
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
-def _is_finite_real(value) -> bool:
-    # NaN, the infinities and ints beyond float range all fail the abs test
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
-# header.json key -> (check of its value, what the check asks for)
+# header.json key -> its declaration, checked by check_setting on load
 _HEADER = {
-    "d_in": (_is_count, "an int >= 1"),
-    "d_hidden": (_is_count, "an int >= 1"),
-    "d_out": (_is_count, "an int >= 1"),
-    "shared_weights": (lambda value: isinstance(value, bool), "a bool"),
-    "logit_scale": (_is_finite_real, "a finite real number"),
+    "d_in": setting(1, ge=1),
+    "d_hidden": setting(1, ge=1),
+    "d_out": setting(1, ge=1),
+    "shared_weights": setting(True),
+    "logit_scale": setting(1.0),
 }
 
 
@@ -583,9 +573,8 @@ def load_params(in_dir: str | Path) -> EncoderParams:
     missing = [key for key in _HEADER if key not in header]
     if missing:
         raise ValidationError(f"{path}: missing key {missing[0]!r}")
-    for key, (check, wanted) in _HEADER.items():
-        if not check(header[key]):
-            raise ValidationError(f"{path}: {key}={header[key]!r} must be {wanted}")
+    for key, f in _HEADER.items():
+        check_setting(f"{path}: {key}", f, header[key])
     theta = np.concatenate([read_embeddings(in_dir / "theta.emb").data.ravel(),
                             [float(header["logit_scale"])]], dtype=np.float64)
     return EncoderParams(theta, **{key: header[key] for key in tuple(_HEADER)[:-1]})

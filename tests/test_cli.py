@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crossview import cli
 from crossview.cli import build_parser, main
 from crossview.config import parse_config
 from crossview.datasets import EmbeddingTable, load_manifest, read_embeddings, write_embeddings
@@ -370,13 +372,21 @@ class TestGradcheck:
         assert main(["gradcheck", f"--tol={tol}"]) == 1
         assert "--tol" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["-1e-6", "-1E+3", "-.5e-2", "-2.", "-inf", "-nan"])
+    @pytest.mark.parametrize("tol, message", [
+        pytest.param(tol, message, id=tol) for tol, message in [
+            ("-1e-6", "--tol=-1e-06 must be > 0"),
+            ("-1E+3", "--tol=-1000.0 must be > 0"),
+            ("-.5e-2", "--tol=-0.005 must be > 0"),
+            ("-2.", "--tol=-2.0 must be > 0"),
+            ("-inf", "--tol=-inf must be finite"),
+            ("-nan", "--tol=nan must be finite"),
+        ]])
     def test_negative_tolerance_as_its_own_argument_reaches_the_range_check(
-            self, monkeypatch, capsys, tol):
+            self, monkeypatch, capsys, tol, message):
         # argparse alone takes "-1e-6" for an unknown option and exits 2
         monkeypatch.setattr("crossview.cli.gradcheck", None)
         assert main(["gradcheck", "--tol", tol]) == 1
-        assert "--tol must be finite and > 0" in capsys.readouterr().err
+        assert f"error: {message}\n" in capsys.readouterr().err
 
 
 class TestAblate:
@@ -466,16 +476,38 @@ class TestExitCodes:
         ])
         assert rc == 2
 
-    @pytest.mark.parametrize("argv, option", [
-        (["ablate", "--seeds", "0", "--out", "unused.csv"], "--seeds"),
-        (["gradcheck", "--inits", "0"], "--inits"),
-        (["gradcheck", "--n", "1"], "--n"),
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["ablate", "--seeds", "0", "--out", "unused.csv"],
+                     "--seeds=0 must be >= 1", id="argv0---seeds"),
+        pytest.param(["gradcheck", "--inits", "0"], "--inits=0 must be >= 1", id="argv1---inits"),
+        pytest.param(["gradcheck", "--n", "1"], "--n=1 must be >= 2", id="argv2---n"),
     ])
-    def test_count_below_minimum_named(self, monkeypatch, capsys, argv, option):
+    def test_count_below_minimum_named(self, monkeypatch, capsys, argv, message):
         for work in ("generate_synthetic", "gradcheck"):  # must not start
             monkeypatch.setattr(f"crossview.cli.{work}", None)
         assert main(argv) == 1
-        assert f"{option} must be >=" in capsys.readouterr().err
+        assert f"error: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(cli._OPTIONS))
+    def test_nearest_value_outside_each_option_range_named(self, monkeypatch, capsys, name):
+        f = cli._OPTIONS[name]
+        (rule, bound), = f.metadata.items()
+        value = type(f.default)(bound - 1 if rule == "ge" else bound)
+        command = {"epoch": ["plan", "--out", "unused.jsonl"],
+                   "seeds": ["ablate", "--out", "unused.csv"]}.get(name, ["gradcheck"])
+        for body in ("cmd_plan", "cmd_gradcheck", "cmd_ablate"):  # must not start
+            monkeypatch.setattr(cli, body, None)
+        assert main([*command, f"--{name}={value}"]) == 1
+        assert f"error: --{name}={value!r} must be {'>=' if rule == 'ge' else '>'} {bound}\n" \
+            in capsys.readouterr().err
+
+    def test_every_numeric_option_is_declared(self):
+        # an int or float option outside _OPTIONS would skip the range check in main
+        sub, = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        numeric = {(a.option_strings[0], a.type, a.default)
+                   for p in sub.choices.values() for a in p._actions if a.type in (int, float)}
+        assert numeric == {(f"--{name}", type(f.default), f.default)
+                           for name, f in cli._OPTIONS.items()}
 
     @pytest.mark.parametrize("command, key", [
         (["gen-synth", "--set", "synth.seed=-1"], "synth.seed"),

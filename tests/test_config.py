@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from crossview.config import _SCHEMA, parse_config, serialize_config
+from crossview.config import _SCHEMA, _SECTIONS, parse_config, serialize_config
 from crossview.datasets import SynthConfig
 from crossview.errors import ValidationError
 from crossview.losses import LossConfig
@@ -144,6 +144,20 @@ def test_direct_construction_rejects_non_finite_setting(cls, kwargs, message):
 def test_direct_construction_rejects_wrong_type(cls, kwargs, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         cls(**kwargs)
+
+
+HUGE_FLOAT_SETTINGS = [pytest.param(section, f.name, value, id=f"{key}={sign}10**400")
+                       for key, (section, f, _) in sorted(_SCHEMA.items())
+                       if isinstance(f.default, float)
+                       for sign, value in (("", 10**400), ("-", -10**400))]
+
+
+@pytest.mark.parametrize("section, name, value", HUGE_FLOAT_SETTINGS)
+def test_direct_construction_rejects_int_beyond_float_range(section, name, value):
+    # an int compares exactly with the infinities, so only abs(value) <= the
+    # largest float tells that it has no finite float value
+    with pytest.raises(ValidationError, match=rf"{section}\.{name}=-?\d+ must be finite"):
+        _SECTIONS[section](**{name: value})
 
 
 def test_float_setting_takes_an_int():

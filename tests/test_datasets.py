@@ -107,6 +107,20 @@ class TestManifest:
         with pytest.raises(ValidationError, match="ghost"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("key", ["positives", "semi_positives"])
+    @pytest.mark.parametrize("value", ['"a"', '"ab"', '{"a": 1}', "null", "3"])
+    def test_id_list_that_is_not_a_list_named(self, tmp_path, key, value):
+        # a JSON string would otherwise read as one id per character
+        links = {"positives": '["a"]', "semi_positives": "[]", key: value}
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            '{"id": "a", "class_id": "a", "x": 0, "y": 0, "crs": "planar", '
+            + ", ".join(f'"{k}": {v}' for k, v in links.items()) + "}\n"
+            '{"id": "b", "class_id": "b", "x": 0, "y": 0, "crs": "planar", "positives": ["b"]}\n'
+        )
+        with pytest.raises(ValidationError, match=f"manifest line 1: {key} must be a JSON list"):
+            load_manifest(path)
+
     def test_write_read_round_trip(self, tmp_path):
         records, _, _ = generate_synthetic(SynthConfig(n_pairs=6, seed=3))
         path = tmp_path / "m.jsonl"

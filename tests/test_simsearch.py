@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -43,6 +44,22 @@ class TestPools:
             pools([[1, 2], [0, 2], [0, 1]], [[0.9, 0.8], [0.5, 0.9], [0.9, 0.8]], "visual")
         with pytest.raises(ValidationError, match="geographic pool for anchor 2: distances"):
             pools([[1, 2], [0, 2], [0, 1]], [[1.0, 5.0], [1.0, 2.0], [5.0, 1.0]], "geographic")
+
+    @pytest.mark.parametrize("kind, wrong_step", [("visual", np.greater),
+                                                  ("geographic", np.less)])
+    def test_order_check_is_the_sign_of_each_difference(self, kind, wrong_step):
+        # ties, signed zeros, infinities and NaN: a neighbour comparison must
+        # reject exactly the rows whose np.diff holds a step of the wrong sign
+        values = [-math.inf, -1.0, -0.0, 0.0, 1.0, math.inf, math.nan]
+        for row in itertools.product(values, repeat=3):
+            with np.errstate(invalid="ignore"):
+                wrong = wrong_step(np.diff(row), 0).any()
+            args = ([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]], [row] * 4, kind)
+            if wrong:
+                with pytest.raises(ValidationError, match=f"{kind} pool for anchor 0"):
+                    pools(*args)
+            else:
+                pools(*args)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError, match=r"\(3, 2\) and scores \(3, 1\)"):
