@@ -112,12 +112,11 @@ def _records_from_ids(row_ids):
     return [
         SampleRecord(
             id=rid,
-            pair_index=i,
             class_id=rid,
             coord=Coordinate(0.0, 0.0, "planar"),
             positives=(rid,),
         )
-        for i, rid in enumerate(row_ids)
+        for rid in row_ids
     ]
 
 

@@ -17,31 +17,44 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check_settings, setting
+from .errors import ValidationError, check_setting, check_settings, setting
 from .neighbors import planar_nearest_k
 
 EMB1_MAGIC = b"EMB1"
 _HEADER = struct.Struct("<II")
 
 
+# each crs -> its two manifest keys in (a, b) order, declared as settings
+CRS_KEYS = {
+    "wgs84": {"lat": setting(0.0, ge=-90.0, le=90.0), "lon": setting(0.0, ge=-180.0, le=180.0)},
+    "planar": {"x": setting(0.0), "y": setting(0.0)},
+}
+
+
+def _crs_keys(crs) -> dict:
+    """CRS_KEYS[crs]; a ValidationError naming crs when it is not a key there."""
+    if type(crs) is not str or crs not in CRS_KEYS:
+        raise ValidationError(f"crs={crs!r} must be one of {tuple(CRS_KEYS)}")
+    return CRS_KEYS[crs]
+
+
 @dataclass(frozen=True)
 class Coordinate:
-    """A location: wgs84 latitude/longitude in degrees, or planar x/y in metres."""
+    """A location: wgs84 latitude/longitude in degrees, or planar x/y in metres.
+
+    Each axis is checked as its manifest key (``CRS_KEYS``), then stored as a float.
+    """
 
     a: float
     b: float
     crs: str = "wgs84"
 
     def __post_init__(self):
-        if self.crs not in ("wgs84", "planar"):
-            raise ValidationError(f"unknown crs {self.crs!r}, expected 'wgs84' or 'planar'")
-        if self.crs == "wgs84":
-            if not -90.0 <= self.a <= 90.0:
-                raise ValidationError(f"latitude {self.a} outside [-90, 90]")
-            if not -180.0 <= self.b <= 180.0:
-                raise ValidationError(f"longitude {self.b} outside [-180, 180]")
-        elif not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValidationError(f"planar coordinate ({self.a}, {self.b}) is not finite")
+        (key_a, rule_a), (key_b, rule_b) = _crs_keys(self.crs).items()
+        check_setting(key_a, rule_a, self.a)
+        check_setting(key_b, rule_b, self.b)
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "b", float(self.b))
 
 
 @dataclass(frozen=True)
@@ -54,15 +67,12 @@ class SampleRecord:
     """
 
     id: str
-    pair_index: int
     class_id: str
     coord: Coordinate
     positives: tuple[str, ...]
     semi_positives: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.pair_index < 0:
-            raise ValidationError(f"record {self.id!r}: pair_index must be >= 0")
         if not self.positives:
             raise ValidationError(f"record {self.id!r}: positives must be non-empty")
         overlap = set(self.positives) & set(self.semi_positives)
@@ -148,95 +158,95 @@ class SynthConfig:
                                   "squared planar distance 2*extent^2 overflows float64")
 
 
-def _record_from_json(obj: dict, pair_index: int) -> SampleRecord:
+def _record_from_json(obj) -> SampleRecord:
+    """The record of one manifest line. JSON values pass through unchanged:
+    ids must be JSON strings, and coordinates JSON numbers under the keys
+    that ``CRS_KEYS`` gives the line's crs."""
+    if type(obj) is not dict:
+        raise ValidationError("expected a JSON object")
+    for key in ("id", "class_id"):
+        if type(obj[key]) is not str:
+            raise ValidationError(f"{key}={obj[key]!r} must be a JSON string")
     crs = obj.get("crs", "wgs84")
-    if crs == "planar":
-        coord = Coordinate(float(obj["x"]), float(obj["y"]), "planar")
-    else:
-        coord = Coordinate(float(obj["lat"]), float(obj["lon"]), "wgs84")
-    positives, semi_positives = obj["positives"], obj.get("semi_positives", [])
-    for key, ids in (("positives", positives), ("semi_positives", semi_positives)):
-        if not isinstance(ids, list):  # a JSON string would read as one id per character
-            raise TypeError(f"{key} must be a JSON list, got {ids!r}")
+    key_a, key_b = _crs_keys(crs)
+    links = {"positives": obj["positives"], "semi_positives": obj.get("semi_positives", [])}
+    for key, ids in links.items():
+        if type(ids) is not list:  # a JSON string would read as one id per character
+            raise ValidationError(f"{key} must be a JSON list, got {ids!r}")
+        for ref in ids:
+            if type(ref) is not str:
+                raise ValidationError(f"{key} entry {ref!r} must be a JSON string")
     return SampleRecord(
-        id=str(obj["id"]),
-        pair_index=pair_index,
-        class_id=str(obj["class_id"]),
-        coord=coord,
-        positives=tuple(str(p) for p in positives),
-        semi_positives=tuple(str(s) for s in semi_positives),
+        id=obj["id"],
+        class_id=obj["class_id"],
+        coord=Coordinate(obj[key_a], obj[key_b], crs),
+        positives=tuple(links["positives"]),
+        semi_positives=tuple(links["semi_positives"]),
     )
 
 
 def load_manifest(path: str | Path) -> list[SampleRecord]:
-    """Read a JSON-lines manifest, assigning pair_index by line order.
+    """Read a JSON-lines manifest; record i is the i-th non-blank line.
 
-    Raises ValidationError for malformed lines (with line number),
-    duplicate ids, and positive/semi-positive ids that reference no
+    Raises ValidationError, starting ``manifest line N``, for a malformed
+    line, a duplicate id, or a positive/semi-positive id that references no
     record in the file.
     """
     path = Path(path)
     records: list[SampleRecord] = []
+    linenos: list[int] = []
+    seen: set[str] = set()
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                record = _record_from_json(obj, pair_index=len(records))
-            except (KeyError, TypeError, ValueError) as exc:
+                record = _record_from_json(json.loads(line))
+            except KeyError as exc:
+                raise ValidationError(f"manifest line {lineno}: missing key {exc}") from exc
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
                 raise ValidationError(f"manifest line {lineno}: {exc}") from exc
+            if record.id in seen:
+                raise ValidationError(f"manifest line {lineno}: duplicate id {record.id!r}")
+            seen.add(record.id)
             records.append(record)
+            linenos.append(lineno)
 
-    seen: set[str] = set()
-    for record in records:
-        if record.id in seen:
-            raise ValidationError(f"duplicate id {record.id!r} in manifest")
-        seen.add(record.id)
-    for record in records:
+    for lineno, record in zip(linenos, records):
         for ref in (*record.positives, *record.semi_positives):
             if ref not in seen:
-                raise ValidationError(
-                    f"record {record.id!r} references unknown id {ref!r}"
-                )
+                raise ValidationError(f"manifest line {lineno}: record {record.id!r} "
+                                      f"references unknown id {ref!r}")
     return records
 
 
 def record_to_json(record: SampleRecord) -> dict:
     """Canonical JSON object for one manifest line."""
-    obj: dict = {"id": record.id, "class_id": record.class_id}
-    if record.coord.crs == "planar":
-        obj["x"] = record.coord.a
-        obj["y"] = record.coord.b
-    else:
-        obj["lat"] = record.coord.a
-        obj["lon"] = record.coord.b
-    obj["crs"] = record.coord.crs
-    obj["positives"] = list(record.positives)
-    obj["semi_positives"] = list(record.semi_positives)
-    return obj
+    coord = record.coord
+    return {"id": record.id, "class_id": record.class_id,
+            **dict(zip(CRS_KEYS[coord.crs], (coord.a, coord.b))), "crs": coord.crs,
+            "positives": list(record.positives), "semi_positives": list(record.semi_positives)}
 
 
 def slice_manifest(records: list[SampleRecord], start: int, stop: int) -> list[SampleRecord]:
     """Records [start:stop] as a self-contained manifest.
 
-    pair_index is renumbered densely and positive/semi-positive links are
+    Record positions start again at 0, and positive/semi-positive links are
     restricted to the kept ids; a record whose positives all fall outside
     the slice raises, since it could never be retrieved.
     """
     kept = records[start:stop]
     keep_ids = {r.id for r in kept}
     out = []
-    for i, record in enumerate(kept):
+    for record in kept:
         positives = tuple(p for p in record.positives if p in keep_ids)
         if not positives:
             raise ValidationError(
                 f"record {record.id!r} has no positives inside the slice [{start}, {stop})"
             )
         semi_positives = tuple(s for s in record.semi_positives if s in keep_ids)
-        out.append(replace(record, pair_index=i, positives=positives,
-                           semi_positives=semi_positives))
+        out.append(replace(record, positives=positives, semi_positives=semi_positives))
     return out
 
 
@@ -315,14 +325,12 @@ def read_embeddings(path: str | Path) -> EmbeddingTable:
 
 def generate_synthetic(
     cfg: SynthConfig,
-    view_maps: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[list[SampleRecord], EmbeddingTable, EmbeddingTable]:
     """Generate a synthetic two-view dataset.
 
     Each pair shares a latent vector z; the query view is A_q @ z plus
     isotropic noise and the reference view A_r @ z plus independent noise,
-    with A_q, A_r fixed random linear maps (overridable via ``view_maps``
-    as (latent_dim, view_dim) matrices, e.g. identities for tests).
+    with A_q, A_r fixed random linear maps.
     Coordinates are uniform in a map_extent_m square (planar CRS); the
     latent of each pair mixes its map region's cluster center with an
     individual component (see SynthConfig), keeping unit variance. Each
@@ -346,16 +354,9 @@ def generate_synthetic(
     centers = rng.standard_normal((g * g, d_latent))
     w = cfg.region_within
     latents = math.sqrt(1.0 - w * w) * centers[region] + w * rng.standard_normal((n, d_latent))
-    if view_maps is None:
-        # 1/sqrt(latent_dim) keeps per-component feature variance at 1
-        map_q = rng.standard_normal((d_latent, d_view)) / math.sqrt(d_latent)
-        map_r = rng.standard_normal((d_latent, d_view)) / math.sqrt(d_latent)
-    else:
-        map_q, map_r = view_maps
-        if map_q.shape != (d_latent, d_view) or map_r.shape != (d_latent, d_view):
-            raise ValidationError(
-                f"view maps must have shape ({d_latent}, {d_view})"
-            )
+    # 1/sqrt(latent_dim) keeps per-component feature variance at 1
+    map_q = rng.standard_normal((d_latent, d_view)) / math.sqrt(d_latent)
+    map_r = rng.standard_normal((d_latent, d_view)) / math.sqrt(d_latent)
     query = latents @ map_q + cfg.noise_sigma * rng.standard_normal((n, d_view))
     reference = latents @ map_r + cfg.noise_sigma * rng.standard_normal((n, d_view))
 
@@ -364,7 +365,6 @@ def generate_synthetic(
     records = [
         SampleRecord(
             id=ids[i],
-            pair_index=i,
             class_id=ids[i],
             coord=Coordinate(float(coords[i, 0]), float(coords[i, 1]), "planar"),
             positives=(ids[i],),

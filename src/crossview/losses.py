@@ -42,16 +42,13 @@ class LossConfig:
 
     label_smoothing: float = setting(0.1, ge=0, lt=1)
     logit_scale: float = math.log(1.0 / 0.07)
-    logit_scale_max: float = math.log(100.0)
+    # at most the log of the largest float, so exp(logit_scale_max) does not overflow
+    logit_scale_max: float = setting(math.log(100.0), le=math.log(sys.float_info.max))
     direction: str = setting("symmetric", choices=DIRECTIONS)
     triplet_margin: float = 0.3
 
     def __post_init__(self):
         check_settings(self)
-        if self.logit_scale_max > math.log(sys.float_info.max):
-            raise ValidationError(
-                f"loss.logit_scale_max={self.logit_scale_max!r}: its exp overflows float64"
-            )
         if self.logit_scale > self.logit_scale_max:
             raise ValidationError(
                 f"loss.logit_scale={self.logit_scale!r} exceeds "

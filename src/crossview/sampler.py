@@ -52,7 +52,7 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """One epoch's batches: each pair_index appears exactly once overall."""
+    """One epoch's batches: each record position appears exactly once overall."""
 
     epoch: int
     batches: tuple[tuple[int, ...], ...]

@@ -159,7 +159,7 @@ class TrainConfig:
 
     epochs: int = setting(40, ge=1)
     lr_max: float = setting(0.001, gt=0)
-    warmup_epochs: int = 1
+    warmup_epochs: int = setting(1, ge=0)
     weight_decay: float = setting(0.01, ge=0)
     beta1: float = setting(0.9, ge=0, lt=1)
     beta2: float = setting(0.999, ge=0, lt=1)
@@ -174,9 +174,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_settings(self)
-        if not 0 <= self.warmup_epochs < self.epochs:
-            raise ValidationError(f"train.warmup_epochs={self.warmup_epochs} must be >= 0 "
-                                  f"and < train.epochs={self.epochs}")
+        if self.warmup_epochs >= self.epochs:
+            raise ValidationError(f"train.warmup_epochs={self.warmup_epochs} must be "
+                                  f"< train.epochs={self.epochs}")
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +376,7 @@ def train(
 ) -> TrainResult:
     """Train the encoder on row-aligned features; deterministic given cfg.
 
-    The final holdout_size(n) pairs by pair_index are held out, and each
+    The final holdout_size(n) pairs by record position are held out, and each
     needs a positive among them; per epoch the history records the mean
     batch loss, the learning rate at the last step, and the held-out R@1
     of retrieval_report, whose last report the result keeps.

@@ -139,7 +139,7 @@ class TestPlan:
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "manifest line 4" in err and "not finite" in err
+        assert "manifest line 4: x=nan must be finite" in err
 
     def test_overflowing_planar_distance_named(self, tmp_path, capsys):
         data = gen_dataset(tmp_path)
@@ -320,6 +320,29 @@ class TestEval:
         ])
         assert rc == 1
         assert "'p000003' (index 3)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, message", [
+        pytest.param([1], "expected a JSON object", id="array"),
+        pytest.param({"crs": "planr"}, "crs='planr' must be one of", id="crs"),
+        pytest.param({"id": ["p000001"]}, "id=['p000001'] must be a JSON string", id="id"),
+        pytest.param({"class_id": True}, "class_id=True must be a JSON string", id="class_id"),
+        pytest.param({"x": True}, "x=True must be a float or an int", id="x-bool"),
+        pytest.param({"x": 10**400}, "x=1" + "0" * 400 + " must be finite", id="x-huge"),
+    ])
+    def test_malformed_manifest_line_named(self, tmp_path, capsys, change, message):
+        data = gen_dataset(tmp_path)
+        manifest = data / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), **change} if type(change) is dict else change)
+        manifest.write_text("\n".join(lines) + "\n")
+        rc = main([
+            "eval",
+            "--query", str(data / "query.emb"),
+            "--ref", str(data / "reference.emb"),
+            "--manifest", str(manifest),
+        ])
+        assert rc == 1
+        assert f"manifest line 2: {message}" in capsys.readouterr().err
 
     def test_dim_mismatch_named(self, tmp_path, capsys):
         data = gen_dataset(tmp_path)

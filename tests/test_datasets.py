@@ -1,8 +1,11 @@
+import json
+import math
+import re
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crossview.datasets import (
     Coordinate,
@@ -28,6 +31,14 @@ def make_table(data, ids=None):
     return EmbeddingTable(data, tuple(ids))
 
 
+def manifest_line(**fields):
+    """One planar manifest line from JSON text per key; a key given None is left out."""
+    base = {"id": '"a"', "class_id": '"a"', "x": "0", "y": "0", "crs": '"planar"',
+            "positives": '["a"]'}
+    base.update(fields)
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in base.items() if v is not None) + "}\n"
+
+
 class TestCoordinate:
     def test_wgs84_range_checked(self):
         Coordinate(45.0, 120.0, "wgs84")
@@ -41,11 +52,11 @@ class TestCoordinate:
 
     @pytest.mark.parametrize("a, b", [(float("nan"), 0.0), (0.0, float("inf")), (float("-inf"), 1.0)])
     def test_planar_rejects_non_finite(self, a, b):
-        with pytest.raises(ValidationError, match="not finite"):
+        with pytest.raises(ValidationError, match=r"^[xy]=-?(nan|inf) must be finite$"):
             Coordinate(a, b, "planar")
 
     def test_wgs84_rejects_nan(self):
-        with pytest.raises(ValidationError, match="latitude nan"):
+        with pytest.raises(ValidationError, match="lat=nan must be finite"):
             Coordinate(float("nan"), 0.0, "wgs84")
 
     def test_unknown_crs(self):
@@ -56,14 +67,44 @@ class TestCoordinate:
 class TestSampleRecord:
     def test_positives_required(self):
         with pytest.raises(ValidationError):
-            SampleRecord("a", 0, "c", Coordinate(0, 0, "planar"), positives=())
+            SampleRecord("a", "c", Coordinate(0, 0, "planar"), positives=())
 
     def test_semi_positives_disjoint(self):
         with pytest.raises(ValidationError, match="overlap"):
             SampleRecord(
-                "a", 0, "c", Coordinate(0, 0, "planar"),
+                "a", "c", Coordinate(0, 0, "planar"),
                 positives=("a",), semi_positives=("a", "b"),
             )
+
+
+JSON_VALUE = st.one_of(
+    st.sampled_from(["a", "wgs84", "planar", ["a"], []]),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.floats(),  # NaN and +-inf too, which json writes as NaN and Infinity
+    st.integers(-10**400, 10**400),
+    st.lists(st.one_of(st.text(max_size=2), st.integers(), st.none(), st.booleans()),
+             max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def fuzzed_lines(draw):
+    """One in four a drawn JSON value, else a valid manifest object in which
+    up to four keys take a drawn JSON value or are left out."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(JSON_VALUE)
+    obj = {"id": "a", "class_id": "c", "crs": draw(st.sampled_from(["wgs84", "planar"])),
+           "x": 0.5, "y": -2, "lat": 45.0, "lon": -120, "positives": ["a"], "semi_positives": []}
+    for key in draw(st.sets(st.sampled_from(sorted(obj)), max_size=4)):
+        value = draw(st.one_of(st.just(KeyError), JSON_VALUE))
+        if value is KeyError:
+            del obj[key]
+        else:
+            obj[key] = value
+    return obj
 
 
 class TestManifest:
@@ -80,7 +121,6 @@ class TestManifest:
         )
         records = load_manifest(path)
         assert [r.id for r in records] == ["a", "b"]
-        assert [r.pair_index for r in records] == [0, 1]
         assert records[1].coord.crs == "wgs84"
 
     def test_malformed_line_reports_number(self, tmp_path):
@@ -96,7 +136,7 @@ class TestManifest:
         line = '{"id": "dup", "class_id": "c", "x": 0, "y": 0, "crs": "planar", "positives": ["dup"]}\n'
         path = tmp_path / "m.jsonl"
         path.write_text(line + line)
-        with pytest.raises(ValidationError, match="dup"):
+        with pytest.raises(ValidationError, match="^manifest line 2: duplicate id 'dup'$"):
             load_manifest(path)
 
     def test_unknown_positive_reference(self, tmp_path):
@@ -104,7 +144,8 @@ class TestManifest:
         path.write_text(
             '{"id": "a", "class_id": "a", "x": 0, "y": 0, "crs": "planar", "positives": ["ghost"]}\n'
         )
-        with pytest.raises(ValidationError, match="ghost"):
+        with pytest.raises(ValidationError,
+                           match="^manifest line 1: record 'a' references unknown id 'ghost'$"):
             load_manifest(path)
 
     @pytest.mark.parametrize("key", ["positives", "semi_positives"])
@@ -120,6 +161,68 @@ class TestManifest:
         )
         with pytest.raises(ValidationError, match=f"manifest line 1: {key} must be a JSON list"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("line", ["[1]", "3", '"s"', "null"])
+    def test_line_that_is_not_an_object_named(self, tmp_path, line):
+        path = tmp_path / "m.jsonl"
+        path.write_text(manifest_line() + line + "\n")
+        with pytest.raises(ValidationError, match="^manifest line 2: expected a JSON object$"):
+            load_manifest(path)
+
+    def test_line_nested_too_deep_named(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        with pytest.raises(ValidationError, match="^manifest line 1: maximum recursion depth"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("fields, message", [
+        # "planr" used to be read as wgs84 and fail as the bare 'lat'
+        ({"crs": '"planr"'}, "crs='planr' must be one of ('wgs84', 'planar')"),
+        ({"crs": "null"}, "crs=None must be one of ('wgs84', 'planar')"),
+        ({"crs": '["planar"]'}, "crs=['planar'] must be one of ('wgs84', 'planar')"),
+        ({"y": None}, "missing key 'y'"),
+        ({"crs": '"wgs84"', "x": None, "y": None, "lat": "1"}, "missing key 'lon'"),
+        ({"id": '["a"]'}, "id=['a'] must be a JSON string"),
+        ({"id": "1"}, "id=1 must be a JSON string"),
+        ({"class_id": "true"}, "class_id=True must be a JSON string"),
+        ({"class_id": "null"}, "class_id=None must be a JSON string"),
+        ({"positives": '[["a"]]'}, "positives entry ['a'] must be a JSON string"),
+        ({"semi_positives": "[1]"}, "semi_positives entry 1 must be a JSON string"),
+        ({"x": "true"}, "x=True must be a float or an int"),
+        ({"y": '"0"'}, "y='0' must be a float or an int"),
+        ({"x": "1" + "0" * 400}, "x=1" + "0" * 400 + " must be finite"),
+        ({"y": "-1" + "0" * 400}, "y=-1" + "0" * 400 + " must be finite"),
+        ({"y": "NaN"}, "y=nan must be finite"),
+        ({"x": "-Infinity"}, "x=-inf must be finite"),
+        ({"crs": '"wgs84"', "x": None, "y": None, "lat": "95", "lon": "0"},
+         "lat=95 must be <= 90.0"),
+        ({"crs": None, "x": None, "y": None, "lat": "0", "lon": "-180.5"},
+         "lon=-180.5 must be >= -180.0"),
+    ], ids=lambda v: v[:40] if isinstance(v, str) else None)
+    def test_bad_field_named(self, tmp_path, fields, message):
+        # ids used to pass through str() and coordinates through float():
+        # ["a"] loaded as the id "['a']", true as x = 1.0, and 10**400
+        # ended in a bare OverflowError
+        path = tmp_path / "m.jsonl"
+        path.write_text(manifest_line(**fields))
+        with pytest.raises(ValidationError, match=f"^manifest line 1: {re.escape(message)}$"):
+            load_manifest(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=fuzzed_lines())
+    def test_any_line_loads_typed_or_fails_validation(self, tmp_path_factory, line):
+        path = tmp_path_factory.mktemp("manifest") / "m.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        try:
+            records = load_manifest(path)
+        except ValidationError as exc:
+            assert str(exc).startswith("manifest line 1"), exc
+            return
+        for r in records:
+            assert all(type(s) is str for s in (r.id, r.class_id, *r.positives,
+                                                 *r.semi_positives))
+            assert type(r.coord.a) is float and type(r.coord.b) is float
+            assert math.isfinite(r.coord.a) and math.isfinite(r.coord.b)
 
     def test_write_read_round_trip(self, tmp_path):
         records, _, _ = generate_synthetic(SynthConfig(n_pairs=6, seed=3))
@@ -237,12 +340,6 @@ class TestGenerateSynthetic:
         r2, q2, t2 = generate_synthetic(cfg)
         assert r1 == r2 and q1 == q2 and t1 == t2
 
-    def test_identity_maps_zero_noise(self):
-        cfg = SynthConfig(n_pairs=8, latent_dim=5, view_dim=5, noise_sigma=0.0, seed=2)
-        eye = np.eye(5)
-        _, queries, references = generate_synthetic(cfg, view_maps=(eye, eye))
-        np.testing.assert_array_equal(queries.data, references.data)
-
     def test_semi_positives_match_brute_force(self):
         cfg = SynthConfig(n_pairs=10, n_semi_positives=3, seed=5)
         records, _, _ = generate_synthetic(cfg)
@@ -288,7 +385,7 @@ class TestSliceManifest:
     def test_renumbers_and_filters(self):
         records, _, _ = generate_synthetic(SynthConfig(n_pairs=20, seed=4))
         sub = slice_manifest(records, 10, 20)
-        assert [r.pair_index for r in sub] == list(range(10))
+        assert [r.id for r in sub] == [r.id for r in records[10:20]]
         keep = {r.id for r in sub}
         for r in sub:
             assert set(r.positives) <= keep

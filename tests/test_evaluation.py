@@ -197,7 +197,7 @@ class TestOracleEquivalence:
             q = EmbeddingTable(xq.astype(np.float32), tuple(f"q{i}" for i in range(n_q)))
             r = EmbeddingTable(xr.astype(np.float32), tuple(f"r{j}" for j in range(n_r)))
             records = [
-                SampleRecord(id=f"q{i}", pair_index=i, class_id=f"q{i}",
+                SampleRecord(id=f"q{i}", class_id=f"q{i}",
                              coord=Coordinate(0, 0, "planar"),
                              positives=tuple(f"r{j}" for j in sorted(positives[i])),
                              semi_positives=tuple(f"r{j}" for j in sorted(semis[i])))
@@ -254,7 +254,7 @@ class TestOracleEquivalence:
         for i in range(n_q):
             rows = [int(j) for j in rng.permutation(n_r)[:4]]
             pool = [ref_ids[j] for j in rows]
-            records.append(SampleRecord(id=f"q{i}", pair_index=i, class_id=f"q{i}",
+            records.append(SampleRecord(id=f"q{i}", class_id=f"q{i}",
                                         coord=Coordinate(0, 0, "planar"),
                                         positives=tuple(pool[:1 + i % 2]),
                                         semi_positives=tuple(pool[2:])))
@@ -377,7 +377,7 @@ class TestEvaluate:
         ids = tuple(f"p{i}" for i in range(n))
         table = EmbeddingTable(x, ids)
         records = [
-            SampleRecord(id=ids[i], pair_index=i, class_id=ids[i],
+            SampleRecord(id=ids[i], class_id=ids[i],
                          coord=Coordinate(0, 0, "planar"), positives=(ids[i],))
             for i in range(n)
         ]
@@ -417,7 +417,7 @@ class TestEvaluate:
             q = EmbeddingTable(rng.standard_normal((n, 8)).astype(np.float32), ids)
             r = EmbeddingTable(rng.standard_normal((n, 8)).astype(np.float32), ids)
             records = [
-                SampleRecord(id=ids[i], pair_index=i, class_id=ids[i],
+                SampleRecord(id=ids[i], class_id=ids[i],
                              coord=Coordinate(0, 0, "planar"), positives=(ids[i],))
                 for i in range(n)
             ]
@@ -452,7 +452,7 @@ class TestEvaluate:
         q = r[0] + 0.5 * rng.standard_normal((64, 32)).astype(np.float32)
         refs = EmbeddingTable(r, tuple(f"r{j}" for j in range(1001)))
         queries = EmbeddingTable(q, tuple(f"q{i}" for i in range(64)))
-        records = [SampleRecord(id=f"q{i}", pair_index=i, class_id=f"q{i}",
+        records = [SampleRecord(id=f"q{i}", class_id=f"q{i}",
                                 coord=Coordinate(0, 0, "planar"), positives=("r1000",))
                    for i in range(64)]
         report = evaluate(queries, refs, records)
@@ -469,7 +469,7 @@ class TestEvaluate:
         r = EmbeddingTable(rng.standard_normal((n_r, dim)).astype(np.float32),
                            tuple(f"r{j}" for j in range(n_r)))
         records = [
-            SampleRecord(id=f"q{i}", pair_index=i, class_id=f"q{i}",
+            SampleRecord(id=f"q{i}", class_id=f"q{i}",
                          coord=Coordinate(0, 0, "planar"), positives=(f"r{i}",))
             for i in range(n_q)
         ]
@@ -493,7 +493,7 @@ class TestEvaluate:
         r = EmbeddingTable(rng.standard_normal((n_r, dim)).astype(np.float32),
                            tuple(f"r{j}" for j in range(n_r)))
         records = [
-            SampleRecord(id=f"q{i}", pair_index=i, class_id=f"q{i}",
+            SampleRecord(id=f"q{i}", class_id=f"q{i}",
                          coord=Coordinate(0, 0, "planar"), positives=(f"r{i}",))
             for i in range(n_q)
         ]
@@ -509,8 +509,8 @@ class TestEvaluate:
         rng = np.random.default_rng(4)
         q = EmbeddingTable(rng.standard_normal((3, 4)).astype(np.float32), ("a", "b", "c"))
         r = EmbeddingTable(rng.standard_normal((3, 5)).astype(np.float32), ("a", "b", "c"))
-        records = [SampleRecord(id=i, pair_index=n, class_id=i, coord=Coordinate(0, 0, "planar"),
-                                positives=(i,)) for n, i in enumerate(q.row_ids)]
+        records = [SampleRecord(id=i, class_id=i, coord=Coordinate(0, 0, "planar"),
+                                positives=(i,)) for i in q.row_ids]
         with pytest.raises(ValidationError, match="dim mismatch: queries 4 vs references 5"):
             evaluate(q, r, records)
 
@@ -534,7 +534,7 @@ class TestEvaluate:
             refs = [f"r{j}" for j in rng.permutation(n_r)[:5]]
             pos, semi = tuple(refs[:1 + i % 2]), tuple(refs[2:])
             for records, reps in ((once, 1), (twice, 2)):
-                records.append(SampleRecord(id=f"q{i}", pair_index=i, class_id=f"q{i}",
+                records.append(SampleRecord(id=f"q{i}", class_id=f"q{i}",
                                             coord=Coordinate(0, 0, "planar"),
                                             positives=pos * reps,
                                             semi_positives=semi[:1] * reps + semi[1:]))
@@ -547,9 +547,9 @@ class TestEvaluate:
     def test_absent_positive_named_before_an_earlier_absent_semi_positive(self):
         ids = ("r0", "r1")
         records = [
-            SampleRecord(id="q0", pair_index=0, class_id="q0", coord=Coordinate(0, 0, "planar"),
+            SampleRecord(id="q0", class_id="q0", coord=Coordinate(0, 0, "planar"),
                          positives=("r0",), semi_positives=("gone-semi",)),
-            SampleRecord(id="q1", pair_index=1, class_id="q1", coord=Coordinate(0, 0, "planar"),
+            SampleRecord(id="q1", class_id="q1", coord=Coordinate(0, 0, "planar"),
                          positives=("r1", "gone-pos")),
         ]
         with pytest.raises(ValidationError,

@@ -29,7 +29,7 @@ def records_at(points, class_ids=None):
     class_ids = class_ids or [f"c{i}" for i in range(n)]
     return [
         SampleRecord(
-            id=f"p{i}", pair_index=i, class_id=class_ids[i],
+            id=f"p{i}", class_id=class_ids[i],
             coord=Coordinate(float(x), float(y), "planar"), positives=(f"p{i}",),
         )
         for i, (x, y) in enumerate(points)
