@@ -17,7 +17,7 @@ from dataclasses import MISSING, Field, fields
 from pathlib import Path
 from typing import NamedTuple
 
-from .datasets import SynthConfig
+from .datasets import SynthConfig, read_text
 from .errors import ValidationError, check_setting
 from .geo import GeoConfig
 from .losses import LossConfig
@@ -76,8 +76,7 @@ def parse_config(path: str | Path | None, overrides: list[str] = ()) -> ConfigBu
     """Read a config file (optional) and apply overrides last."""
     sections: dict[str, dict] = {section: {} for section in _SECTIONS}
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -158,6 +158,19 @@ class SynthConfig:
                                   "squared planar distance 2*extent^2 overflows float64")
 
 
+def read_text(path: str | Path) -> str:
+    """The file as ``Path.read_text(encoding="utf-8")`` reads it, each \\r\\n
+    or \\r read as \\n; a byte that is not UTF-8 raises ValidationError
+    naming the file and the line that holds it."""
+    raw = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}: line {line} is not UTF-8 text (byte "
+                              f"0x{raw[exc.start]:02x}: {exc.reason})") from None
+
+
 def _record_from_json(obj) -> SampleRecord:
     """The record of one manifest line. JSON values pass through unchanged:
     ids must be JSON strings, and coordinates JSON numbers under the keys
@@ -190,28 +203,26 @@ def load_manifest(path: str | Path) -> list[SampleRecord]:
 
     Raises ValidationError, starting ``manifest line N``, for a malformed
     line, a duplicate id, or a positive/semi-positive id that references no
-    record in the file.
+    record in the file; ``read_text`` names a byte that is not UTF-8.
     """
-    path = Path(path)
     records: list[SampleRecord] = []
     linenos: list[int] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = _record_from_json(json.loads(line))
-            except KeyError as exc:
-                raise ValidationError(f"manifest line {lineno}: missing key {exc}") from exc
-            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-                raise ValidationError(f"manifest line {lineno}: {exc}") from exc
-            if record.id in seen:
-                raise ValidationError(f"manifest line {lineno}: duplicate id {record.id!r}")
-            seen.add(record.id)
-            records.append(record)
-            linenos.append(lineno)
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = _record_from_json(json.loads(line))
+        except KeyError as exc:
+            raise ValidationError(f"manifest line {lineno}: missing key {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise ValidationError(f"manifest line {lineno}: {exc}") from exc
+        if record.id in seen:
+            raise ValidationError(f"manifest line {lineno}: duplicate id {record.id!r}")
+        seen.add(record.id)
+        records.append(record)
+        linenos.append(lineno)
 
     for lineno, record in zip(linenos, records):
         for ref in (*record.positives, *record.semi_positives):
@@ -313,14 +324,17 @@ def read_embeddings(path: str | Path) -> EmbeddingTable:
     data = np.frombuffer(raw, dtype="<f4", offset=4 + _HEADER.size).reshape(count, dim)
     sidecar = path.with_name(path.name + ".ids")
     if sidecar.exists():
-        row_ids = tuple(sidecar.read_text(encoding="utf-8").splitlines())
+        row_ids = tuple(read_text(sidecar).splitlines())
         if len(row_ids) != count:
             raise ValidationError(
                 f"{sidecar}: {len(row_ids)} ids for {count} rows"
             )
     else:
         row_ids = tuple(str(i) for i in range(count))
-    return EmbeddingTable(data=data.copy(), row_ids=row_ids)
+    try:
+        return EmbeddingTable(data=data.copy(), row_ids=row_ids)
+    except ValidationError as exc:  # a NaN row or a duplicate id: name the file
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def generate_synthetic(

@@ -11,7 +11,9 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from functools import reduce
 from itertools import chain
+from operator import add
 
 import numpy as np
 
@@ -144,14 +146,6 @@ def hit_rate(
     return _recall(_matrix_ranks(sim, positives, semi_positives)[1], 1)
 
 
-def _average_precision(ranks: list[int], n_positives: int) -> float:
-    # ranks ascending; positives missing from them contribute zero
-    total = 0.0
-    for found, rank in enumerate(ranks, start=1):
-        total += found / rank
-    return total / n_positives
-
-
 def average_precision(ranking: list[int], positives: set[int]) -> float:
     """Un-interpolated AP of one ranked reference list.
 
@@ -161,7 +155,9 @@ def average_precision(ranking: list[int], positives: set[int]) -> float:
     if not positives:
         raise ValidationError("positives must be non-empty")
     ranks = [rank for rank, ref in enumerate(ranking, start=1) if ref in positives]
-    return _average_precision(ranks, len(positives))
+    # reduce adds left to right on every Python; sum() compensates from 3.12 on
+    total = reduce(add, (found / rank for found, rank in enumerate(ranks, start=1)), 0.0)
+    return total / len(positives)
 
 
 def resolve_links(manifest: list[SampleRecord],
@@ -195,12 +191,15 @@ def retrieval_report(q64: np.ndarray, r64: np.ndarray, positives: np.ndarray,
     hit = _recall(best_masked, 1) if len(semi_positives) else None
     mean_ap = None
     if len(positives) > n_q or not np.bincount(positives[:, 1], minlength=n_r).all():
-        if len(pair_ranks) == n_q:  # one positive each: its AP is 1 / rank, the same bits
-            mean_ap = float(np.mean(1.0 / pair_ranks))
-        else:  # a query's pair ranks, one per positive
-            aps = [_average_precision(sorted(r.tolist()), len(r))
-                   for r in np.split(pair_ranks, starts[1:])]
-            mean_ap = float(np.mean(aps))
+        # a query's AP: found / rank summed over its positives in rank order,
+        # left to right as average_precision adds, over its positive count
+        counts = np.diff(starts, append=len(positives))
+        ranks = np.sort(positives[:, 0] * (n_r + 1) + pair_ranks) % (n_r + 1)
+        total = np.zeros(n_q)
+        for found in range(1, counts.max() + 1):
+            q = np.flatnonzero(counts >= found)
+            total[q] += found / ranks[starts[q] + found - 1]
+        mean_ap = float(np.mean(total / counts))
     return RetrievalReport(recall_at=recall, recall_at_1pct=_recall(best, _percent_k(1.0, n_r)),
                            hit_rate=hit, mean_ap=mean_ap, n_queries=n_q, n_references=n_r)
 

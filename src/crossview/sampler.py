@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import EmbeddingTable, SampleRecord
+from .datasets import EmbeddingTable, SampleRecord, read_text
 from .errors import ValidationError, check_settings, setting
 from .geo import GeoConfig, geo_topk
 from .simsearch import NeighborPool, Pools, visual_topk
@@ -212,18 +212,16 @@ def write_plan(plan: BatchPlan, path: str | Path) -> None:
 
 
 def read_plan(path: str | Path, epoch: int = 0, strategy_used: str = "random") -> BatchPlan:
-    path = Path(path)
     batches = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                batch = json.loads(line)
-                if not isinstance(batch, list) or any(type(i) is not int for i in batch):
-                    raise ValueError(f"{line} is not a JSON list of integers")
-                batches.append(tuple(batch))
-            except ValueError as exc:
-                raise ValidationError(f"plan line {lineno}: {exc}") from exc
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            batch = json.loads(line)
+            if not isinstance(batch, list) or any(type(i) is not int for i in batch):
+                raise ValueError(f"{line} is not a JSON list of integers")
+            batches.append(tuple(batch))
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise ValidationError(f"plan line {lineno}: {exc}") from exc
     return BatchPlan(epoch=epoch, batches=tuple(batches), strategy_used=strategy_used)

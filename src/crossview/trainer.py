@@ -10,11 +10,12 @@ re-encoding the full training set with the current weights.
 
 All trainable state is one float64 vector ``theta``: the query encoder's
 W1, b1, W2, b2 (each row-major), then the reference encoder's four when
-weights are not shared, then the logit scale. ``EncoderParams`` reads
-the tensors as reshaped views into it; the objective writes its
-gradient as one theta-shaped vector, AdamW updates theta in place, the
-temperature clamp touches its last entry, gradcheck perturbs its
-entries one at a time, and save_params writes it as one EMB1 row.
+weights are not shared, then the logit scale. ``EncoderParams`` holds
+each encoder's tensors as one tuple of reshaped views into it; the
+objective writes its gradient as one theta-shaped vector, AdamW updates
+theta in place, the temperature clamp touches its last entry, gradcheck
+perturbs its entries one at a time, and save_params writes it as one
+EMB1 row.
 ``theta_layout`` is the one place that knows the tensor shapes.
 
 Everything runs in float64 so the analytic gradients can be validated
@@ -36,6 +37,7 @@ from .datasets import (
     EmbeddingTable,
     SampleRecord,
     read_embeddings,
+    read_text,
     require_aligned,
     slice_manifest,
     write_embeddings,
@@ -88,18 +90,15 @@ def theta_layout(
     return layout
 
 
-def _view(name: str):
-    return property(lambda self: self.tensors.get(name))
-
-
 @dataclass(frozen=True, eq=False)
 class EncoderParams:
     """All trainable state as one float64 vector ``theta``, laid out by
     ``theta_layout``.
 
-    W1 ... b2, the ref_* set (None when weights are shared) and the
-    entries of ``tensors`` are reshaped views into theta, so an in-place
-    update of theta moves them all.
+    ``query`` and ``reference`` are each encoder's (W1, b1, W2, b2) as
+    reshaped views into theta, so an in-place update of theta moves them;
+    ``reference is query`` when weights are shared. W1 ... b2 name the
+    entries of ``query``.
     """
 
     theta: np.ndarray
@@ -108,10 +107,10 @@ class EncoderParams:
     d_out: int
     shared_weights: bool = True
     layout: dict = field(init=False, repr=False)
-    tensors: dict = field(init=False, repr=False)
+    query: tuple = field(init=False, repr=False)
+    reference: tuple = field(init=False, repr=False)
 
-    W1, b1, W2, b2 = (_view("q." + t) for t in _TENSORS)
-    ref_W1, ref_b1, ref_W2, ref_b2 = (_view("r." + t) for t in _TENSORS)
+    W1, b1, W2, b2 = (property(lambda self, i=i: self.query[i]) for i in range(len(_TENSORS)))
 
     def __post_init__(self):
         layout = theta_layout(self.d_in, self.d_hidden, self.d_out, self.shared_weights)
@@ -121,8 +120,11 @@ class EncoderParams:
                                   f"{self.d_in}-{self.d_hidden}-{self.d_out}, shared="
                                   f"{self.shared_weights}; got {self.theta.dtype} {self.theta.shape}")
         object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "tensors", {name: self.theta[s].reshape(shape)
-                                             for name, (s, shape) in layout.items()})
+        # the layout's q.* then, when not shared, r.*; the logit scale left out
+        views = [self.theta[s].reshape(shape) for s, shape in list(layout.values())[:-1]]
+        query = tuple(views[:len(_TENSORS)])
+        object.__setattr__(self, "query", query)
+        object.__setattr__(self, "reference", tuple(views[len(_TENSORS):]) or query)
         bad = np.flatnonzero(~np.isfinite(self.theta))
         if bad.size:
             raise ValidationError(f"non-finite entries in parameter {self.name_at(bad[0])!r}")
@@ -183,13 +185,6 @@ class TrainConfig:
 # forward / backward
 
 
-def _weights(params: EncoderParams, view: str):
-    if view not in ("query", "reference"):
-        raise ValidationError(f"view must be 'query' or 'reference', got {view!r}")
-    prefix = "q." if params.shared_weights or view == "query" else "r."
-    return tuple(params.tensors[prefix + t] for t in _TENSORS)
-
-
 def _forward(w, X):
     W1, b1, W2, b2 = w
     H_pre = X @ W1 + b1
@@ -222,10 +217,11 @@ def encode(
     X = np.asarray(inputs, dtype=np.float64)
     if X.ndim != 2:
         raise ValidationError(f"inputs must be 2-D, got shape {X.shape}")
-    w = _weights(params, view)
+    if view not in ("query", "reference"):
+        raise ValidationError(f"view must be 'query' or 'reference', got {view!r}")
     if X.shape[1] != params.d_in:
         raise ValidationError(f"input dim {X.shape[1]} does not match encoder d_in {params.d_in}")
-    U, _ = _forward(w, X)
+    U, _ = _forward(getattr(params, view), X)
     if row_ids is None:
         row_ids = tuple(str(i) for i in range(X.shape[0]))
     return EmbeddingTable(U.astype(np.float32), row_ids)
@@ -307,20 +303,10 @@ def adamw_step(
 # the batch objective
 
 
-def _batch_objective(
-    params: EncoderParams,
-    Xq: np.ndarray,
-    Xr: np.ndarray,
-    loss_cfg: LossConfig,
-    loss_kind: str,
-    weights: tuple,
-) -> tuple[float, np.ndarray]:
-    """Loss and its gradient w.r.t. every entry of params.theta.
-
-    ``weights`` is the (query, reference) pair of ``_weights`` views into
-    params.theta, looked up once: they stay valid while theta changes in place.
-    """
-    wq, wr = weights
+def _batch_objective(params: EncoderParams, Xq: np.ndarray, Xr: np.ndarray, loss_cfg: LossConfig,
+                     loss_kind: str) -> tuple[float, np.ndarray]:
+    """Loss and its gradient w.r.t. every entry of params.theta."""
+    wq, wr = params.query, params.reference
     Q, cache_q = _forward(wq, Xq)
     R, cache_r = _forward(wr, Xr)
 
@@ -411,8 +397,6 @@ def train(
     pools = None  # the pools of the current strategy; None while random
     steps_per_epoch = math.ceil(n_train / scfg.batch_size)
     global_step = 0
-    # views into theta, which every update changes in place
-    weights = (_weights(params, "query"), _weights(params, "reference"))
     history: list[dict] = []
     plans: list[BatchPlan] = []
 
@@ -434,16 +418,15 @@ def train(
                 continue  # a lone pair has no in-batch negative
             idx = np.array(batch)
             lr = lr_at(global_step, steps_per_epoch, cfg)
-            loss, grad = _batch_objective(
-                params, Xq_train[idx], Xr_train[idx], cfg.loss, cfg.loss_kind, weights
-            )
+            loss, grad = _batch_objective(params, Xq_train[idx], Xr_train[idx], cfg.loss,
+                                          cfg.loss_kind)
             adamw_step(params, grad, state, lr, cfg)
             params.theta[-1] = clamp_logit_scale(params.logit_scale, cfg.loss.logit_scale_max)
             losses.append(loss)
             global_step += 1
 
-        Q, _ = _forward(weights[0], Xq[n_train:])
-        R, _ = _forward(weights[1], Xr[n_train:])
+        Q, _ = _forward(params.query, Xq[n_train:])
+        R, _ = _forward(params.reference, Xr[n_train:])
         report = retrieval_report(Q, R, *holdout_links)
         history.append(
             {"epoch": epoch, "loss": float(np.mean(losses)) if losses else 0.0,
@@ -504,13 +487,12 @@ def gradcheck(
                          cfg.loss.logit_scale)
     Xq = rng.standard_normal((n, d_in))
     Xr = rng.standard_normal((n, d_in))
-    weights = (_weights(params, "query"), _weights(params, "reference"))
 
     def loss_at():
-        value, _ = _batch_objective(params, Xq, Xr, cfg.loss, cfg.loss_kind, weights)
+        value, _ = _batch_objective(params, Xq, Xr, cfg.loss, cfg.loss_kind)
         return value
 
-    _, analytic = _batch_objective(params, Xq, Xr, cfg.loss, cfg.loss_kind, weights)
+    _, analytic = _batch_objective(params, Xq, Xr, cfg.loss, cfg.loss_kind)
 
     theta = params.theta
     numeric = np.empty_like(theta)
@@ -565,8 +547,8 @@ def load_params(in_dir: str | Path) -> EncoderParams:
     in_dir = Path(in_dir)
     path = in_dir / "header.json"
     try:
-        header = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = json.loads(read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(header, dict):
         raise ValidationError(f"{path}: expected a JSON object, got {type(header).__name__}")

@@ -58,6 +58,13 @@ class TestParsing:
         with pytest.raises(ValidationError, match=r"2.*train\.epochs"):
             parse_config(path)
 
+    @pytest.mark.parametrize("text", [b"train.epochs=\xff3\n", b"# \xe9t\xe9\n"])
+    def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"train.epochs=3\n" + text)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line 2 is not UTF-8"):
+            parse_config(path)
+
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("just a line\n")

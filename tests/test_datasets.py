@@ -169,6 +169,13 @@ class TestManifest:
         with pytest.raises(ValidationError, match="^manifest line 2: expected a JSON object$"):
             load_manifest(path)
 
+    def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(manifest_line().encode() + b"\xff\xfe{}\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line 2 is not "
+                                                  r"UTF-8 text \(byte 0xff: invalid start byte\)$"):
+            load_manifest(path)
+
     def test_line_nested_too_deep_named(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
@@ -294,6 +301,32 @@ class TestEmb1:
         raw = path.read_bytes()
         path.write_bytes(raw[:-4])  # one float short
         with pytest.raises(ValidationError, match="expected 24 bytes.*found 20"):
+            read_embeddings(path)
+
+    def test_sidecar_byte_that_is_not_utf8_named(self, tmp_path):
+        path = tmp_path / "t.emb"
+        write_embeddings(make_table(np.ones((2, 2), dtype=np.float32)), path)
+        (tmp_path / "t.emb.ids").write_bytes(b"a\r\n\xff\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}.ids: line 2 is not UTF-8")):
+            read_embeddings(path)
+
+    def test_nan_row_names_the_file(self, tmp_path):
+        # query and reference tables share ids, so the row alone does not
+        # say which file is bad
+        path = tmp_path / "t.emb"
+        write_embeddings(make_table(np.ones((4, 2), dtype=np.float32), ids="abcd"), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 12 + 4 * (2 * 3 + 1), float("nan"))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: embedding row 'd' (index 3) holds a NaN or inf value")):
+            read_embeddings(path)
+
+    def test_duplicate_id_names_the_file(self, tmp_path):
+        path = tmp_path / "t.emb"
+        write_embeddings(make_table(np.ones((2, 2), dtype=np.float32), ids="ab"), path)
+        (tmp_path / "t.emb.ids").write_text("a\na\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: row ids must be unique"):
             read_embeddings(path)
 
     def test_ids_sidecar(self, tmp_path):

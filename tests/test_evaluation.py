@@ -10,7 +10,6 @@ from crossview.datasets import Coordinate, EmbeddingTable, SampleRecord, SynthCo
 from crossview.errors import ValidationError
 from crossview.evaluation import (
     RECALL_KS,
-    _average_precision,
     _positive_ranks,
     average_precision,
     evaluate,
@@ -239,8 +238,9 @@ class TestOracleEquivalence:
         row = sim[edge].tolist()
         for k in range(1, n_r + 1):
             assert float(best[edge] <= k) == brute_recall_at_k([row], positives[edge:], k)
-        ap = _average_precision(sorted(pair_ranks[edge:].tolist()), 2)
-        assert ap == brute_average_precision(rank_references(row), positives[edge])
+        ranking = rank_references(row)
+        assert sorted(pair_ranks[edge:].tolist()) == sorted(ranking.index(j) + 1
+                                                             for j in positives[edge])
 
     def test_report_of_float64_rows_matches_brute_force(self, rank_blocks):
         # the trainer's path: float64 unit rows, links resolved by row id
@@ -317,46 +317,50 @@ class TestOracleEquivalence:
             for k in range(1, n_r + 1):
                 assert float(best[i] <= k) == brute_recall_at_k([row], [pos], k)
             assert float(best_masked[i] == 1) == brute_hit_rate([row], [pos], [semi])
-            assert _average_precision(mine, len(pos)) == brute_average_precision(ranking, pos)
 
     @staticmethod
     def unit_rows(rng, n, dim):
         x = rng.standard_normal((n, dim))
         return x / np.linalg.norm(x, axis=1, keepdims=True)
 
-    def test_single_positive_ap_is_the_per_query_mean(self, monkeypatch, rank_blocks):
-        # one positive per query and 30 distractors: mean AP comes from the
-        # pair ranks directly, with the bits of the per-query loop
+    def test_single_positive_ap_is_the_per_query_mean(self, rank_blocks):
+        # one positive per query and 30 distractors: mean AP is the mean of
+        # 1 / rank, with the same bits
         rng = np.random.default_rng(17)
         n_q, n_r = RANK_BLOCK + 7, RANK_BLOCK + 37
         q, r = self.unit_rows(rng, n_q, 3), self.unit_rows(rng, n_r, 3)
         positives = [{int(j)} for j in rng.permutation(n_r)[:n_q]]
-        semis = [set()] * n_q
-        calls = []
-        monkeypatch.setattr(evaluation, "_average_precision",
-                            lambda *a: calls.append(a) or _average_precision(*a))
-        links = link_arrays(positives, semis, n_q, n_r)
+        links = link_arrays(positives, [set()] * n_q, n_q, n_r)
         report = retrieval_report(q, r, *links)
-        assert calls == []
         _, _, pair_ranks, _ = _positive_ranks(lambda rows: q[rows] @ r.T, n_q, n_r, *links)
-        per_query = [_average_precision([rank], 1) for rank in pair_ranks.tolist()]
-        assert report.mean_ap == float(np.mean(per_query))
+        assert report.mean_ap == float(np.mean(1.0 / pair_ranks))
         sim = (q @ r.T).tolist()
         brute = [brute_average_precision(rank_references(row), p) for row, p in zip(sim, positives)]
         assert report.mean_ap == float(np.mean(brute))
 
-    def test_one_two_positive_query_takes_the_general_ap_path(self, monkeypatch, rank_blocks):
+    def test_one_two_positive_query_ap_matches_brute_force(self, rank_blocks):
         rng = np.random.default_rng(19)
         n_q, n_r = RANK_BLOCK + 7, RANK_BLOCK + 37
         q, r = self.unit_rows(rng, n_q, 3), self.unit_rows(rng, n_r, 3)
         order = [int(j) for j in rng.permutation(n_r)]
         positives = [{j} for j in order[:n_q]]
         positives[5].add(order[n_q])
-        calls = []
-        monkeypatch.setattr(evaluation, "_average_precision",
-                            lambda *a: calls.append(a) or _average_precision(*a))
         report = retrieval_report(q, r, *link_arrays(positives, [set()] * n_q, n_q, n_r))
-        assert len(calls) == n_q
+        sim = (q @ r.T).tolist()
+        brute = [brute_average_precision(rank_references(row), p) for row, p in zip(sim, positives)]
+        assert report.mean_ap == float(np.mean(brute))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_up_to_five_positives_with_distractors_match_brute_force(self, rank_blocks, seed):
+        # 1..5 positives per query over several rank blocks; about a third of
+        # the gallery is no query's positive
+        rng = np.random.default_rng(seed)
+        n_q, n_r = 2 * RANK_BLOCK + 5, 3 * RANK_BLOCK
+        q, r = self.unit_rows(rng, n_q, 4), self.unit_rows(rng, n_r, 4)
+        positives = [{int(j) for j in rng.choice(2 * RANK_BLOCK, int(rng.integers(1, 6)),
+                                                 replace=False)} for _ in range(n_q)]
+        assert max(map(len, positives)) == 5
+        report = retrieval_report(q, r, *link_arrays(positives, [set()] * n_q, n_q, n_r))
         sim = (q @ r.T).tolist()
         brute = [brute_average_precision(rank_references(row), p) for row, p in zip(sim, positives)]
         assert report.mean_ap == float(np.mean(brute))

@@ -62,9 +62,8 @@ class TestEncoderParams:
         shared = init_params(rng, 4, 8, 3, shared_weights=True)
         separate = init_params(rng, 4, 8, 3, shared_weights=False)
         count = lambda *arrs: sum(a.size for a in arrs)
-        n_shared = count(shared.W1, shared.b1, shared.W2, shared.b2)
-        n_separate = count(separate.W1, separate.b1, separate.W2, separate.b2,
-                           separate.ref_W1, separate.ref_b1, separate.ref_W2, separate.ref_b2)
+        n_shared = count(*shared.query)
+        n_separate = count(*separate.query, *separate.reference)
         assert n_separate == 2 * n_shared
         # theta holds the encoders plus the one logit scale
         assert separate.theta.size - 1 == 2 * (shared.theta.size - 1)
@@ -73,21 +72,18 @@ class TestEncoderParams:
     def test_tensors_are_views_into_theta(self, shared):
         rng = np.random.default_rng(5)
         p = init_params(rng, 3, 4, 2, shared_weights=shared, logit_scale=1.5)
-        names = ["q.W1", "q.b1", "q.W2", "q.b2"]
-        if not shared:
-            names += ["r.W1", "r.b1", "r.W2", "r.b2"]
-        assert list(p.tensors) == names + ["logit_scale"]
+        encoders = [p.query] if shared else [p.query, p.reference]
+        assert (p.reference is p.query) == shared
+        assert all(a is b for a, b in zip((p.W1, p.b1, p.W2, p.b2), p.query, strict=True))
+        for w in encoders:
+            assert [t.shape for t in w] == [(3, 4), (4,), (4, 2), (2,)]
         np.testing.assert_array_equal(
-            np.concatenate([p.tensors[k].ravel() for k in names] + [[1.5]]), p.theta
+            np.concatenate([t.ravel() for w in encoders for t in w] + [[1.5]]), p.theta
         )
-        p.theta[:] = 0.25
-        assert p.W1.shape == (3, 4) and np.all(p.W1 == 0.25)
-        assert p.b2.shape == (2,) and np.all(p.b2 == 0.25)
+        p.theta[:] = 0.25  # an in-place change of theta moves both encoders
+        for w in (p.query, p.reference):
+            assert all(np.all(t == 0.25) for t in w)
         assert p.logit_scale == 0.25
-        if not shared:
-            assert np.all(p.ref_W2 == 0.25)
-        else:
-            assert p.ref_W1 is None
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_init_draw_order(self, shared):
@@ -96,13 +92,13 @@ class TestEncoderParams:
         d_in, d_h, d_out = 5, 7, 3
         p = init_params(np.random.default_rng(9), d_in, d_h, d_out, shared, logit_scale=1.5)
         rng = np.random.default_rng(9)
-        order = ["q."] if shared else ["r.", "q."]
-        for prefix in order:
-            for name, (m, n) in (("W1", (d_in, d_h)), ("W2", (d_h, d_out))):
+        order = [p.query] if shared else [p.reference, p.query]
+        for W1, _, W2, _ in order:
+            for W, (m, n) in ((W1, (d_in, d_h)), (W2, (d_h, d_out))):
                 expected = rng.standard_normal((m, n)) * math.sqrt(2.0 / (m + n))
-                np.testing.assert_array_equal(p.tensors[prefix + name], expected)
-        for prefix in order:
-            assert not p.tensors[prefix + "b1"].any() and not p.tensors[prefix + "b2"].any()
+                np.testing.assert_array_equal(W, expected)
+        for _, b1, _, b2 in order:
+            assert not b1.any() and not b2.any()
         assert p.logit_scale == 1.5
 
 
@@ -371,7 +367,7 @@ class TestTrain:
         cfg = tiny_config(epochs=2, shared_weights=False)
         result = train(records, q, r, cfg)
         assert not result.params.shared_weights
-        assert result.params.ref_W1 is not None
+        assert result.params.reference is not result.params.query
 
     def test_feature_alignment_checked(self):
         records, q, r = separable_data()
@@ -498,8 +494,8 @@ class TestParamsIO:
         np.testing.assert_allclose(loaded.theta, params.theta, atol=1e-6)
         np.testing.assert_allclose(loaded.W1, params.W1, atol=1e-6)
         np.testing.assert_allclose(loaded.b2, params.b2, atol=1e-6)
-        if not shared:
-            np.testing.assert_allclose(loaded.ref_W2, params.ref_W2, atol=1e-6)
+        for got, want in zip(loaded.reference, params.reference, strict=True):
+            np.testing.assert_allclose(got, want, atol=1e-6)
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_directory_holds_theta_bit_for_bit(self, tmp_path, shared):
@@ -539,6 +535,14 @@ class TestParamsIO:
         text = (tmp_path / "header.json").read_text()
         (tmp_path / "header.json").write_text(text[: len(text) // 2])
         with pytest.raises(ValidationError, match=r"header\.json: not valid JSON"):
+            load_params(tmp_path)
+
+    @pytest.mark.parametrize("text", [b"{\"d_in\": \"\xff\"}", b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_header_named(self, tmp_path, text):
+        save_params(init_params(np.random.default_rng(0), 5, 8, 4), tmp_path)
+        (tmp_path / "header.json").write_bytes(text)
+        with pytest.raises(ValidationError, match=r"header\.json: "):
             load_params(tmp_path)
 
     def test_header_not_an_object_rejected(self, tmp_path):
