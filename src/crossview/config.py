@@ -17,7 +17,7 @@ from dataclasses import MISSING, Field, fields
 from pathlib import Path
 from typing import NamedTuple
 
-from .datasets import SynthConfig, read_text
+from .datasets import SynthConfig, read_lines
 from .errors import ValidationError, check_setting
 from .geo import GeoConfig
 from .losses import LossConfig
@@ -55,40 +55,52 @@ _SCHEMA: dict[str, tuple[str, Field, type | callable]] = {
 }
 
 
-def _parse_line(line: str, where: str, sections: dict[str, dict]) -> None:
+def _parse_line(line: str) -> tuple[str, object]:
+    """(key, value) of one ``key=value`` line, the value checked against the key's rules."""
     if "=" not in line:
-        raise ValidationError(f"{where}: expected key=value, got {line!r}")
+        raise ValidationError(f"expected key=value, got {line!r}")
     key, _, value = line.partition("=")
     key = key.strip()
-    value = value.strip()
     if key not in _SCHEMA:
-        raise ValidationError(f"{where}: unknown key {key!r}")
-    section, f, parser = _SCHEMA[key]
+        raise ValidationError(f"unknown key {key!r}")
+    _, f, parser = _SCHEMA[key]
     try:
-        parsed = parser(value)
+        parsed = parser(value.strip())
         check_setting(key, f, parsed)
     except (ValueError, TypeError) as exc:
-        raise ValidationError(f"{where}: bad value for {key!r}: {exc}") from exc
-    sections[section][f.name] = parsed
+        raise ValidationError(f"bad value for {key!r}: {exc}") from exc
+    return key, parsed
 
 
 def parse_config(path: str | Path | None, overrides: list[str] = ()) -> ConfigBundle:
-    """Read a config file (optional) and apply overrides last."""
-    sections: dict[str, dict] = {section: {} for section in _SECTIONS}
+    """Read a config file (optional) through ``read_lines``, skipping # lines, then
+    the overrides. An error starts with the place that set the value at fault,
+    ``<path>:N:`` or ``override i ('key=value'):``; a rule between settings names
+    the last place that set a key its message names."""
+    entries = []  # (place, key, value) in the order they are set
     if path is not None:
-        for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            _parse_line(line, f"{path}:{lineno}", sections)
+        lines = read_lines(path, lambda line: None if line.startswith("#") else _parse_line(line))
+        entries += [(f"{path}:{lineno}", *entry) for lineno, entry in lines if entry]
     for i, override in enumerate(overrides, start=1):
-        _parse_line(override.strip(), f"override {i} ({override!r})", sections)
-
-    synth = SynthConfig(**sections["synth"])
-    sampler = SamplerConfig(**sections["sampler"])
-    loss = LossConfig(**sections["loss"])
-    train = TrainConfig(loss=loss, sampler=sampler, **sections["train"])
-    geo = GeoConfig(**sections["geo"])
+        place = f"override {i} ({override!r})"
+        try:
+            entries.append((place, *_parse_line(override.strip())))
+        except ValidationError as exc:
+            raise ValidationError(f"{place}: {exc}") from exc
+    sections: dict[str, dict] = {section: {} for section in _SECTIONS}
+    for _, key, value in entries:
+        sections[_SCHEMA[key][0]][_SCHEMA[key][1].name] = value
+    try:
+        synth = SynthConfig(**sections["synth"])
+        sampler = SamplerConfig(**sections["sampler"])
+        loss = LossConfig(**sections["loss"])
+        train = TrainConfig(loss=loss, sampler=sampler, **sections["train"])
+        geo = GeoConfig(**sections["geo"])
+    except ValidationError as exc:
+        named = [place for place, key, _ in entries if f"{key}=" in str(exc)]
+        if not named:
+            raise
+        raise ValidationError(f"{named[-1]}: {exc}") from exc
     return ConfigBundle(synth=synth, sampler=sampler, train=train, geo=geo)
 
 

@@ -161,14 +161,32 @@ class SynthConfig:
 def read_text(path: str | Path) -> str:
     """The file as ``Path.read_text(encoding="utf-8")`` reads it, each \\r\\n
     or \\r read as \\n; a byte that is not UTF-8 raises ValidationError
-    naming the file and the line that holds it."""
+    starting ``<path>:N:`` for the line N that holds it."""
     raw = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
-        raise ValidationError(f"{path}: line {line} is not UTF-8 text (byte "
+        raise ValidationError(f"{path}:{line}: not UTF-8 text (byte "
                               f"0x{raw[exc.start]:02x}: {exc.reason})") from None
+
+
+def read_lines(path: str | Path, parse: callable) -> list[tuple[int, object]]:
+    """``(N, parse(line))`` per non-blank line N of ``read_text(path)``, split at \\n
+    alone and stripped; a KeyError, ValueError or RecursionError from ``parse``
+    raises ValidationError ``<path>:N: ...``."""
+    lines = read_text(path).split("\n")
+    parsed = []
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if line:
+                parsed.append((lineno, parse(line)))
+    except KeyError as exc:
+        raise ValidationError(f"{path}:{lineno}: missing key {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    return parsed
 
 
 def _record_from_json(obj) -> SampleRecord:
@@ -199,37 +217,21 @@ def _record_from_json(obj) -> SampleRecord:
 
 
 def load_manifest(path: str | Path) -> list[SampleRecord]:
-    """Read a JSON-lines manifest; record i is the i-th non-blank line.
-
-    Raises ValidationError, starting ``manifest line N``, for a malformed
-    line, a duplicate id, or a positive/semi-positive id that references no
-    record in the file; ``read_text`` names a byte that is not UTF-8.
-    """
-    records: list[SampleRecord] = []
-    linenos: list[int] = []
+    """Read a JSON-lines manifest through ``read_lines``: record i is the i-th
+    non-blank line. A malformed line N, a duplicate id, or a link to an id no
+    record has raises ValidationError starting ``<path>:N:``."""
+    lines = read_lines(path, lambda line: _record_from_json(json.loads(line)))
     seen: set[str] = set()
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = _record_from_json(json.loads(line))
-        except KeyError as exc:
-            raise ValidationError(f"manifest line {lineno}: missing key {exc}") from exc
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise ValidationError(f"manifest line {lineno}: {exc}") from exc
+    for lineno, record in lines:
         if record.id in seen:
-            raise ValidationError(f"manifest line {lineno}: duplicate id {record.id!r}")
+            raise ValidationError(f"{path}:{lineno}: duplicate id {record.id!r}")
         seen.add(record.id)
-        records.append(record)
-        linenos.append(lineno)
-
-    for lineno, record in zip(linenos, records):
+    for lineno, record in lines:
         for ref in (*record.positives, *record.semi_positives):
             if ref not in seen:
-                raise ValidationError(f"manifest line {lineno}: record {record.id!r} "
+                raise ValidationError(f"{path}:{lineno}: record {record.id!r} "
                                       f"references unknown id {ref!r}")
-    return records
+    return [record for _, record in lines]
 
 
 def record_to_json(record: SampleRecord) -> dict:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .datasets import Coordinate
 from .errors import ValidationError, check_settings, setting
-from .neighbors import nearest_k, planar_nearest_k
+from .neighbors import nearest_k, planar_keys, planar_nearest_k
 from .simsearch import Pools
 
 MEAN_EARTH_RADIUS_M = 6_371_008.8
@@ -34,21 +34,20 @@ class GeoConfig:
 
 
 def haversine_distance(p: Coordinate, q: Coordinate, cfg: GeoConfig = GeoConfig()) -> float:
-    """Great-circle distance in metres between two wgs84 coordinates."""
+    """Great-circle distance in metres between two wgs84 coordinates, as wgs84 pools score it."""
     if p.crs != "wgs84" or q.crs != "wgs84":
         raise ValidationError(f"haversine needs wgs84 coordinates, got {p.crs!r}/{q.crs!r}")
-    phi1, phi2 = math.radians(p.a), math.radians(q.a)
-    dphi = math.radians(q.a - p.a)
-    dlam = math.radians(q.b - p.b)
-    h = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
-    return 2.0 * cfg.earth_radius_m * math.asin(min(1.0, math.sqrt(h)))
+    a = np.array([[p.a, p.b], [q.a, q.b]])
+    return float(_haversine_block(a[:1], a[1:], cfg.earth_radius_m)[0, 0])
 
 
 def planar_distance(p: Coordinate, q: Coordinate) -> float:
-    """Euclidean distance in metres between two planar coordinates."""
+    """Euclidean distance in metres between two planar coordinates, as planar pools score it."""
     if p.crs != "planar" or q.crs != "planar":
         raise ValidationError(f"planar distance needs planar coordinates, got {p.crs!r}/{q.crs!r}")
-    return math.hypot(p.a - q.a, p.b - q.b)
+    a = np.array([[p.a, p.b], [q.a, q.b]])
+    _check_planar_span(a[:1], a[1:])
+    return float(planar_keys(a[:1, 0], a[:1, 1], a[1:, 0], a[1:, 1])[0])
 
 
 def _coord_array(coords: list[Coordinate]) -> tuple[np.ndarray, str]:

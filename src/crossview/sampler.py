@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import EmbeddingTable, SampleRecord, read_text
+from .datasets import EmbeddingTable, SampleRecord, read_lines
 from .errors import ValidationError, check_settings, setting
 from .geo import GeoConfig, geo_topk
 from .simsearch import NeighborPool, Pools, visual_topk
@@ -211,17 +211,13 @@ def write_plan(plan: BatchPlan, path: str | Path) -> None:
     Path(path).write_text(plan_text(plan), encoding="utf-8")
 
 
+def _batch_from_json(line: str) -> tuple[int, ...]:
+    batch = json.loads(line)
+    if not isinstance(batch, list) or any(type(i) is not int for i in batch):
+        raise ValueError(f"{line} is not a JSON list of integers")
+    return tuple(batch)
+
+
 def read_plan(path: str | Path, epoch: int = 0, strategy_used: str = "random") -> BatchPlan:
-    batches = []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            batch = json.loads(line)
-            if not isinstance(batch, list) or any(type(i) is not int for i in batch):
-                raise ValueError(f"{line} is not a JSON list of integers")
-            batches.append(tuple(batch))
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise ValidationError(f"plan line {lineno}: {exc}") from exc
-    return BatchPlan(epoch=epoch, batches=tuple(batches), strategy_used=strategy_used)
+    """Inverse of write_plan, through ``read_lines``: batch i is the i-th non-blank line."""
+    return BatchPlan(epoch, tuple(b for _, b in read_lines(path, _batch_from_json)), strategy_used)

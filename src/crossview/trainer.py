@@ -559,4 +559,7 @@ def load_params(in_dir: str | Path) -> EncoderParams:
         check_setting(f"{path}: {key}", f, header[key])
     theta = np.concatenate([read_embeddings(in_dir / "theta.emb").data.ravel(),
                             [float(header["logit_scale"])]], dtype=np.float64)
-    return EncoderParams(theta, **{key: header[key] for key in tuple(_HEADER)[:-1]})
+    try:
+        return EncoderParams(theta, **{key: header[key] for key in tuple(_HEADER)[:-1]})
+    except ValidationError as exc:  # a theta.emb that does not fit the header's widths
+        raise ValidationError(f"{in_dir / 'theta.emb'}: {exc}") from None

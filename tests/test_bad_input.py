@@ -1,13 +1,17 @@
 """Bad input from outside: every case exits 1 or 2 with a message, never a traceback.
 
 The CLI table runs ``python -m crossview`` in a fresh process per case, so
-an exception that escapes ``cli.main`` shows as a traceback on stderr. The
-fuzz feeds drawn bytes to the file readers that the CLI does not reach
-(``read_plan``, ``load_params``) and to ``read_embeddings``.
+an exception that escapes ``cli.main`` shows as a traceback on stderr; each
+case's message starts with the path of the bad file, as ``<path>:N:`` when
+one line is at fault. The fuzz feeds drawn bytes to the file readers that
+the CLI does not reach (``read_plan``, ``load_params``) and to
+``read_embeddings``, and checks that every ValidationError starts with the
+path of the file it read.
 """
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -48,26 +52,33 @@ def _first_line(path: Path, text: bytes) -> None:
 EVAL = ["eval", "--query", "{data}/query.emb", "--ref", "{data}/reference.emb",
         "--manifest", "{data}/manifest.jsonl"]
 
-# case -> (file to spoil, how, the command after "crossview", what stderr names)
+# case -> (file to spoil, how, the command after "crossview", how stderr starts)
 CASES = {
     "manifest-not-utf8": ("manifest.jsonl", lambda p: _first_line(p, b"\xff\xfe{}"), EVAL,
-                          "manifest.jsonl: line 1 is not UTF-8"),
+                          "{data}/manifest.jsonl:1: not UTF-8"),
     "manifest-nested-too-deep": ("manifest.jsonl",
                                  lambda p: _first_line(p, b"[" * 100_000 + b"]" * 100_000),
-                                 EVAL, "manifest line 1: maximum recursion depth"),
+                                 EVAL, "{data}/manifest.jsonl:1: maximum recursion depth"),
+    "manifest-unknown-reference": ("manifest.jsonl", lambda p: p.write_bytes(
+        p.read_bytes().replace(b'"positives": ["p000002"]', b'"positives": ["ghost"]')), EVAL,
+        "{data}/manifest.jsonl:3: record 'p000002' references unknown id 'ghost'"),
     "ids-not-utf8": ("query.emb.ids", lambda p: p.write_bytes(b"\xff"), EVAL,
-                     "query.emb.ids: line 1 is not UTF-8"),
+                     "{data}/query.emb.ids:1: not UTF-8"),
     "ids-duplicate": ("reference.emb.ids",
                       lambda p: p.write_bytes(p.read_bytes().replace(b"p000001", b"p000000")),
-                      EVAL, "reference.emb: row ids must be unique"),
+                      EVAL, "{data}/reference.emb: row ids must be unique"),
     "reference-nan-row": ("reference.emb", lambda p: _nan_row(p, 3), EVAL,
-                          "reference.emb: embedding row 'p000003' (index 3) holds a NaN"),
+                          "{data}/reference.emb: embedding row 'p000003' (index 3) holds a NaN"),
     "train-config-not-utf8": ("bad.cfg", lambda p: p.write_bytes(b"train.epochs=\xff3\n"),
                               ["train", "--config", "{data}/bad.cfg", "--data", "{data}",
-                               "--out", "{data}/out"], "bad.cfg: line 1 is not UTF-8"),
+                               "--out", "{data}/out"], "{data}/bad.cfg:1: not UTF-8"),
     "gen-synth-config-not-utf8": ("bad.cfg", lambda p: p.write_bytes(b"\n# \xe9t\xe9\n"),
                                   ["gen-synth", "--config", "{data}/bad.cfg", "--out",
-                                   "{data}/out"], "bad.cfg: line 2 is not UTF-8"),
+                                   "{data}/out"], "{data}/bad.cfg:2: not UTF-8"),
+    "train-config-breaks-a-rule": (
+        "bad.cfg", lambda p: p.write_bytes(b"train.warmup_epochs=5\ntrain.epochs=5\n"),
+        ["train", "--config", "{data}/bad.cfg", "--data", "{data}", "--out", "{data}/out"],
+        "{data}/bad.cfg:2: train.warmup_epochs=5 must be < train.epochs=5"),
 }
 
 
@@ -86,7 +97,7 @@ def test_cli_bad_input_exits_without_traceback(dataset, tmp_path, case):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode in (1, 2), proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
-    assert named in proc.stderr
+    assert proc.stderr.startswith(f"error: {named.format(data=data)}"), proc.stderr
 
 
 def _emb1(count: int, dim: int, payload: bytes) -> bytes:
@@ -114,10 +125,15 @@ FUZZ = settings(max_examples=200, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-def _returns_or_fails_cleanly(read, path):
+def _returns_or_fails_cleanly(read, path, named):
+    """read(path), or None when it raises OSError or a ValidationError whose
+    message starts with a match of the regex ``named``."""
     try:
         return read(path)
-    except (ValidationError, OSError):
+    except OSError:
+        return None
+    except ValidationError as exc:
+        assert re.match(named, str(exc)), exc
         return None
 
 
@@ -130,7 +146,8 @@ def test_read_embeddings_of_drawn_bytes(tmp_path, raw, ids):
     sidecar.unlink(missing_ok=True)
     if ids is not None:
         sidecar.write_bytes(ids)
-    table = _returns_or_fails_cleanly(read_embeddings, path)
+    table = _returns_or_fails_cleanly(read_embeddings, path,
+                                      rf"{re.escape(str(path))}(\.ids)?(:\d+)?: ")
     if table is not None:
         assert np.isfinite(table.data).all() and len(set(table.row_ids)) == table.count
 
@@ -142,7 +159,7 @@ def test_read_embeddings_of_drawn_bytes(tmp_path, raw, ids):
 def test_read_plan_of_drawn_bytes(tmp_path, raw):
     path = tmp_path / "plan.jsonl"
     path.write_bytes(raw)
-    plan = _returns_or_fails_cleanly(read_plan, path)
+    plan = _returns_or_fails_cleanly(read_plan, path, rf"{re.escape(str(path))}:\d+: ")
     if plan is not None:
         assert all(type(i) is int for batch in plan.batches for i in batch)
 
@@ -166,6 +183,8 @@ def test_load_params_of_drawn_bytes(tmp_path, header, theta):
     (tmp_path / "header.json").write_bytes(header)
     if theta is not None:
         (tmp_path / "theta.emb").write_bytes(theta)
-    params = _returns_or_fails_cleanly(load_params, tmp_path)
+    params = _returns_or_fails_cleanly(
+        load_params, tmp_path,
+        rf"{re.escape(str(tmp_path))}/(header\.json|theta\.emb(\.ids)?)(:\d+)?: ")
     if params is not None:
         assert np.isfinite(params.theta).all()

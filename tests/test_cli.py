@@ -139,7 +139,7 @@ class TestPlan:
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "manifest line 4: x=nan must be finite" in err
+        assert err.startswith(f"error: {manifest}:4: x=nan must be finite")
 
     def test_overflowing_planar_distance_named(self, tmp_path, capsys):
         data = gen_dataset(tmp_path)
@@ -342,7 +342,7 @@ class TestEval:
             "--manifest", str(manifest),
         ])
         assert rc == 1
-        assert f"manifest line 2: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {manifest}:2: {message}")
 
     def test_dim_mismatch_named(self, tmp_path, capsys):
         data = gen_dataset(tmp_path)

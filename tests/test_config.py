@@ -62,7 +62,15 @@ class TestParsing:
     def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_bytes(b"train.epochs=3\n" + text)
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line 2 is not UTF-8"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:2: not UTF-8"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("boundary", ["\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_line_after_a_non_newline_boundary_keeps_its_number(self, tmp_path, boundary):
+        # str.splitlines also breaks at these, which used to shift every later line
+        path = tmp_path / "c.cfg"
+        path.write_text(f"train.epochs=3{boundary}\ntrain.bogus=1\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:2: unknown key"):
             parse_config(path)
 
     def test_missing_equals_rejected(self, tmp_path):
@@ -92,6 +100,32 @@ class TestParsing:
         path.write_text(f"# comment\n{key}={text}\n")
         with pytest.raises(ValidationError, match=rf"c\.cfg:2: bad value for '{key}'.*finite"):
             parse_config(path)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("sampler.picks_per_anchor=3", 2, "sampler.picks_per_anchor=3 must be even"),
+    ("sampler.picks_per_anchor=16\nsampler.pool_size=8", 3,
+     "sampler.picks_per_anchor=16 exceeds sampler.pool_size=8"),
+    ("train.warmup_epochs=2\ntrain.epochs=2", 3, "train.warmup_epochs=2 must be < train.epochs=2"),
+    ("loss.logit_scale_max=4.0\nloss.logit_scale=5.0\ntrain.epochs=9", 3,
+     "loss.logit_scale=5.0 exceeds loss.logit_scale_max=4.0"),
+    ("synth.map_extent_m=1e154", 2, "synth.map_extent_m=1e+154: the largest squared planar"),
+    ("geo.earth_radius_m=6e307", 2, "geo.earth_radius_m=6e+307: the largest haversine distance"),
+])
+def test_rule_between_settings_names_the_line_that_last_set_a_key(tmp_path, text, line, message):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"# comment\n{text}\n")
+    with pytest.raises(ValidationError,
+                       match=f"^{re.escape(str(path))}:{line}: {re.escape(message)}"):
+        parse_config(path)
+
+
+def test_rule_between_settings_names_the_override_that_last_set_a_key(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("sampler.pool_size=8\n")
+    with pytest.raises(ValidationError, match="^" + re.escape(
+            "override 2 ('sampler.picks_per_anchor=16'): sampler.picks_per_anchor=16 exceeds")):
+        parse_config(path, ["train.epochs=3", "sampler.picks_per_anchor=16"])
 
 
 def _outside(rule, bound, default):

@@ -31,6 +31,11 @@ def make_table(data, ids=None):
     return EmbeddingTable(data, tuple(ids))
 
 
+def at(path, line: int) -> str:
+    """The regex of the ``<path>:N: `` prefix that starts an error in line N of a file."""
+    return f"^{re.escape(str(path))}:{line}: "
+
+
 def manifest_line(**fields):
     """One planar manifest line from JSON text per key; a key given None is left out."""
     base = {"id": '"a"', "class_id": '"a"', "x": "0", "y": "0", "crs": '"planar"',
@@ -129,14 +134,14 @@ class TestManifest:
             '{"id": "a", "class_id": "a", "x": 0, "y": 0, "crs": "planar", "positives": ["a"]}\n'
             "not json\n"
         )
-        with pytest.raises(ValidationError, match="line 2"):
+        with pytest.raises(ValidationError, match=at(path, 2) + "Expecting value"):
             load_manifest(path)
 
     def test_duplicate_id_named(self, tmp_path):
         line = '{"id": "dup", "class_id": "c", "x": 0, "y": 0, "crs": "planar", "positives": ["dup"]}\n'
         path = tmp_path / "m.jsonl"
         path.write_text(line + line)
-        with pytest.raises(ValidationError, match="^manifest line 2: duplicate id 'dup'$"):
+        with pytest.raises(ValidationError, match=at(path, 2) + "duplicate id 'dup'$"):
             load_manifest(path)
 
     def test_unknown_positive_reference(self, tmp_path):
@@ -145,7 +150,7 @@ class TestManifest:
             '{"id": "a", "class_id": "a", "x": 0, "y": 0, "crs": "planar", "positives": ["ghost"]}\n'
         )
         with pytest.raises(ValidationError,
-                           match="^manifest line 1: record 'a' references unknown id 'ghost'$"):
+                           match=at(path, 1) + "record 'a' references unknown id 'ghost'$"):
             load_manifest(path)
 
     @pytest.mark.parametrize("key", ["positives", "semi_positives"])
@@ -159,27 +164,27 @@ class TestManifest:
             + ", ".join(f'"{k}": {v}' for k, v in links.items()) + "}\n"
             '{"id": "b", "class_id": "b", "x": 0, "y": 0, "crs": "planar", "positives": ["b"]}\n'
         )
-        with pytest.raises(ValidationError, match=f"manifest line 1: {key} must be a JSON list"):
+        with pytest.raises(ValidationError, match=at(path, 1) + f"{key} must be a JSON list"):
             load_manifest(path)
 
     @pytest.mark.parametrize("line", ["[1]", "3", '"s"', "null"])
     def test_line_that_is_not_an_object_named(self, tmp_path, line):
         path = tmp_path / "m.jsonl"
         path.write_text(manifest_line() + line + "\n")
-        with pytest.raises(ValidationError, match="^manifest line 2: expected a JSON object$"):
+        with pytest.raises(ValidationError, match=at(path, 2) + "expected a JSON object$"):
             load_manifest(path)
 
     def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_bytes(manifest_line().encode() + b"\xff\xfe{}\n")
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line 2 is not "
-                                                  r"UTF-8 text \(byte 0xff: invalid start byte\)$"):
+        with pytest.raises(ValidationError, match=at(path, 2) + r"not UTF-8 text "
+                                                  r"\(byte 0xff: invalid start byte\)$"):
             load_manifest(path)
 
     def test_line_nested_too_deep_named(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
-        with pytest.raises(ValidationError, match="^manifest line 1: maximum recursion depth"):
+        with pytest.raises(ValidationError, match=at(path, 1) + "maximum recursion depth"):
             load_manifest(path)
 
     @pytest.mark.parametrize("fields, message", [
@@ -212,7 +217,7 @@ class TestManifest:
         # ended in a bare OverflowError
         path = tmp_path / "m.jsonl"
         path.write_text(manifest_line(**fields))
-        with pytest.raises(ValidationError, match=f"^manifest line 1: {re.escape(message)}$"):
+        with pytest.raises(ValidationError, match=at(path, 1) + f"{re.escape(message)}$"):
             load_manifest(path)
 
     @settings(max_examples=300, deadline=None)
@@ -223,7 +228,7 @@ class TestManifest:
         try:
             records = load_manifest(path)
         except ValidationError as exc:
-            assert str(exc).startswith("manifest line 1"), exc
+            assert str(exc).startswith(f"{path}:1: "), exc
             return
         for r in records:
             assert all(type(s) is str for s in (r.id, r.class_id, *r.positives,
@@ -307,7 +312,7 @@ class TestEmb1:
         path = tmp_path / "t.emb"
         write_embeddings(make_table(np.ones((2, 2), dtype=np.float32)), path)
         (tmp_path / "t.emb.ids").write_bytes(b"a\r\n\xff\n")
-        with pytest.raises(ValidationError, match=re.escape(f"{path}.ids: line 2 is not UTF-8")):
+        with pytest.raises(ValidationError, match=at(f"{path}.ids", 2) + "not UTF-8"):
             read_embeddings(path)
 
     def test_nan_row_names_the_file(self, tmp_path):

@@ -88,6 +88,11 @@ class TestPlanar:
         with pytest.raises(ValidationError):
             planar_distance(pla(0, 0), wgs(0, 0))
 
+    def test_overflowing_distance_rejected(self):
+        # hypot(2e200, 0) is finite, but the squared distance the pools sum is not
+        with pytest.raises(ValidationError, match="planar distance overflows float64"):
+            planar_distance(pla(-1e200, 0), pla(1e200, 0))
+
     @given(x1=st.floats(-1e6, 1e6), y1=st.floats(-1e6, 1e6),
            x2=st.floats(-1e6, 1e6), y2=st.floats(-1e6, 1e6))
     def test_symmetric(self, x1, y1, x2, y2):
@@ -133,6 +138,16 @@ class TestGeoTopk:
         for i, (pool, exp) in enumerate(zip(pools, expected)):
             assert list(pool.neighbor_indices) == exp
             assert list(pool.scores) == [planar_distance(coords[i], coords[j]) for j in exp]
+
+    @pytest.mark.parametrize("crs", ["wgs84", "planar"])
+    def test_pool_scores_are_the_public_distance_bit_for_bit(self, crs):
+        rng = np.random.default_rng(25)
+        distance = {"wgs84": haversine_distance, "planar": planar_distance}[crs]
+        coords = [Coordinate(a, b, crs)
+                  for a, b in zip(rng.uniform(-89, 89, 400), rng.uniform(-180, 180, 400))]
+        pools = geo_topk(coords, coords, K=8)
+        assert pools.scores.tolist() == [[distance(coords[i], coords[j]) for j in row]
+                                         for i, row in enumerate(pools.indices)]
 
     def test_equidistant_tie_lower_index_first(self):
         anchors = [pla(0, 0), pla(10, 10), pla(20, 0)]

@@ -277,17 +277,18 @@ class TestPlanSerialization:
         path = tmp_path / "plan.jsonl"
         for bad in ("not a batch", "[0.9, 2]", '[true, "3"]', '"12"'):
             path.write_text(f"[0, 1]\n{bad}\n")
-            with pytest.raises(ValidationError, match="line 2"):
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:2: "):
                 read_plan(path)
 
     def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path):
         path = tmp_path / "plan.jsonl"
         path.write_bytes(b"[0, 1]\r[2, \xe9]\n")
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line 2 is not UTF-8"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:2: not UTF-8"):
             read_plan(path)
 
     def test_line_nested_too_deep_named(self, tmp_path):
         path = tmp_path / "plan.jsonl"
         path.write_text("[0]\n" + "[" * 100_000 + "]" * 100_000 + "\n")
-        with pytest.raises(ValidationError, match="^plan line 2: maximum recursion depth"):
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(str(path))}:2: maximum recursion depth"):
             read_plan(path)
