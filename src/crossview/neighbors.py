@@ -13,7 +13,9 @@ feed candidate key blocks to one selection step (``_survivors``, then
   for great-circle distances, and a visual key's bits depend on the gemm
   that scored its block, so re-scoring a subset would not reproduce them.
 - ``planar_nearest_k`` buckets the candidates into a uniform grid and
-  scores only the 3x3 cells around each anchor. A row is kept only when no
+  scores only the 3x3 cells around each anchor. The anchors of one cell
+  share that square, so each block gathers it once per cell, as a window
+  that every anchor of the cell reads by row. A row is kept only when no
   column outside those cells can reach its K-th key; every other row is
   redone by ``nearest_k``. Planar GPS pools and semi-positives use it, so
   their cost grows about linearly in N on spread-out points instead of as
@@ -30,10 +32,12 @@ block, then a partition of 4K values per row; a row narrower than 16K is
 partitioned whole instead) and keeps every key at or below that cut-off:
 a superset of the row's K smallest, ties at the K-th key included, about
 1.15K keys per row on unstructured keys. ``_first_k`` orders the
-survivors by (key, column) and keeps K per row; ``nearest_k`` runs it
-once per batch of blocks, so one-row blocks do not pay it row by row. A
-row with many ties at its K-th key keeps every tie, and its cost falls
-back to a sort's.
+survivors by (key, column) and keeps K per row: one unstable (SIMD) sort
+of the keys, and a (key, column) sort again only for the rows where two
+of the first K + 1 sorted keys compare equal. ``nearest_k`` runs it once
+per batch of blocks, so one-row blocks do not pay it row by row. A row
+with many ties at its K-th key keeps every tie, and its cost falls back
+to a sort's.
 """
 
 from __future__ import annotations
@@ -96,9 +100,13 @@ def _first_k(row: np.ndarray, col: np.ndarray, key: np.ndarray, n_rows: int, K: 
     keys), each (n_rows, K).
 
     The survivors are packed left into one row each, padded with (+inf,
-    largest index), and one ``np.lexsort`` along the rows orders them; the
-    first K per row equal the first K of a full stable sort of all keys
-    when the survivors include every key <= the row's K-th.
+    largest index), and one unstable ``np.argsort`` along the rows orders
+    the keys. Where a row's first K + 1 sorted keys all differ, its first K
+    keys and their order are unique, so they are the first K by (key,
+    column). Any other row (a tie, -0.0 beside +0.0, or +inf padding among
+    them) is ordered again by ``np.lexsort`` on (key, column). Either way
+    the first K per row equal the first K of a full stable sort of all
+    keys when the survivors include every key <= the row's K-th.
     """
     counts = np.bincount(row, minlength=n_rows)
     slot = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
@@ -106,7 +114,11 @@ def _first_k(row: np.ndarray, col: np.ndarray, key: np.ndarray, n_rows: int, K: 
     keys[row, slot] = key
     cols = np.full(keys.shape, np.iinfo(np.intp).max)
     cols[row, slot] = col
-    first = np.lexsort((cols, keys), axis=1)[:, :K]
+    first = np.argsort(keys, axis=1)[:, :K + 1]
+    head = np.take_along_axis(keys, first, 1)
+    tied = np.flatnonzero((head[:, 1:] == head[:, :-1]).any(axis=1))
+    first[tied] = np.lexsort((cols[tied], keys[tied]), axis=1)[:, :K + 1]
+    first = first[:, :K]
     return np.take_along_axis(cols, first, 1), np.take_along_axis(keys, first, 1)
 
 
@@ -167,9 +179,12 @@ def planar_nearest_k(
     coordinate span). The grid spans the candidates' bounding box with cell
     side h = sqrt(area * (K + 1) / n), about K + 1 candidates per cell, but
     at least the longer side / n so a thin box keeps O(n) cells; a box of
-    zero area is one cell. Per block of anchors, the candidates in the 3x3
-    cells around each anchor are re-scored with ``planar_keys`` into a block
-    padded with +inf, and ``_survivors`` and ``_first_k`` pick from it. A
+    zero area is one cell. Anchors are taken in order of square size, then
+    cell. Per block of anchors, the candidates in the 3x3 cells around each
+    cell that holds an anchor are gathered once into a window, padded at
+    x = +inf; each anchor's row reads its cell's window, ``planar_keys``
+    scores it (the padding scores +inf), the anchor's own candidate is set
+    to +inf, and ``_survivors`` and ``_first_k`` pick from the block. A
     row is accepted when its K-th key lies below the anchor's distance to
     the outside of its 3x3 square (a side on the grid edge counts as
     infinitely far) by more than the rounding slack: then every column
@@ -225,32 +240,45 @@ def planar_nearest_k(
     mag = max(np.abs(candidates).max(), np.abs(anchors).max())
     bound = gap - (36.0 * np.finfo(np.float64).eps * mag + math.sqrt(np.finfo(np.float64).tiny))
 
-    # anchors in order of square size, so a crowded square widens only its own block
-    by_size = np.argsort(run_end[:, 2], kind="stable")
-    width = np.maximum(run_end[by_size, 2], K)  # non-decreasing
+    # the slot of each anchor's own candidate in its square, -1 where it lies outside
+    at = np.empty(n, dtype=np.intp)
+    at[order] = np.arange(n)  # candidate c is at position at[c] of the cell order
+    own = np.full(m, -1)
+    p = at[:m, None]
+    hit = (p >= run_lo[:n]) & (p < run_lo[:n] + run_len[:n])
+    own[np.flatnonzero(hit.any(axis=1))] = (p - shift[:n])[hit]
+
+    # anchors in order of square size, then cell, so a crowded square widens
+    # only its own block and the anchors of one cell share a window
+    size, acell = run_end[:, 2], ac @ np.array([1, nx])
+    by_size = np.lexsort((acell, size))
+    width = np.maximum(size[by_size], K)  # non-decreasing
     redo, start = [], 0
     while start < m:
         # a block is as wide as its last row: end it before rows x width passes the budget
         ahead = width[start:start + block_rows(width[start])]
         stop = start + np.count_nonzero(np.arange(1, len(ahead) + 1) <= block_rows(ahead))
         rows = by_size[start:stop]
-        end = run_end[rows]
+        # one window per cell: its square's candidates in slots, the padding at x = +inf
+        new_cell = np.diff(acell[rows], prepend=-1) != 0
+        cidx = np.cumsum(new_cell) - 1
+        heads = rows[new_cell]
+        end, sh = run_end[heads], shift[heads]
         slot = np.arange(width[stop - 1])
-        run = (slot >= end[:, 0:1]).astype(np.intp)
-        run += slot >= end[:, 1:2]
-        pos = np.take_along_axis(shift[rows], run, axis=1)
-        del run
-        pos += slot
-        pad = slot >= end[:, 2:]
-        pos[pad] = 0
-        block = planar_keys(anchors[rows, 0:1], anchors[rows, 1:2], sx[pos], sy[pos])
-        cols = order[pos]
-        del pos
-        block[pad | (cols == rows[:, None])] = np.inf
+        pos = slot + sh[:, 0:1]
+        pos += (slot >= end[:, 0:1]) * (sh[:, 1:2] - sh[:, 0:1])
+        pos += (slot >= end[:, 1:2]) * (sh[:, 2:3] - sh[:, 1:2])
+        wx, wy, wcols = (a.take(pos, mode="clip") for a in (sx, sy, order))
+        wx[slot >= end[:, 2:]] = np.inf
+        block = planar_keys(anchors[rows, 0:1], anchors[rows, 1:2],
+                            wx.take(cidx, axis=0), wy.take(cidx, axis=0))
+        mine = np.flatnonzero(own[rows] >= 0)
+        block[mine, own[rows[mine]]] = np.inf
         flat = _survivors(block, K)
-        indices[rows], nearest[rows] = _first_k(flat // block.shape[1], cols.take(flat),
+        row, col = np.divmod(flat, len(slot))
+        indices[rows], nearest[rows] = _first_k(row, wcols[cidx[row], col],
                                                 block.take(flat), len(rows), K)
-        del block, cols  # freed before the next block is gathered
+        del block  # freed before the next block is gathered
         redo.append(rows[~(nearest[rows, K - 1] < bound[rows])])
         start = stop
     redo = np.concatenate(redo)

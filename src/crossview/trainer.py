@@ -557,9 +557,12 @@ def load_params(in_dir: str | Path) -> EncoderParams:
         raise ValidationError(f"{path}: missing key {missing[0]!r}")
     for key, f in _HEADER.items():
         check_setting(f"{path}: {key}", f, header[key])
-    theta = np.concatenate([read_embeddings(in_dir / "theta.emb").data.ravel(),
-                            [float(header["logit_scale"])]], dtype=np.float64)
+    theta_path = in_dir / "theta.emb"
+    table = read_embeddings(theta_path)
+    if table.count != 1:
+        raise ValidationError(f"{theta_path}: theta must be one row, got {table.count}")
+    theta = np.concatenate([table.data[0], [float(header["logit_scale"])]], dtype=np.float64)
     try:
         return EncoderParams(theta, **{key: header[key] for key in tuple(_HEADER)[:-1]})
     except ValidationError as exc:  # a theta.emb that does not fit the header's widths
-        raise ValidationError(f"{in_dir / 'theta.emb'}: {exc}") from None
+        raise ValidationError(f"{theta_path}: {exc}") from None

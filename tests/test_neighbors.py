@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -183,6 +184,61 @@ class TestBoundedSelection:
         assert calls[:2] == [2, 2] and sum(calls) == 100
 
 
+def full_sort_first_k(row, col, key, n_rows, K):
+    """Per row, the first K survivors of a full (key, column) sort, and
+    whether the row's first K + 1 keys (its +inf padding included) tie."""
+    width = np.bincount(row, minlength=n_rows).max()
+    indices, nearest, tied = [], [], []
+    for r in range(n_rows):
+        pairs = sorted(zip(key[row == r].tolist(), col[row == r].tolist()))
+        head = [k for k, _ in pairs][:K + 1] + [math.inf] * (min(K + 1, width) - len(pairs))
+        indices.append([c for _, c in pairs[:K]])
+        nearest.append([k for k, _ in pairs[:K]])
+        tied.append(len(set(head)) < len(head))
+    return indices, nearest, tied
+
+
+@st.composite
+def survivor_sets(draw):
+    # per row K to K + 6 survivors, so the shorter rows are padded and some
+    # hold exactly K; keys are small integers of either sign (ties, -0.0
+    # beside +0.0) or +inf, more or fewer distinct ones per case
+    K = draw(st.integers(1, 8))
+    counts = draw(st.lists(st.integers(K, K + 6), min_size=1, max_size=12))
+    spread = draw(st.sampled_from([1, 3, 50, 10**6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row = np.repeat(np.arange(len(counts)), counts)
+    col = np.concatenate([rng.permutation(3 * c)[:c] for c in counts])
+    key = rng.integers(0, spread + 1, len(row)) * rng.choice([-1.0, 1.0], len(row))
+    key[rng.random(len(row)) < 0.05] = np.inf
+    return row, col, key, len(counts), K
+
+
+def test_first_k_matches_full_sort(monkeypatch):
+    repaired = []  # rows handed to the (key, column) sort, per call
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys, axis=-1: (
+        repaired.append(len(keys[0])) or lexsort(keys, axis=axis)))
+    fast = []  # rows ordered by the one unstable sort alone, per case
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=survivor_sets())
+    @example(case=(np.zeros(3, np.intp), np.arange(3), np.array([2.0, -0.0, 0.0]), 1, 3))
+    @example(case=(np.array([0, 0, 1, 1, 1]), np.array([4, 1, 0, 2, 3]),
+                   np.array([5.0, 7.0, 1.0, 2.0, 3.0]), 2, 2))
+    def check(case):
+        row, col, key, n_rows, K = case
+        indices, nearest, tied = full_sort_first_k(row, col, key, n_rows, K)
+        got_indices, got_nearest = neighbors._first_k(row, col, key, n_rows, K)
+        assert got_indices.tolist() == indices
+        assert got_nearest.tobytes() == np.array(nearest, dtype=np.float64).tobytes()
+        assert repaired[-1] == sum(tied)
+        fast.append(n_rows - sum(tied))
+
+    check()
+    assert sum(fast) > 0 and sum(repaired) > 0  # both paths ran
+
+
 def test_visual_peak_follows_the_block_budget():
     # one score block, its finiteness and cut-off masks, and a few packed
     # survivors live at once, beside the two (n, K) outputs
@@ -252,6 +308,29 @@ class TestPlanarNearestK:
         idx, keys = planar_oracle(anchors, candidates, K)
         assert indices.tolist() == idx
         assert nearest.tobytes() == np.array(keys, dtype=np.float64).reshape(-1, K).tobytes()
+
+
+@pytest.mark.parametrize("block", [blocks_of(256), None], ids=["256-row blocks", "default"])
+@pytest.mark.parametrize("layout", ["reversed", "reversed lattice", "more anchors"])
+def test_own_column_outside_the_square(monkeypatch, layout, block):
+    # reversed, anchor i stands on candidate n - 1 - i, so its own column i
+    # mostly lies outside its 3x3 square while a candidate at distance 0 is
+    # inside; anchors i >= n (more anchors than candidates) have no own column
+    if layout == "more anchors":
+        anchors, candidates = planar_layout(900, 600, True, 7)
+    else:
+        _, candidates = planar_layout(1, 700, layout == "reversed lattice", 8)
+        anchors = candidates[::-1].copy()
+    if block is not None:
+        monkeypatch.setattr(neighbors, "block_rows", block)
+    K = 8
+    indices, nearest = planar_nearest_k(anchors, candidates, K)
+    idx, keys = planar_oracle(anchors, candidates, K)
+    assert indices.tolist() == idx
+    assert nearest.tobytes() == np.array(keys, dtype=np.float64).tobytes()
+    own = np.arange(min(len(anchors), len(candidates)))
+    distance = np.hypot(*(anchors[own] - candidates[own]).T)
+    assert (distance <= nearest[own, -1]).any()  # some own column would have been picked
 
 
 def _layout(name, rng):
@@ -343,8 +422,9 @@ def test_element_wise_keys_ignore_the_block_budget(monkeypatch, name):
 def test_planar_peak_follows_the_block_budget():
     # half the points sit in one 10 m cluster, so each of their 3x3 squares
     # gathers about n/2 candidates. A block holds at most BLOCK_BYTES of
-    # keys; about five block-sized arrays (gathered coordinates, their
-    # differences, positions) live at once, beside the per-point bookkeeping.
+    # keys; about four block-sized arrays (the coordinates each row reads
+    # from its cell's window and their differences) live at once, beside
+    # the per-cell windows and the per-point bookkeeping.
     rng = np.random.default_rng(9)
     n = 3000
     points = np.concatenate([rng.uniform(0, 1e4, (n // 2, 2)),

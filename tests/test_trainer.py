@@ -561,3 +561,14 @@ class TestParamsIO:
         write_embeddings(short, tmp_path / "theta.emb")
         with pytest.raises(ValidationError, match="theta must be"):
             load_params(tmp_path)
+
+    def test_theta_of_several_rows_rejected(self, tmp_path):
+        # 26 weights plus the logit scale: a 13 x 2 theta.emb holds 26 values,
+        # the right count, but save_params always writes one row
+        params = init_params(np.random.default_rng(0), 3, 4, 2)
+        save_params(params, tmp_path)
+        rows = EmbeddingTable(params.theta[:-1].reshape(13, 2), tuple(map(str, range(13))))
+        write_embeddings(rows, tmp_path / "theta.emb")
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                f"{tmp_path / 'theta.emb'}: theta must be one row, got 13")):
+            load_params(tmp_path)
