@@ -276,10 +276,11 @@ def require_aligned(what: str, row_ids: tuple[str, ...], records: list[SampleRec
 
 
 def write_manifest(records: list[SampleRecord], path: str | Path) -> None:
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True), built once
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record_to_json(record), sort_keys=True) + "\n")
+            fh.write(encode(record_to_json(record)) + "\n")
 
 
 def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:

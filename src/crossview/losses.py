@@ -21,7 +21,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ValidationError, check_settings, setting
 
@@ -155,6 +154,15 @@ def info_nce(
     )
 
 
+def _expit(x):
+    """``scipy.special.expit``, imported at the first call so that
+    importing crossview loads numpy alone; the call rebinds this name to
+    scipy's ufunc."""
+    global _expit
+    from scipy.special import expit as _expit
+    return _expit(x)
+
+
 def _pair_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = a - b
     return (d * d).sum(axis=1)
@@ -207,7 +215,7 @@ def soft_margin_triplet_loss(
     overflow.
     """
     return _triplet(anchor, positive, negative,
-                    lambda x: (float(np.mean(np.logaddexp(0.0, x))), expit(x)))
+                    lambda x: (float(np.mean(np.logaddexp(0.0, x))), _expit(x)))
 
 
 def clamp_logit_scale(logit_scale: float, logit_scale_max: float) -> float:

@@ -21,6 +21,10 @@ EMB1 row.
 Everything runs in float64 so the analytic gradients can be validated
 against central finite differences, and every random stream is derived
 from explicit seeds so a rerun reproduces plans and losses exactly.
+
+The gelu's erf is ``scipy.special.erf``, imported at the first forward
+pass, so importing this module loads numpy alone and only commands that
+run the encoder load scipy.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
 from .datasets import (
     EmbeddingTable,
@@ -185,10 +188,19 @@ class TrainConfig:
 # forward / backward
 
 
+def _erf(x):
+    """``scipy.special.erf``, imported at the first call so that importing
+    crossview loads numpy alone; the call rebinds this name to scipy's
+    ufunc, so later forward passes call it directly."""
+    global _erf
+    from scipy.special import erf as _erf
+    return _erf(x)
+
+
 def _forward(w, X):
     W1, b1, W2, b2 = w
     H_pre = X @ W1 + b1
-    cdf = 0.5 * (1.0 + erf(H_pre * _INV_SQRT2))  # the normal CDF; gelu(x) = x * cdf(x)
+    cdf = 0.5 * (1.0 + _erf(H_pre * _INV_SQRT2))  # the normal CDF; gelu(x) = x * cdf(x)
     H = H_pre * cdf
     U, norms = unit_rows(H @ W2 + b2)
     return U, (X, H_pre, cdf, H, norms, U)

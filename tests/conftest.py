@@ -1,6 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=(HealthCheck.too_slow,)
 )
 settings.load_profile("default")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def fresh_python():
+    """``fresh_python(code)`` runs ``python -c code`` in a new interpreter
+    that imports crossview from this checkout's ``src``; a non-zero exit
+    fails the test."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return lambda code: subprocess.run([sys.executable, "-c", code], check=True, env=env)

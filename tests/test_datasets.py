@@ -15,6 +15,7 @@ from crossview.datasets import (
     generate_synthetic,
     load_manifest,
     read_embeddings,
+    record_to_json,
     slice_manifest,
     write_embeddings,
     write_manifest,
@@ -241,6 +242,18 @@ class TestManifest:
         path = tmp_path / "m.jsonl"
         write_manifest(records, path)
         assert load_manifest(path) == records
+
+    def test_written_lines_are_sorted_key_json_dumps(self, tmp_path):
+        records = generate_synthetic(SynthConfig(n_pairs=6, seed=3))[0] + [
+            SampleRecord("Zürich 東", "é", Coordinate(47.37, 8.54, "wgs84"), ("p000000",),
+                         ("p000001", " ")),
+            SampleRecord(" ", "c", Coordinate(-0.0, 1e-300, "planar"), ("Zürich 東",)),
+        ]
+        assert any(r.semi_positives for r in records[:6])
+        path = tmp_path / "m.jsonl"
+        write_manifest(records, path)
+        assert path.read_bytes() == "".join(
+            json.dumps(record_to_json(r), sort_keys=True) + "\n" for r in records).encode()
 
 
 class TestEmbeddingTable:

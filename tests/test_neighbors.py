@@ -1,15 +1,10 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import crossview
 from crossview import neighbors
 from crossview.datasets import Coordinate, EmbeddingTable
 from crossview.errors import ValidationError
@@ -375,17 +370,6 @@ def test_planar_grid_byte_identical_to_dense(monkeypatch, name, Ks, branch):
         assert len(redone) == len(Ks) and sum(redone) == 0
     if branch == "dense rows":
         assert sum(redone) > 0
-
-
-def test_planar_search_leaves_scipy_spatial_unimported():
-    code = ("import sys, crossview\n"
-            "from crossview.datasets import SynthConfig, generate_synthetic\n"
-            "from crossview.geo import geo_topk\n"
-            "records = generate_synthetic(SynthConfig(n_pairs=300))[0]\n"
-            "geo_topk([r.coord for r in records], [r.coord for r in records], 5)\n"
-            "assert 'scipy.spatial' not in sys.modules\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(crossview.__file__).parents[1])}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def wgs84_layout(rng):
