@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,11 @@ CRS_KEYS = {
     "wgs84": {"lat": setting(0.0, ge=-90.0, le=90.0), "lon": setting(0.0, ge=-180.0, le=180.0)},
     "planar": {"x": setting(0.0), "y": setting(0.0)},
 }
+
+
+# each crs -> every key its manifest lines may hold
+_LINE_KEYS = {crs: {"id", "class_id", "crs", *keys, "positives", "semi_positives"}
+              for crs, keys in CRS_KEYS.items()}
 
 
 def _crs_keys(crs) -> dict:
@@ -192,7 +197,8 @@ def read_lines(path: str | Path, parse: callable) -> list[tuple[int, object]]:
 def _record_from_json(obj) -> SampleRecord:
     """The record of one manifest line. JSON values pass through unchanged:
     ids must be JSON strings, and coordinates JSON numbers under the keys
-    that ``CRS_KEYS`` gives the line's crs."""
+    that ``CRS_KEYS`` gives the line's crs. A key outside ``_LINE_KEYS``
+    is checked for last, and the first in line order is named."""
     if type(obj) is not dict:
         raise ValidationError("expected a JSON object")
     for key in ("id", "class_id"):
@@ -207,13 +213,16 @@ def _record_from_json(obj) -> SampleRecord:
         for ref in ids:
             if type(ref) is not str:
                 raise ValidationError(f"{key} entry {ref!r} must be a JSON string")
-    return SampleRecord(
+    record = SampleRecord(
         id=obj["id"],
         class_id=obj["class_id"],
         coord=Coordinate(obj[key_a], obj[key_b], crs),
         positives=tuple(links["positives"]),
         semi_positives=tuple(links["semi_positives"]),
     )
+    if not obj.keys() <= _LINE_KEYS[crs]:
+        raise ValidationError(f"unknown key {next(k for k in obj if k not in _LINE_KEYS[crs])!r}")
+    return record
 
 
 def load_manifest(path: str | Path) -> list[SampleRecord]:
@@ -240,27 +249,6 @@ def record_to_json(record: SampleRecord) -> dict:
     return {"id": record.id, "class_id": record.class_id,
             **dict(zip(CRS_KEYS[coord.crs], (coord.a, coord.b))), "crs": coord.crs,
             "positives": list(record.positives), "semi_positives": list(record.semi_positives)}
-
-
-def slice_manifest(records: list[SampleRecord], start: int, stop: int) -> list[SampleRecord]:
-    """Records [start:stop] as a self-contained manifest.
-
-    Record positions start again at 0, and positive/semi-positive links are
-    restricted to the kept ids; a record whose positives all fall outside
-    the slice raises, since it could never be retrieved.
-    """
-    kept = records[start:stop]
-    keep_ids = {r.id for r in kept}
-    out = []
-    for record in kept:
-        positives = tuple(p for p in record.positives if p in keep_ids)
-        if not positives:
-            raise ValidationError(
-                f"record {record.id!r} has no positives inside the slice [{start}, {stop})"
-            )
-        semi_positives = tuple(s for s in record.semi_positives if s in keep_ids)
-        out.append(replace(record, positives=positives, semi_positives=semi_positives))
-    return out
 
 
 def require_aligned(what: str, row_ids: tuple[str, ...], records: list[SampleRecord]) -> None:

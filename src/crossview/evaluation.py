@@ -110,10 +110,15 @@ def link_arrays(positives: list[set[int]], semi_positives: list[set[int]], n_q: 
 
 def _matrix_ranks(sim: np.ndarray, positives: list[set[int]],
                   semi_positives: list[set[int]]) -> tuple[np.ndarray, ...]:
-    """_positive_ranks over the rows of a given (n_q, n_r) similarity matrix."""
+    """_positive_ranks over the rows of a given (n_q, n_r) similarity matrix;
+    a NaN or inf entry raises, naming the first."""
     sim = np.asarray(sim, dtype=np.float64)
-    return _positive_ranks(lambda q: sim[q], *sim.shape,
-                           *link_arrays(positives, semi_positives, *sim.shape))
+    links = link_arrays(positives, semi_positives, *sim.shape)
+    if not np.isfinite(sim).all():
+        q, r = np.argwhere(~np.isfinite(sim))[0]
+        raise ValidationError(f"similarity of query {q} to reference {r} is {sim[q, r]}, "
+                              "not finite")
+    return _positive_ranks(lambda q: sim[q], *sim.shape, *links)
 
 
 def _recall(best_ranks: np.ndarray, k: int) -> float:
@@ -150,10 +155,16 @@ def average_precision(ranking: list[int], positives: set[int]) -> float:
     """Un-interpolated AP of one ranked reference list.
 
     Mean over positives of precision at each positive's rank; positives
-    missing from the ranking contribute zero.
+    missing from the ranking contribute zero. A reference listed twice
+    raises, naming its second rank.
     """
     if not positives:
         raise ValidationError("positives must be non-empty")
+    if len(set(ranking)) < len(ranking):
+        first = {}
+        rank, ref = next((rank, ref) for rank, ref in enumerate(ranking, start=1)
+                         if first.setdefault(ref, rank) != rank)
+        raise ValidationError(f"reference {ref!r} is ranked twice: {first[ref]} and {rank}")
     ranks = [rank for rank, ref in enumerate(ranking, start=1) if ref in positives]
     # reduce adds left to right on every Python; sum() compensates from 3.12 on
     total = reduce(add, (found / rank for found, rank in enumerate(ranks, start=1)), 0.0)
@@ -218,6 +229,4 @@ def evaluate(
     require_aligned("query", queries.row_ids, manifest)
     positives, semis = resolve_links(manifest, references.row_ids)
     q, r = l2_normalize(queries), l2_normalize(references)
-    if q.dim != r.dim:
-        raise ValidationError(f"dim mismatch: queries {q.dim} vs references {r.dim}")
     return retrieval_report(q.data.astype(np.float64), r.data.astype(np.float64), positives, semis)

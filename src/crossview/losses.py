@@ -154,15 +154,6 @@ def info_nce(
     )
 
 
-def _expit(x):
-    """``scipy.special.expit``, imported at the first call so that
-    importing crossview loads numpy alone; the call rebinds this name to
-    scipy's ufunc."""
-    global _expit
-    from scipy.special import expit as _expit
-    return _expit(x)
-
-
 def _pair_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = a - b
     return (d * d).sum(axis=1)
@@ -212,10 +203,12 @@ def soft_margin_triplet_loss(
     """Smooth triplet loss, mean over rows of ln(1 + exp(d(a,p)^2 - d(a,n)^2)).
 
     Evaluated through logaddexp so large positive arguments cannot
-    overflow.
+    overflow. The weight, the loss's derivative, is the sigmoid
+    exp(-ln(1 + exp(-x))): exactly 0, 1/2 and 1 at -inf, 0 and +inf.
     """
     return _triplet(anchor, positive, negative,
-                    lambda x: (float(np.mean(np.logaddexp(0.0, x))), _expit(x)))
+                    lambda x: (float(np.mean(np.logaddexp(0.0, x))),
+                               np.exp(-np.logaddexp(0.0, -x))))
 
 
 def clamp_logit_scale(logit_scale: float, logit_scale_max: float) -> float:

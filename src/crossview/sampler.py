@@ -189,15 +189,19 @@ def plan_epoch(
 
 def validate_plan(plan: BatchPlan, records: list[SampleRecord], cfg: SamplerConfig) -> None:
     """Raise unless the plan satisfies exact cover, size, and class uniqueness."""
+    n = len(records)
     seen: list[int] = []
     for batch in plan.batches:
         if len(batch) > cfg.batch_size:
             raise ValidationError(f"batch of {len(batch)} exceeds batch_size {cfg.batch_size}")
+        outside = [i for i in batch if not 0 <= i < n]
+        if outside:
+            raise ValidationError(f"batch entry {outside[0]} outside [0, {n}) in batch {batch}")
         classes = [records[i].class_id for i in batch]
         if len(set(classes)) != len(classes):
             raise ValidationError(f"duplicate class in batch {batch}")
         seen.extend(batch)
-    if sorted(seen) != list(range(len(records))):
+    if sorted(seen) != list(range(n)):
         raise ValidationError("plan does not cover every pair exactly once")
 
 

@@ -117,7 +117,10 @@ def similarity_blocks(q64: np.ndarray, r64: np.ndarray):
     onto the later copies, so they tie and the tie goes to the lower index.
     Rows whose first values all differ (strictly increasing once sorted,
     so no NaN and no 0.0 beside -0.0) cannot repeat, and skip the search.
+    Raises unless both hold rows of one width.
     """
+    if q64.shape[1] != r64.shape[1]:
+        raise ValidationError(f"dim mismatch: queries {q64.shape[1]} vs references {r64.shape[1]}")
     r64 = np.ascontiguousarray(r64)
     later = np.empty(0, dtype=np.intp)
     lead = np.sort(r64[:, 0])

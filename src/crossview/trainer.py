@@ -42,7 +42,6 @@ from .datasets import (
     read_embeddings,
     read_text,
     require_aligned,
-    slice_manifest,
     write_embeddings,
 )
 from .errors import ValidationError, check_setting, check_settings, setting
@@ -389,8 +388,13 @@ def train(
     if n_train < 2:
         raise ValidationError(f"{n} pairs leave only {n_train} for training")
     train_records = manifest[:n_train]
-    holdout = slice_manifest(manifest, n_train, n)
-    holdout_links = resolve_links(holdout, tuple(r.id for r in holdout))
+    # link rows stay sorted, each once, under a filter and a constant shift
+    holdout_links = [links[links[:, 1] >= n_train] - (0, n_train)
+                     for links in resolve_links(manifest[n_train:], tuple(r.id for r in manifest))]
+    orphans = np.flatnonzero(np.bincount(holdout_links[0][:, 0], minlength=n - n_train) == 0)
+    if orphans.size:
+        raise ValidationError(f"record {manifest[n_train + orphans[0]].id!r} has no positives "
+                              f"inside the held-out pairs [{n_train}, {n})")
     scfg = cfg.sampler
     if scfg.strategy != "random" and scfg.pool_size > n_train - 1:
         raise ValidationError(
@@ -569,6 +573,9 @@ def load_params(in_dir: str | Path) -> EncoderParams:
         raise ValidationError(f"{path}: missing key {missing[0]!r}")
     for key, f in _HEADER.items():
         check_setting(f"{path}: {key}", f, header[key])
+    unknown = [key for key in header if key not in _HEADER]
+    if unknown:
+        raise ValidationError(f"{path}: unknown key {unknown[0]!r}")
     theta_path = in_dir / "theta.emb"
     table = read_embeddings(theta_path)
     if table.count != 1:

@@ -198,6 +198,25 @@ class TestPlan:
             in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("with_manifest", [False, True], ids=["ids", "manifest"])
+    def test_dss_dim_mismatch_named(self, tmp_path, capsys, with_manifest):
+        # used to end in numpy's matmul traceback
+        data = gen_dataset(tmp_path)
+        for name, dim in (("query.emb", 4), ("reference.emb", 5)):
+            table = read_embeddings(data / name)
+            write_embeddings(EmbeddingTable(table.data[:, :dim], table.row_ids), data / name)
+        manifest = ["--manifest", str(data / "manifest.jsonl")] if with_manifest else []
+        out = tmp_path / "plan.jsonl"
+        rc = main([
+            "plan", *TINY_TRAIN,
+            "--set", "sampler.strategy=dss",
+            "--embeddings", str(data / "query.emb"), str(data / "reference.emb"), *manifest,
+            "--epoch", "0", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "dim mismatch: queries 4 vs references 5" in capsys.readouterr().err
+        assert not out.exists()
+
 class TestTrain:
     def test_writes_artifacts(self, tmp_path):
         data = gen_dataset(tmp_path)

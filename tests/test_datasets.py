@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossview.datasets import (
+    CRS_KEYS,
     Coordinate,
     EmbeddingTable,
     SampleRecord,
@@ -16,7 +17,6 @@ from crossview.datasets import (
     load_manifest,
     read_embeddings,
     record_to_json,
-    slice_manifest,
     write_embeddings,
     write_manifest,
 )
@@ -98,16 +98,18 @@ JSON_VALUE = st.one_of(
 
 @st.composite
 def fuzzed_lines(draw):
-    """One in four a drawn JSON value, else a valid manifest object in which
-    up to four keys take a drawn JSON value or are left out."""
+    """One in four a drawn JSON value, else a valid manifest object of the
+    drawn crs in which up to four keys, or an unknown key, take a drawn
+    JSON value or are left out."""
     if draw(st.integers(0, 3)) == 0:
         return draw(JSON_VALUE)
-    obj = {"id": "a", "class_id": "c", "crs": draw(st.sampled_from(["wgs84", "planar"])),
-           "x": 0.5, "y": -2, "lat": 45.0, "lon": -120, "positives": ["a"], "semi_positives": []}
-    for key in draw(st.sets(st.sampled_from(sorted(obj)), max_size=4)):
+    crs = draw(st.sampled_from(sorted(CRS_KEYS)))
+    obj = {"id": "a", "class_id": "c", "crs": crs, **dict(zip(CRS_KEYS[crs], (45.0, -120))),
+           "positives": ["a"], "semi_positives": []}
+    for key in draw(st.sets(st.sampled_from([*sorted(obj), "semipositives"]), max_size=4)):
         value = draw(st.one_of(st.just(KeyError), JSON_VALUE))
         if value is KeyError:
-            del obj[key]
+            obj.pop(key, None)
         else:
             obj[key] = value
     return obj
@@ -211,6 +213,12 @@ class TestManifest:
          "lat=95 must be <= 90.0"),
         ({"crs": None, "x": None, "y": None, "lat": "0", "lon": "-180.5"},
          "lon=-180.5 must be >= -180.0"),
+        # unknown keys used to be dropped: a misspelt semi_positives read as none
+        ({"semipositives": '["a"]'}, "unknown key 'semipositives'"),
+        ({"lat": "95"}, "unknown key 'lat'"),
+        ({"crs": '"wgs84"', "lat": "0", "lon": "0"}, "unknown key 'x'"),
+        # checked last: an earlier fault in the line is named first
+        ({"semipositives": "[]", "x": "true"}, "x=True must be a float or an int"),
     ], ids=lambda v: v[:40] if isinstance(v, str) else None)
     def test_bad_field_named(self, tmp_path, fields, message):
         # ids used to pass through str() and coordinates through float():
@@ -231,6 +239,8 @@ class TestManifest:
         except ValidationError as exc:
             assert str(exc).startswith(f"{path}:1: "), exc
             return
+        assert set(line) <= {"id", "class_id", "crs", *CRS_KEYS[line.get("crs", "wgs84")],
+                             "positives", "semi_positives"}
         for r in records:
             assert all(type(s) is str for s in (r.id, r.class_id, *r.positives,
                                                  *r.semi_positives))
@@ -431,13 +441,3 @@ class TestGenerateSynthetic:
             assert r.coord.crs == "planar"
             assert 0.0 <= r.coord.a <= 123.0 and 0.0 <= r.coord.b <= 123.0
 
-
-class TestSliceManifest:
-    def test_renumbers_and_filters(self):
-        records, _, _ = generate_synthetic(SynthConfig(n_pairs=20, seed=4))
-        sub = slice_manifest(records, 10, 20)
-        assert [r.id for r in sub] == [r.id for r in records[10:20]]
-        keep = {r.id for r in sub}
-        for r in sub:
-            assert set(r.positives) <= keep
-            assert set(r.semi_positives) <= keep

@@ -158,6 +158,32 @@ class TestAveragePrecision:
     def test_missing_positive_contributes_zero(self):
         assert average_precision([1, 2], {1, 99}) == pytest.approx(0.5)
 
+    def test_reference_ranked_twice_rejected(self):
+        # [5, 5, 5] used to score 3.0, each copy counted as one more positive found
+        with pytest.raises(ValidationError, match="^reference 5 is ranked twice: 1 and 2$"):
+            average_precision([5, 5, 5], {5})
+        with pytest.raises(ValidationError, match="^reference 2 is ranked twice: 2 and 4$"):
+            average_precision([1, 2, 3, 2, 1], {1})
+
+
+class TestNonFiniteSimilarity:
+    # a NaN used to rank below everything and above nothing, so these scored 1.0
+    SIM = [[np.nan, .5, .2], [.1, np.nan, .3]]
+
+    @pytest.mark.parametrize("metric", [
+        lambda sim: recall_at_k(sim, [{0}, {1}], 1),
+        lambda sim: recall_at_percent(sim, [{0}, {1}]),
+        lambda sim: hit_rate(sim, [{0}, {1}], [set(), set()]),
+    ], ids=["recall_at_k", "recall_at_percent", "hit_rate"])
+    def test_first_non_finite_entry_named(self, metric):
+        with pytest.raises(ValidationError,
+                           match=r"^similarity of query 0 to reference 0 is nan, not finite$"):
+            metric(self.SIM)
+        sim = np.eye(2, 3)
+        sim[1, 2] = -np.inf
+        with pytest.raises(ValidationError, match="query 1 to reference 2 is -inf"):
+            metric(sim)
+
 
 class TestOracleEquivalence:
     def test_matches_brute_force_on_random_instances(self, rank_blocks):

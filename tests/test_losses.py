@@ -278,6 +278,39 @@ class TestSoftMarginTriplet:
             [out.grad_queries, out.grad_references, out.grad_negatives],
         )
 
+    @staticmethod
+    def weights(s, t):
+        """Each row's gradient weight at x = s^2 - (0.25 + t^2), the x it is
+        computed at, and the loss: with anchor 0, positive (s, 0) and negative
+        (-0.5, t), N * grad_negatives[:, 0] = w * 2 * 0.5 is w exactly for a
+        power-of-two row count N."""
+        zeros = np.zeros_like(s)
+        a = np.zeros((len(s), 2))
+        p = np.stack([s, zeros], axis=1)
+        n = np.stack([np.full_like(s, -0.5), t], axis=1)
+        out = soft_margin_triplet_loss(a, p, n)
+        return out.grad_negatives[:, 0] * len(s), s * s - (0.25 + t * t), out.loss
+
+    @pytest.mark.parametrize("bound, ulps", [(4.0, 4), (8.0, 6)])
+    def test_weight_is_scipy_expit_within_ulps(self, bound, ulps):
+        from scipy.special import expit
+
+        x = np.random.default_rng(int(bound)).uniform(-bound, bound, 2**16)
+        shifted = x + 0.25
+        s, t = np.sqrt(np.maximum(shifted, 0.0)), np.sqrt(np.maximum(-shifted, 0.0))
+        w, x, _ = self.weights(s, t)
+        expected = expit(x)
+        assert (np.abs(w - expected) / np.spacing(expected)).max() <= ulps
+
+    def test_weight_exact_at_zero_and_infinities(self):
+        # squares of 1e200 overflow to x = +-inf; nothing else raises a flag
+        s, t = np.array([0.5, 1e200, 0.0, 0.5]), np.array([0.0, 0.0, 1e200, 0.0])
+        with np.errstate(all="raise", over="ignore"):
+            w, x, loss = self.weights(s, t)
+        assert x.tolist() == [0.0, math.inf, -math.inf, 0.0]
+        assert w.tolist() == [0.5, 1.0, 0.0, 0.5]
+        assert loss == math.inf
+
 
 class TestClampLogitScale:
     def test_below_max_unchanged(self):

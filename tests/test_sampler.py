@@ -195,6 +195,14 @@ class TestPlanEpoch:
             plan = plan_epoch(records, pools, cfg, 0, np.random.default_rng(seed))
             validate_plan(plan, records, cfg)
 
+    @pytest.mark.parametrize("batches, entry", [(((0, 7), (1, 2)), 7), (((-1, 2), (0, 1)), -1)])
+    def test_entry_outside_records_named(self, batches, entry):
+        # 7 used to end in a bare IndexError, -1 in "duplicate class in batch (-1, 2)"
+        records = records_at([(0, 0), (1, 0), (2, 0)])
+        with pytest.raises(ValidationError,
+                           match=rf"^batch entry {entry} outside \[0, 3\) in batch "):
+            validate_plan(BatchPlan(0, batches, "random"), records, SamplerConfig(batch_size=2))
+
     def test_identical_inputs_identical_plan(self):
         rng = np.random.default_rng(4)
         records = records_at(rng.uniform(0, 10, size=(20, 2)))

@@ -517,6 +517,16 @@ class TestParamsIO:
         with pytest.raises(ValidationError, match="d_in"):
             load_params(tmp_path)
 
+    def test_header_with_unknown_key_named(self, tmp_path):
+        # a misspelt key used to be dropped, so "shared_weight": false loaded shared weights
+        save_params(init_params(np.random.default_rng(0), 5, 8, 4), tmp_path)
+        header = json.loads((tmp_path / "header.json").read_text())
+        (tmp_path / "header.json").write_text(json.dumps({**header, "shared_weight": False}))
+        with pytest.raises(ValidationError,
+                           match=rf"^{re.escape(str(tmp_path))}/header\.json: "
+                                 r"unknown key 'shared_weight'$"):
+            load_params(tmp_path)
+
     @pytest.mark.parametrize("key, value", [
         ("d_in", "5"), ("d_in", 5.0), ("d_hidden", True), ("d_out", 0),
         ("shared_weights", "false"), ("shared_weights", 1),
