@@ -18,7 +18,6 @@ import argparse
 import csv
 import functools
 import hashlib
-import json
 import re
 import statistics
 import sys
@@ -27,10 +26,12 @@ from pathlib import Path
 from .config import ConfigBundle, parse_config
 from .datasets import (
     generate_synthetic,
+    json_line,
     load_manifest,
     read_embeddings,
     require_aligned,
     write_embeddings,
+    write_json,
     write_manifest,
 )
 from .errors import ValidationError, check_setting, setting
@@ -122,9 +123,7 @@ def _records_from_ids(row_ids):
 
 def _write_train_artifacts(result: TrainResult, out: Path, dataset_hash: str) -> dict:
     out.mkdir(parents=True, exist_ok=True)
-    history_text = "".join(
-        json.dumps(record, sort_keys=True) + "\n" for record in result.history
-    )
+    history_text = "".join(json_line(record) + "\n" for record in result.history)
     history_name = f"history-{_hash8(history_text.encode())}.jsonl"
     (out / history_name).write_text(history_text, encoding="utf-8")
 
@@ -147,9 +146,7 @@ def _write_train_artifacts(result: TrainResult, out: Path, dataset_hash: str) ->
         "plans": plan_names,
         "final": result.history[-1],
     }
-    (out / "run.json").write_text(
-        json.dumps(run, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(run, out / "run.json")
     return run
 
 
@@ -168,7 +165,7 @@ def cmd_train(args) -> int:
     references = read_embeddings(data / "reference.emb")
     result = train(manifest, queries, references, bundle.train, bundle.geo)
     run = _write_train_artifacts(result, Path(args.out), _dataset_hash(data))
-    print(json.dumps(run["final"], sort_keys=True))
+    print(json_line(run["final"]))
     return 0
 
 
@@ -191,7 +188,7 @@ def cmd_gradcheck(args) -> int:
         report = gradcheck(bundle.train, n=args.n, d_in=bundle.synth.view_dim, seed=args.seed + i)
         for key, value in report.items():
             worst[key] = max(worst.get(key, 0.0), value)
-    print(json.dumps(worst, sort_keys=True))
+    print(json_line(worst))
     if worst["max"] > args.tol:
         print(f"gradient check FAILED: {worst['max']:.3e} > {args.tol:.3e}", file=sys.stderr)
         return 1
@@ -234,8 +231,7 @@ def cmd_ablate(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
     detail = {"dataset_hash": dataset_hash, "seeds": args.seeds, "runs": runs}
-    out_csv.with_suffix(".json").write_text(
-        json.dumps(detail, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(detail, out_csv.with_suffix(".json"))
 
     def fmt(value):
         return "n/a" if value is None else f"{value:.4f}"

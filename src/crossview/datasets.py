@@ -1,6 +1,9 @@
-"""Dataset manifests, EMB1 embedding file IO, and the synthetic two-view generator.
+"""Dataset manifests, EMB1 embedding file IO, JSON text, and the synthetic
+two-view generator.
 
 A manifest is a JSON-lines file with one query/reference pair per line.
+Every JSON text crossview reads or writes goes through ``read_json``,
+``json_line`` and ``write_json`` here; a key may appear once per object.
 Embedding tables travel as EMB1 binary files: a 4-byte magic ``EMB1``,
 count and dim as little-endian u32, then count*dim float32 values in
 row-major order, plus a ``<path>.ids`` sidecar holding one sample id per
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check_setting, check_settings, setting
+from .errors import ValidationError, check_setting, check_settings, first_repeat, setting
 from .neighbors import planar_nearest_k
 
 EMB1_MAGIC = b"EMB1"
@@ -106,7 +109,9 @@ class EmbeddingTable:
                 f"{len(self.row_ids)} row ids for {self.data.shape[0]} rows"
             )
         if len(set(self.row_ids)) != len(self.row_ids):
-            raise ValidationError("row ids must be unique")
+            i, j = first_repeat(self.row_ids)
+            raise ValidationError(f"row ids must be unique: {self.row_ids[j]!r} is row {i} "
+                                  f"and row {j}")
         finite = np.isfinite(self.data).all(axis=1)
         if not finite.all():
             row = int(np.argmin(finite))
@@ -176,10 +181,46 @@ def read_text(path: str | Path) -> str:
                               f"0x{raw[exc.start]:02x}: {exc.reason})") from None
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The object of one JSON object's (key, value) pairs; ValueError names a repeated key."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        _, j = first_repeat(key for key, _ in pairs)
+        raise ValueError(f"repeated key {pairs[j][0]!r}")
+    return obj
+
+
+# built once: json.loads(text, object_pairs_hook=...) builds a decoder per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def read_json(text: str):
+    """The value of one JSON text, as ``json.loads`` reads it, except that a key
+    given twice in one object raises ValueError ``repeated key 'k'``; input nested
+    too deep raises ValueError, not RecursionError."""
+    if text.startswith("\ufeff"):  # json.loads checks this, JSONDecoder.decode does not
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    try:
+        return _DECODER.decode(text)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
+
+
+def json_line(obj) -> str:
+    """``obj`` as one line of JSON with sorted keys, without the newline."""
+    return _LINE_ENCODER.encode(obj)
+
+
+def write_json(obj, path: str | Path) -> None:
+    """Write ``obj`` to path as UTF-8 JSON: sorted keys, two-space indent, final newline."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def read_lines(path: str | Path, parse: callable) -> list[tuple[int, object]]:
     """``(N, parse(line))`` per non-blank line N of ``read_text(path)``, split at \\n
-    alone and stripped; a KeyError, ValueError or RecursionError from ``parse``
-    raises ValidationError ``<path>:N: ...``."""
+    alone and stripped; a KeyError or ValueError from ``parse`` raises
+    ValidationError ``<path>:N: ...``."""
     lines = read_text(path).split("\n")
     parsed = []
     try:
@@ -189,7 +230,7 @@ def read_lines(path: str | Path, parse: callable) -> list[tuple[int, object]]:
                 parsed.append((lineno, parse(line)))
     except KeyError as exc:
         raise ValidationError(f"{path}:{lineno}: missing key {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+    except ValueError as exc:
         raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return parsed
 
@@ -229,7 +270,7 @@ def load_manifest(path: str | Path) -> list[SampleRecord]:
     """Read a JSON-lines manifest through ``read_lines``: record i is the i-th
     non-blank line. A malformed line N, a duplicate id, or a link to an id no
     record has raises ValidationError starting ``<path>:N:``."""
-    lines = read_lines(path, lambda line: _record_from_json(json.loads(line)))
+    lines = read_lines(path, lambda line: _record_from_json(read_json(line)))
     seen: set[str] = set()
     for lineno, record in lines:
         if record.id in seen:
@@ -264,11 +305,9 @@ def require_aligned(what: str, row_ids: tuple[str, ...], records: list[SampleRec
 
 
 def write_manifest(records: list[SampleRecord], path: str | Path) -> None:
-    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True), built once
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with Path(path).open("w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(encode(record_to_json(record)) + "\n")
+            fh.write(json_line(record_to_json(record)) + "\n")
 
 
 def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:

@@ -13,6 +13,17 @@ class ValidationError(ValueError):
     """
 
 
+def first_repeat(items) -> tuple[int, int] | None:
+    """Positions (i, j) of the first item j equal to an earlier item, i the
+    earlier one's; None when the items are distinct. Items must hash."""
+    first: dict = {}
+    for j, item in enumerate(items):
+        i = first.setdefault(item, j)
+        if i != j:
+            return i, j
+    return None
+
+
 _SYMBOLS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}  # bound rules, named as in operator
 
 

@@ -7,7 +7,6 @@ lower reference index so results reproduce across implementations.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
@@ -17,7 +16,7 @@ from operator import add
 
 import numpy as np
 
-from .datasets import EmbeddingTable, SampleRecord, require_aligned
+from .datasets import EmbeddingTable, SampleRecord, json_line, require_aligned
 from .errors import ValidationError
 from .neighbors import block_rows
 # cosine_matrix stays importable here: the bench tracer binds evaluation.cosine_matrix
@@ -37,7 +36,7 @@ class RetrievalReport:
 
     def to_json(self) -> str:
         recall_at = {str(k): v for k, v in self.recall_at.items()}
-        return json.dumps({**asdict(self), "recall_at": recall_at}, sort_keys=True)
+        return json_line({**asdict(self), "recall_at": recall_at})
 
 
 def _positive_ranks(scores: Callable[[np.ndarray], np.ndarray], n_q: int, n_r: int,

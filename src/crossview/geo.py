@@ -54,8 +54,10 @@ def _coord_array(coords: list[Coordinate]) -> tuple[np.ndarray, str]:
     if not coords:
         raise ValidationError("empty coordinate list")
     crs = coords[0].crs
-    if any(c.crs != crs for c in coords):
-        raise ValidationError("coordinates mix CRS")
+    odd = next((i for i, c in enumerate(coords) if c.crs != crs), None)
+    if odd is not None:
+        raise ValidationError(f"coordinates mix CRS: coordinate {odd} is "
+                              f"{coords[odd].crs!r}, coordinate 0 is {crs!r}")
     return np.array([(c.a, c.b) for c in coords], dtype=np.float64), crs
 
 

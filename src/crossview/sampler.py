@@ -12,7 +12,6 @@ epoch, and no batch holds two members of the same class.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -21,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import EmbeddingTable, SampleRecord, read_lines
-from .errors import ValidationError, check_settings, setting
+from .datasets import EmbeddingTable, SampleRecord, json_line, read_json, read_lines
+from .errors import ValidationError, check_settings, first_repeat, setting
 from .geo import GeoConfig, geo_topk
 from .simsearch import NeighborPool, Pools, visual_topk
 
@@ -188,10 +187,14 @@ def plan_epoch(
 
 
 def validate_plan(plan: BatchPlan, records: list[SampleRecord], cfg: SamplerConfig) -> None:
-    """Raise unless the plan satisfies exact cover, size, and class uniqueness."""
+    """Raise unless the plan satisfies exact cover, size, and class uniqueness;
+    a cover error names the first pair placed twice, or else the first pair
+    in no batch."""
     n = len(records)
     seen: list[int] = []
-    for batch in plan.batches:
+    for b, batch in enumerate(plan.batches):
+        if not batch:
+            raise ValidationError(f"batch {b} is empty")
         if len(batch) > cfg.batch_size:
             raise ValidationError(f"batch of {len(batch)} exceeds batch_size {cfg.batch_size}")
         outside = [i for i in batch if not 0 <= i < n]
@@ -202,12 +205,19 @@ def validate_plan(plan: BatchPlan, records: list[SampleRecord], cfg: SamplerConf
             raise ValidationError(f"duplicate class in batch {batch}")
         seen.extend(batch)
     if sorted(seen) != list(range(n)):
-        raise ValidationError("plan does not cover every pair exactly once")
+        repeat = first_repeat(seen)
+        if repeat:
+            i, j = repeat
+            batch_of = [b for b, batch in enumerate(plan.batches) for _ in batch]  # per seen entry
+            fault = f"pair {seen[j]} is in batch {batch_of[i]} and batch {batch_of[j]}"
+        else:
+            fault = f"pair {min(set(range(n)).difference(seen))} is in no batch"
+        raise ValidationError(f"plan does not cover every pair exactly once: {fault}")
 
 
 def plan_text(plan: BatchPlan) -> str:
     """The plan as JSON-lines, one batch per line as an array of pair indices."""
-    return "".join(json.dumps(list(batch)) + "\n" for batch in plan.batches)
+    return "".join(json_line(list(batch)) + "\n" for batch in plan.batches)
 
 
 def write_plan(plan: BatchPlan, path: str | Path) -> None:
@@ -216,7 +226,7 @@ def write_plan(plan: BatchPlan, path: str | Path) -> None:
 
 
 def _batch_from_json(line: str) -> tuple[int, ...]:
-    batch = json.loads(line)
+    batch = read_json(line)
     if not isinstance(batch, list) or any(type(i) is not int for i in batch):
         raise ValueError(f"{line} is not a JSON list of integers")
     return tuple(batch)

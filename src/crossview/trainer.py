@@ -29,7 +29,6 @@ run the encoder load scipy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -40,9 +39,11 @@ from .datasets import (
     EmbeddingTable,
     SampleRecord,
     read_embeddings,
+    read_json,
     read_text,
     require_aligned,
     write_embeddings,
+    write_json,
 )
 from .errors import ValidationError, check_setting, check_settings, setting
 from .evaluation import RetrievalReport, resolve_links, retrieval_report
@@ -380,7 +381,8 @@ def train(
     """
     n = len(manifest)
     if query_features.dim != reference_features.dim:
-        raise ValidationError("query and reference features must share a dimension")
+        raise ValidationError("query and reference features must share a dimension: "
+                              f"query {query_features.dim}, reference {reference_features.dim}")
     require_aligned("query feature", query_features.row_ids, manifest)
     require_aligned("reference feature", reference_features.row_ids, manifest)
 
@@ -553,9 +555,7 @@ def save_params(params: EncoderParams, out_dir: str | Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_embeddings(EmbeddingTable(params.theta[None, :-1], ("theta",)), out_dir / "theta.emb")
     header = {key: getattr(params, key) for key in _HEADER}
-    (out_dir / "header.json").write_text(
-        json.dumps(header, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(header, out_dir / "header.json")
 
 
 def load_params(in_dir: str | Path) -> EncoderParams:
@@ -563,8 +563,8 @@ def load_params(in_dir: str | Path) -> EncoderParams:
     in_dir = Path(in_dir)
     path = in_dir / "header.json"
     try:
-        header = json.loads(read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        header = read_json(read_text(path))
+    except ValueError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(header, dict):
         raise ValidationError(f"{path}: expected a JSON object, got {type(header).__name__}")

@@ -59,6 +59,9 @@ CASES = {
     "manifest-nested-too-deep": ("manifest.jsonl",
                                  lambda p: _first_line(p, b"[" * 100_000 + b"]" * 100_000),
                                  EVAL, "{data}/manifest.jsonl:1: maximum recursion depth"),
+    "manifest-repeated-key": ("manifest.jsonl", lambda p: p.write_bytes(
+        p.read_bytes().replace(b'"id": "p000001"', b'"id": "p000001", "id": "p000001"')), EVAL,
+        "{data}/manifest.jsonl:2: repeated key 'id'"),
     "manifest-unknown-reference": ("manifest.jsonl", lambda p: p.write_bytes(
         p.read_bytes().replace(b'"positives": ["p000002"]', b'"positives": ["ghost"]')), EVAL,
         "{data}/manifest.jsonl:3: record 'p000002' references unknown id 'ghost'"),

@@ -1,12 +1,15 @@
+import ast
 import json
 import math
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crossview import datasets
 from crossview.datasets import (
     CRS_KEYS,
     Coordinate,
@@ -184,6 +187,27 @@ class TestManifest:
                                                   r"\(byte 0xff: invalid start byte\)$"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("fields, key", [
+        # the last x used to win: this line loaded as x = 5.0
+        ('"x": 1, "y": 0, "x": 5, "positives": ["a"]', "x"),
+        # the empty list used to win and hide the overlap with positives
+        ('"x": 0, "y": 0, "positives": ["a"], "semi_positives": ["a"], "semi_positives": []',
+         "semi_positives"),
+    ], ids=["x", "semi_positives"])
+    def test_repeated_key_named(self, tmp_path, fields, key):
+        path = tmp_path / "m.jsonl"
+        path.write_text(manifest_line(id='"b"', class_id='"b"', positives='["b"]')
+                        + '{"id": "a", "class_id": "a", "crs": "planar", ' + fields + "}\n")
+        with pytest.raises(ValidationError, match=at(path, 2) + f"repeated key '{key}'$"):
+            load_manifest(path)
+
+    def test_leading_bom_named(self, tmp_path):
+        # json.loads rejects a BOM; the manifest reader keeps that rule
+        path = tmp_path / "m.jsonl"
+        path.write_text("\ufeff" + manifest_line(), encoding="utf-8")
+        with pytest.raises(ValidationError, match=at(path, 1) + "Unexpected UTF-8 BOM"):
+            load_manifest(path)
+
     def test_line_nested_too_deep_named(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
@@ -278,6 +302,11 @@ class TestEmbeddingTable:
     def test_float32_overflow_rejected(self):
         with np.errstate(over="ignore"), pytest.raises(ValidationError, match="index 0"):
             EmbeddingTable(np.array([[1e39]]), ("a",))
+
+    def test_repeated_id_named_with_both_rows(self):
+        with pytest.raises(ValidationError,
+                           match="^row ids must be unique: 'b' is row 1 and row 3$"):
+            make_table(np.ones((5, 2), dtype=np.float32), ids="abcbb")
 
     @pytest.mark.parametrize("rows", [0, 3])
     def test_zero_width_rejected(self, rows):
@@ -441,3 +470,20 @@ class TestGenerateSynthetic:
             assert r.coord.crs == "planar"
             assert 0.0 <= r.coord.a <= 123.0 and 0.0 <= r.coord.b <= 123.0
 
+
+
+def test_only_datasets_imports_json():
+    # JSON text is one module's format: every other module reads and writes
+    # it through datasets.read_json, json_line and write_json
+    importers = set()
+    for module in Path(datasets.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name == "json" or name.startswith("json.") for name in names):
+                importers.add(module.stem)
+    assert importers == {"datasets"}

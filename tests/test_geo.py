@@ -170,6 +170,12 @@ class TestGeoTopk:
         with pytest.raises(ValidationError):
             geo_topk([pla(0, 0), pla(1, 1)], [wgs(0, 0), wgs(1, 1)], K=1)
 
+    def test_mixed_crs_in_one_list_names_the_first_odd_coordinate(self):
+        coords = [wgs(0, 0), wgs(1, 1), pla(2, 2), wgs(3, 3), pla(4, 4)]
+        with pytest.raises(ValidationError, match="^coordinates mix CRS: coordinate 2 is "
+                                                  "'planar', coordinate 0 is 'wgs84'$"):
+            geo_topk(coords, coords, K=1)
+
     def test_anchor_list_independent_of_candidates(self):
         # exclusion applies only where anchor position indexes a candidate
         anchors = [pla(0, 0), pla(9, 9), pla(5, 5)]

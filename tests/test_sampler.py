@@ -203,6 +203,26 @@ class TestPlanEpoch:
                            match=rf"^batch entry {entry} outside \[0, 3\) in batch "):
             validate_plan(BatchPlan(0, batches, "random"), records, SamplerConfig(batch_size=2))
 
+    def test_empty_batch_named(self, tmp_path):
+        # read_plan and validate_plan both used to accept an empty batch
+        path = tmp_path / "plan.jsonl"
+        path.write_text("[0, 1]\n[]\n")
+        with pytest.raises(ValidationError, match="^batch 1 is empty$"):
+            validate_plan(read_plan(path), records_at([(0, 0), (1, 0)]), SamplerConfig(batch_size=2))
+
+    @pytest.mark.parametrize("batches, fault", [
+        (((0, 1), (2, 0), (3,)), "pair 0 is in batch 0 and batch 1"),
+        (((0, 1), (3,), (1, 2)), "pair 1 is in batch 0 and batch 2"),
+        (((0, 3), (3, 1), (0, 2)), "pair 3 is in batch 0 and batch 1"),  # the first repeat met
+        (((0,), (3, 1)), "pair 2 is in no batch"),
+        (((3,), (1,)), "pair 0 is in no batch"),
+    ])
+    def test_cover_fault_names_a_pair(self, batches, fault):
+        records = records_at([(0, 0), (1, 0), (2, 0), (3, 0)])
+        with pytest.raises(ValidationError,
+                           match=f"^plan does not cover every pair exactly once: {fault}$"):
+            validate_plan(BatchPlan(0, batches, "random"), records, SamplerConfig(batch_size=2))
+
     def test_identical_inputs_identical_plan(self):
         rng = np.random.default_rng(4)
         records = records_at(rng.uniform(0, 10, size=(20, 2)))

@@ -377,6 +377,13 @@ class TestTrain:
                                                   rf"{len(records) - 1} manifest records"):
             train(records[:-1], q, r, cfg)
 
+    def test_feature_widths_named(self):
+        records, q, r = separable_data()
+        narrow = EmbeddingTable(r.data[:, :-1], r.row_ids)
+        with pytest.raises(ValidationError, match="must share a dimension: "
+                                                  f"query {q.dim}, reference {q.dim - 1}$"):
+            train(records, q, narrow, tiny_config())
+
     def test_holdout_record_without_holdout_positive_rejected(self):
         records, q, r = separable_data()
         records[-1] = replace(records[-1], positives=(records[0].id,), semi_positives=())
@@ -556,6 +563,15 @@ class TestParamsIO:
         save_params(init_params(np.random.default_rng(0), 5, 8, 4), tmp_path)
         (tmp_path / "header.json").write_bytes(text)
         with pytest.raises(ValidationError, match=re.escape(f"{tmp_path / 'header.json'}{named}")):
+            load_params(tmp_path)
+
+    def test_repeated_key_named(self, tmp_path):
+        # the last d_in used to win, so this header loaded as d_in = 5
+        save_params(init_params(np.random.default_rng(0), 5, 8, 4), tmp_path)
+        path = tmp_path / "header.json"
+        path.write_text(path.read_text().replace('"d_in": 5,', '"d_in": 6,\n  "d_in": 5,'))
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(str(path))}: .*repeated key 'd_in'"):
             load_params(tmp_path)
 
     def test_header_not_an_object_rejected(self, tmp_path):
