@@ -60,9 +60,9 @@ def _load_bundle(args) -> ConfigBundle:
 
 def cmd_gen_synth(args) -> int:
     bundle = _load_bundle(args)
+    records, queries, references = generate_synthetic(bundle.synth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    records, queries, references = generate_synthetic(bundle.synth)
     write_manifest(records, out / "manifest.jsonl")
     write_embeddings(queries, out / "query.emb")
     write_embeddings(references, out / "reference.emb")

@@ -25,6 +25,8 @@ from .neighbors import planar_nearest_k
 
 EMB1_MAGIC = b"EMB1"
 _HEADER = struct.Struct("<II")
+# the most heap generate_synthetic may plan to use, against synth_bytes
+SYNTH_BUDGET_BYTES = 4 * 1024**3
 
 
 # each crs -> its two manifest keys in (a, b) order, declared as settings
@@ -168,6 +170,17 @@ class SynthConfig:
                                   "squared planar distance 2*extent^2 overflows float64")
 
 
+def synth_bytes(cfg: SynthConfig) -> int:
+    """An upper estimate of generate_synthetic's peak heap for cfg, in bytes:
+    4 MiB for the semi-positive search's blocks, the region_grid**2 float64
+    latent centres, then per pair 1 KB for its record, id and grid slot, 16
+    bytes per latent component and 32 per view component for the float64
+    draws and the float32 tables. tracemalloc peaks from 50 to 20,000 pairs
+    lie 1.4 to 40 times below it."""
+    centres = 8 * cfg.region_grid**2 * cfg.latent_dim
+    return (4 << 20) + centres + cfg.n_pairs * (1024 + 16 * cfg.latent_dim + 32 * cfg.view_dim)
+
+
 def read_text(path: str | Path) -> str:
     """The file as ``Path.read_text(encoding="utf-8")`` reads it, each \\r\\n
     or \\r read as \\n; a byte that is not UTF-8 raises ValidationError
@@ -268,14 +281,19 @@ def _record_from_json(obj) -> SampleRecord:
 
 def load_manifest(path: str | Path) -> list[SampleRecord]:
     """Read a JSON-lines manifest through ``read_lines``: record i is the i-th
-    non-blank line. A malformed line N, a duplicate id, or a link to an id no
-    record has raises ValidationError starting ``<path>:N:``."""
+    non-blank line. A malformed line N, a duplicate id, a crs other than the
+    first record's, or a link to an id no record has raises ValidationError
+    starting ``<path>:N:``."""
     lines = read_lines(path, lambda line: _record_from_json(read_json(line)))
     seen: set[str] = set()
     for lineno, record in lines:
         if record.id in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate id {record.id!r}")
         seen.add(record.id)
+        first_lineno, first = lines[0]
+        if record.coord.crs != first.coord.crs:
+            raise ValidationError(f"{path}:{lineno}: crs {record.coord.crs!r} differs from "
+                                  f"line {first_lineno}'s {first.coord.crs!r}")
     for lineno, record in lines:
         for ref in (*record.positives, *record.semi_positives):
             if ref not in seen:
@@ -388,8 +406,14 @@ def generate_synthetic(
         raise ValidationError(
             f"n_semi_positives={cfg.n_semi_positives} must be < n_pairs={cfg.n_pairs}"
         )
-    rng = np.random.default_rng(cfg.seed)
     n, d_latent, d_view = cfg.n_pairs, cfg.latent_dim, cfg.view_dim
+    need = synth_bytes(cfg)
+    if need > SYNTH_BUDGET_BYTES:
+        raise ValidationError(
+            f"synth.n_pairs={n} (latent_dim={d_latent}, view_dim={d_view}, region_grid="
+            f"{cfg.region_grid}) needs about {need:,} bytes, over the budget of "
+            f"{SYNTH_BUDGET_BYTES:,} bytes")
+    rng = np.random.default_rng(cfg.seed)
 
     coords = rng.uniform(0.0, cfg.map_extent_m, size=(n, 2))
     g = cfg.region_grid

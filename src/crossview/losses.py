@@ -120,20 +120,39 @@ def info_nce(
         raise ValidationError("batch must contain at least one pair")
 
     scale = math.exp(cfg.logit_scale if logit_scale is None else logit_scale)
-    logits = scale * (q @ r.T)
     target = _smoothed_target(n, cfg.label_smoothing)
-
-    def direction_loss(lg: np.ndarray) -> tuple[float, np.ndarray]:
-        # rows of lg are softmax rows; target is symmetric so it serves both
-        m = lg.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(lg - m).sum(axis=1))
-        loss = float((lse - (target * lg).sum(axis=1)).sum() / n)  # the mean, bit for bit
-        probs = np.exp(lg - lse[:, None])
-        return loss, (probs - target) / n
-
-    loss_qr, g_qr = direction_loss(logits)
-    loss_rq, g_rq_t = direction_loss(logits.T)
-    g_rq = g_rq_t.T
+    # lg[d] holds direction d's softmax rows: [0] the logits, query to
+    # reference, and [1] their transpose, reference to query, copied
+    # row-major. Both directions run each elementwise step in one call;
+    # every sum adds in the order of the plain per-direction expression
+    # m + log(sum(exp(lg - m))), whose lg - m is column-major for [1], so
+    # [1]'s rows are summed down the columns of a buffer holding its
+    # transpose (target is symmetric, so it serves both directions)
+    lg = np.empty((2, n, n))
+    logits = np.matmul(q, r.T, out=lg[0])
+    logits *= scale
+    lg[1] = logits.T
+    m = np.empty((2, n))
+    np.maximum.reduce(logits, axis=1, out=m[0])
+    np.maximum.reduce(logits, axis=0, out=m[1])
+    shifted = np.empty((2, n, n))
+    np.subtract(logits, m[0, :, None], out=shifted[0])
+    np.subtract(logits, m[1], out=shifted[1])  # [1]'s lg - m, transposed
+    np.exp(shifted, out=shifted)
+    lse = np.empty((2, n))
+    np.add.reduce(shifted[0], axis=1, out=lse[0])
+    np.add.reduce(shifted[1], axis=0, out=lse[1])
+    np.log(lse, out=lse)
+    lse += m
+    probs = np.multiply(target, lg)
+    picked = np.add.reduce(probs, axis=2)
+    np.subtract(lse, picked, out=picked)
+    loss_qr, loss_rq = (np.add.reduce(picked, axis=1) / n).tolist()  # the means, bit for bit
+    np.subtract(lg, lse[:, :, None], out=probs)
+    np.exp(probs, out=probs)
+    probs -= target
+    probs /= n
+    g_qr, g_rq = probs[0], probs[1].T
 
     if cfg.direction == "query_to_ref":
         loss, grad_logits = loss_qr, g_qr
@@ -141,16 +160,19 @@ def info_nce(
         loss, grad_logits = loss_rq, g_rq
     else:
         loss = 0.5 * (loss_qr + loss_rq)
-        grad_logits = 0.5 * (g_qr + g_rq)
+        grad_logits = np.add(g_qr, g_rq, out=g_qr)
+        grad_logits *= 0.5
 
     if not math.isfinite(loss):
         _require_finite("queries", q)
         _require_finite("references", r)
+    grad_logit_scale = float(np.add.reduce(np.multiply(grad_logits, logits), axis=None))
+    grad_logits *= scale
     return LossOutput(
         loss=loss,
-        grad_queries=scale * grad_logits @ r,
-        grad_references=scale * grad_logits.T @ q,
-        grad_logit_scale=float((grad_logits * logits).sum()),
+        grad_queries=grad_logits @ r,
+        grad_references=grad_logits.T @ q,
+        grad_logit_scale=grad_logit_scale,
     )
 
 

@@ -82,15 +82,17 @@ class Pools:
         return map(self.__getitem__, range(len(self)))
 
 
-def unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(X with every row scaled to unit L2 norm, the row norms). Raises on
-    a zero-norm row."""
-    norms = np.linalg.norm(X, axis=1)
-    if norms.size and not norms.min() > 1e-35:  # a NaN norm lands here too; the scan decides
+def unit_rows(X: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(X with every row, along its last axis, scaled to unit L2 norm; the
+    row norms). ``out`` may be X itself. Raises on a zero-norm row, counted
+    across any leading axes."""
+    norms = np.sqrt(np.add.reduce(X * X, axis=-1))  # np.linalg.norm's own formula for real X
+    # a NaN norm lands here too; the scan decides
+    if norms.size and not np.minimum.reduce(norms, axis=None) > 1e-35:
         bad = np.flatnonzero(norms <= 1e-35)
         if bad.size:
             raise ValidationError(f"zero-norm row {int(bad[0])} cannot be normalised")
-    return X / norms[:, None], norms
+    return np.divide(X, norms[..., None], out=out), norms
 
 
 def l2_normalize(table: EmbeddingTable) -> EmbeddingTable:

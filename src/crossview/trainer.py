@@ -18,6 +18,19 @@ perturbs its entries one at a time, and save_params writes it as one
 EMB1 row.
 ``theta_layout`` is the one place that knows the tensor shapes.
 
+A training step encodes both views in one pass: the batch's query and
+reference inputs are one (2, rows, d_in) stack, and each layer is one
+matmul over it, which numpy runs as one gemm per view at the one-view
+shape. Elementwise work runs in place over both views, and every column
+sum (the bias gradients, the weight-gradient gemms) stays per view, so
+the step's bits equal those of two one-view passes. Stacking the views
+as 2 x rows rows of one gemm would change them. A shared encoder's
+gradient is the two views' terms added; separate encoders stack their
+tensors on the view axis and write each view's terms to its own slice
+of theta. ``train`` holds both views' features as one (2, n, d_in)
+float32 array and casts each gathered batch to float64; ``encode`` keeps
+one view's (rows, d_in) form.
+
 Everything runs in float64 so the analytic gradients can be validated
 against central finite differences, and every random stream is derived
 from explicit seeds so a rerun reproduces plans and losses exactly.
@@ -188,35 +201,68 @@ class TrainConfig:
 # forward / backward
 
 
-def _erf(x):
+def _erf(x, out=None):
     """``scipy.special.erf``, imported at the first call so that importing
     crossview loads numpy alone; the call rebinds this name to scipy's
     ufunc, so later forward passes call it directly."""
     global _erf
     from scipy.special import erf as _erf
-    return _erf(x)
+    return _erf(x, out=out)
+
+
+def _stacked(params: EncoderParams) -> tuple:
+    """The tensors that encode a (2, rows, d_in) stack of query and reference
+    inputs: the shared encoder's own, or each query tensor stacked on a
+    leading view axis with its reference twin (biases as (2, 1, width))."""
+    if params.shared_weights:
+        return params.query
+    stacks = map(np.array, zip(params.query, params.reference))
+    return tuple(s if s.ndim == 3 else s[:, None] for s in stacks)
 
 
 def _forward(w, X):
+    """Unit-norm embeddings of X, one view's (rows, d_in) inputs or a
+    (2, rows, d_in) stack of both, and the cache _backward reads."""
     W1, b1, W2, b2 = w
-    H_pre = X @ W1 + b1
-    cdf = 0.5 * (1.0 + _erf(H_pre * _INV_SQRT2))  # the normal CDF; gelu(x) = x * cdf(x)
+    H_pre = X @ W1
+    H_pre += b1
+    cdf = np.multiply(H_pre, _INV_SQRT2)
+    _erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5  # the normal CDF; gelu(x) = x * cdf(x)
     H = H_pre * cdf
-    U, norms = unit_rows(H @ W2 + b2)
+    Y = H @ W2
+    Y += b2
+    U, norms = unit_rows(Y, out=Y)
     return U, (X, H_pre, cdf, H, norms, U)
 
 
-def _backward(w, cache, dU):
+def _backward(w, cache, dU, out):
+    """Write each tensor's gradient for a stack of views, from the
+    embeddings' gradient dU, into out's (2, ...) arrays in (W1, b1, W2, b2)
+    order: one term per view (a shared encoder's two are left for the
+    caller to add)."""
     W1, b1, W2, b2 = w
     X, H_pre, cdf, H, norms, U = cache
-    dY = (dU - U * (U * dU).sum(axis=1, keepdims=True)) / norms[:, None]
-    dW2 = H.T @ dY
-    db2 = dY.sum(axis=0)
+    dW1, db1, dW2, db2 = out
+    dY = U * dU
+    radial = np.add.reduce(dY, axis=-1, keepdims=True)
+    np.multiply(U, radial, out=dY)
+    np.subtract(dU, dY, out=dY)
+    dY /= norms[..., None]  # (dU - U * (U * dU).sum(axis=-1)) / norms
+    np.matmul(H.swapaxes(-1, -2), dY, out=dW2)
+    np.add.reduce(dY, axis=-2, out=db2)
     # gelu'(x) = cdf(x) + x * pdf(x), reusing the forward pass's cdf
-    dH_pre = (dY @ W2.T) * (cdf + H_pre * np.exp(-0.5 * H_pre * H_pre) * _INV_SQRT_2PI)
-    dW1 = X.T @ dH_pre
-    db1 = dH_pre.sum(axis=0)
-    return dW1, db1, dW2, db2
+    dgelu = np.multiply(H_pre, -0.5)
+    dgelu *= H_pre
+    np.exp(dgelu, out=dgelu)
+    np.multiply(H_pre, dgelu, out=dgelu)
+    dgelu *= _INV_SQRT_2PI
+    dgelu += cdf
+    dH_pre = dY @ W2.swapaxes(-1, -2)
+    dH_pre *= dgelu
+    np.matmul(X.swapaxes(-1, -2), dH_pre, out=dW1)
+    np.add.reduce(dH_pre, axis=-2, out=db1)
 
 
 def encode(
@@ -315,12 +361,13 @@ def adamw_step(
 # the batch objective
 
 
-def _batch_objective(params: EncoderParams, Xq: np.ndarray, Xr: np.ndarray, loss_cfg: LossConfig,
+def _batch_objective(params: EncoderParams, X2: np.ndarray, loss_cfg: LossConfig,
                      loss_kind: str) -> tuple[float, np.ndarray]:
-    """Loss and its gradient w.r.t. every entry of params.theta."""
-    wq, wr = params.query, params.reference
-    Q, cache_q = _forward(wq, Xq)
-    R, cache_r = _forward(wr, Xr)
+    """Loss and its gradient w.r.t. every entry of params.theta, for a
+    (2, rows, d_in) stack of a batch's query and reference inputs."""
+    w = _stacked(params)
+    U, cache = _forward(w, X2)
+    Q, R = U
 
     if loss_kind == "infonce":
         out = info_nce(Q, R, loss_cfg, logit_scale=params.logit_scale)
@@ -341,10 +388,19 @@ def _batch_objective(params: EncoderParams, Xq: np.ndarray, Xr: np.ndarray, loss
         np.add.at(dR, neg, out.grad_negatives)
         dscale = 0.0
 
-    gq = _backward(wq, cache_q, dQ)
-    gr = _backward(wr, cache_r, dR)
-    blocks = [a + b for a, b in zip(gq, gr)] if params.shared_weights else [*gq, *gr]
-    return out.loss, np.concatenate([g.ravel() for g in blocks] + [[dscale]])
+    # one row of q.* gradients per view; separate encoders' rows are the
+    # q.* and r.* halves of theta's gradient itself, a shared encoder's
+    # gradient is their sum
+    theta_grad = np.empty_like(params.theta)
+    per_view = (np.empty((2, params.theta.size - 1)) if params.shared_weights
+                else theta_grad[:-1].reshape(2, -1))
+    tensors = list(params.layout.values())[:len(_TENSORS)]
+    _backward(w, cache, np.array((dQ, dR)),
+              [per_view[:, s].reshape(2, *shape) for s, shape in tensors])
+    if params.shared_weights:
+        np.add(per_view[0], per_view[1], out=theta_grad[:-1])
+    theta_grad[-1] = dscale
+    return out.loss, theta_grad
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +459,10 @@ def train(
             f"pool_size={scfg.pool_size} exceeds training pairs - 1 = {n_train - 1}"
         )
 
-    Xq = query_features.data.astype(np.float64)
-    Xr = reference_features.data.astype(np.float64)
-    Xq_train, Xr_train = Xq[:n_train], Xr[:n_train]
+    # both views' features stacked on a leading view axis, in the tables'
+    # float32: half the bytes of float64 copies; every use casts, exactly
+    X2 = np.empty((2, n, query_features.dim), dtype=np.float32)
+    X2[0], X2[1] = query_features.data, reference_features.data
 
     rng_init = np.random.default_rng([cfg.seed, 0])
     params = init_params(rng_init, query_features.dim, cfg.hidden_dim, cfg.embed_dim,
@@ -422,8 +479,8 @@ def train(
         if resolve_strategy(scfg, epoch) == "gps" and pools is None:
             pools = build_geo_pools(train_records, scfg, geo_cfg)
         if should_refresh(epoch, scfg):
-            q_emb = encode(params, Xq_train, "query")
-            r_emb = encode(params, Xr_train, "reference")
+            q_emb = encode(params, X2[0, :n_train], "query")
+            r_emb = encode(params, X2[1, :n_train], "reference")
             pools = build_sim_pools(q_emb, r_emb, scfg)
 
         plan = plan_epoch(train_records, pools, scfg, epoch, plan_rng(scfg, epoch))
@@ -434,18 +491,17 @@ def train(
         for batch in plan.batches:
             if cfg.loss_kind != "infonce" and len(batch) < 2:
                 continue  # a lone pair has no in-batch negative
-            idx = np.array(batch)
             lr = lr_at(global_step, steps_per_epoch, cfg)
-            loss, grad = _batch_objective(params, Xq_train[idx], Xr_train[idx], cfg.loss,
-                                          cfg.loss_kind)
+            # one gather of the batch's rows from both views
+            loss, grad = _batch_objective(params, X2.take(batch, axis=1).astype(np.float64),
+                                          cfg.loss, cfg.loss_kind)
             adamw_step(params, grad, state, lr, cfg)
             params.theta[-1] = clamp_logit_scale(params.logit_scale, cfg.loss.logit_scale_max)
             losses.append(loss)
             global_step += 1
 
-        Q, _ = _forward(params.query, Xq[n_train:])
-        R, _ = _forward(params.reference, Xr[n_train:])
-        report = retrieval_report(Q, R, *holdout_links)
+        U, _ = _forward(_stacked(params), X2[:, n_train:].astype(np.float64))
+        report = retrieval_report(U[0], U[1], *holdout_links)
         history.append(
             {"epoch": epoch, "loss": float(np.mean(losses)) if losses else 0.0,
              "lr": lr, "r1": report.recall_at[1]}
@@ -503,14 +559,13 @@ def gradcheck(
     rng = np.random.default_rng(seed)
     params = init_params(rng, d_in, cfg.hidden_dim, cfg.embed_dim, cfg.shared_weights,
                          cfg.loss.logit_scale)
-    Xq = rng.standard_normal((n, d_in))
-    Xr = rng.standard_normal((n, d_in))
+    X2 = rng.standard_normal((2, n, d_in))  # the query pairs' rows, then the references'
 
     def loss_at():
-        value, _ = _batch_objective(params, Xq, Xr, cfg.loss, cfg.loss_kind)
+        value, _ = _batch_objective(params, X2, cfg.loss, cfg.loss_kind)
         return value
 
-    _, analytic = _batch_objective(params, Xq, Xr, cfg.loss, cfg.loss_kind)
+    _, analytic = _batch_objective(params, X2, cfg.loss, cfg.loss_kind)
 
     theta = params.theta
     numeric = np.empty_like(theta)

@@ -49,6 +49,15 @@ def _first_line(path: Path, text: bytes) -> None:
     path.write_bytes(text + b"\n" + path.read_bytes().split(b"\n", 1)[1])
 
 
+def _wgs84_line(path: Path, index: int) -> None:
+    # line index of a planar manifest, moved to wgs84 with the same id and links
+    lines = path.read_bytes().split(b"\n")
+    obj = json.loads(lines[index])
+    obj.update(crs="wgs84", lat=obj.pop("y") / 1e3, lon=obj.pop("x") / 1e3)
+    lines[index] = json.dumps(obj).encode()
+    path.write_bytes(b"\n".join(lines))
+
+
 EVAL = ["eval", "--query", "{data}/query.emb", "--ref", "{data}/reference.emb",
         "--manifest", "{data}/manifest.jsonl"]
 
@@ -65,6 +74,9 @@ CASES = {
     "manifest-unknown-reference": ("manifest.jsonl", lambda p: p.write_bytes(
         p.read_bytes().replace(b'"positives": ["p000002"]', b'"positives": ["ghost"]')), EVAL,
         "{data}/manifest.jsonl:3: record 'p000002' references unknown id 'ghost'"),
+    "manifest-mixed-crs": ("manifest.jsonl", lambda p: _wgs84_line(p, 2), EVAL,
+                           "{data}/manifest.jsonl:3: crs 'wgs84' differs from line 1's "
+                           "'planar'"),
     "ids-not-utf8": ("query.emb.ids", lambda p: p.write_bytes(b"\xff"), EVAL,
                      "{data}/query.emb.ids:1: not UTF-8"),
     "ids-duplicate": ("reference.emb.ids",

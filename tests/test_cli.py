@@ -63,6 +63,16 @@ class TestGenSynth:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+    def test_over_budget_pair_count_fails_before_drawing(self, tmp_path, capsys):
+        # the estimate refuses 10**12 pairs before any array is drawn
+        rc = main(["gen-synth", "--set", "synth.n_pairs=1000000000000",
+                   "--out", str(tmp_path / "data")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: synth.n_pairs=1000000000000 ")
+        assert "over the budget of 4,294,967,296 bytes" in err
+        assert not (tmp_path / "data").exists()
+
     def test_map_extent_too_large_named(self, tmp_path, capsys):
         rc = main(["gen-synth", *TINY_SYNTH, "--set", "synth.map_extent_m=1e308",
                    "--out", str(tmp_path / "data")])
@@ -140,6 +150,24 @@ class TestPlan:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {manifest}:4: x=nan must be finite")
+
+    def test_mixed_crs_manifest_named(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path)
+        manifest = data / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        bad = json.loads(lines[4])
+        bad.update(crs="wgs84", lat=bad.pop("y") / 1e3, lon=bad.pop("x") / 1e3)
+        lines[4] = json.dumps(bad)
+        manifest.write_text("\n".join(lines) + "\n")
+        rc = main([
+            "plan", *TINY_TRAIN,
+            "--set", "sampler.strategy=gps",
+            "--manifest", str(manifest),
+            "--epoch", "0", "--out", str(tmp_path / "plan.jsonl"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}:5: crs 'wgs84' differs from line 1's 'planar'")
 
     def test_overflowing_planar_distance_named(self, tmp_path, capsys):
         data = gen_dataset(tmp_path)

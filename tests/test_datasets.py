@@ -3,6 +3,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -127,12 +128,25 @@ class TestManifest:
     def test_two_lines_indexed_in_order(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text(
-            '{"id": "a", "class_id": "a", "x": 0, "y": 0, "crs": "planar", "positives": ["a"]}\n'
+            '{"id": "a", "class_id": "a", "lat": 0, "lon": 0, "crs": "wgs84", "positives": ["a"]}\n'
             '{"id": "b", "class_id": "b", "lat": 1, "lon": 2, "crs": "wgs84", "positives": ["a"]}\n'
         )
         records = load_manifest(path)
         assert [r.id for r in records] == ["a", "b"]
-        assert records[1].coord.crs == "wgs84"
+        assert records[1].coord == Coordinate(1.0, 2.0, "wgs84")
+
+    def test_mixed_crs_names_the_first_line_that_differs(self, tmp_path):
+        # one crs per file; the first non-blank line sets it
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            "\n" + manifest_line(id='"a"', positives='["a"]')
+            + manifest_line(id='"b"', positives='["a"]')
+            + manifest_line(id='"c"', x=None, y=None, lat="1", lon="2", crs='"wgs84"')
+            + manifest_line(id='"d"', x=None, y=None, lat="1", lon="2", crs='"wgs84"')
+        )
+        with pytest.raises(ValidationError,
+                           match=at(path, 4) + "crs 'wgs84' differs from line 2's 'planar'$"):
+            load_manifest(path)
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -462,6 +476,27 @@ class TestGenerateSynthetic:
     def test_too_many_semi_positives(self):
         with pytest.raises(ValidationError, match="n_semi_positives"):
             generate_synthetic(SynthConfig(n_pairs=3, n_semi_positives=3))
+
+    @pytest.mark.parametrize("n, grid", [(10**12, 16), (100, 10**5)])
+    def test_over_budget_refused_from_the_estimate(self, n, grid):
+        # refused before anything is drawn: 10**12 pairs, or 10**10 region centres
+        cfg = SynthConfig(n_pairs=n, region_grid=grid)
+        assert datasets.synth_bytes(cfg) > datasets.SYNTH_BUDGET_BYTES
+        with pytest.raises(ValidationError, match=rf"^synth\.n_pairs={n} \(latent_dim=32, "
+                           rf"view_dim=64, region_grid={grid}\) needs about [\d,]+ bytes, over "
+                           r"the budget of 4,294,967,296 bytes$"):
+            generate_synthetic(cfg)
+
+    @pytest.mark.parametrize("n, latent, view", [(2000, 32, 64), (3000, 4, 8), (2000, 64, 200)])
+    def test_estimate_bounds_the_traced_peak(self, n, latent, view):
+        cfg = SynthConfig(n_pairs=n, latent_dim=latent, view_dim=view)
+        tracemalloc.start()
+        try:
+            generate_synthetic(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= datasets.synth_bytes(cfg) <= 3 * peak
 
     def test_coordinates_planar_in_extent(self):
         cfg = SynthConfig(n_pairs=50, map_extent_m=123.0, seed=8)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -185,6 +186,21 @@ class TestInfoNce:
             out = info_nce(q, r, LossConfig(label_smoothing=eps, direction=direction),
                            logit_scale=1.7)
             loss, dq, dr, dscale = legacy_info_nce(q, r, eps, 1.7, direction)
+            assert (out.loss, out.grad_logit_scale) == (loss, dscale)
+            assert out.grad_queries.tobytes() == dq.tobytes()
+            assert out.grad_references.tobytes() == dr.tobytes()
+
+    @pytest.mark.parametrize("direction", ["symmetric", "query_to_ref", "ref_to_query"])
+    @pytest.mark.parametrize("n", [17, 40])
+    def test_wide_batches_match_the_plain_expressions(self, direction, n):
+        # the in-place temporaries keep the memory order of the plain
+        # expressions, which decides the order of each row sum and gemm
+        rng = np.random.default_rng(n)
+        for eps, dim in itertools.product((0.0, 0.1), (3, 6, 10)):
+            q, r = unit(rng, n, dim), unit(rng, n, dim)
+            out = info_nce(q, r, LossConfig(label_smoothing=eps, direction=direction),
+                           logit_scale=2.3)
+            loss, dq, dr, dscale = legacy_info_nce(q, r, eps, 2.3, direction)
             assert (out.loss, out.grad_logit_scale) == (loss, dscale)
             assert out.grad_queries.tobytes() == dq.tobytes()
             assert out.grad_references.tobytes() == dr.tobytes()

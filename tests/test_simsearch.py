@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from crossview import neighbors
+from crossview import neighbors, simsearch
 from crossview.datasets import EmbeddingTable
 from crossview.errors import ValidationError
 from crossview.simsearch import (
@@ -96,6 +96,16 @@ class TestL2Normalize:
         t = table([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValidationError, match="row 1"):
             l2_normalize(t)
+
+    def test_stack_of_views_matches_each_view_in_place(self):
+        # the trainer normalises a (2, rows, d) stack of views into itself
+        X = np.random.default_rng(3).standard_normal((2, 17, 6))
+        expected_norms = np.linalg.norm(X, axis=-1)
+        expected = np.stack([view / np.linalg.norm(view, axis=1)[:, None] for view in X])
+        U, norms = simsearch.unit_rows(X, out=X)
+        assert U is X
+        assert U.tobytes() == expected.tobytes()
+        assert norms.tobytes() == expected_norms.tobytes()
 
     @given(st.integers(0, 2**32 - 1))
     def test_rows_become_unit(self, seed):

@@ -302,10 +302,10 @@ class TestGradcheck:
         assert report["max"] > 1e-2
 
 
-def separable_data(n=60, noise=0.0, seed=1):
+def separable_data(n=60, noise=0.0, seed=1, view_dim=8):
     # region_within=1 gives independent latents: separability depends only
     # on the noise level
-    cfg = SynthConfig(n_pairs=n, latent_dim=4, view_dim=8, noise_sigma=noise,
+    cfg = SynthConfig(n_pairs=n, latent_dim=4, view_dim=view_dim, noise_sigma=noise,
                       map_extent_m=100.0, region_within=1.0, seed=seed)
     return generate_synthetic(cfg)
 
@@ -459,14 +459,28 @@ def test_ablation_configs(axis):
         ablation_configs(base, axis, 0)
 
 
-@pytest.mark.parametrize("shared", [True, False])
-@pytest.mark.parametrize("eps", [0.0, 0.1])
-def test_train_matches_legacy_step_bit_for_bit(shared, eps):
+# (pairs, d_in, epochs, settings): small widths and batches of 4; and the
+# desk recipe's widths and batches of 17 (configs/ablate.cfg), over 90
+# training pairs, so each epoch ends in a batch of 5
+LEGACY_SHAPES = {
+    "tiny": (60, 8, 15, dict(hidden_dim=12, embed_dim=5, sampler=replace(TINY_SAMPLER,
+                                                                         batch_size=4))),
+    "desk": (100, 64, 34, dict(hidden_dim=64, embed_dim=6, lr_max=0.002,
+                               sampler=replace(TINY_SAMPLER, batch_size=17))),
+}
+
+
+@pytest.mark.parametrize("eps, shared, shapes", [
+    *(pytest.param(eps, shared, "tiny", id=f"{eps}-{shared}")
+      for shared in (True, False) for eps in (0.0, 0.1)),
+    *(pytest.param(0.1, shared, "desk", id=f"desk-{shared}") for shared in (True, False)),
+])
+def test_train_matches_legacy_step_bit_for_bit(shared, eps, shapes):
     # the optimised step must reproduce the plain numpy step's every bit
-    records, q, r = separable_data(noise=0.3, seed=5)
-    cfg = tiny_config(epochs=15, hidden_dim=12, embed_dim=5, shared_weights=shared,
-                      weight_decay=0.05, loss=LossConfig(label_smoothing=eps),
-                      sampler=replace(TINY_SAMPLER, batch_size=4))
+    n, d_in, epochs, settings = LEGACY_SHAPES[shapes]
+    records, q, r = separable_data(n=n, noise=0.3, seed=5, view_dim=d_in)
+    cfg = tiny_config(epochs=epochs, shared_weights=shared, weight_decay=0.05,
+                      loss=LossConfig(label_smoothing=eps), **settings)
     result = train(records, q, r, cfg)
 
     n_train = len(records) - holdout_size(len(records))
@@ -487,6 +501,25 @@ def test_train_matches_legacy_step_bit_for_bit(shared, eps):
         assert float(np.mean(losses)) == record["loss"]
     assert step >= 200
     assert result.params.theta.tobytes() == legacy.theta.tobytes()
+
+
+def test_one_stacked_forward_pass_per_step_and_epoch(monkeypatch):
+    # each step encodes both views of its batch in one call, and so does
+    # each epoch's held-out pass
+    records, q, r = separable_data()
+    shapes = []
+    forward = trainer._forward
+
+    def counted(w, X):
+        shapes.append(X.shape)
+        return forward(w, X)
+
+    monkeypatch.setattr(trainer, "_forward", counted)
+    cfg = tiny_config(epochs=3)
+    result = train(records, q, r, cfg)
+    steps = sum(len(plan.batches) for plan in result.plans)
+    assert len(shapes) == steps + cfg.epochs
+    assert all(len(shape) == 3 and shape[0] == 2 for shape in shapes)
 
 
 class TestParamsIO:
