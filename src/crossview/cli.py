@@ -134,9 +134,9 @@ def _write_train_artifacts(result: TrainResult, out: Path, dataset_hash: str) ->
         (out / name).write_text(text, encoding="utf-8")
         plan_names.append(name)
 
-    # the query encoder's W1 b1 W2 b2: the leading block of theta
-    query_block = result.params.theta[: result.params.layout["q.b2"][0].stop]
-    params_dir = f"params-{_hash8(query_block.astype('<f8').tobytes())}"
+    # named by the query encoder's W1 b1 W2 b2
+    query_bytes = b"".join(t.astype("<f8").tobytes() for t in result.params.query)
+    params_dir = f"params-{_hash8(query_bytes)}"
     save_params(result.params, out / params_dir)
 
     run = {

@@ -12,8 +12,6 @@ epoch, and no batch holds two members of the same class.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -78,10 +76,17 @@ def should_refresh(epoch: int, cfg: SamplerConfig) -> bool:
     return resolve_strategy(cfg, epoch) == "dss" and (epoch - first) % cfg.refresh_every == 0
 
 
+def _require_pool_fits(cfg: SamplerConfig, n: int) -> None:
+    # a pool holds every pair but the anchor's own at most
+    if cfg.pool_size > n - 1:
+        raise ValidationError(f"sampler.pool_size={cfg.pool_size} exceeds {n} pairs - 1 = {n - 1}")
+
+
 def build_geo_pools(
     records: list[SampleRecord], cfg: SamplerConfig, geo: GeoConfig = GeoConfig()
 ) -> Pools:
     """Geographic pools of size pool_size over the records' own coordinates."""
+    _require_pool_fits(cfg, len(records))
     coords = [r.coord for r in records]
     return geo_topk(coords, coords, cfg.pool_size, geo)
 
@@ -90,6 +95,7 @@ def build_sim_pools(
     queries: EmbeddingTable, references: EmbeddingTable, cfg: SamplerConfig
 ) -> Pools:
     """Visual pools of size pool_size from unit-normalised embedding tables."""
+    _require_pool_fits(cfg, references.count)
     return visual_topk(queries, references, cfg.pool_size)
 
 
@@ -129,7 +135,9 @@ def plan_epoch(
     its pool picks in, skipping pairs already used this epoch and pairs
     whose class is already in the batch, then the batch is topped up with
     the remaining shuffle order under the same constraints. A short final
-    batch is kept so every pair trains each epoch.
+    batch is kept so every pair trains each epoch. Any class fits, as each
+    anchor opens its own batch: a class of more than ceil(n / batch_size)
+    pairs gives more, shorter batches, which may come mid-epoch.
     """
     n = len(records)
     if n == 0:
@@ -152,15 +160,6 @@ def plan_epoch(
             )
 
     class_of = [r.class_id for r in records]
-    counts = Counter(class_of)
-    n_batches = math.ceil(n / cfg.batch_size)
-    worst_class, worst = counts.most_common(1)[0]
-    if worst > n_batches:
-        raise ValidationError(
-            f"class {worst_class!r} has {worst} members but the epoch only has "
-            f"{n_batches} batches; the class-uniqueness constraint is unsatisfiable"
-        )
-
     order = rng_state.permutation(n).tolist()
     used = [False] * n
     cursor = 0  # every order entry before it is used

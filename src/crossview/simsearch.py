@@ -101,15 +101,6 @@ def l2_normalize(table: EmbeddingTable) -> EmbeddingTable:
     return EmbeddingTable(normalized.astype(np.float32), table.row_ids)
 
 
-def cosine_matrix(queries: EmbeddingTable, references: EmbeddingTable) -> np.ndarray:
-    """Pairwise dot products (n_q, n_r) in float64; rows must be unit-normalised."""
-    if queries.dim != references.dim:
-        raise ValidationError(
-            f"dim mismatch: queries {queries.dim} vs references {references.dim}"
-        )
-    return queries.data.astype(np.float64) @ references.data.astype(np.float64).T
-
-
 def similarity_blocks(q64: np.ndarray, r64: np.ndarray):
     """Scorer of the float64 similarity blocks ``q64[part] @ r64.T``.
 
@@ -139,6 +130,13 @@ def similarity_blocks(q64: np.ndarray, r64: np.ndarray):
         return block
 
     return scores
+
+
+def cosine_matrix(queries: EmbeddingTable, references: EmbeddingTable) -> np.ndarray:
+    """Pairwise dot products (n_q, n_r) in float64, as one similarity block;
+    rows must be unit-normalised."""
+    return similarity_blocks(queries.data.astype(np.float64),
+                             references.data.astype(np.float64))(np.arange(queries.count))
 
 
 def visual_topk(

@@ -6,7 +6,9 @@ encodes both). Training runs AdamW with decoupled weight decay (weights
 only, never biases or the logit scale) under a cosine learning-rate
 schedule with linear warm-up. Each epoch the sampler plans batches from
 geographic or visual hard-negative pools; visual pools are refreshed by
-re-encoding the full training set with the current weights.
+re-encoding the full training set with the current weights. The schedule
+runs in units of each epoch's planned batches, which shared classes can
+make more than ceil(n / B).
 
 All trainable state is one float64 vector ``theta``: the query encoder's
 W1, b1, W2, b2 (each row-major), then the reference encoder's four when
@@ -290,7 +292,9 @@ def encode(
 
 
 def lr_at(step: int, steps_per_epoch: int, cfg: TrainConfig) -> float:
-    """Linear warm-up to lr_max, then cosine decay to 0 at the final step."""
+    """Linear warm-up to lr_max, then cosine decay to 0 at the final step, in
+    units of epochs of steps_per_epoch steps: train passes each epoch's planned
+    batch count, and batch i of epoch e reads step e * steps_per_epoch + i."""
     if step < 0:
         raise ValidationError("step must be >= 0")
     total = cfg.epochs * steps_per_epoch
@@ -454,10 +458,6 @@ def train(
         raise ValidationError(f"record {manifest[n_train + orphans[0]].id!r} has no positives "
                               f"inside the held-out pairs [{n_train}, {n})")
     scfg = cfg.sampler
-    if scfg.strategy != "random" and scfg.pool_size > n_train - 1:
-        raise ValidationError(
-            f"pool_size={scfg.pool_size} exceeds training pairs - 1 = {n_train - 1}"
-        )
 
     # both views' features stacked on a leading view axis, in the tables'
     # float32: half the bytes of float64 copies; every use casts, exactly
@@ -470,8 +470,6 @@ def train(
     state = adamw_init(params)
 
     pools = None  # the pools of the current strategy; None while random
-    steps_per_epoch = math.ceil(n_train / scfg.batch_size)
-    global_step = 0
     history: list[dict] = []
     plans: list[BatchPlan] = []
 
@@ -488,17 +486,16 @@ def train(
 
         losses = []
         lr = 0.0
-        for batch in plan.batches:
+        for i, batch in enumerate(plan.batches):  # the plan sets the epoch's length
             if cfg.loss_kind != "infonce" and len(batch) < 2:
                 continue  # a lone pair has no in-batch negative
-            lr = lr_at(global_step, steps_per_epoch, cfg)
+            lr = lr_at(epoch * len(plan.batches) + i, len(plan.batches), cfg)
             # one gather of the batch's rows from both views
             loss, grad = _batch_objective(params, X2.take(batch, axis=1).astype(np.float64),
                                           cfg.loss, cfg.loss_kind)
             adamw_step(params, grad, state, lr, cfg)
             params.theta[-1] = clamp_logit_scale(params.logit_scale, cfg.loss.logit_scale_max)
             losses.append(loss)
-            global_step += 1
 
         U, _ = _forward(_stacked(params), X2[:, n_train:].astype(np.float64))
         report = retrieval_report(U[0], U[1], *holdout_links)

@@ -546,6 +546,25 @@ class TestExitCodes:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("command, strategy, pairs", [
+        ("plan", "gps", 20),    # geo pools over the manifest's records
+        ("plan", "dss", 20),    # visual pools over the reference rows
+        ("train", "gps", 18),   # geo pools over the training pairs
+    ])
+    def test_pool_size_above_the_pairs_named(self, tmp_path, capsys, command, strategy, pairs):
+        data = tmp_path / "data"
+        rc = main(["gen-synth", *TINY_SYNTH, "--set", "synth.n_pairs=20", "--out", str(data)])
+        assert rc == 0
+        inputs = {"train": ["--data", str(data), "--out", str(tmp_path / "run")],
+                  "plan": ["--epoch", "0", "--out", str(tmp_path / "plan.jsonl"),
+                           "--manifest", str(data / "manifest.jsonl"), "--embeddings",
+                           str(data / "query.emb"), str(data / "reference.emb")]}
+        capsys.readouterr()
+        rc = main([command, "--set", f"sampler.strategy={strategy}", *inputs[command]])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: sampler.pool_size=128 exceeds {pairs} pairs "
+                                           f"- 1 = {pairs - 1}\n")
+
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["ablate", "--seeds", "0", "--out", "unused.csv"],
                      "--seeds=0 must be >= 1", id="argv0---seeds"),

@@ -178,13 +178,16 @@ class TestPlanEpoch:
                 assert len(set(classes)) == len(classes)
             validate_plan(plan, records, cfg)
 
-    def test_unsatisfiable_class_named(self):
+    def test_class_larger_than_the_batch_count_plans_more_batches(self):
+        # c9 has three pairs, ceil(4 / 2) = 2: each c9 pair opens its own batch
         records = records_at(
             [(0, 0), (1, 0), (2, 0), (3, 0)], class_ids=["c9", "c9", "c9", "c2"]
         )
         cfg = SamplerConfig(batch_size=2, pool_size=2, picks_per_anchor=2, strategy="random")
-        with pytest.raises(ValidationError, match="c9"):
-            plan_epoch(records, None, cfg, 0, np.random.default_rng(0))
+        for seed in range(10):
+            plan = plan_epoch(records, None, cfg, 0, np.random.default_rng(seed))
+            assert len(plan.batches) >= 3
+            validate_plan(plan, records, cfg)
 
     def test_exact_cover_many_seeds(self):
         rng = np.random.default_rng(0)

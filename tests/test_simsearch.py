@@ -134,6 +134,19 @@ class TestCosineMatrix:
         with pytest.raises(ValidationError, match="dim"):
             cosine_matrix(table([[1.0, 0.0]]), table([[1.0, 0.0, 0.0]]))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_identical_reference_rows_tie(self, seed):
+        # one gemm may round a repeated row's dot products differently per
+        # column; as one similarity block the copies score alike
+        rng = np.random.default_rng(seed)
+        r = rng.standard_normal((14, 35))
+        r[12] = r[9]
+        q, r = l2_normalize(table(rng.standard_normal((3, 35)))), l2_normalize(table(r))
+        sims = cosine_matrix(q, r)
+        assert sims[:, 12].tobytes() == sims[:, 9].tobytes()
+        block = similarity_blocks(q.data.astype(np.float64), r.data.astype(np.float64))
+        assert sims.tobytes() == block(np.arange(3)).tobytes()
+
     def test_self_similarity_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(5)
         t = unit_rows(rng, 20, 8)

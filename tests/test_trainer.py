@@ -357,6 +357,29 @@ class TestTrain:
         result = train(records, q, r, cfg)
         assert [p.strategy_used for p in result.plans] == ["gps"] * 2 + ["dss"] * 4
 
+    @pytest.mark.parametrize("n_classes", [10, 20])
+    def test_schedule_runs_in_each_plan_length(self, monkeypatch, n_classes):
+        # shared classes stretch epochs past ceil(54 / 16) = 4 batches: 10
+        # classes hold up to 6 of the 54 training pairs each, 20 classes vary
+        # the plans' lengths; the schedule follows each epoch's own plan
+        records, q, r = separable_data(noise=0.3)
+        records = [replace(rec, class_id=f"c{i % n_classes}") for i, rec in enumerate(records)]
+        lrs = []
+        adamw_step = trainer.adamw_step
+
+        def recording(params, grad, state, lr, cfg):
+            lrs.append(lr)
+            return adamw_step(params, grad, state, lr, cfg)
+
+        monkeypatch.setattr(trainer, "adamw_step", recording)
+        cfg = tiny_config(epochs=4)
+        result = train(records, q, r, cfg)
+        lengths = [len(plan.batches) for plan in result.plans]
+        assert max(lengths) > 4 and len(lrs) == sum(lengths)
+        assert lrs[sum(lengths[:cfg.warmup_epochs])] == cfg.lr_max
+        assert lrs[-1] == result.history[-1]["lr"] == 0.0
+        assert lrs[0] == 0.0 and all(lr > 0.0 for lr in lrs[1:-1])
+
     def test_triplet_loss_kind_runs(self):
         records, q, r = separable_data(noise=0.2)
         cfg = tiny_config(epochs=2, loss_kind="triplet")
@@ -484,7 +507,6 @@ def test_train_matches_legacy_step_bit_for_bit(shared, eps, shapes):
     result = train(records, q, r, cfg)
 
     n_train = len(records) - holdout_size(len(records))
-    steps_per_epoch = math.ceil(n_train / cfg.sampler.batch_size)
     Xq, Xr = q.data.astype(np.float64)[:n_train], r.data.astype(np.float64)[:n_train]
     start = init_params(np.random.default_rng([cfg.seed, 0]), q.dim, cfg.hidden_dim,
                         cfg.embed_dim, shared, cfg.loss.logit_scale)
@@ -493,11 +515,12 @@ def test_train_matches_legacy_step_bit_for_bit(shared, eps, shapes):
     step = 0
     for plan, record in zip(result.plans, result.history, strict=True):
         losses = []
-        for batch in plan.batches:
+        steps = len(plan.batches)  # each plan's own length sets the schedule
+        for i, batch in enumerate(plan.batches):
             idx = list(batch)
-            losses.append(legacy.step(Xq[idx], Xr[idx], lr_at(step, steps_per_epoch, cfg), eps,
-                                      cfg.loss.logit_scale_max))
-            step += 1
+            losses.append(legacy.step(Xq[idx], Xr[idx], lr_at(plan.epoch * steps + i, steps, cfg),
+                                      eps, cfg.loss.logit_scale_max))
+        step += steps
         assert float(np.mean(losses)) == record["loss"]
     assert step >= 200
     assert result.params.theta.tobytes() == legacy.theta.tobytes()
