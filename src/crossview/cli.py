@@ -1,10 +1,14 @@
 """Command-line entry point.
 
 Commands: gen-synth, plan, train, eval, gradcheck, ablate. Exit code 0 on
-success, 1 on validation errors, 2 on IO errors. Artifact files written
-by train and ablate carry a short content hash in their names; outputs
-contain no timestamps, so identical configs and seeds reproduce the same
-bytes.
+success, 1 on validation errors, 2 on IO errors. Every input has one
+source: ``plan`` reads every file it is given and aligns each embedding
+table with the records, whatever the strategy (without ``--manifest``
+each pair is its own class), and ``gradcheck`` seeds init i from
+``train.seed + i``. Artifact files written by train and ablate carry a
+short content hash in their names; outputs contain no timestamps, so
+identical configs and seeds reproduce the same bytes. Both record the
+``dataset_hash`` of the files gen-synth writes for their dataset.
 
 ``ablate`` runs one axis of the experiment grid (``trainer.AXES``) on one
 synthetic dataset: ``--axis strategy`` compares the sampling strategies,
@@ -25,9 +29,13 @@ from pathlib import Path
 
 from .config import ConfigBundle, parse_config
 from .datasets import (
+    Coordinate,
+    SampleRecord,
+    emb1_bytes,
     generate_synthetic,
     json_line,
     load_manifest,
+    manifest_text,
     read_embeddings,
     require_aligned,
     write_embeddings,
@@ -74,51 +82,31 @@ def cmd_plan(args) -> int:
     bundle = _load_bundle(args)
     scfg = bundle.sampler
     strategy = resolve_strategy(scfg, args.epoch)
+    if strategy == "gps" and not args.manifest:
+        raise ValidationError("GPS planning needs --manifest for coordinates")
+    if strategy == "dss" and not args.embeddings:
+        raise ValidationError("DSS planning needs --embeddings Q.emb R.emb")
+    if not (args.manifest or args.embeddings):
+        raise ValidationError("random planning needs --manifest or --embeddings")
 
-    records = None
+    tables = [read_embeddings(path) for path in args.embeddings or ()]
     if args.manifest:
         records = load_manifest(args.manifest)
+    else:  # each pair its own class, at the origin
+        records = [SampleRecord(rid, rid, Coordinate(0.0, 0.0, "planar"), (rid,))
+                   for rid in tables[0].row_ids]
+    for what, table in zip(("query", "reference"), tables):
+        require_aligned(what, table.row_ids, records)
 
+    pools = None
     if strategy == "gps":
-        if records is None:
-            raise ValidationError("GPS planning needs --manifest for coordinates")
         pools = build_geo_pools(records, scfg, bundle.geo)
     elif strategy == "dss":
-        if not args.embeddings:
-            raise ValidationError("DSS planning needs --embeddings Q.emb R.emb")
-        queries = l2_normalize(read_embeddings(args.embeddings[0]))
-        references = l2_normalize(read_embeddings(args.embeddings[1]))
-        if records is None:
-            records = _records_from_ids(queries.row_ids)
-        require_aligned("query", queries.row_ids, records)
-        require_aligned("reference", references.row_ids, records)
-        pools = build_sim_pools(queries, references, scfg)
-    else:
-        pools = None
-        if records is None:
-            if not args.embeddings:
-                raise ValidationError("random planning needs --manifest or --embeddings")
-            records = _records_from_ids(read_embeddings(args.embeddings[0]).row_ids)
-
+        pools = build_sim_pools(*map(l2_normalize, tables), scfg)
     plan = plan_epoch(records, pools, scfg, args.epoch, plan_rng(scfg, args.epoch))
     write_plan(plan, args.out)
     print(f"wrote {len(plan.batches)} batches ({plan.strategy_used}) to {args.out}")
     return 0
-
-
-def _records_from_ids(row_ids):
-    # minimal records when no manifest is supplied: unique classes, origin coords
-    from .datasets import Coordinate, SampleRecord
-
-    return [
-        SampleRecord(
-            id=rid,
-            class_id=rid,
-            coord=Coordinate(0.0, 0.0, "planar"),
-            positives=(rid,),
-        )
-        for rid in row_ids
-    ]
 
 
 def _write_train_artifacts(result: TrainResult, out: Path, dataset_hash: str) -> dict:
@@ -150,10 +138,12 @@ def _write_train_artifacts(result: TrainResult, out: Path, dataset_hash: str) ->
     return run
 
 
-def _dataset_hash(data_dir: Path) -> str:
+def _dataset_hash(*parts: bytes) -> str:
+    """The first 12 hex digits of the sha256 of a manifest's and the two EMB1
+    files' bytes, in that order."""
     h = hashlib.sha256()
-    for name in ("manifest.jsonl", "query.emb", "reference.emb"):
-        h.update((data_dir / name).read_bytes())
+    for part in parts:
+        h.update(part)
     return h.hexdigest()[:12]
 
 
@@ -164,7 +154,9 @@ def cmd_train(args) -> int:
     queries = read_embeddings(data / "query.emb")
     references = read_embeddings(data / "reference.emb")
     result = train(manifest, queries, references, bundle.train, bundle.geo)
-    run = _write_train_artifacts(result, Path(args.out), _dataset_hash(data))
+    dataset_hash = _dataset_hash(*((data / name).read_bytes()
+                                   for name in ("manifest.jsonl", "query.emb", "reference.emb")))
+    run = _write_train_artifacts(result, Path(args.out), dataset_hash)
     print(json_line(run["final"]))
     return 0
 
@@ -185,7 +177,8 @@ def cmd_gradcheck(args) -> int:
     bundle = _load_bundle(args)
     worst: dict[str, float] = {}
     for i in range(args.inits):
-        report = gradcheck(bundle.train, n=args.n, d_in=bundle.synth.view_dim, seed=args.seed + i)
+        report = gradcheck(bundle.train, n=args.n, d_in=bundle.synth.view_dim,
+                           seed=bundle.train.seed + i)
         for key, value in report.items():
             worst[key] = max(worst.get(key, 0.0), value)
     print(json_line(worst))
@@ -200,11 +193,9 @@ def cmd_ablate(args) -> int:
     axis = args.axis
     configs = ablation_configs(bundle.train, axis, args.seeds)
     records, queries, references = generate_synthetic(bundle.synth)
-    h = hashlib.sha256()
-    h.update("".join(r.id for r in records).encode())
-    h.update(queries.data.tobytes())
-    h.update(references.data.tobytes())
-    dataset_hash = h.hexdigest()[:12]
+    # the hash train gives the files gen-synth writes for this dataset
+    dataset_hash = _dataset_hash(manifest_text(records).encode("utf-8"),
+                                 emb1_bytes(queries), emb1_bytes(references))
     out_csv = Path(args.out)
     out_csv.parent.mkdir(parents=True, exist_ok=True)
 
@@ -249,7 +240,6 @@ _OPTIONS = {
     "epoch": setting(0, ge=0),
     "n": setting(8, ge=2),  # one pair has no negative to check against
     "inits": setting(1, ge=1),
-    "seed": setting(0, ge=0),
     "tol": setting(1e-6, gt=0),  # a float setting is finite: worst > nan could never fail
     "seeds": setting(5, ge=1),
 }
@@ -313,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("gradcheck", help="check analytic gradients against finite differences")
     add_config(p)
-    for name in ("n", "inits", "seed", "tol"):
+    for name in ("n", "inits", "tol"):
         add_option(p, name)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -25,8 +25,9 @@ from .neighbors import planar_nearest_k
 
 EMB1_MAGIC = b"EMB1"
 _HEADER = struct.Struct("<II")
-# the most heap generate_synthetic may plan to use, against synth_bytes
-SYNTH_BUDGET_BYTES = 4 * 1024**3
+# the most heap generate_synthetic (synth_bytes) or one training step
+# (trainer.step_bytes) may plan to use
+HEAP_BUDGET_BYTES = 4 * 1024**3
 
 
 # each crs -> its two manifest keys in (a, b) order, declared as settings
@@ -100,6 +101,7 @@ class EmbeddingTable:
     row_ids: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "row_ids", tuple(self.row_ids))
         if self.data.ndim != 2 or not self.data.shape[1]:
             raise ValidationError(f"embedding data must be 2-D, width >= 1, got {self.data.shape}")
         if self.data.dtype != np.float32:
@@ -322,10 +324,19 @@ def require_aligned(what: str, row_ids: tuple[str, ...], records: list[SampleRec
             )
 
 
+def manifest_text(records: list[SampleRecord]) -> str:
+    """The manifest of records as write_manifest writes it: one JSON line each."""
+    return "".join(json_line(record_to_json(record)) + "\n" for record in records)
+
+
 def write_manifest(records: list[SampleRecord], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json_line(record_to_json(record)) + "\n")
+    Path(path).write_bytes(manifest_text(records).encode("utf-8"))
+
+
+def emb1_bytes(table: EmbeddingTable) -> bytes:
+    """The EMB1 file of table as write_embeddings writes it, without the sidecar."""
+    payload = np.ascontiguousarray(table.data, dtype="<f4")  # the table's own array
+    return b"".join((EMB1_MAGIC, _HEADER.pack(table.count, table.dim), payload))
 
 
 def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
@@ -339,20 +350,14 @@ def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
         raise ValidationError(f"row id {table.row_ids[bad[0]]!r} (index {bad[0]}) holds a "
                               f"line boundary and cannot be stored in the ids sidecar")
     path = Path(path)
-    payload = np.ascontiguousarray(table.data, dtype="<f4").tobytes()
-    with path.open("wb") as fh:
-        fh.write(EMB1_MAGIC)
-        fh.write(_HEADER.pack(table.count, table.dim))
-        fh.write(payload)
+    path.write_bytes(emb1_bytes(table))
     sidecar = path.with_name(path.name + ".ids")
     sidecar.write_text("".join(f"{rid}\n" for rid in table.row_ids), encoding="utf-8")
 
 
 def read_embeddings(path: str | Path) -> EmbeddingTable:
-    """Inverse of write_embeddings.
-
-    Falls back to stringified row numbers when the ids sidecar is absent.
-    """
+    """Inverse of write_embeddings; the ``<path>.ids`` sidecar is required,
+    and a missing one raises the OSError of reading it."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 4 or raw[:4] != EMB1_MAGIC:
@@ -371,14 +376,9 @@ def read_embeddings(path: str | Path) -> EmbeddingTable:
         )
     data = np.frombuffer(raw, dtype="<f4", offset=4 + _HEADER.size).reshape(count, dim)
     sidecar = path.with_name(path.name + ".ids")
-    if sidecar.exists():
-        row_ids = tuple(read_text(sidecar).splitlines())
-        if len(row_ids) != count:
-            raise ValidationError(
-                f"{sidecar}: {len(row_ids)} ids for {count} rows"
-            )
-    else:
-        row_ids = tuple(str(i) for i in range(count))
+    row_ids = tuple(read_text(sidecar).splitlines())
+    if len(row_ids) != count:
+        raise ValidationError(f"{sidecar}: {len(row_ids)} ids for {count} rows")
     try:
         return EmbeddingTable(data=data.copy(), row_ids=row_ids)
     except ValidationError as exc:  # a NaN row or a duplicate id: name the file
@@ -408,11 +408,11 @@ def generate_synthetic(
         )
     n, d_latent, d_view = cfg.n_pairs, cfg.latent_dim, cfg.view_dim
     need = synth_bytes(cfg)
-    if need > SYNTH_BUDGET_BYTES:
+    if need > HEAP_BUDGET_BYTES:
         raise ValidationError(
             f"synth.n_pairs={n} (latent_dim={d_latent}, view_dim={d_view}, region_grid="
             f"{cfg.region_grid}) needs about {need:,} bytes, over the budget of "
-            f"{SYNTH_BUDGET_BYTES:,} bytes")
+            f"{HEAP_BUDGET_BYTES:,} bytes")
     rng = np.random.default_rng(cfg.seed)
 
     coords = rng.uniform(0.0, cfg.map_extent_m, size=(n, 2))

@@ -51,6 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import (
+    HEAP_BUDGET_BYTES,
     EmbeddingTable,
     SampleRecord,
     read_embeddings,
@@ -411,6 +412,31 @@ def _batch_objective(params: EncoderParams, X2: np.ndarray, loss_cfg: LossConfig
 # training loop
 
 
+def step_bytes(d_in: int, cfg: TrainConfig, rows: int) -> int:
+    """An upper estimate of one training step's heap, in bytes, for a batch of
+    ``rows`` pairs of d_in features: nine theta-sized float64 vectors (theta,
+    the AdamW moments and scratch, the gradient and its per-view rows), per
+    row of each view its inputs twice over and six hidden-width and four
+    embedding-width activations, and for InfoNCE the target and three
+    (2, rows, rows) buffers, 7 * rows**2 float64."""
+    size = theta_layout(d_in, cfg.hidden_dim, cfg.embed_dim,
+                        cfg.shared_weights)["logit_scale"][0].stop
+    per_row = 2 * (2 * d_in + 6 * cfg.hidden_dim + 4 * cfg.embed_dim)
+    logits = 7 * rows * rows if cfg.loss_kind == "infonce" else 0
+    return 8 * (9 * size + rows * per_row + logits)
+
+
+def _require_step_fits(d_in: int, cfg: TrainConfig, rows: int, what: str) -> None:
+    """Raise, naming ``what`` (the setting that sets rows) and the widths,
+    when step_bytes is over HEAP_BUDGET_BYTES."""
+    need = step_bytes(d_in, cfg, rows)
+    if need > HEAP_BUDGET_BYTES:
+        raise ValidationError(
+            f"{what} ({rows} rows per step) with train.hidden_dim={cfg.hidden_dim}, "
+            f"train.embed_dim={cfg.embed_dim} and {d_in} input features needs about "
+            f"{need:,} bytes per step, over the budget of {HEAP_BUDGET_BYTES:,} bytes")
+
+
 def holdout_size(n: int) -> int:
     """Pairs held out at the end of an n-pair manifest: 10%, at least one."""
     return max(1, n // 10)
@@ -458,6 +484,8 @@ def train(
         raise ValidationError(f"record {manifest[n_train + orphans[0]].id!r} has no positives "
                               f"inside the held-out pairs [{n_train}, {n})")
     scfg = cfg.sampler
+    _require_step_fits(query_features.dim, cfg, min(scfg.batch_size, n_train),
+                       f"sampler.batch_size={scfg.batch_size}")
 
     # both views' features stacked on a leading view axis, in the tables'
     # float32: half the bytes of float64 copies; every use casts, exactly
@@ -553,6 +581,7 @@ def gradcheck(
     """
     if n < 2:  # one pair has no in-batch negative: every gradient vanishes
         raise ValidationError(f"gradcheck needs n >= 2 pairs, got n={n}")
+    _require_step_fits(d_in, cfg, n, f"gradcheck n={n}")
     rng = np.random.default_rng(seed)
     params = init_params(rng, d_in, cfg.hidden_dim, cfg.embed_dim, cfg.shared_weights,
                          cfg.loss.logit_scale)

@@ -61,6 +61,15 @@ def _wgs84_line(path: Path, index: int) -> None:
 EVAL = ["eval", "--query", "{data}/query.emb", "--ref", "{data}/reference.emb",
         "--manifest", "{data}/manifest.jsonl"]
 
+
+def _plan(strategy: str) -> list[str]:
+    # plan reads both tables and the manifest whatever the strategy
+    return ["plan", "--set", f"sampler.strategy={strategy}", "--set", "sampler.pool_size=8",
+            "--set", "sampler.picks_per_anchor=4", "--epoch", "0",
+            "--manifest", "{data}/manifest.jsonl",
+            "--embeddings", "{data}/query.emb", "{data}/reference.emb",
+            "--out", "{data}/plan.jsonl"]
+
 # case -> (file to spoil, how, the command after "crossview", how stderr starts)
 CASES = {
     "manifest-not-utf8": ("manifest.jsonl", lambda p: _first_line(p, b"\xff\xfe{}"), EVAL,
@@ -84,6 +93,10 @@ CASES = {
                       EVAL, "{data}/reference.emb: row ids must be unique"),
     "reference-nan-row": ("reference.emb", lambda p: _nan_row(p, 3), EVAL,
                           "{data}/reference.emb: embedding row 'p000003' (index 3) holds a NaN"),
+    "plan-reference-not-emb1": ("reference.emb", lambda p: p.write_text("not a table\n"),
+                                _plan("random"), "{data}/reference.emb: bad magic, not an EMB1"),
+    "plan-query-nan-row": ("query.emb", lambda p: _nan_row(p, 5), _plan("gps"),
+                           "{data}/query.emb: embedding row 'p000005' (index 5) holds a NaN"),
     "train-config-not-utf8": ("bad.cfg", lambda p: p.write_bytes(b"train.epochs=\xff3\n"),
                               ["train", "--config", "{data}/bad.cfg", "--data", "{data}",
                                "--out", "{data}/out"], "{data}/bad.cfg:1: not UTF-8"),
@@ -97,9 +110,8 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_cli_bad_input_exits_without_traceback(dataset, tmp_path, case):
-    name, spoil, argv, named = CASES[case]
+def _run_spoiled(dataset, tmp_path, name, spoil, argv):
+    """(the spoiled copy of dataset, ``python -m crossview argv`` run over it)"""
     data = tmp_path / "data"
     data.mkdir()
     for f in dataset.iterdir():
@@ -110,9 +122,25 @@ def test_cli_bad_input_exits_without_traceback(dataset, tmp_path, case):
     proc = subprocess.run([sys.executable, "-m", "crossview",
                            *(arg.format(data=data) for arg in argv)],
                           capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode in (1, 2), proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
+    return data, proc
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_cli_bad_input_exits_without_traceback(dataset, tmp_path, case):
+    name, spoil, argv, named = CASES[case]
+    data, proc = _run_spoiled(dataset, tmp_path, name, spoil, argv)
+    assert proc.returncode in (1, 2), proc.stderr
     assert proc.stderr.startswith(f"error: {named.format(data=data)}"), proc.stderr
+
+
+@pytest.mark.parametrize("argv", [EVAL, _plan("random")], ids=["eval", "plan"])
+def test_missing_ids_sidecar_is_an_io_error_naming_it(dataset, tmp_path, argv):
+    # the reader never numbers the rows itself
+    data, proc = _run_spoiled(dataset, tmp_path, "reference.emb.ids", Path.unlink, argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("io error: "), proc.stderr
+    assert f"'{data}/reference.emb.ids'" in proc.stderr, proc.stderr
 
 
 def _emb1(count: int, dim: int, payload: bytes) -> bytes:

@@ -16,7 +16,7 @@ from crossview.config import parse_config
 from crossview.datasets import EmbeddingTable, load_manifest, read_embeddings, write_embeddings
 from crossview.datasets import generate_synthetic
 from crossview.sampler import read_plan, write_plan
-from crossview.trainer import LOSS_KINDS, train
+from crossview.trainer import LOSS_KINDS, gradcheck, train
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -226,6 +226,41 @@ class TestPlan:
             in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("inputs", ["manifest", "embeddings"])
+    def test_random_plan_from_either_input_covers_every_pair(self, tmp_path, inputs):
+        data = gen_dataset(tmp_path)
+        given = {"manifest": ["--manifest", str(data / "manifest.jsonl")],
+                 "embeddings": ["--embeddings", str(data / "query.emb"),
+                                str(data / "reference.emb")]}[inputs]
+        out = tmp_path / "plan.jsonl"
+        rc = main(["plan", *TINY_TRAIN, "--set", "sampler.strategy=random", *given,
+                   "--epoch", "0", "--out", str(out)])
+        assert rc == 0
+        assert sorted(i for b in read_plan(out).batches for i in b) == list(range(50))
+
+    @pytest.mark.parametrize("strategy", ["random", "gps"])
+    @pytest.mark.parametrize("spoil", ["junk", "misaligned"])
+    def test_every_table_given_is_read_and_aligned(self, tmp_path, capsys, strategy, spoil):
+        # random and gps planning draw on no table, yet a bad one is named
+        data = gen_dataset(tmp_path)
+        bad = tmp_path / "bad.emb"
+        if spoil == "junk":
+            bad.write_text("not a table\n")
+            message = f"error: {bad}: bad magic, not an EMB1 file\n"
+        else:
+            ref = read_embeddings(data / "reference.emb")
+            write_embeddings(EmbeddingTable(ref.data[1:], ref.row_ids[1:]), bad)
+            message = "error: 49 reference rows for 50 manifest records\n"
+        out = tmp_path / "plan.jsonl"
+        capsys.readouterr()
+        rc = main(["plan", *TINY_TRAIN, "--set", f"sampler.strategy={strategy}",
+                   "--manifest", str(data / "manifest.jsonl"),
+                   "--embeddings", str(data / "query.emb"), str(bad),
+                   "--epoch", "0", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     @pytest.mark.parametrize("with_manifest", [False, True], ids=["ids", "manifest"])
     def test_dss_dim_mismatch_named(self, tmp_path, capsys, with_manifest):
         # used to end in numpy's matmul traceback
@@ -297,6 +332,18 @@ class TestTrain:
         assert "loss.triplet_margin" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_over_budget_hidden_width_named_before_training(self, tmp_path, monkeypatch, capsys):
+        data = gen_dataset(tmp_path)
+        monkeypatch.setattr("crossview.trainer.init_params", None)  # must not start
+        out = tmp_path / "run"
+        rc = main(["train", *TINY_TRAIN, "--set", "train.hidden_dim=100000000",
+                   "--data", str(data), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sampler.batch_size=8 (8 rows per step) with "
+                              "train.hidden_dim=100000000, ")
+        assert "over the budget of 4,294,967,296 bytes" in err
+        assert not out.exists()
 
     def test_logit_scale_above_max_rejected_before_training(self, tmp_path, capsys):
         data = gen_dataset(tmp_path)
@@ -435,6 +482,33 @@ class TestGradcheck:
         assert list(report) == keys
         assert report["max"] == max(v for k, v in report.items() if k != "max") <= 1e-6
 
+    def test_fails_below_the_rounding_error(self, capsys):
+        rc = main(["gradcheck", "--set", "synth.view_dim=4", "--set", "train.hidden_dim=6",
+                   "--set", "train.embed_dim=3", "--n", "3", "--tol", "1e-300"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("gradient check FAILED: ")
+
+    def test_train_seed_seeds_each_init(self, capsys):
+        # init i draws from train.seed + i
+        widths = ["--set", "synth.view_dim=4", "--set", "train.hidden_dim=6",
+                  "--set", "train.embed_dim=3"]
+        reports = []
+        for seed in (0, 7):
+            assert main(["gradcheck", *widths, "--set", f"train.seed={seed}", "--n", "3",
+                         "--inits", "2"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] != reports[1]
+        cfg = parse_config(None, widths[1::2]).train
+        worst = [gradcheck(cfg, n=3, d_in=4, seed=seed) for seed in (7, 8)]
+        assert reports[1] == {key: max(r[key] for r in worst) for key in worst[0]}
+
+    def test_over_budget_pair_count_named_before_drawing(self, monkeypatch, capsys):
+        monkeypatch.setattr("crossview.trainer.init_params", None)  # must not start
+        assert main(["gradcheck", "--n", "20000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gradcheck n=20000 (20000 rows per step) with ")
+        assert "over the budget of 4,294,967,296 bytes" in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6"])
     def test_tolerance_that_cannot_fail_rejected(self, monkeypatch, capsys, tol):
         # worst > nan and worst > inf are never true: such a check always passes
@@ -470,6 +544,18 @@ class TestAblate:
         assert len({r["dataset_hash"] for r in rows}) == 1
         detail = json.loads(out.with_suffix(".json").read_text())
         assert len(detail["runs"]) == 4
+
+    def test_dataset_hash_is_trains(self, tmp_path):
+        # both hash the files gen-synth writes: manifest, query and reference
+        data, run = gen_dataset(tmp_path), tmp_path / "run"
+        assert main(["train", *TINY_TRAIN, "--data", str(data), "--out", str(run)]) == 0
+        trained = json.loads((run / "run.json").read_text())["dataset_hash"]
+        out = tmp_path / "table.csv"
+        assert main(["ablate", "--axis", "loss", *TINY_SYNTH, *TINY_TRAIN, "--seeds", "1",
+                     "--out", str(out)]) == 0
+        with out.open(newline="") as fh:
+            assert {row["dataset_hash"] for row in csv.DictReader(fh)} == {trained}
+        assert json.loads(out.with_suffix(".json").read_text())["dataset_hash"] == trained
 
     def test_missing_out_directory_created(self, tmp_path):
         out = tmp_path / "results" / "desk" / "table.csv"
@@ -603,7 +689,7 @@ class TestExitCodes:
         (["plan", "--set", "sampler.seed=-2", "--epoch", "0"], "sampler.seed"),
         (["train", "--set", "train.seed=-1"], "train.seed"),
         (["plan", "--epoch", "-1"], "--epoch"),
-        (["gradcheck", "--seed", "-1"], "--seed"),
+        (["gradcheck", "--set", "train.seed=-1"], "train.seed"),
     ])
     def test_negative_seed_or_epoch_named(self, tmp_path, capsys, command, key):
         data = gen_dataset(tmp_path)
@@ -619,6 +705,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, prefix", [
         (["ablate", "--seed", "3", "--out", "unused.csv"], "--seed"),  # not --seeds
         (["gradcheck", "--init", "2"], "--init"),  # not --inits
+        (["gradcheck", "--seed", "3"], "--seed"),  # train.seed seeds gradcheck
     ])
     def test_option_prefix_rejected(self, monkeypatch, capsys, argv, prefix):
         for work in ("generate_synthetic", "gradcheck"):  # must not start

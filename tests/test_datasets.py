@@ -17,8 +17,10 @@ from crossview.datasets import (
     EmbeddingTable,
     SampleRecord,
     SynthConfig,
+    emb1_bytes,
     generate_synthetic,
     load_manifest,
+    manifest_text,
     read_embeddings,
     record_to_json,
     write_embeddings,
@@ -302,6 +304,7 @@ class TestManifest:
         write_manifest(records, path)
         assert path.read_bytes() == "".join(
             json.dumps(record_to_json(r), sort_keys=True) + "\n" for r in records).encode()
+        assert path.read_bytes() == manifest_text(records).encode()
 
 
 class TestEmbeddingTable:
@@ -322,6 +325,11 @@ class TestEmbeddingTable:
                            match="^row ids must be unique: 'b' is row 1 and row 3$"):
             make_table(np.ones((5, 2), dtype=np.float32), ids="abcbb")
 
+    def test_ids_stored_as_a_tuple(self):
+        data = np.ones((2, 3), dtype=np.float32)
+        table = EmbeddingTable(data, ["a", "b"])
+        assert table.row_ids == ("a", "b") and table == EmbeddingTable(data, ("a", "b"))
+
     @pytest.mark.parametrize("rows", [0, 3])
     def test_zero_width_rejected(self, rows):
         with pytest.raises(ValidationError, match=rf"width >= 1, got \({rows}, 0\)"):
@@ -337,6 +345,7 @@ class TestEmb1:
         assert raw[:4] == b"EMB1"
         assert struct.unpack("<II", raw[4:12]) == (1, 1)
         assert struct.unpack("<f", raw[12:]) == (0.5,)
+        assert raw == emb1_bytes(make_table([[0.5]]))
 
     def test_empty_table_header_only(self, tmp_path):
         path = tmp_path / "t.emb"
@@ -359,8 +368,8 @@ class TestEmb1:
             read_embeddings(path)
 
     def test_zero_width_header_rejected(self, tmp_path):
-        # 7 rows of width 0 fit an empty payload; without an ids sidecar the
-        # reader would number the rows before any table check ran
+        # 7 rows of width 0 fit an empty payload; the header is refused
+        # before the ids sidecar, absent here, is read
         path = tmp_path / "t.emb"
         path.write_bytes(b"EMB1" + struct.pack("<II", 7, 0))
         with pytest.raises(ValidationError, match="dim=0"):
@@ -398,6 +407,14 @@ class TestEmb1:
         write_embeddings(make_table(np.ones((2, 2), dtype=np.float32), ids="ab"), path)
         (tmp_path / "t.emb.ids").write_text("a\na\n")
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: row ids must be unique"):
+            read_embeddings(path)
+
+    def test_missing_sidecar_is_an_io_error_naming_it(self, tmp_path):
+        # the reader never numbers the rows itself
+        path = tmp_path / "t.emb"
+        write_embeddings(make_table(np.ones((2, 2), dtype=np.float32), ids="ab"), path)
+        (tmp_path / "t.emb.ids").unlink()
+        with pytest.raises(FileNotFoundError, match=re.escape(f"{path}.ids")):
             read_embeddings(path)
 
     def test_ids_sidecar(self, tmp_path):
@@ -481,7 +498,7 @@ class TestGenerateSynthetic:
     def test_over_budget_refused_from_the_estimate(self, n, grid):
         # refused before anything is drawn: 10**12 pairs, or 10**10 region centres
         cfg = SynthConfig(n_pairs=n, region_grid=grid)
-        assert datasets.synth_bytes(cfg) > datasets.SYNTH_BUDGET_BYTES
+        assert datasets.synth_bytes(cfg) > datasets.HEAP_BUDGET_BYTES
         with pytest.raises(ValidationError, match=rf"^synth\.n_pairs={n} \(latent_dim=32, "
                            rf"view_dim=64, region_grid={grid}\) needs about [\d,]+ bytes, over "
                            r"the budget of 4,294,967,296 bytes$"):

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import statistics
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from crossview.losses import LossConfig
 from crossview.sampler import SamplerConfig, build_geo_pools, build_sim_pools, plan_epoch
 from crossview.trainer import (
     AXES,
+    LOSS_KINDS,
     EncoderParams,
     TrainConfig,
     ablation_configs,
@@ -142,6 +144,11 @@ class TestEncode:
         with pytest.raises(ValidationError, match="input dim 7 does not match encoder d_in 6"):
             encode(params, np.ones((3, 7)), view)
 
+    def test_row_ids_list_or_tuple_give_equal_tables(self):
+        params = init_params(np.random.default_rng(5), 4, 6, 3)
+        x = np.random.default_rng(6).standard_normal((2, 4))
+        assert encode(params, x, row_ids=["a", "b"]) == encode(params, x, row_ids=("a", "b"))
+
     def test_rows_unit_norm(self):
         rng = np.random.default_rng(3)
         params = init_params(rng, 6, 10, 5)
@@ -169,6 +176,10 @@ class TestLrSchedule:
         right = lr_at(10, 10, cfg)
         assert abs(left - right) < 1e-12
         assert right == cfg.lr_max
+
+    def test_single_step_without_warmup_is_lr_max(self):
+        cfg = tiny_config(epochs=1, warmup_epochs=0)
+        assert lr_at(0, 1, cfg) == cfg.lr_max
 
     def test_monotone_decay_after_warmup(self):
         cfg = tiny_config(epochs=5)
@@ -302,6 +313,39 @@ class TestGradcheck:
         assert report["max"] > 1e-2
 
 
+class TestStepBudget:
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    def test_estimate_bounds_a_measured_step(self, shared, loss_kind):
+        # tracemalloc sees numpy's buffers: the peak of one step, traced after
+        # a first step has imported what the forward pass needs
+        cfg = tiny_config(hidden_dim=48, embed_dim=6, loss_kind=loss_kind, shared_weights=shared)
+        params = init_params(np.random.default_rng(0), 10, 48, 6, shared)
+        state = adamw_init(params)
+        X2 = np.random.default_rng(1).standard_normal((2, 300, 10)).astype(np.float32)
+
+        def step():
+            _, grad = trainer._batch_objective(params, X2.astype(np.float64), cfg.loss,
+                                               loss_kind)
+            adamw_step(params, grad, state, 1e-3, cfg)
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= trainer.step_bytes(10, cfg, 300)
+
+    def test_logit_buffers_count_for_infonce_alone(self):
+        # 27,000 rows: about 41 GB of InfoNCE logits, a few hundred MB for triplets
+        cfg = TrainConfig()
+        assert trainer.step_bytes(64, cfg, 27_000) > trainer.HEAP_BUDGET_BYTES
+        for kind in LOSS_KINDS[1:]:
+            assert trainer.step_bytes(64, replace(cfg, loss_kind=kind), 27_000) < 1 << 30
+
+
 def separable_data(n=60, noise=0.0, seed=1, view_dim=8):
     # region_within=1 gives independent latents: separability depends only
     # on the noise level
@@ -392,6 +436,12 @@ class TestTrain:
         result = train(records, q, r, cfg)
         assert not result.params.shared_weights
         assert result.params.reference is not result.params.query
+
+    def test_two_pairs_leave_one_for_training(self):
+        records, q, r = generate_synthetic(SynthConfig(n_pairs=2, latent_dim=2, view_dim=4,
+                                                       n_semi_positives=0))
+        with pytest.raises(ValidationError, match="^2 pairs leave only 1 for training$"):
+            train(records, q, r, tiny_config())
 
     def test_feature_alignment_checked(self):
         records, q, r = separable_data()
