@@ -29,9 +29,11 @@ from pathlib import Path
 
 from .config import ConfigBundle, parse_config
 from .datasets import (
+    HEAP_BUDGET_BYTES,
     Coordinate,
     SampleRecord,
     emb1_bytes,
+    emb1_shape,
     generate_synthetic,
     json_line,
     load_manifest,
@@ -44,6 +46,7 @@ from .datasets import (
 )
 from .errors import ValidationError, check_setting, setting
 from .evaluation import evaluate
+from .neighbors import BLOCK_BYTES
 from .sampler import (
     build_geo_pools,
     build_sim_pools,
@@ -78,6 +81,20 @@ def cmd_gen_synth(args) -> int:
     return 0
 
 
+def _require_tables_fit(query: str, reference: str) -> None:
+    """Raise, naming the larger file, when two EMB1 tables, by their headers
+    alone, would take more than HEAP_BUDGET_BYTES to score: each float32
+    table and its float64 unit copy, the gallery's (dim, n_r) float64 copy
+    and one BLOCK_BYTES score block."""
+    shapes = [(emb1_shape(path), path) for path in (query, reference)]
+    (count, dim), _ = shapes[1]
+    need = sum(12 * c * d for (c, d), _ in shapes) + 8 * count * dim + BLOCK_BYTES
+    if need > HEAP_BUDGET_BYTES:
+        (count, dim), path = max(shapes, key=lambda shape: shape[0][0] * shape[0][1])
+        raise ValidationError(f"{path}: {count} rows of dim {dim} need about {need:,} bytes "
+                              f"to score, over the budget of {HEAP_BUDGET_BYTES:,} bytes")
+
+
 def cmd_plan(args) -> int:
     bundle = _load_bundle(args)
     scfg = bundle.sampler
@@ -89,6 +106,8 @@ def cmd_plan(args) -> int:
     if not (args.manifest or args.embeddings):
         raise ValidationError("random planning needs --manifest or --embeddings")
 
+    if args.embeddings:
+        _require_tables_fit(*args.embeddings)
     tables = [read_embeddings(path) for path in args.embeddings or ()]
     if args.manifest:
         records = load_manifest(args.manifest)
@@ -162,6 +181,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _require_tables_fit(args.query, args.ref)
     queries = read_embeddings(args.query)
     references = read_embeddings(args.ref)
     manifest = load_manifest(args.manifest)

@@ -25,8 +25,9 @@ from .neighbors import planar_nearest_k
 
 EMB1_MAGIC = b"EMB1"
 _HEADER = struct.Struct("<II")
-# the most heap generate_synthetic (synth_bytes) or one training step
-# (trainer.step_bytes) may plan to use
+# the most heap generate_synthetic (synth_bytes), one training step or
+# full-set pass (trainer.step_bytes, pass_bytes), or the tables that plan
+# and eval read (cli) may plan to use
 HEAP_BUDGET_BYTES = 4 * 1024**3
 
 
@@ -355,18 +356,32 @@ def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     sidecar.write_text("".join(f"{rid}\n" for rid in table.row_ids), encoding="utf-8")
 
 
-def read_embeddings(path: str | Path) -> EmbeddingTable:
-    """Inverse of write_embeddings; the ``<path>.ids`` sidecar is required,
-    and a missing one raises the OSError of reading it."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 4 or raw[:4] != EMB1_MAGIC:
+def _emb1_header(path: Path, raw: bytes) -> tuple[int, int]:
+    """(count, dim) of the EMB1 file at path whose bytes start with raw."""
+    if raw[:4] != EMB1_MAGIC:
         raise ValidationError(f"{path}: bad magic, not an EMB1 file")
     if len(raw) < 4 + _HEADER.size:
         raise ValidationError(f"{path}: truncated header")
     count, dim = _HEADER.unpack_from(raw, 4)
     if not dim:
         raise ValidationError(f"{path}: header width dim=0, embeddings need dim >= 1")
+    return count, dim
+
+
+def emb1_shape(path: str | Path) -> tuple[int, int]:
+    """(count, dim) of an EMB1 file, from its 12-byte header alone: the
+    payload is neither read nor checked."""
+    path = Path(path)
+    with path.open("rb") as fh:
+        return _emb1_header(path, fh.read(4 + _HEADER.size))
+
+
+def read_embeddings(path: str | Path) -> EmbeddingTable:
+    """Inverse of write_embeddings; the ``<path>.ids`` sidecar is required,
+    and a missing one raises the OSError of reading it."""
+    path = Path(path)
+    raw = path.read_bytes()
+    count, dim = _emb1_header(path, raw)
     expected = count * dim * 4
     actual = len(raw) - 4 - _HEADER.size
     if actual != expected:

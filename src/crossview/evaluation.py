@@ -48,10 +48,15 @@ def _positive_ranks(scores: Callable[[np.ndarray], np.ndarray], n_q: int, n_r: i
     ``scores(q)`` returns the float64 similarity rows (len(q), n_r) of the
     queries q of one block of at most ``block_rows(n_r)`` (query, positive)
     pairs, so no n_q x n_r matrix need exist. A rank is 1 + the references
-    scored strictly higher + those tied with the positive at a lower index,
-    counted in two passes per row; only a row with another exact tie is
-    searched for the ties at a lower index. The masked rank subtracts the
-    query's semi-positives that the same rule puts ahead of the positive.
+    scored strictly higher + those tied with the positive at a lower index.
+    Each block takes one per-row count of the higher scores and one count of
+    the ties over the whole block: each row ties its own positive once, so
+    only a block with more ties than rows, or with a NaN positive score
+    (which ties nothing), is searched row by row for the ties at a lower
+    index. The masked rank subtracts the query's semi-positives that the
+    same rule puts ahead of the positive; their scores are gathered while
+    each block is held and compared once, after the last block. The ranks
+    follow the scores' bits, so they are as deterministic as ``scores``.
     Returns each query's best rank and best masked rank, every pair's rank
     and the first pair of each query.
     """
@@ -61,22 +66,26 @@ def _positive_ranks(scores: Callable[[np.ndarray], np.ndarray], n_q: int, n_r: i
     run = np.searchsorted(semi_positives[:, 0], positives[:, 0]) - np.cumsum(n_semi) + n_semi
     semi_ref = semi_positives[np.arange(len(semi_pair)) + run[semi_pair], 1]
     ranks = np.empty((len(positives), 2), dtype=np.int64)  # plain, masked
+    pos_score, semi_score = np.empty(len(positives)), np.empty(len(semi_pair))
     step = block_rows(n_r)
     for a in range(0, len(positives), step):
         q, c = positives[a:a + step].T
         rows = scores(q)
         s = rows[np.arange(len(q)), c][:, None]
-        # int32 sums take half the time of count_nonzero's intp ones; n_r < 2**31
-        rank = (rows > s).sum(axis=1, dtype=np.int32) + 1
-        for i in np.flatnonzero((rows == s).sum(axis=1, dtype=np.int32) > 1):
-            rank[i] += np.count_nonzero(rows[i, :c[i]] == s[i])
+        # int32 sums of a uint8 view beat bool sums and count_nonzero's intp ones; n_r < 2**31
+        rank = (rows > s).view(np.uint8).sum(axis=1, dtype=np.int32) + 1
+        tie = rows == s
+        if np.count_nonzero(tie) != len(q) or np.isnan(s).any():
+            for i in np.flatnonzero(tie.sum(axis=1, dtype=np.int32) > 1):
+                rank[i] += np.count_nonzero(tie[i, :c[i]])
         lo, hi = np.searchsorted(semi_pair, [a, a + len(q)])
-        p, j = semi_pair[lo:hi] - a, semi_ref[lo:hi]
-        v, sp = rows[p, j], s[p, 0]
-        ahead = (v > sp) | ((v == sp) & (j < c[p]))
-        del rows  # freed before the next block is scored
+        semi_score[lo:hi] = rows[semi_pair[lo:hi] - a, semi_ref[lo:hi]]
+        del rows, tie  # freed before the next block is scored
         ranks[a:a + len(q), 0] = rank
-        ranks[a:a + len(q), 1] = rank - np.bincount(p[ahead], minlength=len(q))
+        pos_score[a:a + len(q)] = s[:, 0]
+    sp = pos_score[semi_pair]
+    ahead = (semi_score > sp) | ((semi_score == sp) & (semi_ref < positives[semi_pair, 1]))
+    ranks[:, 1] = ranks[:, 0] - np.bincount(semi_pair[ahead], minlength=len(positives))
     starts = np.flatnonzero(np.diff(positives[:, 0], prepend=-1))
     best = np.minimum.reduceat(ranks, starts)
     return best[:, 0], best[:, 1], ranks[:, 0], starts

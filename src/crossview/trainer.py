@@ -437,6 +437,31 @@ def _require_step_fits(d_in: int, cfg: TrainConfig, rows: int, what: str) -> Non
             f"{need:,} bytes per step, over the budget of {HEAP_BUDGET_BYTES:,} bytes")
 
 
+def pass_bytes(d_in: int, cfg: TrainConfig, rows: int) -> int:
+    """An upper estimate of the heap of one forward pass over ``rows`` input
+    rows of d_in features, in bytes: per row its float64 inputs, three
+    hidden-width arrays (pre-activation, CDF, activation) and three
+    embedding-width ones (the embedding, its squares and its float32 copy)
+    as float64 words, and 256 bytes for the row id ``encode`` names it by."""
+    return rows * (8 * (d_in + 3 * cfg.hidden_dim + 3 * cfg.embed_dim) + 256)
+
+
+def _require_passes_fit(d_in: int, cfg: TrainConfig, n: int, n_train: int) -> None:
+    """Raise, naming train.hidden_dim and the pair count, when a full-set
+    pass is over HEAP_BUDGET_BYTES: the held-out pass over both views of
+    the held-out pairs every epoch, and a DSS refresh's encode of all
+    n_train training pairs of one view."""
+    passes = [(2 * (n - n_train), f"the held-out pass over {n - n_train} pairs' two views")]
+    if resolve_strategy(cfg.sampler, cfg.epochs - 1) == "dss":  # dss runs last, if at all
+        passes.append((n_train, f"a DSS refresh's encode of {n_train} training pairs"))
+    for rows, what in passes:
+        need = pass_bytes(d_in, cfg, rows)
+        if need > HEAP_BUDGET_BYTES:
+            raise ValidationError(
+                f"{n} pairs with train.hidden_dim={cfg.hidden_dim}: {what} needs about "
+                f"{need:,} bytes, over the budget of {HEAP_BUDGET_BYTES:,} bytes")
+
+
 def holdout_size(n: int) -> int:
     """Pairs held out at the end of an n-pair manifest: 10%, at least one."""
     return max(1, n // 10)
@@ -486,6 +511,7 @@ def train(
     scfg = cfg.sampler
     _require_step_fits(query_features.dim, cfg, min(scfg.batch_size, n_train),
                        f"sampler.batch_size={scfg.batch_size}")
+    _require_passes_fit(query_features.dim, cfg, n, n_train)
 
     # both views' features stacked on a leading view axis, in the tables'
     # float32: half the bytes of float64 copies; every use casts, exactly

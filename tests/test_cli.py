@@ -345,6 +345,22 @@ class TestTrain:
         assert "over the budget of 4,294,967,296 bytes" in err
         assert not out.exists()
 
+    def test_over_budget_dss_refresh_named_before_training(self, tmp_path, monkeypatch, capsys):
+        # 30,000 pairs at train.hidden_dim=20000: one step (387 MB) fits, each
+        # DSS refresh's encode of the 27,000 training pairs (12.1 GiB) does not
+        data = tmp_path / "data"
+        assert main(["gen-synth", "--set", "synth.n_pairs=30000", "--set", "synth.latent_dim=4",
+                     "--set", "synth.n_semi_positives=0", "--out", str(data)]) == 0
+        monkeypatch.setattr("crossview.trainer.init_params", None)  # must not start
+        out = tmp_path / "run"
+        rc = main(["train", "--set", "train.hidden_dim=20000", "--set", "sampler.strategy=dss",
+                   "--data", str(data), "--out", str(out)])
+        assert rc == 1
+        assert re.fullmatch(r"error: 30000 pairs with train\.hidden_dim=20000: a DSS refresh's "
+                            r"encode of 27000 training pairs needs about [\d,]+ bytes, over the "
+                            r"budget of 4,294,967,296 bytes\n", capsys.readouterr().err)
+        assert not out.exists()
+
     def test_logit_scale_above_max_rejected_before_training(self, tmp_path, capsys):
         data = gen_dataset(tmp_path)
         out = tmp_path / "run"
@@ -451,6 +467,26 @@ class TestEval:
         ])
         assert rc == 1
         assert "dim mismatch: queries 4 vs references 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "plan"])
+@pytest.mark.parametrize("huge", ["query.emb", "reference.emb"])
+def test_over_budget_table_named_from_its_header(tmp_path, monkeypatch, capsys, command, huge):
+    # a header alone that claims 10**9 rows of dim 2 (no payload): refused
+    # from its 12 bytes, on the budget and not the payload size, before any
+    # table is read
+    data = gen_dataset(tmp_path)
+    (data / huge).write_bytes(b"EMB1" + struct.pack("<II", 10**9, 2))
+    monkeypatch.setattr(cli, "read_embeddings", None)  # must not start
+    tables = [str(data / "query.emb"), str(data / "reference.emb")]
+    argv = {"eval": ["eval", "--query", tables[0], "--ref", tables[1],
+                     "--manifest", str(data / "manifest.jsonl")],
+            "plan": ["plan", "--set", "sampler.strategy=random", "--embeddings", *tables,
+                     "--epoch", "0", "--out", str(tmp_path / "plan.jsonl")]}[command]
+    assert main(argv) == 1
+    assert re.fullmatch(rf"error: {re.escape(str(data / huge))}: 1000000000 rows of dim 2 need "
+                        r"about [\d,]+ bytes to score, over the budget of 4,294,967,296 bytes\n",
+                        capsys.readouterr().err)
 
 
 class TestGradcheck:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from crossview import evaluation
+from crossview import evaluation, neighbors
 from crossview.datasets import Coordinate, EmbeddingTable, SampleRecord, SynthConfig, generate_synthetic
 from crossview.errors import ValidationError
 from crossview.evaluation import (
@@ -398,6 +398,85 @@ class TestOracleEquivalence:
         transformed = np.exp(2.0 * sim)  # strictly increasing
         for k in (1, 5, 12):
             assert recall_at_k(sim, positives, k) == recall_at_k(transformed, positives, k)
+
+
+# byte budgets for 1-row rank blocks, blocks of 7 pairs over 50 references
+# and one block of every pair
+BUDGETS = {8: 1, 8 * 50 * 7: 7, 1 << 60: None}
+
+
+def ranks_of(sim, positives, semis, pairs_per_block):
+    """_positive_ranks over the rows of sim in blocks of pairs_per_block pairs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "block_rows", lambda width: pairs_per_block)
+        return _positive_ranks(lambda q: sim[q], *sim.shape,
+                               *link_arrays(positives, semis, *sim.shape))
+
+
+class TestRankBlocks:
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_report_bytes_equal_under_every_budget(self, monkeypatch, budget):
+        # integer-valued rows (no zero entry, so no signed zero) score exactly
+        # in any layout or gemm path, so every budget gives the oracle's
+        # report; references 30 and 45 copy reference 3
+        rng = np.random.default_rng(23)
+        n_q, n_r = 40, 50
+        q = rng.choice([-2.0, -1.0, 1.0, 2.0], (n_q, 6))
+        r = rng.choice([-2.0, -1.0, 1.0, 2.0], (n_r, 6))
+        r[30] = r[45] = r[3]
+        positives = [{int(j) for j in rng.choice(n_r, 1 + i % 3, replace=False)}
+                     for i in range(n_q)]
+        semis = [{int(j) for j in rng.choice(n_r, 3, replace=False)} - pos for pos in positives]
+        positives[0], semis[0] = {45}, {3}  # the copies tie: 3 goes ahead of 45
+        links = link_arrays(positives, semis, n_q, n_r)
+        heights = []
+        blocks = evaluation.similarity_blocks
+
+        def recording(q64, r64):
+            scores = blocks(q64, r64)
+            return lambda part: heights.append(len(part)) or scores(part)
+
+        monkeypatch.setattr(neighbors, "BLOCK_BYTES", budget)
+        monkeypatch.setattr(evaluation, "similarity_blocks", recording)
+        report = retrieval_report(q, r, *links)
+        assert max(heights) == (BUDGETS[budget] or len(links[0]))
+        sim = (q @ r.T).tolist()
+        assert report.recall_at == {k: brute_recall_at_k(sim, positives, k) for k in RECALL_KS}
+        assert report.recall_at_1pct == brute_recall_at_percent(sim, positives, 1.0)
+        assert report.hit_rate == brute_hit_rate(sim, positives, semis)
+        aps = [brute_average_precision(rank_references(row), p) for row, p in zip(sim, positives)]
+        assert report.mean_ap == float(np.mean(aps))
+
+    @pytest.mark.parametrize("column", [1, 6])
+    def test_one_row_with_a_second_tie(self, column):
+        # a block of four rows with distinct scores but for row 2, whose
+        # positive (column 4) ties column 1 or column 6: only a tie at a
+        # lower column ranks ahead of it
+        sim = np.array([np.roll(np.arange(8.0), k) for k in range(4)])
+        sim[2, column] = sim[2, 4]  # 2.0, four references above it either way
+        _, _, pair_ranks, _ = ranks_of(sim, [{4}] * 4, [set()] * 4, 4)
+        assert pair_ranks.tolist() == [rank_references(row).index(4) + 1 for row in sim.tolist()]
+        assert pair_ranks.tolist() == [4, 5, 6 if column == 1 else 5, 7]
+
+    @pytest.mark.parametrize("semi, masked", [(1, 3), (6, 4)])
+    def test_semi_positive_tied_with_its_positive(self, semi, masked):
+        # the semi-positive scores what the positive (column 4) scores: one
+        # at a lower column went ahead of it and is masked, one at a higher
+        # column never was
+        sim = np.array([[0.0, 5.0, 9.0, 8.0, 5.0, 1.0, 5.0, 2.0]])
+        _, best_masked, pair_ranks, _ = ranks_of(sim, [{4}], [{semi}], 1)
+        assert pair_ranks.tolist() == [rank_references(sim[0].tolist()).index(4) + 1] == [4]
+        unmasked = [j for j in rank_references(sim[0].tolist()) if j != semi]
+        assert best_masked.tolist() == [unmasked.index(4) + 1] == [masked]
+
+    def test_nan_positive_score_hides_no_tie(self):
+        # row 0's positive scores NaN, which nothing beats or ties: rank 1, as
+        # every comparison is false. It adds no tie to the block's count, so
+        # row 1's second tie (column 0, below its positive) must still count
+        sim = np.array([[1.0, np.nan, 3.0], [2.0, 1.0, 2.0], [1.0, 2.0, 3.0]])
+        best, best_masked, pair_ranks, _ = ranks_of(sim, [{1}, {2}, {0}], [{2}, set(), set()], 3)
+        assert pair_ranks.tolist() == [1, 2, 3]
+        assert best_masked.tolist() == [1, 2, 3]
 
 
 class TestEvaluate:

@@ -17,6 +17,8 @@ from crossview.simsearch import (
     visual_topk,
 )
 
+from oracles import brute_nearest_keys
+
 
 def table(rows, ids=None):
     rows = np.asarray(rows, dtype=np.float32)
@@ -219,6 +221,31 @@ class TestVisualTopk:
             candidates = [j for j in range(40) if j != i]
             expected = sorted(candidates, key=lambda j: (-sims[i, j], j))[:5]
             assert list(pool.neighbor_indices) == expected
+
+
+    @pytest.mark.parametrize("budget, rows", [(8, 1), (8 * 50 * 7, 7), (1 << 60, 40)])
+    def test_integer_rows_equal_the_oracle_under_every_budget(self, monkeypatch, budget, rows):
+        # integer-valued rows (no zero entry, so no signed zero) score exactly
+        # in any layout or gemm path; references 30 and 45 copy reference 3
+        rng = np.random.default_rng(29)
+        q = rng.choice([-2.0, -1.0, 1.0, 2.0], (40, 6))
+        r = rng.choice([-2.0, -1.0, 1.0, 2.0], (50, 6))
+        r[30] = r[45] = r[3]
+        heights = []
+        blocks = simsearch.similarity_blocks
+
+        def recording(q64, r64):
+            scores = blocks(q64, r64)
+            return lambda part: heights.append(len(part)) or scores(part)
+
+        monkeypatch.setattr(neighbors, "BLOCK_BYTES", budget)
+        monkeypatch.setattr(simsearch, "similarity_blocks", recording)
+        pools = visual_topk(table(q), table(r), K=12)
+        assert max(heights) == rows
+        sims = (q @ r.T).tolist()
+        indices, keys = brute_nearest_keys([[-x for x in row] for row in sims], 12)
+        assert pools.indices.tolist() == indices
+        assert pools.scores.tobytes() == (-np.array(keys)).tobytes()
 
 
 class TestSimilarityBlocks:

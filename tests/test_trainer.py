@@ -345,6 +345,57 @@ class TestStepBudget:
         for kind in LOSS_KINDS[1:]:
             assert trainer.step_bytes(64, replace(cfg, loss_kind=kind), 27_000) < 1 << 30
 
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("hidden, embed, d_in", [(48, 6, 10), (8, 32, 64), (1, 1, 1)])
+    def test_pass_estimate_bounds_traced_passes(self, shared, hidden, embed, d_in):
+        # a DSS refresh's encode of one view, and the held-out pass over a
+        # stack of both views, each of 3000 rows in all
+        cfg = tiny_config(hidden_dim=hidden, embed_dim=embed, shared_weights=shared)
+        params = init_params(np.random.default_rng(0), d_in, hidden, embed, shared)
+        X2 = np.random.default_rng(1).standard_normal((2, 1500, d_in)).astype(np.float32)
+        encode(params, X2[0])  # imports what the forward pass needs
+        for run in (lambda: encode(params, X2.reshape(3000, d_in), "reference"),
+                    lambda: trainer._forward(trainer._stacked(params), X2.astype(np.float64))):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= trainer.pass_bytes(d_in, cfg, 3000)
+
+    @staticmethod
+    def pairs(n):
+        return generate_synthetic(SynthConfig(n_pairs=n, latent_dim=4, view_dim=64,
+                                              n_semi_positives=0))
+
+    def test_over_budget_held_out_pass_named_before_training(self, monkeypatch):
+        # 30,000 random pairs: one step at train.hidden_dim=30000 fits, the
+        # held-out pass over 2 x 3000 rows (4.03 GiB) does not
+        monkeypatch.setattr(trainer, "init_params", None)  # must not start
+        cfg = TrainConfig(hidden_dim=30_000, sampler=SamplerConfig(strategy="random"))
+        assert trainer.step_bytes(64, cfg, 128) < trainer.HEAP_BUDGET_BYTES
+        with pytest.raises(ValidationError, match=r"^30000 pairs with train\.hidden_dim=30000: "
+                           r"the held-out pass over 3000 pairs' two views needs about "
+                           r"[\d,]+ bytes, over the budget of 4,294,967,296 bytes$"):
+            train(*self.pairs(30_000), cfg)
+
+    @pytest.mark.parametrize("strategy, gps_epochs, refused", [
+        ("dss", 0, True), ("gps_then_dss", 39, True), ("gps_then_dss", 40, False),
+        ("gps", 0, False), ("random", 0, False)])
+    def test_dss_refresh_counted_when_dss_runs(self, strategy, gps_epochs, refused):
+        # 27,000 training pairs at train.hidden_dim=20000: each refresh's
+        # encode (12.1 GiB) is over the budget, the held-out pass (2.7 GiB) is not
+        cfg = TrainConfig(hidden_dim=20_000, sampler=SamplerConfig(
+            strategy=strategy, gps_epochs=gps_epochs))
+        if not refused:
+            assert trainer._require_passes_fit(64, cfg, 30_000, 27_000) is None
+            return
+        with pytest.raises(ValidationError, match=r"^30000 pairs with train\.hidden_dim=20000: "
+                           r"a DSS refresh's encode of 27000 training pairs needs about "
+                           r"[\d,]+ bytes, over the budget of 4,294,967,296 bytes$"):
+            trainer._require_passes_fit(64, cfg, 30_000, 27_000)
+
 
 def separable_data(n=60, noise=0.0, seed=1, view_dim=8):
     # region_within=1 gives independent latents: separability depends only
