@@ -29,7 +29,6 @@ from pathlib import Path
 
 from .config import ConfigBundle, parse_config
 from .datasets import (
-    HEAP_BUDGET_BYTES,
     Coordinate,
     SampleRecord,
     emb1_bytes,
@@ -40,13 +39,13 @@ from .datasets import (
     manifest_text,
     read_embeddings,
     require_aligned,
+    require_heap,
     write_embeddings,
     write_json,
     write_manifest,
 )
 from .errors import ValidationError, check_setting, setting
-from .evaluation import evaluate
-from .neighbors import BLOCK_BYTES
+from .evaluation import evaluate, score_bytes
 from .sampler import (
     build_geo_pools,
     build_sim_pools,
@@ -81,18 +80,13 @@ def cmd_gen_synth(args) -> int:
     return 0
 
 
-def _require_tables_fit(query: str, reference: str) -> None:
-    """Raise, naming the larger file, when two EMB1 tables, by their headers
-    alone, would take more than HEAP_BUDGET_BYTES to score: each float32
-    table and its float64 unit copy, the gallery's (dim, n_r) float64 copy
-    and one BLOCK_BYTES score block."""
+def _require_tables_fit(query: str | Path, reference: str | Path) -> None:
+    """Raise, naming the larger file, when scoring two EMB1 tables, by their
+    headers alone, is over the heap budget (``evaluation.score_bytes``)."""
     shapes = [(emb1_shape(path), path) for path in (query, reference)]
-    (count, dim), _ = shapes[1]
-    need = sum(12 * c * d for (c, d), _ in shapes) + 8 * count * dim + BLOCK_BYTES
-    if need > HEAP_BUDGET_BYTES:
-        (count, dim), path = max(shapes, key=lambda shape: shape[0][0] * shape[0][1])
-        raise ValidationError(f"{path}: {count} rows of dim {dim} need about {need:,} bytes "
-                              f"to score, over the budget of {HEAP_BUDGET_BYTES:,} bytes")
+    ((n_q, d_q), _), ((n_r, d_r), _) = shapes
+    (count, dim), path = max(shapes, key=lambda shape: shape[0][0] * shape[0][1])
+    require_heap(score_bytes(n_q, n_r, max(d_q, d_r)), f"{path}: scoring {count} rows of dim {dim}")
 
 
 def cmd_plan(args) -> int:
@@ -169,6 +163,7 @@ def _dataset_hash(*parts: bytes) -> str:
 def cmd_train(args) -> int:
     bundle = _load_bundle(args)
     data = Path(args.data)
+    _require_tables_fit(data / "query.emb", data / "reference.emb")
     manifest = load_manifest(data / "manifest.jsonl")
     queries = read_embeddings(data / "query.emb")
     references = read_embeddings(data / "reference.emb")

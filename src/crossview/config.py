@@ -103,17 +103,3 @@ def parse_config(path: str | Path | None, overrides: list[str] = ()) -> ConfigBu
         raise ValidationError(f"{named[-1]}: {exc}") from exc
     return ConfigBundle(synth=synth, sampler=sampler, train=train, geo=geo)
 
-
-def _format(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def serialize_config(bundle: ConfigBundle) -> str:
-    """Emit every key as key=value lines; parse(serialize(x)) == x."""
-    sources = {c.SECTION: c for c in (*bundle, bundle.train.loss)}
-    return "".join(
-        f"{key}={_format(getattr(sources[section], f.name))}\n"
-        for key, (section, f, _) in sorted(_SCHEMA.items())
-    )

@@ -25,9 +25,7 @@ from .neighbors import planar_nearest_k
 
 EMB1_MAGIC = b"EMB1"
 _HEADER = struct.Struct("<II")
-# the most heap generate_synthetic (synth_bytes), one training step or
-# full-set pass (trainer.step_bytes, pass_bytes), or the tables that plan
-# and eval read (cli) may plan to use
+# the most heap any one estimate may plan to use: see require_heap
 HEAP_BUDGET_BYTES = 4 * 1024**3
 
 
@@ -171,6 +169,15 @@ class SynthConfig:
         if not math.isfinite(2.0 * self.map_extent_m * self.map_extent_m):  # as planar_keys
             raise ValidationError(f"synth.map_extent_m={self.map_extent_m!r}: the largest "
                                   "squared planar distance 2*extent^2 overflows float64")
+
+
+def require_heap(need: int, culprit: str) -> None:
+    """The one budget check: raise ``<culprit> needs about N bytes, over the
+    budget of 4,294,967,296 bytes`` when the estimate need is over
+    HEAP_BUDGET_BYTES. Callers name the setting, pair count or file at fault."""
+    if need > HEAP_BUDGET_BYTES:
+        raise ValidationError(f"{culprit} needs about {need:,} bytes, over the budget of "
+                              f"{HEAP_BUDGET_BYTES:,} bytes")
 
 
 def synth_bytes(cfg: SynthConfig) -> int:
@@ -422,12 +429,8 @@ def generate_synthetic(
             f"n_semi_positives={cfg.n_semi_positives} must be < n_pairs={cfg.n_pairs}"
         )
     n, d_latent, d_view = cfg.n_pairs, cfg.latent_dim, cfg.view_dim
-    need = synth_bytes(cfg)
-    if need > HEAP_BUDGET_BYTES:
-        raise ValidationError(
-            f"synth.n_pairs={n} (latent_dim={d_latent}, view_dim={d_view}, region_grid="
-            f"{cfg.region_grid}) needs about {need:,} bytes, over the budget of "
-            f"{HEAP_BUDGET_BYTES:,} bytes")
+    require_heap(synth_bytes(cfg), f"synth.n_pairs={n} (latent_dim={d_latent}, "
+                 f"view_dim={d_view}, region_grid={cfg.region_grid})")
     rng = np.random.default_rng(cfg.seed)
 
     coords = rng.uniform(0.0, cfg.map_extent_m, size=(n, 2))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .datasets import EmbeddingTable, SampleRecord, json_line, require_aligned
 from .errors import ValidationError
-from .neighbors import block_rows
+from .neighbors import BLOCK_BYTES, block_rows
 # cosine_matrix stays importable here: the bench tracer binds evaluation.cosine_matrix
 from .simsearch import cosine_matrix, l2_normalize, similarity_blocks  # noqa: F401
 
@@ -221,6 +221,18 @@ def retrieval_report(q64: np.ndarray, r64: np.ndarray, positives: np.ndarray,
         mean_ap = float(np.mean(total / counts))
     return RetrievalReport(recall_at=recall, recall_at_1pct=_recall(best, _percent_k(1.0, n_r)),
                            hit_rate=hit, mean_ap=mean_ap, n_queries=n_q, n_references=n_r)
+
+
+def score_bytes(n_q: int, n_r: int, dim: int) -> int:
+    """An upper estimate of evaluate's peak heap, the float32 tables included,
+    in bytes: per query value its table, unit and float64 copies (16 bytes),
+    per reference value those, the (dim, n_r) gallery copy and np.unique's
+    copies of repeated rows (48); per query 384 for its link, rank and score
+    entries with up to three semi-positives (about 60 per further link), per
+    reference 128 for the id map and sort; and two BLOCK_BYTES of score
+    block. tracemalloc peaks from 400 to 100,000 rows of width 1 to 512 lie
+    1.1 to 2.2 times below it."""
+    return 8 * dim * (2 * n_q + 6 * n_r) + 384 * n_q + 128 * n_r + 2 * BLOCK_BYTES
 
 
 def evaluate(

@@ -51,13 +51,13 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import (
-    HEAP_BUDGET_BYTES,
     EmbeddingTable,
     SampleRecord,
     read_embeddings,
     read_json,
     read_text,
     require_aligned,
+    require_heap,
     write_embeddings,
     write_json,
 )
@@ -426,17 +426,6 @@ def step_bytes(d_in: int, cfg: TrainConfig, rows: int) -> int:
     return 8 * (9 * size + rows * per_row + logits)
 
 
-def _require_step_fits(d_in: int, cfg: TrainConfig, rows: int, what: str) -> None:
-    """Raise, naming ``what`` (the setting that sets rows) and the widths,
-    when step_bytes is over HEAP_BUDGET_BYTES."""
-    need = step_bytes(d_in, cfg, rows)
-    if need > HEAP_BUDGET_BYTES:
-        raise ValidationError(
-            f"{what} ({rows} rows per step) with train.hidden_dim={cfg.hidden_dim}, "
-            f"train.embed_dim={cfg.embed_dim} and {d_in} input features needs about "
-            f"{need:,} bytes per step, over the budget of {HEAP_BUDGET_BYTES:,} bytes")
-
-
 def pass_bytes(d_in: int, cfg: TrainConfig, rows: int) -> int:
     """An upper estimate of the heap of one forward pass over ``rows`` input
     rows of d_in features, in bytes: per row its float64 inputs, three
@@ -444,22 +433,6 @@ def pass_bytes(d_in: int, cfg: TrainConfig, rows: int) -> int:
     embedding-width ones (the embedding, its squares and its float32 copy)
     as float64 words, and 256 bytes for the row id ``encode`` names it by."""
     return rows * (8 * (d_in + 3 * cfg.hidden_dim + 3 * cfg.embed_dim) + 256)
-
-
-def _require_passes_fit(d_in: int, cfg: TrainConfig, n: int, n_train: int) -> None:
-    """Raise, naming train.hidden_dim and the pair count, when a full-set
-    pass is over HEAP_BUDGET_BYTES: the held-out pass over both views of
-    the held-out pairs every epoch, and a DSS refresh's encode of all
-    n_train training pairs of one view."""
-    passes = [(2 * (n - n_train), f"the held-out pass over {n - n_train} pairs' two views")]
-    if resolve_strategy(cfg.sampler, cfg.epochs - 1) == "dss":  # dss runs last, if at all
-        passes.append((n_train, f"a DSS refresh's encode of {n_train} training pairs"))
-    for rows, what in passes:
-        need = pass_bytes(d_in, cfg, rows)
-        if need > HEAP_BUDGET_BYTES:
-            raise ValidationError(
-                f"{n} pairs with train.hidden_dim={cfg.hidden_dim}: {what} needs about "
-                f"{need:,} bytes, over the budget of {HEAP_BUDGET_BYTES:,} bytes")
 
 
 def holdout_size(n: int) -> int:
@@ -500,7 +473,7 @@ def train(
     n_train = n - holdout_size(n)
     if n_train < 2:
         raise ValidationError(f"{n} pairs leave only {n_train} for training")
-    train_records = manifest[:n_train]
+    train_records, train_ids = manifest[:n_train], query_features.row_ids[:n_train]
     # link rows stay sorted, each once, under a filter and a constant shift
     holdout_links = [links[links[:, 1] >= n_train] - (0, n_train)
                      for links in resolve_links(manifest[n_train:], tuple(r.id for r in manifest))]
@@ -508,10 +481,19 @@ def train(
     if orphans.size:
         raise ValidationError(f"record {manifest[n_train + orphans[0]].id!r} has no positives "
                               f"inside the held-out pairs [{n_train}, {n})")
-    scfg = cfg.sampler
-    _require_step_fits(query_features.dim, cfg, min(scfg.batch_size, n_train),
-                       f"sampler.batch_size={scfg.batch_size}")
-    _require_passes_fit(query_features.dim, cfg, n, n_train)
+    scfg, d_in = cfg.sampler, query_features.dim
+    rows = min(scfg.batch_size, n_train)
+    require_heap(step_bytes(d_in, cfg, rows), f"sampler.batch_size={scfg.batch_size} ({rows} rows "
+                 f"per step) with train.hidden_dim={cfg.hidden_dim}, train.embed_dim="
+                 f"{cfg.embed_dim} and {d_in} input features")
+    # the held-out pass over both views every epoch, and each DSS refresh's
+    # encode of one view's training pairs (dss runs last, if at all)
+    passes = {f"the held-out pass over {n - n_train} pairs' two views": 2 * (n - n_train)}
+    if resolve_strategy(scfg, cfg.epochs - 1) == "dss":
+        passes[f"a DSS refresh's encode of {n_train} training pairs"] = n_train
+    for what, pass_rows in passes.items():
+        require_heap(pass_bytes(d_in, cfg, pass_rows),
+                     f"{n} pairs with train.hidden_dim={cfg.hidden_dim}: {what}")
 
     # both views' features stacked on a leading view axis, in the tables'
     # float32: half the bytes of float64 copies; every use casts, exactly
@@ -530,9 +512,9 @@ def train(
     for epoch in range(cfg.epochs):
         if resolve_strategy(scfg, epoch) == "gps" and pools is None:
             pools = build_geo_pools(train_records, scfg, geo_cfg)
-        if should_refresh(epoch, scfg):
-            q_emb = encode(params, X2[0, :n_train], "query")
-            r_emb = encode(params, X2[1, :n_train], "reference")
+        if should_refresh(epoch, scfg):  # under the tables' ids, so encode builds none
+            q_emb = encode(params, X2[0, :n_train], "query", train_ids)
+            r_emb = encode(params, X2[1, :n_train], "reference", train_ids)
             pools = build_sim_pools(q_emb, r_emb, scfg)
 
         plan = plan_epoch(train_records, pools, scfg, epoch, plan_rng(scfg, epoch))
@@ -607,7 +589,9 @@ def gradcheck(
     """
     if n < 2:  # one pair has no in-batch negative: every gradient vanishes
         raise ValidationError(f"gradcheck needs n >= 2 pairs, got n={n}")
-    _require_step_fits(d_in, cfg, n, f"gradcheck n={n}")
+    require_heap(step_bytes(d_in, cfg, n), f"gradcheck n={n} ({n} rows per step) with train."
+                 f"hidden_dim={cfg.hidden_dim}, train.embed_dim={cfg.embed_dim} and {d_in} input "
+                 f"features")
     rng = np.random.default_rng(seed)
     params = init_params(rng, d_in, cfg.hidden_dim, cfg.embed_dim, cfg.shared_weights,
                          cfg.loss.logit_scale)

@@ -469,7 +469,7 @@ class TestEval:
         assert "dim mismatch: queries 4 vs references 5" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["eval", "plan"])
+@pytest.mark.parametrize("command", ["eval", "plan", "train"])
 @pytest.mark.parametrize("huge", ["query.emb", "reference.emb"])
 def test_over_budget_table_named_from_its_header(tmp_path, monkeypatch, capsys, command, huge):
     # a header alone that claims 10**9 rows of dim 2 (no payload): refused
@@ -482,10 +482,11 @@ def test_over_budget_table_named_from_its_header(tmp_path, monkeypatch, capsys, 
     argv = {"eval": ["eval", "--query", tables[0], "--ref", tables[1],
                      "--manifest", str(data / "manifest.jsonl")],
             "plan": ["plan", "--set", "sampler.strategy=random", "--embeddings", *tables,
-                     "--epoch", "0", "--out", str(tmp_path / "plan.jsonl")]}[command]
+                     "--epoch", "0", "--out", str(tmp_path / "plan.jsonl")],
+            "train": ["train", "--data", str(data), "--out", str(tmp_path / "run")]}[command]
     assert main(argv) == 1
-    assert re.fullmatch(rf"error: {re.escape(str(data / huge))}: 1000000000 rows of dim 2 need "
-                        r"about [\d,]+ bytes to score, over the budget of 4,294,967,296 bytes\n",
+    assert re.fullmatch(rf"error: {re.escape(str(data / huge))}: scoring 1000000000 rows of dim 2 "
+                        r"needs about [\d,]+ bytes, over the budget of 4,294,967,296 bytes\n",
                         capsys.readouterr().err)
 
 

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from crossview.config import _SCHEMA, _SECTIONS, parse_config, serialize_config
+from crossview.config import _SCHEMA, _SECTIONS, parse_config
 from crossview.datasets import SynthConfig
 from crossview.errors import ValidationError
 from crossview.losses import LossConfig
@@ -233,20 +233,3 @@ def test_any_value_text_parses_finite_or_fails_validation(key, text):
         assert type(value) is type(f.default)
         assert not isinstance(value, float) or math.isfinite(value)
         assert all(HOLDS[rule](value, bound) for rule, bound in f.metadata.items()), (f, value)
-
-
-class TestRoundTrip:
-    def test_serialise_parse_fixed_point(self, tmp_path):
-        path = tmp_path / "c.cfg"
-        path.write_text(
-            "synth.n_pairs=500\nsampler.strategy=dss\ntrain.lr_max=0.0025\n"
-            "loss.label_smoothing=0.05\ngeo.earth_radius_m=6400000.0\n"
-            "train.shared_weights=false\n"
-        )
-        bundle = parse_config(path)
-        text = serialize_config(bundle)
-        path2 = tmp_path / "round.cfg"
-        path2.write_text(text)
-        again = parse_config(path2)
-        assert again == bundle
-        assert serialize_config(again) == text

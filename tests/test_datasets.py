@@ -539,3 +539,15 @@ def test_only_datasets_imports_json():
             if any(name == "json" or name.startswith("json.") for name in names):
                 importers.add(module.stem)
     assert importers == {"datasets"}
+
+
+def test_only_datasets_names_the_heap_budget():
+    # every other module holds its estimate to the budget through
+    # datasets.require_heap
+    namers = set()
+    for module in Path(datasets.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if "HEAP_BUDGET_BYTES" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                       getattr(node, "name", None)):
+                namers.add(module.stem)
+    assert namers == {"datasets"}

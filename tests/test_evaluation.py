@@ -614,6 +614,26 @@ class TestEvaluate:
             tracemalloc.stop()
         assert peak < 4 * 32 * n_r * 8
 
+    @pytest.mark.parametrize("n_q, n_r, dim, semis, repeats", [
+        (4000, 5000, 6, 3, False), (500, 3000, 16, 0, False), (10000, 10000, 4, 3, False),
+        (2000, 2000, 64, 3, True), (200, 1000, 256, 3, True)])
+    def test_score_estimate_bounds_the_traced_peak(self, n_q, n_r, dim, semis, repeats):
+        # the float32 tables count, as eval reads them before it scores; a
+        # gallery whose rows repeat in pairs takes np.unique's copies
+        records, q, r = generate_synthetic(SynthConfig(n_pairs=n_r, latent_dim=4, view_dim=dim,
+                                                       n_semi_positives=semis))
+        q = EmbeddingTable(q.data[:n_q], q.row_ids[:n_q])
+        if repeats:
+            r = EmbeddingTable(np.repeat(r.data[::2], 2, axis=0), r.row_ids)
+        evaluate(q, r, records[:n_q])
+        tracemalloc.start()
+        try:
+            evaluate(q, r, records[:n_q])
+            peak = tracemalloc.get_traced_memory()[1] + 4 * (n_q + n_r) * dim
+        finally:
+            tracemalloc.stop()
+        assert peak <= evaluation.score_bytes(n_q, n_r, dim) <= 3 * peak
+
     def test_dim_mismatch_named(self):
         rng = np.random.default_rng(4)
         q = EmbeddingTable(rng.standard_normal((3, 4)).astype(np.float32), ("a", "b", "c"))

@@ -1,10 +1,18 @@
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from crossview.datasets import Coordinate, EmbeddingTable, SampleRecord
+from crossview import sampler
+from crossview.datasets import (
+    Coordinate,
+    EmbeddingTable,
+    SampleRecord,
+    SynthConfig,
+    generate_synthetic,
+)
 from crossview.errors import ValidationError
 from crossview.sampler import (
     BatchPlan,
@@ -12,6 +20,7 @@ from crossview.sampler import (
     build_geo_pools,
     build_sim_pools,
     pick_from_pool,
+    pool_bytes,
     plan_epoch,
     plan_rng,
     read_plan,
@@ -101,6 +110,40 @@ class TestBuildPools:
             assert pool.kind == "visual"
             assert len(pool) == 3
             assert i not in pool.neighbor_indices
+
+
+class TestPoolBudget:
+    @pytest.mark.parametrize("n, K, dim", [(3000, 128, 6), (10000, 32, 16), (20000, 16, 8)])
+    def test_estimate_bounds_traced_builds(self, n, K, dim):
+        # a planar-grid GPS build over the records' coordinates, and a visual
+        # build over unit tables
+        records, q, r = generate_synthetic(SynthConfig(n_pairs=n, latent_dim=4, view_dim=dim,
+                                                       n_semi_positives=0))
+        q, r = l2_normalize(q), l2_normalize(r)
+        cfg = SamplerConfig(pool_size=K, picks_per_anchor=2)
+        for build, width in ((lambda: build_geo_pools(records, cfg), 2),
+                             (lambda: build_sim_pools(q, r, cfg), dim)):
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= pool_bytes(n, K, width) <= 3 * peak
+
+    def test_over_budget_pool_named_before_any_search(self):
+        # 10**8 pools of 128: 200 GB of indices and scores, refused from the
+        # estimate alone
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"^sampler\.pool_size=128 over 100000000 "
+                               r"pairs needs about [\d,]+ bytes, over the budget of "
+                               r"4,294,967,296 bytes$"):
+                sampler._require_pool_fits(SamplerConfig(), 10**8, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 class TestPickFromPool:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from crossview.datasets import EmbeddingTable, SynthConfig, generate_synthetic, write_embeddings
-from crossview import trainer
+from crossview import datasets, trainer
 from crossview.errors import ValidationError
 from crossview.losses import LossConfig
 from crossview.sampler import SamplerConfig, build_geo_pools, build_sim_pools, plan_epoch
@@ -341,7 +341,7 @@ class TestStepBudget:
     def test_logit_buffers_count_for_infonce_alone(self):
         # 27,000 rows: about 41 GB of InfoNCE logits, a few hundred MB for triplets
         cfg = TrainConfig()
-        assert trainer.step_bytes(64, cfg, 27_000) > trainer.HEAP_BUDGET_BYTES
+        assert trainer.step_bytes(64, cfg, 27_000) > datasets.HEAP_BUDGET_BYTES
         for kind in LOSS_KINDS[1:]:
             assert trainer.step_bytes(64, replace(cfg, loss_kind=kind), 27_000) < 1 << 30
 
@@ -374,7 +374,7 @@ class TestStepBudget:
         # held-out pass over 2 x 3000 rows (4.03 GiB) does not
         monkeypatch.setattr(trainer, "init_params", None)  # must not start
         cfg = TrainConfig(hidden_dim=30_000, sampler=SamplerConfig(strategy="random"))
-        assert trainer.step_bytes(64, cfg, 128) < trainer.HEAP_BUDGET_BYTES
+        assert trainer.step_bytes(64, cfg, 128) < datasets.HEAP_BUDGET_BYTES
         with pytest.raises(ValidationError, match=r"^30000 pairs with train\.hidden_dim=30000: "
                            r"the held-out pass over 3000 pairs' two views needs about "
                            r"[\d,]+ bytes, over the budget of 4,294,967,296 bytes$"):
@@ -383,18 +383,42 @@ class TestStepBudget:
     @pytest.mark.parametrize("strategy, gps_epochs, refused", [
         ("dss", 0, True), ("gps_then_dss", 39, True), ("gps_then_dss", 40, False),
         ("gps", 0, False), ("random", 0, False)])
-    def test_dss_refresh_counted_when_dss_runs(self, strategy, gps_epochs, refused):
+    def test_dss_refresh_counted_when_dss_runs(self, monkeypatch, strategy, gps_epochs, refused):
         # 27,000 training pairs at train.hidden_dim=20000: each refresh's
         # encode (12.1 GiB) is over the budget, the held-out pass (2.7 GiB) is not
+        class Started(Exception):
+            pass
+
+        def init_params(*args):
+            raise Started  # every check passed
+
+        monkeypatch.setattr(trainer, "init_params", init_params)
         cfg = TrainConfig(hidden_dim=20_000, sampler=SamplerConfig(
             strategy=strategy, gps_epochs=gps_epochs))
         if not refused:
-            assert trainer._require_passes_fit(64, cfg, 30_000, 27_000) is None
+            with pytest.raises(Started):
+                train(*self.pairs(30_000), cfg)
             return
         with pytest.raises(ValidationError, match=r"^30000 pairs with train\.hidden_dim=20000: "
                            r"a DSS refresh's encode of 27000 training pairs needs about "
                            r"[\d,]+ bytes, over the budget of 4,294,967,296 bytes$"):
-            trainer._require_passes_fit(64, cfg, 30_000, 27_000)
+            train(*self.pairs(30_000), cfg)
+
+    def test_dss_refresh_encodes_under_the_tables_ids(self, monkeypatch):
+        # each refresh names its rows by the training pairs' own ids
+        records, q, r = separable_data(n=40)
+        seen = []
+
+        def spy(params, inputs, view="query", row_ids=None):
+            seen.append((view, row_ids))
+            return encode(params, inputs, view, row_ids)
+
+        monkeypatch.setattr(trainer, "encode", spy)
+        cfg = tiny_config(epochs=3, sampler=SamplerConfig(
+            batch_size=8, pool_size=4, picks_per_anchor=2, strategy="dss", refresh_every=2))
+        train(records, q, r, cfg)
+        ids = q.row_ids[:36]
+        assert seen == [("query", ids), ("reference", ids)] * 2
 
 
 def separable_data(n=60, noise=0.0, seed=1, view_dim=8):
