@@ -82,11 +82,14 @@ def cmd_gen_synth(args) -> int:
 
 def _require_tables_fit(query: str | Path, reference: str | Path) -> None:
     """Raise, naming the larger file, when scoring two EMB1 tables, by their
-    headers alone, is over the heap budget (``evaluation.score_bytes``)."""
+    headers alone, is over the heap budget (``evaluation.score_bytes``, at a
+    positive and three semi-positives per query; ``evaluate`` checks again
+    with the manifest's own link count)."""
     shapes = [(emb1_shape(path), path) for path in (query, reference)]
     ((n_q, d_q), _), ((n_r, d_r), _) = shapes
     (count, dim), path = max(shapes, key=lambda shape: shape[0][0] * shape[0][1])
-    require_heap(score_bytes(n_q, n_r, max(d_q, d_r)), f"{path}: scoring {count} rows of dim {dim}")
+    require_heap(score_bytes(n_q, n_r, max(d_q, d_r), 4 * n_q),
+                 f"{path}: scoring {count} rows of dim {dim}")
 
 
 def cmd_plan(args) -> int:

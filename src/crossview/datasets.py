@@ -92,6 +92,14 @@ class SampleRecord:
             )
 
 
+def require_finite_rows(finite: np.ndarray, row_ids: tuple[str, ...]) -> None:
+    """Raise naming the first embedding row whose flag in ``finite`` is False."""
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValidationError(f"embedding row {row_ids[row]!r} (index {row}) holds a NaN or "
+                              "inf value")
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
     """Dense row-major float32 matrix of embeddings, one row per sample id."""
@@ -115,12 +123,7 @@ class EmbeddingTable:
             i, j = first_repeat(self.row_ids)
             raise ValidationError(f"row ids must be unique: {self.row_ids[j]!r} is row {i} "
                                   f"and row {j}")
-        finite = np.isfinite(self.data).all(axis=1)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise ValidationError(
-                f"embedding row {self.row_ids[row]!r} (index {row}) holds a NaN or inf value"
-            )
+        require_finite_rows(np.isfinite(self.data).all(axis=1), self.row_ids)
 
     @property
     def count(self) -> int:

@@ -11,16 +11,17 @@ import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from functools import reduce
-from itertools import chain
+from itertools import chain, repeat
 from operator import add
 
 import numpy as np
 
-from .datasets import EmbeddingTable, SampleRecord, json_line, require_aligned
+from .datasets import (EmbeddingTable, SampleRecord, json_line, require_aligned,
+                       require_finite_rows, require_heap)
 from .errors import ValidationError
 from .neighbors import BLOCK_BYTES, block_rows
 # cosine_matrix stays importable here: the bench tracer binds evaluation.cosine_matrix
-from .simsearch import cosine_matrix, l2_normalize, similarity_blocks  # noqa: F401
+from .simsearch import cosine_matrix, similarity_blocks, unit_rows  # noqa: F401
 
 RECALL_KS = (1, 5, 10)
 
@@ -68,17 +69,18 @@ def _positive_ranks(scores: Callable[[np.ndarray], np.ndarray], n_q: int, n_r: i
     ranks = np.empty((len(positives), 2), dtype=np.int64)  # plain, masked
     pos_score, semi_score = np.empty(len(positives)), np.empty(len(semi_pair))
     step = block_rows(n_r)
-    for a in range(0, len(positives), step):
+    firsts = range(0, len(positives), step)
+    runs = np.searchsorted(semi_pair, [*firsts, len(positives)]).tolist()  # each block's semis
+    for a, lo, hi in zip(firsts, runs, runs[1:]):
         q, c = positives[a:a + step].T
         rows = scores(q)
         s = rows[np.arange(len(q)), c][:, None]
-        # int32 sums of a uint8 view beat bool sums and count_nonzero's intp ones; n_r < 2**31
-        rank = (rows > s).view(np.uint8).sum(axis=1, dtype=np.int32) + 1
+        # count the higher scores as packed bits: the int32 sums read n_r / 8 bytes a row
+        rank = np.bitwise_count(np.packbits(rows > s, axis=1)).sum(axis=1, dtype=np.int32) + 1
         tie = rows == s
         if np.count_nonzero(tie) != len(q) or np.isnan(s).any():
             for i in np.flatnonzero(tie.sum(axis=1, dtype=np.int32) > 1):
                 rank[i] += np.count_nonzero(tie[i, :c[i]])
-        lo, hi = np.searchsorted(semi_pair, [a, a + len(q)])
         semi_score[lo:hi] = rows[semi_pair[lo:hi] - a, semi_ref[lo:hi]]
         del rows, tie  # freed before the next block is scored
         ranks[a:a + len(q), 0] = rank
@@ -91,9 +93,11 @@ def _positive_ranks(scores: Callable[[np.ndarray], np.ndarray], n_q: int, n_r: i
     return best[:, 0], best[:, 1], ranks[:, 0], starts
 
 
-def _link_rows(counts: list[int], rows: list[int], n_r: int) -> np.ndarray:
+def _link_rows(counts: np.ndarray | list[int], rows: np.ndarray | list[int],
+               n_r: int) -> np.ndarray:
     """Sorted (query, reference row) rows, each once: query i takes the next counts[i] rows."""
-    key = np.sort(np.repeat(np.arange(len(counts)), counts) * (n_r + 1) + np.array(rows, np.int64))
+    key = np.repeat(np.arange(len(counts)), counts) * (n_r + 1) + np.asarray(rows, np.int64)
+    key.sort()
     key = key[np.diff(key, prepend=-1) != 0]  # np.unique takes ~17x as long here
     return np.stack(np.divmod(key, n_r + 1), axis=1)
 
@@ -182,14 +186,16 @@ def average_precision(ranking: list[int], positives: set[int]) -> float:
 def resolve_links(manifest: list[SampleRecord],
                   ref_ids: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The records' positives and semi-positives as ``_link_rows`` of ref_ids."""
-    ref_row = {rid: j for j, rid in enumerate(ref_ids)}
+    ref_row = dict(zip(ref_ids, range(len(ref_ids))))
     links = []
     for ids in ([r.positives for r in manifest], [r.semi_positives for r in manifest]):
-        rows = [ref_row.get(rid, -1) for rid in chain.from_iterable(ids)]
-        if -1 in rows:  # name the first absent id
+        counts = np.fromiter(map(len, ids), np.int64, len(ids))
+        rows = np.fromiter(map(ref_row.get, chain.from_iterable(ids), repeat(-1)), np.int64,
+                           int(counts.sum()))
+        if rows.size and rows.min() < 0:  # name the first absent id
             r, rid = next((r, x) for r, i in zip(manifest, ids) for x in i if x not in ref_row)
             raise ValidationError(f"record {r.id!r} references {rid!r}, absent from the gallery")
-        links.append(_link_rows(list(map(len, ids)), rows, len(ref_ids)))
+        links.append(_link_rows(counts, rows, len(ref_ids)))
     return links[0], links[1]
 
 
@@ -223,16 +229,29 @@ def retrieval_report(q64: np.ndarray, r64: np.ndarray, positives: np.ndarray,
                            hit_rate=hit, mean_ap=mean_ap, n_queries=n_q, n_references=n_r)
 
 
-def score_bytes(n_q: int, n_r: int, dim: int) -> int:
+def score_bytes(n_q: int, n_r: int, dim: int, n_links: int) -> int:
     """An upper estimate of evaluate's peak heap, the float32 tables included,
-    in bytes: per query value its table, unit and float64 copies (16 bytes),
-    per reference value those, the (dim, n_r) gallery copy and np.unique's
-    copies of repeated rows (48); per query 384 for its link, rank and score
-    entries with up to three semi-positives (about 60 per further link), per
-    reference 128 for the id map and sort; and two BLOCK_BYTES of score
-    block. tracemalloc peaks from 400 to 100,000 rows of width 1 to 512 lie
-    1.1 to 2.2 times below it."""
-    return 8 * dim * (2 * n_q + 6 * n_r) + 384 * n_q + 128 * n_r + 2 * BLOCK_BYTES
+    in bytes, for n_links positive and semi-positive links in all: per query
+    value its table and float64 unit copy (16 bytes); per reference value
+    those, the (dim, n_r) gallery copy and np.unique's copies of repeated
+    rows (48); 64 per link for its id lookup, sort, rank and score entries;
+    64 per query and 96 per reference for the rank arrays and the id map;
+    and two BLOCK_BYTES of score block. tracemalloc peaks from 400 to
+    40,000 rows of width 1 to 512, with 0 to 20 semi-positives per query,
+    lie 1.07 to 2.4 times below it."""
+    return 8 * dim * (2 * n_q + 6 * n_r) + 64 * n_links + 64 * n_q + 96 * n_r + 2 * BLOCK_BYTES
+
+
+def _unit64(table: EmbeddingTable) -> np.ndarray:
+    """``l2_normalize(table).data`` as float64, without building that table:
+    rows scaled to unit norm in float64, then rounded through float32. Raises
+    on a zero-norm row, then names the first row holding a NaN or inf, whose
+    norm is not finite (a finite float32 row's float64 norm cannot overflow)."""
+    unit = table.data.astype(np.float64)
+    _, norms = unit_rows(unit, out=unit)
+    require_finite_rows(np.isfinite(norms), table.row_ids)
+    np.copyto(unit, unit.astype(np.float32))
+    return unit
 
 
 def evaluate(
@@ -241,12 +260,18 @@ def evaluate(
     """Full metric suite for a query table against a reference gallery.
 
     Query rows align with manifest records; positives/semi-positives are
-    resolved through the reference table's row ids. Both tables are
-    L2-normalised, then scored by retrieval_report.
+    resolved through the reference table's row ids, and the heap the
+    scoring needs for them (``score_bytes``) is checked before either
+    table is copied. Both tables are L2-normalised as ``l2_normalize``
+    rounds them, then scored by retrieval_report.
     """
     if not manifest:
         raise ValidationError("the manifest holds no queries")
     require_aligned("query", queries.row_ids, manifest)
     positives, semis = resolve_links(manifest, references.row_ids)
-    q, r = l2_normalize(queries), l2_normalize(references)
-    return retrieval_report(q.data.astype(np.float64), r.data.astype(np.float64), positives, semis)
+    n_q, n_r, dim = len(manifest), references.count, max(queries.dim, references.dim)
+    n_links = len(positives) + len(semis)
+    require_heap(score_bytes(n_q, n_r, dim, n_links),
+                 f"evaluate of {n_q} queries with {n_links} links against {n_r} references "
+                 f"of dim {dim}")
+    return retrieval_report(_unit64(queries), _unit64(references), positives, semis)

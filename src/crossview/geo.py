@@ -97,7 +97,7 @@ def geo_topk(
     bound would have to cover the poles and the antimeridian.
     """
     a, crs_a = _coord_array(anchors)
-    c, crs_c = _coord_array(candidates)
+    c, crs_c = (a, crs_a) if candidates is anchors else _coord_array(candidates)
     if crs_a != crs_c:
         raise ValidationError(f"anchors are {crs_a!r} but candidates are {crs_c!r}")
     n_c = len(candidates)

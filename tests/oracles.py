@@ -22,6 +22,16 @@ def rank_references(sim_row):
     return sorted(range(len(sim_row)), key=lambda j: (-sim_row[j], j))
 
 
+def count_rank(row, c, skip=()):
+    """1 + the entries of row above row[c] + those equal to it at a lower
+    index, leaving out the indices in skip, by scalar comparisons: for a row
+    without NaN, c's place in rank_references(row) with skip removed. A NaN
+    compares false both ways, so it ranks ahead of nothing and a NaN row[c]
+    ranks first."""
+    s = row[c]
+    return 1 + sum(1 for j, x in enumerate(row) if j not in skip and (x > s or x == s and j < c))
+
+
 def brute_recall_at_k(sim, positives, k):
     hits = 0
     for i in range(len(sim)):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from crossview import evaluation, neighbors
+from crossview import datasets, evaluation, neighbors
 from crossview.datasets import Coordinate, EmbeddingTable, SampleRecord, SynthConfig, generate_synthetic
 from crossview.errors import ValidationError
 from crossview.evaluation import (
@@ -27,6 +27,7 @@ from oracles import (
     brute_hit_rate,
     brute_recall_at_k,
     brute_recall_at_percent,
+    count_rank,
     rank_references,
 )
 
@@ -479,6 +480,89 @@ class TestRankBlocks:
         assert best_masked.tolist() == [1, 2, 3]
 
 
+def oracle_ranks(sim, positives, semis):
+    """(best rank, best masked rank) per query and every pair's rank, by count_rank."""
+    rows = sim.tolist()
+    pairs = [[count_rank(rows[i], c) for c in sorted(pos)] for i, pos in enumerate(positives)]
+    masked = [min(count_rank(rows[i], c, semis[i]) for c in pos) for i, pos in enumerate(positives)]
+    return [min(p) for p in pairs], masked, [r for p in pairs for r in p]
+
+
+def assert_oracle_ranks(sim, positives, semis):
+    """_positive_ranks of sim gives the oracle's ranks in 1-pair blocks, in
+    blocks of 3 pairs and in one block of every pair."""
+    expected = oracle_ranks(sim, positives, semis)
+    for pairs_per_block in (1, 3, sum(map(len, positives))):
+        best, best_masked, pair_ranks, _ = ranks_of(sim, positives, semis, pairs_per_block)
+        assert (best.tolist(), best_masked.tolist(), pair_ranks.tolist()) == expected
+
+
+class TestBitCount:
+    """The higher scores are counted as packed bits, eight references a byte."""
+
+    @pytest.mark.parametrize("n_r", [*range(1, 18), 5003])
+    def test_widths_off_a_byte_boundary(self, n_r):
+        # few distinct integer scores: ties on most rows, some at the last
+        # columns, whose bits fill the padded last byte
+        rng = np.random.default_rng(n_r)
+        n_q = 7
+        sim = rng.integers(-3, 4, (n_q, n_r)).astype(np.float64)
+        positives = [{int(j) for j in rng.choice(n_r, min(n_r, 1 + i % 2), replace=False)}
+                     for i in range(n_q)]
+        positives[0] = {n_r - 1}
+        semis = [{int(j) for j in rng.choice(n_r, min(n_r, 3), replace=False)} - pos
+                 for pos in positives]
+        assert_oracle_ranks(sim, positives, semis)
+        _, _, pairs = oracle_ranks(sim, positives, semis)
+        rows = sim.tolist()
+        assert pairs == [rank_references(rows[i]).index(c) + 1
+                         for i, pos in enumerate(positives) for c in sorted(pos)]
+
+    @pytest.mark.parametrize("n_r", [8, 13, 5003])
+    def test_every_reference_above_the_positive(self, n_r):
+        # row 1's positive scores lowest: every other reference ranks ahead
+        sim = np.random.default_rng(n_r).standard_normal((3, n_r))
+        sim[1, 4] = sim[1].min() - 1.0
+        assert_oracle_ranks(sim, [{0}, {4}, {n_r - 1}], [{1}, set(), set()])
+        assert ranks_of(sim, [{0}, {4}, {n_r - 1}], [set()] * 3, 1)[2][1] == n_r
+
+    def test_ties_at_a_lower_and_a_higher_column(self):
+        # row 0's positive (column 5) ties column 2 and column 9: only column
+        # 2 ranks ahead; row 1 ties only at higher columns, row 2 only lower
+        sim = np.tile(np.arange(11.0), (3, 1))
+        sim[0, [2, 9]] = sim[0, 5]
+        sim[1, [7, 10]] = sim[1, 5]
+        sim[2, [0, 1]] = sim[2, 5]
+        assert_oracle_ranks(sim, [{5}] * 3, [{2}, {7}, {9}])
+        assert ranks_of(sim, [{5}] * 3, [set()] * 3, 3)[2].tolist() == [6, 4, 8]
+
+    def test_nan_positive_score(self):
+        # a NaN positive is above and tied with nothing, so it ranks first;
+        # a NaN elsewhere counts ahead of no positive
+        sim = np.random.default_rng(8).integers(0, 3, (4, 12)).astype(np.float64)
+        sim[1, 6] = np.nan
+        sim[2, 3] = np.nan
+        assert_oracle_ranks(sim, [{1, 9}, {6}, {0}, {11}], [{2}, {0, 1}, {3}, set()])
+        assert ranks_of(sim, [{1, 9}, {6}, {0}, {11}], [set()] * 4, 5)[2][2] == 1
+
+    @pytest.mark.parametrize("pairs_per_block", [1, 3, 1 << 30])
+    def test_repeated_gallery_rows(self, monkeypatch, pairs_per_block):
+        # integer-valued rows score exactly in any gemm, and references 5,
+        # 11 and 12 copy reference 2: the copies tie, lower index first
+        rng = np.random.default_rng(31)
+        q = rng.choice([-2.0, -1.0, 1.0, 2.0], (9, 4))
+        r = rng.choice([-2.0, -1.0, 1.0, 2.0], (13, 4))
+        r[[5, 11, 12]] = r[2]
+        positives = [{12}, {2}, {5, 11}, *({int(j)} for j in rng.choice(13, 6))]
+        semis = [{2, 5}, {11}, {12}, *[set()] * 6]
+        links = link_arrays(positives, semis, 9, 13)
+        monkeypatch.setattr(evaluation, "block_rows", lambda width: pairs_per_block)
+        best, best_masked, pair_ranks, _ = _positive_ranks(
+            evaluation.similarity_blocks(q, r), 9, 13, *links)
+        expected = oracle_ranks(q @ r.T, positives, semis)
+        assert (best.tolist(), best_masked.tolist(), pair_ranks.tolist()) == expected
+
+
 class TestEvaluate:
     def identity_setup(self, n=12, dim=6, seed=0):
         rng = np.random.default_rng(seed)
@@ -616,15 +700,18 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("n_q, n_r, dim, semis, repeats", [
         (4000, 5000, 6, 3, False), (500, 3000, 16, 0, False), (10000, 10000, 4, 3, False),
-        (2000, 2000, 64, 3, True), (200, 1000, 256, 3, True)])
+        (2000, 2000, 64, 3, True), (200, 1000, 256, 3, True), (10000, 10000, 2, 10, False)])
     def test_score_estimate_bounds_the_traced_peak(self, n_q, n_r, dim, semis, repeats):
         # the float32 tables count, as eval reads them before it scores; a
-        # gallery whose rows repeat in pairs takes np.unique's copies
+        # gallery whose rows repeat in pairs takes np.unique's copies; each
+        # semi-positive is one more link
         records, q, r = generate_synthetic(SynthConfig(n_pairs=n_r, latent_dim=4, view_dim=dim,
                                                        n_semi_positives=semis))
         q = EmbeddingTable(q.data[:n_q], q.row_ids[:n_q])
         if repeats:
             r = EmbeddingTable(np.repeat(r.data[::2], 2, axis=0), r.row_ids)
+        n_links = sum(map(len, resolve_links(records[:n_q], r.row_ids)))
+        assert n_links == n_q * (1 + semis)
         evaluate(q, r, records[:n_q])
         tracemalloc.start()
         try:
@@ -632,7 +719,51 @@ class TestEvaluate:
             peak = tracemalloc.get_traced_memory()[1] + 4 * (n_q + n_r) * dim
         finally:
             tracemalloc.stop()
-        assert peak <= evaluation.score_bytes(n_q, n_r, dim) <= 3 * peak
+        assert peak <= evaluation.score_bytes(n_q, n_r, dim, n_links) <= 3 * peak
+
+    def test_over_budget_links_refused_before_scoring(self, monkeypatch):
+        # the manifest's link count decides: one byte under the estimate of
+        # 20 queries with a positive and three semi-positives each refuses
+        records, q, r = generate_synthetic(SynthConfig(n_pairs=20, latent_dim=4, view_dim=6))
+        need = evaluation.score_bytes(20, 20, 6, 80)
+        monkeypatch.setattr(datasets, "HEAP_BUDGET_BYTES", need)
+        assert evaluate(q, r, records) is not None
+        monkeypatch.setattr(datasets, "HEAP_BUDGET_BYTES", need - 1)
+        monkeypatch.setattr(evaluation, "similarity_blocks", None)  # scoring would raise
+        with pytest.raises(ValidationError, match=rf"^evaluate of 20 queries with 80 links "
+                           rf"against 20 references of dim 6 needs about {need:,} bytes, over "
+                           rf"the budget of {need - 1:,} bytes$"):
+            evaluate(q, r, records)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+    @pytest.mark.parametrize("which", ["query", "reference"])
+    def test_row_spoilt_after_construction_named(self, value, which):
+        # a table's data is a writable array: a row set to NaN or inf after
+        # the table checked it, or zeroed, still stops evaluate, by name
+        table, records = self.identity_setup()
+        gallery = EmbeddingTable(table.data.copy(), table.row_ids)
+        spoilt = table if which == "query" else gallery
+        spoilt.data[4, 1 if value else slice(None)] = value
+        message = (r"^embedding row 'p4' \(index 4\) holds a NaN or inf value$" if value
+                   else r"^zero-norm row 4 cannot be normalised$")
+        with pytest.raises(ValidationError, match=message):
+            evaluate(table, gallery, records)
+
+    def test_query_row_named_before_a_reference_row(self):
+        # both tables go wrong: the queries are checked first, each for a
+        # zero row before a NaN one
+        table, records = self.identity_setup()
+        gallery = EmbeddingTable(table.data.copy(), table.row_ids)
+        table.data[7, 0], table.data[9] = np.nan, 0.0
+        gallery.data[2] = 0.0
+        with pytest.raises(ValidationError, match=r"^zero-norm row 9 "):
+            evaluate(table, gallery, records)
+        table.data[9] = 1.0
+        with pytest.raises(ValidationError, match=r"^embedding row 'p7' "):
+            evaluate(table, gallery, records)
+        table.data[7, 0] = 1.0
+        with pytest.raises(ValidationError, match=r"^zero-norm row 2 "):
+            evaluate(table, gallery, records)
 
     def test_dim_mismatch_named(self):
         rng = np.random.default_rng(4)

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from crossview import sampler
+from crossview import geo, sampler
 from crossview.datasets import (
     Coordinate,
     EmbeddingTable,
@@ -98,6 +98,26 @@ class TestBuildPools:
         assert a.kind == b.kind == "geographic"
         assert a.indices.tobytes() == b.indices.tobytes()
         assert a.scores.tobytes() == b.scores.tobytes()
+
+    @pytest.mark.parametrize("crs", ["planar", "wgs84"])
+    def test_geo_pools_convert_the_coordinates_once(self, monkeypatch, crs):
+        # the records' coordinates are both anchors and candidates: one
+        # conversion, and the pools of two conversions of equal lists
+        rng = np.random.default_rng(6)
+        points = rng.uniform(-60, 60, size=(40, 2))
+        records = [SampleRecord(id=f"p{i}", class_id=f"p{i}", coord=Coordinate(x, y, crs),
+                                positives=(f"p{i}",)) for i, (x, y) in enumerate(points.tolist())]
+        cfg = SamplerConfig(pool_size=8, picks_per_anchor=2)
+        sizes, convert = [], geo._coord_array
+        monkeypatch.setattr(geo, "_coord_array", lambda coords: sizes.append(len(coords))
+                            or convert(coords))
+        pools = build_geo_pools(records, cfg)
+        assert sizes == [40]
+        coords = [r.coord for r in records]
+        apart = geo.geo_topk(coords, list(coords), cfg.pool_size)
+        assert sizes == [40, 40, 40]
+        assert pools.indices.tobytes() == apart.indices.tobytes()
+        assert pools.scores.tobytes() == apart.scores.tobytes()
 
     def test_sim_pools_delegate_to_visual_topk(self):
         rng = np.random.default_rng(2)
