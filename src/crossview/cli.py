@@ -167,12 +167,14 @@ def cmd_train(args) -> int:
     bundle = _load_bundle(args)
     data = Path(args.data)
     _require_tables_fit(data / "query.emb", data / "reference.emb")
-    manifest = load_manifest(data / "manifest.jsonl")
-    queries = read_embeddings(data / "query.emb")
-    references = read_embeddings(data / "reference.emb")
+    # each file is read once: the hash and the readers share its bytes
+    raw = {name: (data / name).read_bytes()
+           for name in ("manifest.jsonl", "query.emb", "reference.emb")}
+    dataset_hash = _dataset_hash(*raw.values())
+    manifest = load_manifest(data / "manifest.jsonl", raw.pop("manifest.jsonl"))
+    queries = read_embeddings(data / "query.emb", raw.pop("query.emb"))
+    references = read_embeddings(data / "reference.emb", raw.pop("reference.emb"))
     result = train(manifest, queries, references, bundle.train, bundle.geo)
-    dataset_hash = _dataset_hash(*((data / name).read_bytes()
-                                   for name in ("manifest.jsonl", "query.emb", "reference.emb")))
     run = _write_train_artifacts(result, Path(args.out), dataset_hash)
     print(json_line(run["final"]))
     return 0

@@ -194,11 +194,13 @@ def synth_bytes(cfg: SynthConfig) -> int:
     return (4 << 20) + centres + cfg.n_pairs * (1024 + 16 * cfg.latent_dim + 32 * cfg.view_dim)
 
 
-def read_text(path: str | Path) -> str:
+def read_text(path: str | Path, raw: bytes | None = None) -> str:
     """The file as ``Path.read_text(encoding="utf-8")`` reads it, each \\r\\n
     or \\r read as \\n; a byte that is not UTF-8 raises ValidationError
-    starting ``<path>:N:`` for the line N that holds it."""
-    raw = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    starting ``<path>:N:`` for the line N that holds it. ``raw``, when
+    given, is the file's bytes, already read by the caller."""
+    raw = Path(path).read_bytes() if raw is None else raw
+    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -243,11 +245,12 @@ def write_json(obj, path: str | Path) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def read_lines(path: str | Path, parse: callable) -> list[tuple[int, object]]:
-    """``(N, parse(line))`` per non-blank line N of ``read_text(path)``, split at \\n
-    alone and stripped; a KeyError or ValueError from ``parse`` raises
-    ValidationError ``<path>:N: ...``."""
-    lines = read_text(path).split("\n")
+def read_lines(path: str | Path, parse: callable,
+               raw: bytes | None = None) -> list[tuple[int, object]]:
+    """``(N, parse(line))`` per non-blank line N of ``read_text(path, raw)``,
+    split at \\n alone and stripped; a KeyError or ValueError from ``parse``
+    raises ValidationError ``<path>:N: ...``."""
+    lines = read_text(path, raw).split("\n")
     parsed = []
     try:
         for lineno, line in enumerate(lines, start=1):
@@ -292,12 +295,13 @@ def _record_from_json(obj) -> SampleRecord:
     return record
 
 
-def load_manifest(path: str | Path) -> list[SampleRecord]:
-    """Read a JSON-lines manifest through ``read_lines``: record i is the i-th
-    non-blank line. A malformed line N, a duplicate id, a crs other than the
-    first record's, or a link to an id no record has raises ValidationError
-    starting ``<path>:N:``."""
-    lines = read_lines(path, lambda line: _record_from_json(read_json(line)))
+def load_manifest(path: str | Path, raw: bytes | None = None) -> list[SampleRecord]:
+    """Read a JSON-lines manifest through ``read_lines`` (from ``raw``, the
+    file's bytes, when given): record i is the i-th non-blank line. A
+    malformed line N, a duplicate id, a crs other than the first record's,
+    or a link to an id no record has raises ValidationError starting
+    ``<path>:N:``."""
+    lines = read_lines(path, lambda line: _record_from_json(read_json(line)), raw)
     seen: set[str] = set()
     for lineno, record in lines:
         if record.id in seen:
@@ -386,11 +390,12 @@ def emb1_shape(path: str | Path) -> tuple[int, int]:
         return _emb1_header(path, fh.read(4 + _HEADER.size))
 
 
-def read_embeddings(path: str | Path) -> EmbeddingTable:
-    """Inverse of write_embeddings; the ``<path>.ids`` sidecar is required,
-    and a missing one raises the OSError of reading it."""
+def read_embeddings(path: str | Path, raw: bytes | None = None) -> EmbeddingTable:
+    """Inverse of write_embeddings, from ``raw``, the EMB1 file's bytes, when
+    given; the ``<path>.ids`` sidecar is required, and a missing one raises
+    the OSError of reading it."""
     path = Path(path)
-    raw = path.read_bytes()
+    raw = path.read_bytes() if raw is None else raw
     count, dim = _emb1_header(path, raw)
     expected = count * dim * 4
     actual = len(raw) - 4 - _HEADER.size
@@ -424,8 +429,9 @@ def generate_synthetic(
     record's semi_positives are its n_semi_positives geographically
     nearest other references, found by the exact planar grid search
     ``neighbors.planar_nearest_k`` (the same lists a dense scan of all
-    pairs gives, at about linear cost in n_pairs). Pure function of cfg:
-    the same config yields bit-identical outputs.
+    pairs gives, at about linear cost in n_pairs), whose distances are
+    finite, as it requires, because ``SynthConfig`` bounds map_extent_m.
+    Pure function of cfg: the same config yields bit-identical outputs.
     """
     if cfg.n_semi_positives >= cfg.n_pairs:
         raise ValidationError(

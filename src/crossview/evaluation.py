@@ -16,12 +16,11 @@ from operator import add
 
 import numpy as np
 
-from .datasets import (EmbeddingTable, SampleRecord, json_line, require_aligned,
-                       require_finite_rows, require_heap)
+from .datasets import EmbeddingTable, SampleRecord, json_line, require_aligned, require_heap
 from .errors import ValidationError
 from .neighbors import BLOCK_BYTES, block_rows
 # cosine_matrix stays importable here: the bench tracer binds evaluation.cosine_matrix
-from .simsearch import cosine_matrix, similarity_blocks, unit_rows  # noqa: F401
+from .simsearch import cosine_matrix, similarity_blocks, unit32  # noqa: F401
 
 RECALL_KS = (1, 5, 10)
 
@@ -242,18 +241,6 @@ def score_bytes(n_q: int, n_r: int, dim: int, n_links: int) -> int:
     return 8 * dim * (2 * n_q + 6 * n_r) + 64 * n_links + 64 * n_q + 96 * n_r + 2 * BLOCK_BYTES
 
 
-def _unit64(table: EmbeddingTable) -> np.ndarray:
-    """``l2_normalize(table).data`` as float64, without building that table:
-    rows scaled to unit norm in float64, then rounded through float32. Raises
-    on a zero-norm row, then names the first row holding a NaN or inf, whose
-    norm is not finite (a finite float32 row's float64 norm cannot overflow)."""
-    unit = table.data.astype(np.float64)
-    _, norms = unit_rows(unit, out=unit)
-    require_finite_rows(np.isfinite(norms), table.row_ids)
-    np.copyto(unit, unit.astype(np.float32))
-    return unit
-
-
 def evaluate(
     queries: EmbeddingTable, references: EmbeddingTable, manifest: list[SampleRecord]
 ) -> RetrievalReport:
@@ -263,7 +250,7 @@ def evaluate(
     resolved through the reference table's row ids, and the heap the
     scoring needs for them (``score_bytes``) is checked before either
     table is copied. Both tables are L2-normalised as ``l2_normalize``
-    rounds them, then scored by retrieval_report.
+    rounds them (``unit32``), then scored by retrieval_report.
     """
     if not manifest:
         raise ValidationError("the manifest holds no queries")
@@ -274,4 +261,5 @@ def evaluate(
     require_heap(score_bytes(n_q, n_r, dim, n_links),
                  f"evaluate of {n_q} queries with {n_links} links against {n_r} references "
                  f"of dim {dim}")
-    return retrieval_report(_unit64(queries), _unit64(references), positives, semis)
+    q64, r64 = (unit32(table).astype(np.float64) for table in (queries, references))
+    return retrieval_report(q64, r64, positives, semis)

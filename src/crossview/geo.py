@@ -95,6 +95,12 @@ def geo_topk(
     redoes densely any row a farther candidate could reach; wgs84 pools
     score every pair in haversine distance blocks, since a lat/lon cell
     bound would have to cover the poles and the antimeridian.
+
+    Every key is finite, as both kernels require, without a scan of the
+    keys: ``Coordinate`` checks each latitude and longitude and
+    ``GeoConfig`` bounds the radius, so a haversine distance is at most
+    the finite 2*R*asin(1); ``_check_planar_span`` bounds every planar
+    pair's squared distance, the grid's dense redo included.
     """
     a, crs_a = _coord_array(anchors)
     c, crs_c = (a, crs_a) if candidates is anchors else _coord_array(candidates)

@@ -1,17 +1,19 @@
 """Exact K-nearest search: one selection step behind every neighbour list.
 
-GPS pools (geographic distances), DSS pools (negated similarities) and the
+GPS pools (geographic distances), DSS pools (similarities) and the
 synthetic generator's semi-positives (planar distances) all reduce to the
-same question: per row, the K columns with the smallest keys, the row's
-own column excluded, ties toward the lower column index. Two producers
-feed candidate key blocks to one selection step (``_survivors``, then
-``_first_k``):
+same question: per row, the K columns with the smallest keys (or, for
+similarities, the largest), the row's own column excluded, ties toward the
+lower column index. Two producers feed candidate key blocks to one
+selection step (``_survivors``, then ``_first_k``):
 
 - ``nearest_k`` scores every column of the rows it is given, in blocks of
   rows so memory stays within the block budget. wgs84 pools and visual
   (DSS) pools use it over all rows: the grid's planar bound does not hold
   for great-circle distances, and a visual key's bits depend on the gemm
   that scored its block, so re-scoring a subset would not reproduce them.
+  Visual pools take the largest keys (``largest=True``), so no block is
+  negated: only each row's survivors are, before ``_first_k``.
 - ``planar_nearest_k`` buckets the candidates into a uniform grid and
   scores only the 3x3 cells around each anchor. The anchors of one cell
   share that square, so each block gathers it once per cell, as a window
@@ -20,6 +22,11 @@ feed candidate key blocks to one selection step (``_survivors``, then
   redone by ``nearest_k``. Planar GPS pools and semi-positives use it, so
   their cost grows about linearly in N on spread-out points instead of as
   N^2.
+
+Both kernels need every key finite and check none of them: each caller
+guarantees it from inputs it has validated, in O(n) or O(n*d) rather than
+once per key (``simsearch.visual_topk``, ``geo.geo_topk``,
+``datasets.generate_synthetic``).
 
 Every streamed block, here and in ``evaluation``, holds at most
 ``BLOCK_BYTES`` of float64 keys: ``block_rows(width)`` rows of a given
@@ -31,13 +38,14 @@ above by the K-th smallest of 4K column-group minima (one pass over the
 block, then a partition of 4K values per row; a row narrower than 16K is
 partitioned whole instead) and keeps every key at or below that cut-off:
 a superset of the row's K smallest, ties at the K-th key included, about
-1.15K keys per row on unstructured keys. ``_first_k`` orders the
-survivors by (key, column) and keeps K per row: one unstable (SIMD) sort
-of the keys, and a (key, column) sort again only for the rows where two
-of the first K + 1 sorted keys compare equal. ``nearest_k`` runs it once
-per batch of blocks, so one-row blocks do not pay it row by row. A row
-with many ties at its K-th key keeps every tie, and its cost falls back
-to a sort's.
+1.15K keys per row on unstructured keys. For the largest keys it takes
+group maxima and keeps every key at or above the cut-off. ``_first_k``
+orders the survivors by (key, column) and keeps K per row: one unstable
+(SIMD) sort of the keys, and a (key, column) sort again only for the rows
+where two of the first K + 1 sorted keys compare equal. ``nearest_k`` runs
+it once per batch of blocks, so one-row blocks do not pay it row by row.
+A row with many ties at its K-th key keeps every tie, and its cost falls
+back to a sort's.
 """
 
 from __future__ import annotations
@@ -46,8 +54,6 @@ import math
 from typing import Callable
 
 import numpy as np
-
-from .errors import ValidationError
 
 BLOCK_BYTES = 640 * 1024
 
@@ -70,27 +76,31 @@ def planar_keys(ax, ay, bx, by) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
-def _survivors(block: np.ndarray, K: int) -> np.ndarray:
+def _survivors(block: np.ndarray, K: int, largest: bool = False) -> np.ndarray:
     """Flat indices of the entries of a key block (rows, width) that can be
     among their row's K smallest (1 <= K <= width), ascending: every entry
-    <= its row's cut-off.
+    <= its row's cut-off. With ``largest``, the same for the K largest:
+    every entry >= its row's cut-off.
 
     Column j falls in group j mod G of G = 4K groups (the last width mod G
     columns in none). The K smallest group minima are K distinct entries,
     so the K-th smallest of them bounds the row's K-th key from above and
     serves as the cut-off. Groups of fewer than 4 columns bound it loosely,
     and partitioning such a narrow row costs no more than the group minima,
-    so there the cut-off is the row's K-th key itself.
+    so there the cut-off is the row's K-th key itself. The largest keys
+    mirror this through group maxima.
     """
     n_rows, width = block.shape
     groups = 4 * K
     depth = width // groups
     if depth >= 4:
-        block_or_mins = block[:, :groups * depth].reshape(n_rows, depth, groups).min(axis=1)
+        grouped = block[:, :groups * depth].reshape(n_rows, depth, groups)
+        block_or_ends = grouped.max(axis=1) if largest else grouped.min(axis=1)
     else:
-        block_or_mins = block
-    cut = np.partition(block_or_mins, K - 1, axis=1)[:, K - 1:K]
-    return np.flatnonzero(block <= cut)
+        block_or_ends = block
+    at = block_or_ends.shape[1] - K if largest else K - 1
+    cut = np.partition(block_or_ends, at, axis=1)[:, at:at + 1]
+    return np.flatnonzero(block >= cut if largest else block <= cut)
 
 
 def _first_k(row: np.ndarray, col: np.ndarray, key: np.ndarray, n_rows: int, K: int):
@@ -123,15 +133,21 @@ def _first_k(row: np.ndarray, col: np.ndarray, key: np.ndarray, n_rows: int, K: 
 
 
 def nearest_k(
-    keys: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, n_cols: int, K: int
+    keys: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, n_cols: int, K: int,
+    largest: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per row in ``rows``, the K columns with the smallest keys, ascending.
+    """Per row in ``rows``, the K columns with the smallest keys, ascending;
+    with ``largest``, the K columns with the largest keys, descending.
 
     ``keys(part)`` returns the float key block (len(part), n_cols) of the
-    rows ``part``, a slice of ``rows``; smaller means nearer, and
-    K < n_cols. Column ``part[i]`` never appears in row i's list (where
-    ``part[i]`` < n_cols). Returns the (len(rows), K) column indices and
-    their keys. A non-finite key raises ValidationError naming its row.
+    rows ``part``, a slice of ``rows``, which may be written to; every key
+    must be finite, and K < n_cols. Column ``part[i]`` never appears in row
+    i's list (where ``part[i]`` < n_cols). Ties go to the lower column.
+    Returns the (len(rows), K) column indices and their keys, bit for bit.
+
+    The largest keys are the smallest of the negated keys: only each row's
+    survivors are negated, before ``_first_k``, and the K kept are negated
+    back, so the keys keep their bits; -0.0 and +0.0 compare equal either way.
     """
     indices = np.empty((len(rows), K), dtype=np.intp)
     nearest = np.empty((len(rows), K), dtype=np.float64)
@@ -148,13 +164,9 @@ def nearest_k(
     for start in range(0, len(rows), step):
         part = rows[start:start + step]
         block = keys(part)
-        if not np.isfinite(block).all():
-            row, col = np.argwhere(~np.isfinite(block))[0]
-            raise ValidationError(f"row {part[row]}: key {float(block[row, col])!r} "
-                                  f"at column {col} is not finite")
         own = np.flatnonzero(part < n_cols)
-        block[own, part[own]] = np.inf
-        flat = _survivors(block, K)
+        block[own, part[own]] = -np.inf if largest else np.inf
+        flat = _survivors(block, K, largest)
         row, col = np.divmod(flat, n_cols)
         most = np.bincount(row).max()
         # order the held rows first when packing this block with them would
@@ -162,11 +174,12 @@ def nearest_k(
         if held and (start + len(part) - first) * max(widest, most) > slots:
             order(start)
             held, first, widest = [], start, 0
-        held.append((row + (start - first), col, block.take(flat)))
+        key = block.take(flat)
+        held.append((row + (start - first), col, np.negative(key, out=key) if largest else key))
         widest = max(widest, most)
     if held:
         order(len(rows))
-    return indices, nearest
+    return indices, np.negative(nearest, out=nearest) if largest else nearest
 
 
 def planar_nearest_k(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import EmbeddingTable
+from .datasets import EmbeddingTable, require_finite_rows
 from .errors import ValidationError
 from .neighbors import nearest_k
 
@@ -82,23 +82,42 @@ class Pools:
         return map(self.__getitem__, range(len(self)))
 
 
-def unit_rows(X: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(X with every row, along its last axis, scaled to unit L2 norm; the
-    row norms). ``out`` may be X itself. Raises on a zero-norm row, counted
-    across any leading axes."""
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """The L2 norms of X's rows along its last axis. Raises on a zero-norm
+    row, counted across any leading axes; a NaN norm passes."""
     norms = np.sqrt(np.add.reduce(X * X, axis=-1))  # np.linalg.norm's own formula for real X
     # a NaN norm lands here too; the scan decides
     if norms.size and not np.minimum.reduce(norms, axis=None) > 1e-35:
         bad = np.flatnonzero(norms <= 1e-35)
         if bad.size:
             raise ValidationError(f"zero-norm row {int(bad[0])} cannot be normalised")
+    return norms
+
+
+def unit_rows(X: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(X with every row, along its last axis, scaled to unit L2 norm; the
+    row norms). ``out`` may be X itself. Raises on a zero-norm row, counted
+    across any leading axes."""
+    norms = _row_norms(X)
     return np.divide(X, norms[..., None], out=out), norms
 
 
+def unit32(table: EmbeddingTable) -> np.ndarray:
+    """The table's rows scaled to unit L2 norm in float64, then rounded to
+    float32: the one rounding of ``l2_normalize`` and ``evaluate``. Raises
+    on a zero-norm row, then names the first row holding a NaN or inf, both
+    before dividing: such a row's norm is not finite, while a finite float32
+    row's float64 norm cannot overflow."""
+    unit = table.data.astype(np.float64)
+    norms = _row_norms(unit)
+    require_finite_rows(np.isfinite(norms), table.row_ids)
+    return np.divide(unit, norms[:, None], out=unit).astype(np.float32)
+
+
 def l2_normalize(table: EmbeddingTable) -> EmbeddingTable:
-    """Scale every row to unit L2 norm in float64. Raises on a zero-norm row."""
-    normalized, _ = unit_rows(table.data.astype(np.float64))
-    return EmbeddingTable(normalized.astype(np.float32), table.row_ids)
+    """Scale every row to unit L2 norm in float64, rounded to float32
+    (``unit32``). Raises on a zero-norm row, then on a NaN or inf one."""
+    return EmbeddingTable(unit32(table), table.row_ids)
 
 
 def similarity_blocks(q64: np.ndarray, r64: np.ndarray):
@@ -159,18 +178,18 @@ def visual_topk(
     gemm's bits may depend on the block's shape and the gallery's layout,
     so the output is deterministic for a given N and block budget, not
     always equal to one full-matrix pass.
+
+    Both tables' rows are checked finite once, here, naming the first row
+    that is not: ``nearest_k`` checks no key, and a finite float32 row
+    gives finite float64 dot products, since |q.r| <= d * (3.4e38)^2.
     """
     n_r = references.count
     if K < 1:
         raise ValidationError("K must be >= 1")
     if K > n_r - 1:
         raise ValidationError(f"K={K} exceeds reference count - 1 = {n_r - 1}")
+    for table in (queries, references):  # the data may have been written since construction
+        require_finite_rows(np.isfinite(table.data).all(axis=1), table.row_ids)
     scores = similarity_blocks(queries.data.astype(np.float64),
                                references.data.astype(np.float64))
-
-    def keys(part):  # negated in place: -(q.r) bit for bit, not (-q).r, whose exact zeros differ
-        block = scores(part)
-        return np.negative(block, out=block)
-
-    indices, neg_sims = nearest_k(keys, np.arange(queries.count), n_r, K)
-    return Pools(indices, np.negative(neg_sims, out=neg_sims), "visual")
+    return Pools(*nearest_k(scores, np.arange(queries.count), n_r, K, largest=True), "visual")

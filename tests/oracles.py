@@ -70,12 +70,15 @@ def brute_nearest(points, distance, k):
     return brute_nearest_keys([[distance(p, q) for q in points] for p in points], k)[0]
 
 
-def brute_nearest_keys(keys, k):
-    """Per row of a key matrix, the k columns with the smallest keys and those
-    keys: a full stable sort of the row with its own column left out."""
+def brute_nearest_keys(keys, k, largest=False):
+    """Per row of a key matrix, the k columns with the smallest keys (with
+    largest, the largest) and those keys: a full stable sort of the row by
+    (key, column) (by (-key, column)) with its own column left out."""
+    sign = -1.0 if largest else 1.0
     indices, nearest = [], []
     for i, row in enumerate(keys):
-        order = sorted((j for j in range(len(row)) if j != i), key=lambda j: (row[j], j))[:k]
+        order = sorted((j for j in range(len(row)) if j != i),
+                       key=lambda j: (sign * row[j], j))[:k]
         indices.append(order)
         nearest.append([row[j] for j in order])
     return indices, nearest

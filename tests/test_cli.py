@@ -323,6 +323,35 @@ class TestTrain:
             write_plan(plan, tmp_path / "expected.jsonl")
             assert (out / name).read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
 
+    # run.json of the tiny recipe, recorded when train still read its inputs
+    # a second time to hash them; reading each once must keep every byte
+    RUN_JSON = (b'{\n  "dataset_hash": "4ce42b13f9e0",\n  "final": {\n    "epoch": 1,\n'
+                b'    "loss": 6.692045230349553,\n    "lr": 0.0,\n    "r1": 0.4\n  },\n'
+                b'  "history": "history-7d406673.jsonl",\n  "params": "params-fc820408",\n'
+                b'  "plans": [\n    "plan-e000-b16f5ca5.jsonl",\n'
+                b'    "plan-e001-bc7ac101.jsonl"\n  ]\n}\n')
+
+    def test_reads_each_input_once(self, tmp_path, monkeypatch):
+        data = gen_dataset(tmp_path)
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda path: reads.append(path.name) or read_bytes(path))
+        out = tmp_path / "run"
+        assert main(["train", *TINY_TRAIN, "--data", str(data), "--out", str(out)]) == 0
+        assert sorted(reads) == ["manifest.jsonl", "query.emb", "query.emb.ids",
+                                 "reference.emb", "reference.emb.ids"]
+        assert (out / "run.json").read_bytes() == self.RUN_JSON
+
+    def test_crlf_manifest_hashes_its_own_bytes(self, tmp_path):
+        # the hash is of the bytes on disk, not of the text the reader makes of them
+        data = gen_dataset(tmp_path)
+        manifest = data / "manifest.jsonl"
+        manifest.write_bytes(manifest.read_bytes().replace(b"\n", b"\r\n"))
+        out = tmp_path / "run"
+        assert main(["train", *TINY_TRAIN, "--data", str(data), "--out", str(out)]) == 0
+        assert json.loads((out / "run.json").read_text())["dataset_hash"] == "e0092a752166"
+
     def test_non_finite_setting_rejected_before_training(self, tmp_path, capsys):
         data = gen_dataset(tmp_path)
         out = tmp_path / "run"

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -746,8 +747,10 @@ class TestEvaluate:
         spoilt.data[4, 1 if value else slice(None)] = value
         message = (r"^embedding row 'p4' \(index 4\) holds a NaN or inf value$" if value
                    else r"^zero-norm row 4 cannot be normalised$")
-        with pytest.raises(ValidationError, match=message):
-            evaluate(table, gallery, records)
+        with warnings.catch_warnings():  # the norms are checked before any divide
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                evaluate(table, gallery, records)
 
     def test_query_row_named_before_a_reference_row(self):
         # both tables go wrong: the queries are checked first, each for a

@@ -22,19 +22,19 @@ def key_matrix(n_rows, n_cols, small_ints, seed):
     return rng.standard_normal((n_rows, n_cols))
 
 
-def run_kernel(matrix, K):
+def run_kernel(matrix, K, largest=False):
     calls = []
 
     def keys(part):
         calls.append(part.tolist())
         return matrix[part]
 
-    return nearest_k(keys, np.arange(len(matrix)), matrix.shape[1], K), calls
+    return nearest_k(keys, np.arange(len(matrix)), matrix.shape[1], K, largest), calls
 
 
-def assert_matches_oracle(matrix, K, expected=None):
-    (indices, nearest), _ = run_kernel(matrix, K)
-    idx, keys = expected or brute_nearest_keys(matrix.tolist(), K)
+def assert_matches_oracle(matrix, K, expected=None, largest=False):
+    (indices, nearest), _ = run_kernel(matrix, K, largest)
+    idx, keys = expected or brute_nearest_keys(matrix.tolist(), K, largest)
     assert indices.tolist() == [row[:K] for row in idx]
     want = np.array([row[:K] for row in keys], dtype=np.float64).reshape(len(matrix), K)
     assert nearest.tobytes() == want.tobytes()
@@ -78,21 +78,21 @@ class TestNearestK:
         assert indices.shape == nearest.shape == (300, 0)
         assert calls == []
 
+    # nearest_k takes finite keys and checks none; visual_topk checks its
+    # tables' rows instead, so a row spoilt after the table checked it still
+    # fails, named by its id, in either table and whatever the blocks
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_key_names_row(self, monkeypatch, bad):
         monkeypatch.setattr(neighbors, "block_rows", blocks_of(256))  # row 261 in block 2
-        matrix = key_matrix(300, 20, False, 0)
-        matrix[261, 4] = bad
-        with pytest.raises(ValidationError, match=r"row 261: key .* at column 4 is not finite"):
-            run_kernel(matrix, 3)
+        for which in ("query", "reference"):
+            assert_spoilt_row_named(bad, which)
 
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_non_finite_key_names_row_under_any_budget(self, monkeypatch, budget):
         monkeypatch.setattr(neighbors, "BLOCK_BYTES", budget)
-        matrix = key_matrix(300, 20, False, 0)
-        matrix[261, 4] = np.inf
-        with pytest.raises(ValidationError, match=r"row 261: key inf at column 4 is not finite"):
-            run_kernel(matrix, 3)
+        for bad in (np.nan, np.inf, -np.inf):
+            for which in ("query", "reference"):
+                assert_spoilt_row_named(bad, which)
 
     def test_rows_name_their_own_column(self, monkeypatch):
         # a subset of rows, out of order: row part[i] skips column part[i]
@@ -109,10 +109,16 @@ class TestNearestK:
             order = np.lexsort((np.arange(30), keys))[:5]
             assert got[0][i].tolist() == order.tolist()
             assert got[1][i].tobytes() == keys[order].tobytes()
-        bad = matrix.copy()
-        bad[45, 2] = np.nan
-        with pytest.raises(ValidationError, match=r"row 45: key nan at column 2"):
-            nearest_k(lambda part: bad[part], rows, 30, 5)
+
+
+def assert_spoilt_row_named(bad, which):
+    rng = np.random.default_rng(0)
+    q, r = (EmbeddingTable(rng.standard_normal((300, 20)).astype(np.float32),
+                           tuple(f"p{i}" for i in range(300))) for _ in range(2))
+    (q if which == "query" else r).data[261, 4] = bad
+    with pytest.raises(ValidationError,
+                       match=r"^embedding row 'p261' \(index 261\) holds a NaN or inf value$"):
+        visual_topk(q, r, 3)
 
 
 @st.composite
@@ -160,6 +166,22 @@ class TestBoundedSelection:
             calls = spy_first_k(mp)
             assert_matches_oracle(matrix, K)
         assert sum(calls) == n_rows  # every row ordered exactly once
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=bounded_cases(), seed=st.integers(0, 2**32 - 1))
+    @example(case=(300, 8, 7, "ties", 8), seed=0)  # the K-th key as cut-off, one-row blocks
+    @example(case=(400, 300, 3, "ties", 8 * 3 * 300), seed=1)  # group maxima, ties, +-0.0
+    @example(case=(200, 256, 32, "descending", 1 << 60), seed=2)  # the largest keys crowd left
+    def test_largest_matches_full_stable_sort_under_any_budget(self, case, seed):
+        # by (-key, column): ties and -0.0 beside +0.0 go to the lower column,
+        # and each key keeps its bits although the survivors were negated
+        n_rows, n_cols, K, kind, budget = case
+        matrix = bounded_matrix(n_rows, n_cols, kind, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "BLOCK_BYTES", budget)
+            calls = spy_first_k(mp)
+            assert_matches_oracle(matrix, K, largest=True)
+        assert sum(calls) == n_rows
 
     def test_one_ordering_step_spans_blocks_and_flushes_mid_run(self, monkeypatch):
         monkeypatch.setattr(neighbors, "BLOCK_BYTES", 8 * 2 * 256)  # 2-row blocks
@@ -235,8 +257,8 @@ def test_first_k_matches_full_sort(monkeypatch):
 
 
 def test_visual_peak_follows_the_block_budget():
-    # one score block, its finiteness and cut-off masks, and a few packed
-    # survivors live at once, beside the two (n, K) outputs
+    # one score block, its cut-off mask and a few packed survivors live at
+    # once, beside the two (n, K) outputs
     rng = np.random.default_rng(6)
     n, K = 3000, 32
     q, r = (EmbeddingTable(rng.standard_normal((n, 6)).astype(np.float32),

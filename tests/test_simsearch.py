@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from crossview import neighbors, simsearch
 from crossview.datasets import EmbeddingTable
 from crossview.errors import ValidationError
+from crossview.neighbors import nearest_k
 from crossview.simsearch import (
     NeighborPool,
     Pools,
@@ -108,6 +110,17 @@ class TestL2Normalize:
         assert U is X
         assert U.tobytes() == expected.tobytes()
         assert norms.tobytes() == expected_norms.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_row_spoilt_after_construction_named_without_warning(self, value):
+        # the norms are checked before the divide, so an inf row never makes inf / inf
+        t = table([[1.0, 0.0], [3.0, 4.0], [0.0, 1.0]], ids=("a", "b", "c"))
+        t.data[1, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match=r"^embedding row 'b' \(index 1\) holds a NaN or inf value$"):
+                l2_normalize(t)
 
     @given(st.integers(0, 2**32 - 1))
     def test_rows_become_unit(self, seed):
@@ -246,6 +259,30 @@ class TestVisualTopk:
         indices, keys = brute_nearest_keys([[-x for x in row] for row in sims], 12)
         assert pools.indices.tolist() == indices
         assert pools.scores.tobytes() == (-np.array(keys)).tobytes()
+
+    @pytest.mark.parametrize("K", [12, 40])  # a grouped and a narrow row (16K > 300)
+    @pytest.mark.parametrize("budget", [8, 8 * 300 * 37, 1 << 60])
+    def test_equals_smallest_of_negated_similarities(self, monkeypatch, budget, K):
+        # the same bytes as the K smallest of -(q.r), negated back: small
+        # integer rows and a zero query row give ties and signed zeros, and
+        # references 41, 42 and 250 repeat reference 7
+        monkeypatch.setattr(neighbors, "BLOCK_BYTES", budget)
+        rng = np.random.default_rng(31)
+        q = np.concatenate([rng.integers(-2, 3, (140, 6)), rng.standard_normal((140, 6))])
+        q[3] = 0.0
+        r = np.concatenate([rng.integers(-2, 3, (150, 6)), rng.standard_normal((150, 6))])
+        r[[41, 42, 250]] = r[7]
+        q, r = table(q), table(r)
+        scores = similarity_blocks(q.data.astype(np.float64), r.data.astype(np.float64))
+
+        def negated(part):
+            block = scores(part)
+            return np.negative(block, out=block)
+
+        indices, keys = nearest_k(negated, np.arange(280), 300, K)
+        pools = visual_topk(q, r, K)
+        assert pools.indices.tobytes() == indices.tobytes()
+        assert pools.scores.tobytes() == np.negative(keys).tobytes()
 
 
 class TestSimilarityBlocks:
