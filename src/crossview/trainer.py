@@ -27,11 +27,11 @@ shape. Elementwise work runs in place over both views, and every column
 sum (the bias gradients, the weight-gradient gemms) stays per view, so
 the step's bits equal those of two one-view passes. Stacking the views
 as 2 x rows rows of one gemm would change them. A shared encoder's
-gradient is the two views' terms added; separate encoders stack their
-tensors on the view axis and write each view's terms to its own slice
-of theta. ``train`` holds both views' features as one (2, n, d_in)
-float32 array and casts each gathered batch to float64; ``encode`` keeps
-one view's (rows, d_in) form.
+gradient is the two views' terms added; separate encoders' stacked
+tensors are views of theta built once (``EncoderParams.stacked``), and
+each view's terms go to its own slice of theta. ``train`` holds both
+views' features as one (2, n, d_in) float32 array and casts each
+gathered batch to float64; ``encode`` keeps one view's (rows, d_in) form.
 
 Everything runs in float64 so the analytic gradients can be validated
 against central finite differences, and every random stream is derived
@@ -109,6 +109,13 @@ def theta_layout(
     return layout
 
 
+def _view_pairs(rows: np.ndarray, layout: dict) -> tuple:
+    """Each q.* tensor of the layout over both rows of a (2, one encoder's
+    size) array, as (2, ...) views into it; biases come out (2, 1, width)."""
+    return tuple(rows[:, s].reshape(2, -1, shape[-1])
+                 for s, shape in list(layout.values())[:len(_TENSORS)])
+
+
 @dataclass(frozen=True, eq=False)
 class EncoderParams:
     """All trainable state as one float64 vector ``theta``, laid out by
@@ -117,7 +124,9 @@ class EncoderParams:
     ``query`` and ``reference`` are each encoder's (W1, b1, W2, b2) as
     reshaped views into theta, so an in-place update of theta moves them;
     ``reference is query`` when weights are shared. W1 ... b2 name the
-    entries of ``query``.
+    entries of ``query``. ``stacked`` encodes a (2, rows, d_in) stack of
+    both views: ``query`` when shared, else each query tensor and its
+    reference twin as one (2, ...) view of theta.
     """
 
     theta: np.ndarray
@@ -128,6 +137,7 @@ class EncoderParams:
     layout: dict = field(init=False, repr=False)
     query: tuple = field(init=False, repr=False)
     reference: tuple = field(init=False, repr=False)
+    stacked: tuple = field(init=False, repr=False)
 
     W1, b1, W2, b2 = (property(lambda self, i=i: self.query[i]) for i in range(len(_TENSORS)))
 
@@ -144,6 +154,8 @@ class EncoderParams:
         query = tuple(views[:len(_TENSORS)])
         object.__setattr__(self, "query", query)
         object.__setattr__(self, "reference", tuple(views[len(_TENSORS):]) or query)
+        object.__setattr__(self, "stacked", query if self.shared_weights
+                           else _view_pairs(self.theta[:-1].reshape(2, -1), layout))
         bad = np.flatnonzero(~np.isfinite(self.theta))
         if bad.size:
             raise ValidationError(f"non-finite entries in parameter {self.name_at(bad[0])!r}")
@@ -213,19 +225,9 @@ def _erf(x, out=None):
     return _erf(x, out=out)
 
 
-def _stacked(params: EncoderParams) -> tuple:
-    """The tensors that encode a (2, rows, d_in) stack of query and reference
-    inputs: the shared encoder's own, or each query tensor stacked on a
-    leading view axis with its reference twin (biases as (2, 1, width))."""
-    if params.shared_weights:
-        return params.query
-    stacks = map(np.array, zip(params.query, params.reference))
-    return tuple(s if s.ndim == 3 else s[:, None] for s in stacks)
-
-
 def _forward(w, X):
-    """Unit-norm embeddings of X, one view's (rows, d_in) inputs or a
-    (2, rows, d_in) stack of both, and the cache _backward reads."""
+    """Unit-norm embeddings of X, one view's (rows, d_in) inputs or a (2,
+    rows, d_in) stack of both under params.stacked, and _backward's cache."""
     W1, b1, W2, b2 = w
     H_pre = X @ W1
     H_pre += b1
@@ -254,7 +256,7 @@ def _backward(w, cache, dU, out):
     np.subtract(dU, dY, out=dY)
     dY /= norms[..., None]  # (dU - U * (U * dU).sum(axis=-1)) / norms
     np.matmul(H.swapaxes(-1, -2), dY, out=dW2)
-    np.add.reduce(dY, axis=-2, out=db2)
+    np.add.reduce(dY, axis=-2, keepdims=True, out=db2)
     # gelu'(x) = cdf(x) + x * pdf(x), reusing the forward pass's cdf
     dgelu = np.multiply(H_pre, -0.5)
     dgelu *= H_pre
@@ -265,7 +267,7 @@ def _backward(w, cache, dU, out):
     dH_pre = dY @ W2.swapaxes(-1, -2)
     dH_pre *= dgelu
     np.matmul(X.swapaxes(-1, -2), dH_pre, out=dW1)
-    np.add.reduce(dH_pre, axis=-2, out=db1)
+    np.add.reduce(dH_pre, axis=-2, keepdims=True, out=db1)
 
 
 def encode(
@@ -368,40 +370,33 @@ def adamw_step(
 
 def _batch_objective(params: EncoderParams, X2: np.ndarray, loss_cfg: LossConfig,
                      loss_kind: str) -> tuple[float, np.ndarray]:
-    """Loss and its gradient w.r.t. every entry of params.theta, for a
-    (2, rows, d_in) stack of a batch's query and reference inputs."""
-    w = _stacked(params)
-    U, cache = _forward(w, X2)
+    """Loss and its gradient w.r.t. every entry of params.theta, for a (2,
+    rows, d_in) stack of a batch's inputs encoded by the views params.stacked."""
+    U, cache = _forward(params.stacked, X2)
     Q, R = U
 
     if loss_kind == "infonce":
         out = info_nce(Q, R, loss_cfg, logit_scale=params.logit_scale)
         dQ, dR, dscale = out.grad_queries, out.grad_references, out.grad_logit_scale
     else:
-        n = Q.shape[0]
-        if n < 2:
-            raise ValidationError("triplet losses need at least two pairs per batch")
         # one negative per anchor: the next batch member's reference (hard
         # when the sampler filled the batch with the anchor's neighbours)
-        neg = np.roll(np.arange(n), -1)
+        negatives = np.roll(R, -1, axis=0)
         if loss_kind == "triplet":
-            out = triplet_loss(Q, R, R[neg], margin=loss_cfg.triplet_margin)
+            out = triplet_loss(Q, R, negatives, margin=loss_cfg.triplet_margin)
         else:
-            out = soft_margin_triplet_loss(Q, R, R[neg])
+            out = soft_margin_triplet_loss(Q, R, negatives)
         dQ = out.grad_queries
-        dR = out.grad_references.copy()
-        np.add.at(dR, neg, out.grad_negatives)
+        dR = out.grad_references + np.roll(out.grad_negatives, 1, axis=0)
         dscale = 0.0
 
-    # one row of q.* gradients per view; separate encoders' rows are the
-    # q.* and r.* halves of theta's gradient itself, a shared encoder's
-    # gradient is their sum
+    # one row of q.* gradients per view, split as params.stacked splits
+    # theta; separate encoders' rows are the q.* and r.* halves of theta's
+    # gradient itself, a shared encoder's gradient is their sum
     theta_grad = np.empty_like(params.theta)
     per_view = (np.empty((2, params.theta.size - 1)) if params.shared_weights
                 else theta_grad[:-1].reshape(2, -1))
-    tensors = list(params.layout.values())[:len(_TENSORS)]
-    _backward(w, cache, np.array((dQ, dR)),
-              [per_view[:, s].reshape(2, *shape) for s, shape in tensors])
+    _backward(params.stacked, cache, np.array((dQ, dR)), _view_pairs(per_view, params.layout))
     if params.shared_weights:
         np.add(per_view[0], per_view[1], out=theta_grad[:-1])
     theta_grad[-1] = dscale
@@ -533,7 +528,7 @@ def train(
             params.theta[-1] = clamp_logit_scale(params.logit_scale, cfg.loss.logit_scale_max)
             losses.append(loss)
 
-        U, _ = _forward(_stacked(params), X2[:, n_train:].astype(np.float64))
+        U, _ = _forward(params.stacked, X2[:, n_train:].astype(np.float64))
         report = retrieval_report(U[0], U[1], *holdout_links)
         history.append(
             {"epoch": epoch, "loss": float(np.mean(losses)) if losses else 0.0,

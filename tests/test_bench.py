@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import oracles
-from crossview import sampler, trainer
+from crossview import datasets, evaluation, sampler, trainer
 from crossview.datasets import Coordinate, EmbeddingTable, SynthConfig, generate_synthetic
 from crossview.geo import geo_topk
 from crossview.simsearch import l2_normalize, visual_topk
@@ -75,6 +75,44 @@ def test_gate_accepts_pools():
     gate.check_pools("geo.topk", (coords, coords, 16), geo_topk(coords, coords, 16), rng)
     gate.check_pools("simsearch.topk", (queries, references, 16),
                      visual_topk(queries, references, 16), rng)
+
+
+def test_gate_passes_the_library_call_path(tmp_path):
+    # the gate's checks on what the library itself hands them, as the harness
+    # calls it: a manifest read back from disk, pools built by the sampler
+    # under the top-K wrappers, both epochs' plans, and a report of the first
+    # 80% of the queries
+    gate, tracer = load_bench("gate"), load_bench("tracer")
+    generated = generate_synthetic(SynthConfig(n_pairs=300, seed=4))
+    records, queries, references = generated
+    datasets.write_manifest(records, tmp_path / "manifest.jsonl")
+    datasets.write_embeddings(queries, tmp_path / "query.emb")
+    datasets.write_embeddings(references, tmp_path / "reference.emb")
+    loaded = (datasets.load_manifest(tmp_path / "manifest.jsonl"),
+              datasets.read_embeddings(tmp_path / "query.emb"),
+              datasets.read_embeddings(tmp_path / "reference.emb"))
+    gate.check_roundtrip(generated, loaded)
+    records, queries, references = loaded
+    gate.check_nearest_row_matches_oracle([r.coord for r in records])
+
+    cfg = sampler.SamplerConfig(batch_size=16, pool_size=16, picks_per_anchor=8,
+                                strategy="gps_then_dss", gps_epochs=1)
+    rng = np.random.default_rng(0)
+    recorder, watch = tracer.Recorder("untraced"), gate.PoolWatch(check_rows=True, rng=rng)
+    recorder.on_topk = watch.observe
+    with recorder.installed():
+        pools = [sampler.build_geo_pools(records, cfg),
+                 sampler.build_sim_pools(l2_normalize(queries), l2_normalize(references), cfg)]
+    assert watch.error is None
+    assert watch.digest() != gate.PoolWatch(check_rows=False, rng=None).digest()  # it saw pools
+    plans = [sampler.plan_epoch(records, p, cfg, epoch, sampler.plan_rng(cfg, epoch))
+             for epoch, p in enumerate(pools)]
+    gate.check_plans(plans, records, cfg, (0, 1))
+
+    n_q = math.ceil(0.8 * len(records))
+    held = (EmbeddingTable(queries.data[:n_q], queries.row_ids[:n_q]), references, records[:n_q])
+    gate.check_report(evaluation.evaluate(*held), *held)
+    gate.check_against_oracles(*held, rng)
 
 
 def _digest_of(lines):

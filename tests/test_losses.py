@@ -191,7 +191,7 @@ class TestInfoNce:
             assert out.grad_references.tobytes() == dr.tobytes()
 
     @pytest.mark.parametrize("direction", ["symmetric", "query_to_ref", "ref_to_query"])
-    @pytest.mark.parametrize("n", [17, 40])
+    @pytest.mark.parametrize("n", [17, 40, 128])
     def test_wide_batches_match_the_plain_expressions(self, direction, n):
         # the in-place temporaries keep the memory order of the plain
         # expressions, which decides the order of each row sum and gemm

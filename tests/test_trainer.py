@@ -11,7 +11,7 @@ import pytest
 from crossview.datasets import EmbeddingTable, SynthConfig, generate_synthetic, write_embeddings
 from crossview import datasets, trainer
 from crossview.errors import ValidationError
-from crossview.losses import LossConfig
+from crossview.losses import LossConfig, soft_margin_triplet_loss, triplet_loss
 from crossview.sampler import SamplerConfig, build_geo_pools, build_sim_pools, plan_epoch
 from crossview.trainer import (
     AXES,
@@ -77,14 +77,20 @@ class TestEncoderParams:
         p = init_params(rng, 3, 4, 2, shared_weights=shared, logit_scale=1.5)
         encoders = [p.query] if shared else [p.query, p.reference]
         assert (p.reference is p.query) == shared
+        assert (p.stacked is p.query) == shared
         assert all(a is b for a, b in zip((p.W1, p.b1, p.W2, p.b2), p.query, strict=True))
         for w in encoders:
             assert [t.shape for t in w] == [(3, 4), (4,), (4, 2), (2,)]
         np.testing.assert_array_equal(
             np.concatenate([t.ravel() for w in encoders for t in w] + [[1.5]]), p.theta
         )
-        p.theta[:] = 0.25  # an in-place change of theta moves both encoders
-        for w in (p.query, p.reference):
+        if not shared:  # each query tensor and its reference twin as one view
+            assert [t.shape for t in p.stacked] == [(2, 3, 4), (2, 1, 4), (2, 4, 2), (2, 1, 2)]
+            for stack, q, r in zip(p.stacked, p.query, p.reference, strict=True):
+                np.testing.assert_array_equal(stack.reshape(2, *q.shape), np.stack((q, r)))
+        assert all(np.shares_memory(t, p.theta) for t in p.stacked)
+        p.theta[:] = 0.25  # an in-place change of theta moves both encoders and the stacks
+        for w in (p.query, p.reference, p.stacked):
             assert all(np.all(t == 0.25) for t in w)
         assert p.logit_scale == 0.25
 
@@ -313,6 +319,43 @@ class TestGradcheck:
         assert report["max"] > 1e-2
 
 
+def scattered_objective(params, X2, loss_kind, margin):
+    """The triplet objectives with each anchor's negative gathered through an
+    index array and its gradient scattered back by np.add.at."""
+    U, cache = trainer._forward(params.stacked, X2)
+    Q, R = U
+    neg = np.roll(np.arange(len(Q)), -1)
+    if loss_kind == "triplet":
+        out = triplet_loss(Q, R, R[neg], margin=margin)
+    else:
+        out = soft_margin_triplet_loss(Q, R, R[neg])
+    dR = out.grad_references.copy()
+    np.add.at(dR, neg, out.grad_negatives)
+    per_view = np.empty((2, (params.theta.size - 1) // (1 if params.shared_weights else 2)))
+    trainer._backward(params.stacked, cache, np.array((out.grad_queries, dR)),
+                      trainer._view_pairs(per_view, params.layout))
+    encoders = per_view[0] + per_view[1] if params.shared_weights else per_view.ravel()
+    return out.loss, np.append(encoders, 0.0)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("loss_kind", LOSS_KINDS[1:])
+@pytest.mark.parametrize("n", [2, 3, 17, 40])
+def test_triplet_negatives_roll_as_they_scattered(shared, loss_kind, n):
+    # the rolled negatives' gradient, added one row down, has the bits of
+    # np.add.at over the index array, also where two references are equal
+    loss_cfg = LossConfig()
+    for seed in range(3):
+        params = init_params(np.random.default_rng([n, seed]), 6, 8, 4, shared)
+        X2 = np.random.default_rng([n, seed, 1]).standard_normal((2, n, 6))
+        X2[1, -1] = X2[1, 0]  # a repeated reference row
+        loss, grad = trainer._batch_objective(params, X2, loss_cfg, loss_kind)
+        expected_loss, expected = scattered_objective(params, X2, loss_kind,
+                                                      loss_cfg.triplet_margin)
+        assert loss == expected_loss
+        assert grad.tobytes() == expected.tobytes()
+
+
 class TestStepBudget:
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
@@ -355,7 +398,7 @@ class TestStepBudget:
         X2 = np.random.default_rng(1).standard_normal((2, 1500, d_in)).astype(np.float32)
         encode(params, X2[0])  # imports what the forward pass needs
         for run in (lambda: encode(params, X2.reshape(3000, d_in), "reference"),
-                    lambda: trainer._forward(trainer._stacked(params), X2.astype(np.float64))):
+                    lambda: trainer._forward(params.stacked, X2.astype(np.float64))):
             tracemalloc.start()
             try:
                 run()
