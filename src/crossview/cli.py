@@ -45,7 +45,7 @@ from .datasets import (
     write_manifest,
 )
 from .errors import ValidationError, check_setting, setting
-from .evaluation import evaluate, score_bytes
+from .evaluation import RECALL_KS, evaluate, score_bytes
 from .sampler import (
     build_geo_pools,
     build_sim_pools,
@@ -56,7 +56,8 @@ from .sampler import (
     write_plan,
 )
 from .simsearch import l2_normalize
-from .trainer import AXES, TrainResult, ablation_configs, gradcheck, save_params, train
+from .trainer import (AXES, GRADCHECK_PAIRS, TrainResult, ablation_configs, gradcheck,
+                      save_params, train)
 
 
 def _hash8(data: bytes) -> str:
@@ -211,7 +212,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_ablate(args) -> int:
     bundle = _load_bundle(args)
     axis = args.axis
-    configs = ablation_configs(bundle.train, axis, args.seeds)
+    grid = ablation_configs(bundle.train, axis, args.seeds)
     records, queries, references = generate_synthetic(bundle.synth)
     # the hash train gives the files gen-synth writes for this dataset
     dataset_hash = _dataset_hash(manifest_text(records).encode("utf-8"),
@@ -219,21 +220,17 @@ def cmd_ablate(args) -> int:
     out_csv = Path(args.out)
     out_csv.parent.mkdir(parents=True, exist_ok=True)
 
-    runs = []
-    for i, cfg in enumerate(configs):
-        report = train(records, queries, references, cfg, bundle.geo).holdout
-        recall = report.recall_at
-        runs.append({axis: AXES[axis][i // args.seeds], "seed": i % args.seeds,
-                     "r_at_1": recall[1], "r_at_5": recall[5], "r_at_10": recall[10],
-                     "r_at_1pct": report.recall_at_1pct, "hit_rate": report.hit_rate})
-
-    metrics = ("r_at_1", "r_at_5", "r_at_10", "r_at_1pct", "hit_rate")
-    rows = []
-    for value in AXES[axis]:
-        per_seed = [run for run in runs if run[axis] == value]
+    metrics = (*(f"r_at_{k}" for k in RECALL_KS), "r_at_1pct", "hit_rate")
+    runs, rows = [], []
+    for value, configs in grid.items():
+        for seed, cfg in enumerate(configs):
+            report = train(records, queries, references, cfg, bundle.geo).holdout
+            runs.append({axis: value, "seed": seed,
+                         **{f"r_at_{k}": report.recall_at[k] for k in RECALL_KS},
+                         "r_at_1pct": report.recall_at_1pct, "hit_rate": report.hit_rate})
         row = {axis: value, "seeds": args.seeds, "dataset_hash": dataset_hash}
-        for key in metrics:
-            values = [m[key] for m in per_seed if m[key] is not None]
+        for key in metrics:  # medians over this value's runs, the last len(configs) of runs
+            values = [m[key] for m in runs[-len(configs):] if m[key] is not None]
             row[key] = statistics.median(values) if values else None
         rows.append(row)
 
@@ -247,9 +244,9 @@ def cmd_ablate(args) -> int:
     def fmt(value):
         return "n/a" if value is None else f"{value:.4f}"
 
-    width = max(len(value) for value in AXES[axis])
+    width = max(map(len, grid))
     for row in rows:
-        print(f"{row[axis]:>{width}}  R@1={fmt(row['r_at_1'])}  "
+        print(f"{row[axis]:>{width}}  R@{RECALL_KS[0]}={fmt(row[metrics[0]])}  "
               f"hit_rate={fmt(row['hit_rate'])}")
     return 0
 
@@ -258,7 +255,7 @@ def cmd_ablate(args) -> int:
 # main checks each one with check_setting before any command starts
 _OPTIONS = {
     "epoch": setting(0, ge=0),
-    "n": setting(8, ge=2),  # one pair has no negative to check against
+    "n": GRADCHECK_PAIRS,
     "inits": setting(1, ge=1),
     "tol": setting(1e-6, gt=0),  # a float setting is finite: worst > nan could never fail
     "seeds": setting(5, ge=1),

@@ -17,7 +17,7 @@ from operator import add
 import numpy as np
 
 from .datasets import EmbeddingTable, SampleRecord, json_line, require_aligned, require_heap
-from .errors import ValidationError
+from .errors import ValidationError, first_repeat
 from .neighbors import BLOCK_BYTES, block_rows
 # cosine_matrix stays importable here: the bench tracer binds evaluation.cosine_matrix
 from .simsearch import cosine_matrix, similarity_blocks, unit32  # noqa: F401
@@ -171,11 +171,10 @@ def average_precision(ranking: list[int], positives: set[int]) -> float:
     """
     if not positives:
         raise ValidationError("positives must be non-empty")
-    if len(set(ranking)) < len(ranking):
-        first = {}
-        rank, ref = next((rank, ref) for rank, ref in enumerate(ranking, start=1)
-                         if first.setdefault(ref, rank) != rank)
-        raise ValidationError(f"reference {ref!r} is ranked twice: {first[ref]} and {rank}")
+    repeat = first_repeat(ranking)
+    if repeat:
+        i, j = repeat
+        raise ValidationError(f"reference {ranking[j]!r} is ranked twice: {i + 1} and {j + 1}")
     ranks = [rank for rank, ref in enumerate(ranking, start=1) if ref in positives]
     # reduce adds left to right on every Python; sum() compensates from 3.12 on
     total = reduce(add, (found / rank for found, rank in enumerate(ranks, start=1)), 0.0)

@@ -205,7 +205,7 @@ def triplet_loss(
     anchor: np.ndarray,
     positive: np.ndarray,
     negative: np.ndarray,
-    margin: float = 0.3,
+    margin: float = LossConfig.triplet_margin,
 ) -> LossOutput:
     """Hinge triplet loss, mean over rows of max(0, d(a,p)^2 - d(a,n)^2 + margin).
 

@@ -471,7 +471,7 @@ def train(
     train_records, train_ids = manifest[:n_train], query_features.row_ids[:n_train]
     # link rows stay sorted, each once, under a filter and a constant shift
     holdout_links = [links[links[:, 1] >= n_train] - (0, n_train)
-                     for links in resolve_links(manifest[n_train:], tuple(r.id for r in manifest))]
+                     for links in resolve_links(manifest[n_train:], query_features.row_ids)]
     orphans = np.flatnonzero(np.bincount(holdout_links[0][:, 0], minlength=n - n_train) == 0)
     if orphans.size:
         raise ValidationError(f"record {manifest[n_train + orphans[0]].id!r} has no positives "
@@ -544,31 +544,35 @@ def train(
     )
 
 
-def ablation_configs(cfg: TrainConfig, axis: str, seeds: int) -> list[TrainConfig]:
-    """cfg with the axis field (sampler.strategy or loss_kind) set to each
-    value of AXES[axis] in order, each at seed offsets s = 0..seeds-1; an
-    offset shifts both train.seed and sampler.seed by s."""
+def ablation_configs(cfg: TrainConfig, axis: str, seeds: int) -> dict[str, list[TrainConfig]]:
+    """The grid of one axis: each value of AXES[axis], in order, to cfg with
+    the axis field (sampler.strategy or loss_kind) set to it at seed offsets
+    s = 0..seeds-1, list index s; an offset shifts train.seed and sampler.seed."""
     if axis not in AXES:
         raise ValidationError(f"axis {axis!r} not in {tuple(AXES)}")
     if seeds < 1:
         raise ValidationError(f"seeds={seeds} must be >= 1")
-    runs = []
+    grid = {}
     for value in AXES[axis]:
         base = (replace(cfg, loss_kind=value) if axis == "loss"
                 else replace(cfg, sampler=replace(cfg.sampler, strategy=value)))
-        runs += [replace(base, seed=base.seed + s,
-                         sampler=replace(base.sampler, seed=base.sampler.seed + s))
-                 for s in range(seeds)]
-    return runs
+        grid[value] = [replace(base, seed=base.seed + s,
+                               sampler=replace(base.sampler, seed=base.sampler.seed + s))
+                       for s in range(seeds)]
+    return grid
 
 
 # ---------------------------------------------------------------------------
 # gradient checking
 
 
+# gradcheck's n, the CLI's --n: one pair has no in-batch negative, so no gradient
+GRADCHECK_PAIRS = setting(8, ge=2)
+
+
 def gradcheck(
     cfg: TrainConfig,
-    n: int = 8,
+    n: int = GRADCHECK_PAIRS.default,
     d_in: int = 16,
     seed: int = 0,
     step: float = 1e-5,
@@ -582,8 +586,7 @@ def gradcheck(
     the larger of the two gradients' sup-norms (absolute when both
     vanish).
     """
-    if n < 2:  # one pair has no in-batch negative: every gradient vanishes
-        raise ValidationError(f"gradcheck needs n >= 2 pairs, got n={n}")
+    check_setting("gradcheck n", GRADCHECK_PAIRS, n)
     require_heap(step_bytes(d_in, cfg, n), f"gradcheck n={n} ({n} rows per step) with train."
                  f"hidden_dim={cfg.hidden_dim}, train.embed_dim={cfg.embed_dim} and {d_in} input "
                  f"features")

@@ -16,7 +16,7 @@ from crossview.config import parse_config
 from crossview.datasets import EmbeddingTable, load_manifest, read_embeddings, write_embeddings
 from crossview.datasets import generate_synthetic
 from crossview.sampler import read_plan, write_plan
-from crossview.trainer import LOSS_KINDS, gradcheck, train
+from crossview.trainer import AXES, LOSS_KINDS, gradcheck, train
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -120,6 +120,20 @@ class TestPlan:
             "--epoch", "0", "--out", str(out),
         ])
         assert rc == 1  # validation error: no coordinates
+
+    @pytest.mark.parametrize("strategy, with_manifest, message", [
+        ("dss", True, "DSS planning needs --embeddings Q.emb R.emb"),
+        ("random", False, "random planning needs --manifest or --embeddings"),
+    ], ids=["dss", "random"])
+    def test_plan_without_the_inputs_its_strategy_needs(self, tmp_path, capsys, strategy,
+                                                        with_manifest, message):
+        data = gen_dataset(tmp_path)
+        given = ["--manifest", str(data / "manifest.jsonl")] if with_manifest else []
+        rc = main(["plan", *TINY_TRAIN, "--set", f"sampler.strategy={strategy}", *given,
+                   "--epoch", "0", "--out", str(tmp_path / "plan.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "plan.jsonl").exists()
 
     def test_gps_plan_with_manifest(self, tmp_path):
         data = gen_dataset(tmp_path)
@@ -401,6 +415,14 @@ class TestTrain:
 
 
 class TestEval:
+    def test_table_shorter_than_its_header_named(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path)
+        (data / "query.emb").write_bytes(b"EMB1\x32\x00\x00")  # 7 of 12 header bytes
+        rc = main(["eval", "--query", str(data / "query.emb"), "--ref",
+                   str(data / "reference.emb"), "--manifest", str(data / "manifest.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {data / 'query.emb'}: truncated header\n"
+
     def test_report_written(self, tmp_path):
         data = gen_dataset(tmp_path)
         out = tmp_path / "report.json"
@@ -658,6 +680,32 @@ class TestAblate:
         for run in runs:
             cfg = replace(bundle.train, loss_kind=run["loss"])
             assert run["r_at_1"] == train(*data, cfg, bundle.geo).history[-1]["r1"]
+
+    @pytest.mark.parametrize("axis", AXES)
+    def test_each_run_labelled_by_its_value_and_seed_offset(self, tmp_path, axis):
+        # each JSON run reports the training of the config its labels name:
+        # the axis value, at train.seed and sampler.seed shifted by its seed;
+        # 200 pairs hold out 20, enough for the seed offset to move R@1
+        overrides = [*TINY_SYNTH, "--set", "synth.n_pairs=200", *TINY_TRAIN]
+        out = tmp_path / "table.csv"
+        assert main(["ablate", "--axis", axis, *overrides, "--seeds", "2",
+                     "--out", str(out)]) == 0
+        runs = json.loads(out.with_suffix(".json").read_text())["runs"]
+        assert [(run[axis], run["seed"]) for run in runs] == [
+            (value, seed) for value in AXES[axis] for seed in (0, 1)]
+        bundle = parse_config(None, overrides[1::2])
+        data = generate_synthetic(bundle.synth)
+        finals = {}
+        for run in runs:
+            base, s = bundle.train, run["seed"]
+            cfg = replace(base, seed=base.seed + s,
+                          sampler=replace(base.sampler, seed=base.sampler.seed + s))
+            cfg = (replace(cfg, loss_kind=run[axis]) if axis == "loss"
+                   else replace(cfg, sampler=replace(cfg.sampler, strategy=run[axis])))
+            finals[run[axis], s] = train(*data, cfg, bundle.geo).history[-1]["r1"]
+            assert run["r_at_1"] == finals[run[axis], s]
+        # a swapped seed label would show: the offset moves some value's R@1
+        assert any(finals[value, 0] != finals[value, 1] for value in AXES[axis])
 
     def test_no_semi_positives_prints_na(self, tmp_path, capsys):
         out = tmp_path / "table.csv"

@@ -325,6 +325,11 @@ class TestEmbeddingTable:
                            match="^row ids must be unique: 'b' is row 1 and row 3$"):
             make_table(np.ones((5, 2), dtype=np.float32), ids="abcbb")
 
+    @pytest.mark.parametrize("ids", ["ab", "abcd"])
+    def test_row_id_count_must_match_rows(self, ids):
+        with pytest.raises(ValidationError, match=f"^{len(ids)} row ids for 3 rows$"):
+            make_table(np.ones((3, 2), dtype=np.float32), ids=ids)
+
     def test_ids_stored_as_a_tuple(self):
         data = np.ones((2, 3), dtype=np.float32)
         table = EmbeddingTable(data, ["a", "b"])

@@ -100,6 +100,16 @@ class TestPlanar:
 
 
 class TestGeoTopk:
+    def test_empty_anchor_list_rejected(self):
+        with pytest.raises(ValidationError, match="^empty coordinate list$"):
+            geo_topk([], [pla(0, 0), pla(1, 0)], K=1)
+
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_pool_size_below_one_rejected(self, K):
+        coords = [pla(0, 0), pla(1, 0)]
+        with pytest.raises(ValidationError, match="^K must be >= 1$"):
+            geo_topk(coords, coords, K=K)
+
     def test_three_collinear_points(self):
         coords = [pla(0, 0), pla(1, 0), pla(3, 0)]
         pools = geo_topk(coords, coords, K=1)

@@ -213,6 +213,27 @@ class TestInfoNce:
             target[0, 0] = 1.0
 
 
+class TestShapesRefused:
+    @pytest.mark.parametrize("loss, name", [
+        (lambda x, y: info_nce(x, y, LossConfig()), "queries"),
+        (lambda x, y: triplet_loss(x, y, y), "anchor"),
+    ], ids=["info_nce", "triplet"])
+    def test_batch_not_2d_named(self, loss, name):
+        with pytest.raises(ValidationError, match=rf"^{name} must be 2-D, got shape \(3,\)$"):
+            loss(np.ones(3), np.ones((2, 3)))
+
+    def test_empty_info_nce_batch_rejected(self):
+        with pytest.raises(ValidationError, match="^batch must contain at least one pair$"):
+            info_nce(np.ones((0, 3)), np.ones((0, 3)), LossConfig())
+
+    @pytest.mark.parametrize("loss", [triplet_loss, soft_margin_triplet_loss])
+    def test_triplet_shape_mismatch_names_all_three(self, loss):
+        a, p, n = np.ones((2, 3)), np.ones((2, 3)), np.ones((3, 3))
+        with pytest.raises(ValidationError, match=r"^shape mismatch: anchor \(2, 3\), "
+                                                  r"positive \(2, 3\), negative \(3, 3\)$"):
+            loss(a, p, n)
+
+
 class TestTripletLoss:
     def test_satisfied_margin_zero_loss(self):
         a = np.array([[1.0, 0.0]])

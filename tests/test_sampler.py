@@ -269,6 +269,29 @@ class TestPlanEpoch:
                            match=rf"^batch entry {entry} outside \[0, 3\) in batch "):
             validate_plan(BatchPlan(0, batches, "random"), records, SamplerConfig(batch_size=2))
 
+    def test_oversized_batch_named(self):
+        records = records_at([(0, 0), (1, 0), (2, 0)])
+        with pytest.raises(ValidationError, match="^batch of 3 exceeds batch_size 2$"):
+            validate_plan(BatchPlan(0, ((0, 1, 2),), "random"), records, SamplerConfig(batch_size=2))
+
+    def test_repeated_class_named(self):
+        records = records_at([(0, 0), (1, 0), (2, 0)], class_ids=["c0", "c1", "c0"])
+        with pytest.raises(ValidationError, match=r"^duplicate class in batch \(0, 2\)$"):
+            validate_plan(BatchPlan(0, ((0, 2), (1,)), "random"), records,
+                          SamplerConfig(batch_size=2))
+
+    def test_zero_records_rejected(self):
+        cfg = SamplerConfig(strategy="random")
+        with pytest.raises(ValidationError, match="^cannot plan an epoch over zero records$"):
+            plan_epoch([], None, cfg, 0, plan_rng(cfg, 0))
+
+    def test_pools_of_other_records_rejected(self):
+        records = records_at([(x, 0) for x in range(5)])
+        cfg = SamplerConfig(batch_size=2, pool_size=2, picks_per_anchor=2, strategy="gps")
+        pools = build_geo_pools(records, cfg)
+        with pytest.raises(ValidationError, match="^5 pools for 4 records$"):
+            plan_epoch(records[:4], pools, cfg, 0, plan_rng(cfg, 0))
+
     def test_empty_batch_named(self, tmp_path):
         # read_plan and validate_plan both used to accept an empty batch
         path = tmp_path / "plan.jsonl"
@@ -352,6 +375,10 @@ class TestStrategySchedule:
     def test_random_never_refreshes(self):
         cfg = SamplerConfig(strategy="random")
         assert not any(should_refresh(e, cfg) for e in range(20))
+
+    def test_negative_epoch_rejected(self):
+        with pytest.raises(ValidationError, match="^epoch must be >= 0$"):
+            should_refresh(-1, SamplerConfig(strategy="dss"))
 
     def test_pure_dss_refreshes_from_epoch_zero(self):
         cfg = SamplerConfig(strategy="dss", refresh_every=4)

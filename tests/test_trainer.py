@@ -54,6 +54,15 @@ class TestEncoderParams:
         with pytest.raises(ValidationError, match="theta must be"):
             EncoderParams(p.theta, 4, 8, 3, shared_weights=True)
 
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_non_finite_entry_names_its_tensor(self, shared):
+        params = init_params(np.random.default_rng(0), 4, 8, 3, shared)
+        name = "q.b2" if shared else "r.b1"
+        theta = params.theta.copy()
+        theta[params.layout[name][0].start + 1] = np.nan
+        with pytest.raises(ValidationError, match=f"^non-finite entries in parameter '{name}'$"):
+            EncoderParams(theta, 4, 8, 3, shared)
+
     def test_separate_requires_reference_set(self):
         rng = np.random.default_rng(0)
         p = init_params(rng, 4, 8, 3)
@@ -144,6 +153,17 @@ class TestEncode:
         assert not np.allclose(encode(params, x, "query").data,
                                encode(params, x, "reference").data)
 
+    def test_inputs_not_2d_named(self):
+        params = init_params(np.random.default_rng(4), 3, 4, 2)
+        with pytest.raises(ValidationError, match=r"^inputs must be 2-D, got shape \(3,\)$"):
+            encode(params, np.ones(3))
+
+    def test_unknown_view_named(self):
+        params = init_params(np.random.default_rng(4), 3, 4, 2)
+        with pytest.raises(ValidationError,
+                           match="^view must be 'query' or 'reference', got 'aerial'$"):
+            encode(params, np.ones((2, 3)), "aerial")
+
     @pytest.mark.parametrize("view", ["query", "reference"])
     def test_input_width_named(self, view):
         params = init_params(np.random.default_rng(4), 6, 10, 5, shared_weights=False)
@@ -167,6 +187,10 @@ class TestEncode:
 class TestLrSchedule:
     def test_step_zero_is_zero(self):
         assert lr_at(0, 10, tiny_config(epochs=4)) == 0.0
+
+    def test_negative_step_rejected(self):
+        with pytest.raises(ValidationError, match="^step must be >= 0$"):
+            lr_at(-1, 10, tiny_config(epochs=4))
 
     def test_end_of_warmup_is_lr_max(self):
         cfg = tiny_config(epochs=4)
@@ -542,6 +566,40 @@ class TestTrain:
         assert lrs[-1] == result.history[-1]["lr"] == 0.0
         assert lrs[0] == 0.0 and all(lr > 0.0 for lr in lrs[1:-1])
 
+    @pytest.mark.parametrize("loss_kind", ["triplet", "soft_margin_triplet"])
+    def test_triplet_losses_skip_lone_pairs(self, monkeypatch, loss_kind):
+        # 22 training pairs in batches of 3 leave a lone pair, which has no
+        # in-batch negative: it takes no step, adds no loss and sets no lr
+        records, q, r = separable_data(n=24, noise=0.2)
+        losses, lrs = [], []
+        objective, adamw_step = trainer._batch_objective, trainer.adamw_step
+
+        def objective_spy(*args):
+            loss, grad = objective(*args)
+            losses.append(loss)
+            return loss, grad
+
+        def step_spy(params, grad, state, lr, cfg):
+            lrs.append(lr)
+            return adamw_step(params, grad, state, lr, cfg)
+
+        monkeypatch.setattr(trainer, "_batch_objective", objective_spy)
+        monkeypatch.setattr(trainer, "adamw_step", step_spy)
+        cfg = tiny_config(epochs=3, loss_kind=loss_kind,
+                          sampler=replace(TINY_SAMPLER, batch_size=3))
+        result = train(records, q, r, cfg)
+        start = 0  # the epoch's first step
+        for plan, record in zip(result.plans, result.history, strict=True):
+            stepped = [i for i, batch in enumerate(plan.batches) if len(batch) > 1]
+            assert len(stepped) < len(plan.batches)  # the plan holds a lone pair
+            end = start + len(stepped)
+            offset = plan.epoch * len(plan.batches)
+            assert lrs[start:end] == [lr_at(offset + i, len(plan.batches), cfg) for i in stepped]
+            assert record["loss"] == float(np.mean(losses[start:end]))
+            assert record["lr"] == lrs[end - 1]
+            start = end
+        assert len(losses) == len(lrs) == start
+
     def test_triplet_loss_kind_runs(self):
         records, q, r = separable_data(noise=0.2)
         cfg = tiny_config(epochs=2, loss_kind="triplet")
@@ -632,18 +690,20 @@ class TestTrain:
 @pytest.mark.parametrize("axis", ["strategy", "loss"])
 def test_ablation_configs(axis):
     base = tiny_config(seed=3, sampler=replace(TINY_SAMPLER, seed=7), loss_kind="triplet")
-    configs = ablation_configs(base, axis, 2)
+    grid = ablation_configs(base, axis, 2)
 
     def fields_of(cfg):
         return {**{f"train.{k}": v for k, v in vars(cfg).items() if k != "sampler"},
                 **{f"sampler.{k}": v for k, v in vars(cfg.sampler).items()}}
 
     field = {"strategy": "sampler.strategy", "loss": "train.loss_kind"}[axis]
-    assert [fields_of(c)[field] for c in configs] == [v for v in AXES[axis] for _ in (0, 1)]
-    assert [(c.seed, c.sampler.seed) for c in configs] == [(3, 7), (4, 8)] * len(AXES[axis])
-    for cfg in configs:  # only the axis field and the two seeds move
-        moved = {k for k, v in fields_of(base).items() if fields_of(cfg)[k] != v}
-        assert moved <= {field, "train.seed", "sampler.seed"}
+    assert list(grid) == list(AXES[axis])
+    for value, configs in grid.items():  # list index s is seed offset s
+        assert [fields_of(c)[field] for c in configs] == [value, value]
+        assert [(c.seed, c.sampler.seed) for c in configs] == [(3, 7), (4, 8)]
+        for cfg in configs:  # only the axis field and the two seeds move
+            moved = {k for k, v in fields_of(base).items() if fields_of(cfg)[k] != v}
+            assert moved <= {field, "train.seed", "sampler.seed"}
     with pytest.raises(ValidationError, match="axis"):
         ablation_configs(base, "lr_max", 2)
     with pytest.raises(ValidationError, match="seeds"):
