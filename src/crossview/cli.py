@@ -56,8 +56,8 @@ from .sampler import (
     write_plan,
 )
 from .simsearch import l2_normalize
-from .trainer import (AXES, GRADCHECK_PAIRS, TrainResult, ablation_configs, gradcheck,
-                      save_params, train)
+from .trainer import (ABLATION_SEEDS, AXES, GRADCHECK_PAIRS, TrainResult, ablation_configs,
+                      gradcheck, save_params, train)
 
 
 def _hash8(data: bytes) -> str:
@@ -258,7 +258,7 @@ _OPTIONS = {
     "n": GRADCHECK_PAIRS,
     "inits": setting(1, ge=1),
     "tol": setting(1e-6, gt=0),  # a float setting is finite: worst > nan could never fail
-    "seeds": setting(5, ge=1),
+    "seeds": ABLATION_SEEDS,
 }
 
 

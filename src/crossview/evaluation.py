@@ -18,7 +18,7 @@ import numpy as np
 
 from .datasets import EmbeddingTable, SampleRecord, json_line, require_aligned, require_heap
 from .errors import ValidationError, first_repeat
-from .neighbors import BLOCK_BYTES, block_rows
+from .neighbors import BLOCK_BYTES, block_rows, small_buffer
 # cosine_matrix stays importable here: the bench tracer binds evaluation.cosine_matrix
 from .simsearch import cosine_matrix, similarity_blocks, unit32  # noqa: F401
 
@@ -39,6 +39,7 @@ class RetrievalReport:
         return json_line({**asdict(self), "recall_at": recall_at})
 
 
+@small_buffer
 def _positive_ranks(scores: Callable[[np.ndarray], np.ndarray], n_q: int, n_r: int,
                     positives: np.ndarray, semi_positives: np.ndarray) -> tuple[np.ndarray, ...]:
     """Rank of each query's positives under descending similarity, for link

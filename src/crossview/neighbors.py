@@ -46,16 +46,53 @@ where two of the first K + 1 sorted keys compare equal. ``nearest_k`` runs
 it once per batch of blocks, so one-row blocks do not pay it row by row.
 A row with many ties at its K-th key keeps every tie, and its cost falls
 back to a sort's.
+
+The three block kernels, ``nearest_k``, ``planar_nearest_k`` and
+``evaluation._positive_ranks``, run under ``small_buffer``: numpy's ufunc
+buffer shrunk to UFUNC_BUFSIZE elements for the call, callbacks included.
+Each compares a block with a per-row column (``block >= cut`` in
+``_survivors``, ``rows > s`` and ``rows == s`` in the rank count, the
+anchor columns in ``planar_keys``). When a block row holds at most half of
+the buffer, numpy copies the broadcast column into its buffer before it
+compares; on rows wider than that it compares in place. With numpy 2.4.6's
+default 8,192-element buffer, ``rows > s`` on a 40 x 2000 block takes
+48-59 us, and 12-16 us with a 2,048-element buffer; 16-row blocks cost
+0.56-0.69 ns per element at widths up to 4,096 and 0.15 ns from 4,500.
+At 512 elements every row wider than 256 columns takes the fast loop.
+The outputs are the same bytes under any buffer, by construction: these
+kernels hold no float sum, only element-wise operations, max/min and
+integer or boolean counts, and their gemm goes to BLAS. The caller's
+buffer size is restored when the kernel returns or raises. A new thread
+starts at numpy's default buffer, so a worker thread that runs part of a
+kernel must enter ``small_buffer`` itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
 import numpy as np
 
 BLOCK_BYTES = 640 * 1024
+UFUNC_BUFSIZE = 512  # elements, for the block kernels; numpy's default is 8192
+
+
+def small_buffer(kernel):
+    """``kernel`` run under a ufunc buffer of UFUNC_BUFSIZE elements, its
+    callbacks included. ``np.errstate`` restores numpy's buffer size when
+    the call returns or raises (numpy >= 2.0 keeps it with the error state),
+    so the caller's numpy state never changes; ``__wrapped__`` is the kernel
+    under the caller's buffer."""
+
+    @functools.wraps(kernel)
+    def run(*args, **kwargs):
+        with np.errstate():
+            np.setbufsize(UFUNC_BUFSIZE)
+            return kernel(*args, **kwargs)
+
+    return run
 
 
 def block_rows(width):
@@ -132,6 +169,7 @@ def _first_k(row: np.ndarray, col: np.ndarray, key: np.ndarray, n_rows: int, K: 
     return np.take_along_axis(cols, first, 1), np.take_along_axis(keys, first, 1)
 
 
+@small_buffer
 def nearest_k(
     keys: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, n_cols: int, K: int,
     largest: bool = False,
@@ -182,6 +220,7 @@ def nearest_k(
     return indices, np.negative(nearest, out=nearest) if largest else nearest
 
 
+@small_buffer
 def planar_nearest_k(
     anchors: np.ndarray, candidates: np.ndarray, K: int
 ) -> tuple[np.ndarray, np.ndarray]:

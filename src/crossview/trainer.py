@@ -544,14 +544,17 @@ def train(
     )
 
 
+# ablation_configs' seed offsets per axis value, the CLI's --seeds
+ABLATION_SEEDS = setting(5, ge=1)
+
+
 def ablation_configs(cfg: TrainConfig, axis: str, seeds: int) -> dict[str, list[TrainConfig]]:
     """The grid of one axis: each value of AXES[axis], in order, to cfg with
     the axis field (sampler.strategy or loss_kind) set to it at seed offsets
     s = 0..seeds-1, list index s; an offset shifts train.seed and sampler.seed."""
     if axis not in AXES:
         raise ValidationError(f"axis {axis!r} not in {tuple(AXES)}")
-    if seeds < 1:
-        raise ValidationError(f"seeds={seeds} must be >= 1")
+    check_setting("seeds", ABLATION_SEEDS, seeds)
     grid = {}
     for value in AXES[axis]:
         base = (replace(cfg, loss_kind=value) if axis == "loss"

@@ -667,19 +667,27 @@ class TestAblate:
 
     def test_loss_axis_keeps_config_fields(self, tmp_path):
         # fields the axis does not vary reach train() as the config set them,
-        # and each run's R@1 is its last epoch's
-        overrides = [*TINY_SYNTH, *TINY_TRAIN, "--set", "train.shared_weights=false",
-                     "--set", "train.weight_decay=0.5", "--set", "sampler.strategy=gps"]
+        # and each run's R@1 is its last epoch's; 200 pairs hold out 20, enough
+        # for dropping any one kept field to move some loss's R@1
+        base = [*TINY_SYNTH, "--set", "synth.n_pairs=200", *TINY_TRAIN]
+        kept = ["train.shared_weights=false", "train.weight_decay=5.0", "sampler.strategy=gps"]
         out = tmp_path / "loss.csv"
-        rc = main(["ablate", "--axis", "loss", *overrides, "--seeds", "1", "--out", str(out)])
+        rc = main(["ablate", "--axis", "loss", *base, *(a for f in kept for a in ("--set", f)),
+                   "--seeds", "1", "--out", str(out)])
         assert rc == 0
         runs = json.loads(out.with_suffix(".json").read_text())["runs"]
         assert [run["loss"] for run in runs] == list(LOSS_KINDS)
-        bundle = parse_config(None, overrides[1::2])
-        data = generate_synthetic(bundle.synth)
-        for run in runs:
-            cfg = replace(bundle.train, loss_kind=run["loss"])
-            assert run["r_at_1"] == train(*data, cfg, bundle.geo).history[-1]["r1"]
+
+        def finals(fields):
+            bundle = parse_config(None, [*base[1::2], *fields])
+            data = generate_synthetic(bundle.synth)
+            return [train(*data, replace(bundle.train, loss_kind=kind), bundle.geo)
+                    .history[-1]["r1"] for kind in LOSS_KINDS]
+
+        want = finals(kept)
+        assert [run["r_at_1"] for run in runs] == want
+        for field in kept:  # a run that dropped this field would show
+            assert finals([f for f in kept if f != field]) != want
 
     @pytest.mark.parametrize("axis", AXES)
     def test_each_run_labelled_by_its_value_and_seed_offset(self, tmp_path, axis):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crossview import neighbors
+from crossview import evaluation, neighbors
 from crossview.datasets import Coordinate, EmbeddingTable
 from crossview.errors import ValidationError
-from crossview.geo import _check_planar_span, geo_topk
+from crossview.evaluation import link_arrays
+from crossview.geo import MEAN_EARTH_RADIUS_M, _check_planar_span, _haversine_block, geo_topk
 from crossview.neighbors import nearest_k, planar_keys, planar_nearest_k
-from crossview.simsearch import visual_topk
+from crossview.simsearch import similarity_blocks, visual_topk
 
 from oracles import brute_nearest_keys
 
@@ -442,3 +443,147 @@ def test_planar_peak_follows_the_block_budget():
     finally:
         tracemalloc.stop()
     assert peak < 8 * neighbors.BLOCK_BYTES
+
+
+# -- the block kernels' scoped ufunc buffer ----------------------------------
+
+KERNELS = ("nearest_k", "planar_nearest_k", "_positive_ranks")
+
+
+def kernel_call(monkeypatch, name, hook):
+    """(kernel, args) of a small call to the named kernel whose key or score
+    callback (``planar_keys`` for the grid) calls hook() before it scores."""
+    rng = np.random.default_rng(5)
+    if name == "nearest_k":
+        matrix = rng.standard_normal((20, 30))
+        return neighbors.nearest_k, (lambda part: hook() or matrix[part], np.arange(20), 30, 4)
+    if name == "planar_nearest_k":
+        score = neighbors.planar_keys
+        monkeypatch.setattr(neighbors, "planar_keys", lambda *a: hook() or score(*a))
+        points = rng.uniform(0, 1e3, (60, 2))
+        return neighbors.planar_nearest_k, (points, points, 4)
+    sim = rng.integers(0, 3, (20, 30)).astype(np.float64)
+    links = link_arrays([{i} for i in range(20)], [{i + 1} for i in range(20)], 20, 30)
+    return evaluation._positive_ranks, (lambda q: hook() or sim[q], 20, 30, *links)
+
+
+def default_buffer(kernel, *args):
+    """kernel's body under the caller's ufunc buffer, the grid's dense redo included."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbors, "nearest_k", neighbors.nearest_k.__wrapped__)
+        return kernel.__wrapped__(*args)
+
+
+def assert_same_bytes(got, want):
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("name", KERNELS)
+def test_kernel_keeps_the_callers_numpy_state(monkeypatch, name, raises):
+    def hook():
+        if raises:
+            raise KeyError("from the callback")
+
+    kernel, args = kernel_call(monkeypatch, name, hook)
+
+    def call_keeps_state():
+        state = np.getbufsize(), np.geterr()
+        if raises:
+            with pytest.raises(KeyError, match="from the callback"):
+                kernel(*args)
+        else:
+            kernel(*args)
+        assert (np.getbufsize(), np.geterr()) == state
+
+    with np.errstate(over="raise", under="warn"):  # a caller's own state
+        np.setbufsize(4096)
+        call_keeps_state()
+    call_keeps_state()  # numpy's default state, the one every thread starts in
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_callback_runs_under_the_small_buffer(monkeypatch, name):
+    seen = []
+    kernel, args = kernel_call(monkeypatch, name, lambda: seen.append(np.getbufsize()))
+    kernel(*args)
+    assert seen and set(seen) == {neighbors.UFUNC_BUFSIZE}
+    seen.clear()
+    default_buffer(kernel, *args)
+    assert seen and set(seen) == {np.getbufsize()} != {neighbors.UFUNC_BUFSIZE}
+
+
+# 1-row blocks and the default budget
+BUFFER_BUDGETS = pytest.mark.parametrize("budget", [8, None], ids=["1-row", "default budget"])
+
+
+@BUFFER_BUDGETS
+@pytest.mark.parametrize("n_cols", [300, 5000])  # rows narrower and wider than 4,096 keys
+@pytest.mark.parametrize("largest", [False, True])
+@pytest.mark.parametrize("kind", ["haversine", "similarity", "small ints"])
+def test_nearest_k_bytes_as_under_the_default_buffer(monkeypatch, kind, largest, n_cols,
+                                                     budget):
+    if budget is not None:
+        monkeypatch.setattr(neighbors, "BLOCK_BYTES", budget)
+    rng = np.random.default_rng(n_cols)
+    n_rows = 40
+    if kind == "haversine":
+        lat, lon = rng.uniform(-89.9, 89.9, n_cols), rng.uniform(-180, 180, n_cols)
+        points = np.stack([lat, lon], axis=1)
+        keys = lambda part: _haversine_block(points[part], points, MEAN_EARTH_RADIUS_M)
+    elif kind == "similarity":  # repeated reference rows tie
+        q, r = rng.standard_normal((n_rows, 6)), rng.standard_normal((n_cols, 6))
+        r[1::7] = r[0]
+        keys = similarity_blocks(q, r)
+    else:
+        matrix = key_matrix(n_rows, n_cols, True, n_cols)
+        keys = lambda part: matrix[part]
+    args = (keys, np.arange(n_rows), n_cols, 5, largest)
+    assert_same_bytes(neighbors.nearest_k(*args), default_buffer(neighbors.nearest_k, *args))
+
+
+@pytest.mark.parametrize("layout, K, budget", [
+    ("uniform", 8, 8),
+    ("uniform", 8, None),
+    ("lattice", 3, 8),
+    ("half in a 4,500-point cluster", 3, None),  # windows wider than 4,096 keys
+])
+def test_planar_nearest_k_bytes_as_under_the_default_buffer(monkeypatch, layout, K, budget):
+    if budget is not None:
+        monkeypatch.setattr(neighbors, "BLOCK_BYTES", budget)
+    rng = np.random.default_rng(13)
+    if layout == "uniform":
+        points = rng.uniform(0, 1e3, (600, 2))
+    elif layout == "lattice":  # mass ties, coincident points
+        points = rng.integers(0, 8, (600, 2)).astype(float)
+    else:
+        points = np.concatenate([rng.uniform(0, 1e4, (4500, 2)),
+                                 5e3 + rng.uniform(0, 10, (4500, 2))])
+    widths = []
+    score = neighbors.planar_keys
+    monkeypatch.setattr(neighbors, "planar_keys", lambda ax, ay, bx, by: (
+        widths.append(np.shape(bx)[-1]) or score(ax, ay, bx, by)))
+    got = neighbors.planar_nearest_k(points, points, K)
+    assert_same_bytes(got, default_buffer(neighbors.planar_nearest_k, points, points, K))
+    if layout.startswith("half"):
+        assert max(widths) > 4096
+
+
+@BUFFER_BUDGETS
+@pytest.mark.parametrize("n_r", [300, 5000])  # rows narrower and wider than 4,096 scores
+def test_positive_ranks_bytes_as_under_the_default_buffer(monkeypatch, n_r, budget):
+    # even rows hold small integers that tie often, odd rows unique scores;
+    # query 1's first positive scores NaN
+    if budget is not None:
+        monkeypatch.setattr(neighbors, "BLOCK_BYTES", budget)
+    rng = np.random.default_rng(n_r)
+    n_q = 30
+    sim = rng.standard_normal((n_q, n_r))
+    sim[::2] = rng.integers(0, 4, (len(sim[::2]), n_r))
+    positives = [{int(j) for j in rng.choice(n_r, 1 + i % 3, replace=False)} for i in range(n_q)]
+    semis = [{int(j) for j in rng.choice(n_r, 3)} - positives[i] for i in range(n_q)]
+    sim[1, min(positives[1])] = np.nan
+    args = (lambda q: sim[q], n_q, n_r, *link_arrays(positives, semis, n_q, n_r))
+    assert_same_bytes(evaluation._positive_ranks(*args),
+                      default_buffer(evaluation._positive_ranks, *args))

@@ -706,8 +706,11 @@ def test_ablation_configs(axis):
             assert moved <= {field, "train.seed", "sampler.seed"}
     with pytest.raises(ValidationError, match="axis"):
         ablation_configs(base, "lr_max", 2)
-    with pytest.raises(ValidationError, match="seeds"):
+    with pytest.raises(ValidationError, match="^seeds=0 must be >= 1$"):
         ablation_configs(base, axis, 0)
+    for seeds in (2.0, True):  # an int count only, though 2.0 == 2 and True == 1
+        with pytest.raises(ValidationError, match=f"^seeds={seeds!r} must be an int$"):
+            ablation_configs(base, axis, seeds)
 
 
 # (pairs, d_in, epochs, settings): small widths and batches of 4; and the
