@@ -40,6 +40,7 @@ from .datasets import (
     read_embeddings,
     require_aligned,
     require_heap,
+    require_same_width,
     write_embeddings,
     write_json,
     write_manifest,
@@ -82,15 +83,16 @@ def cmd_gen_synth(args) -> int:
 
 
 def _require_tables_fit(query: str | Path, reference: str | Path) -> None:
-    """Raise, naming the larger file, when scoring two EMB1 tables, by their
-    headers alone, is over the heap budget (``evaluation.score_bytes``, at a
+    """Raise, by two EMB1 tables' headers alone, naming the larger file when
+    scoring them is over the heap budget (``evaluation.score_bytes``, at a
     positive and three semi-positives per query; ``evaluate`` checks again
-    with the manifest's own link count)."""
+    with the manifest's own link count), then both when their widths differ."""
     shapes = [(emb1_shape(path), path) for path in (query, reference)]
     ((n_q, d_q), _), ((n_r, d_r), _) = shapes
     (count, dim), path = max(shapes, key=lambda shape: shape[0][0] * shape[0][1])
     require_heap(score_bytes(n_q, n_r, max(d_q, d_r), 4 * n_q),
                  f"{path}: scoring {count} rows of dim {dim}")
+    require_same_width(str(query), d_q, str(reference), d_r)
 
 
 def cmd_plan(args) -> int:

@@ -83,26 +83,30 @@ class SampleRecord:
     semi_positives: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.positives:
-            raise ValidationError(f"record {self.id!r}: positives must be non-empty")
-        overlap = set(self.positives) & set(self.semi_positives)
-        if overlap:
-            raise ValidationError(
-                f"record {self.id!r}: semi_positives overlap positives: {sorted(overlap)}"
-            )
+        require_links(f"record {self.id!r}", self.positives, self.semi_positives)
 
 
-def require_finite_rows(finite: np.ndarray, row_ids: tuple[str, ...]) -> None:
-    """Raise naming the first embedding row whose flag in ``finite`` is False."""
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise ValidationError(f"embedding row {row_ids[row]!r} (index {row}) holds a NaN or "
-                              "inf value")
+def require_links(culprit: str, positives, semi_positives=()) -> None:
+    """The link rules of one query: its positives are non-empty, and no id is
+    both a positive and a semi-positive. Errors start ``<culprit>:``."""
+    if not positives:
+        raise ValidationError(f"{culprit}: positives must be non-empty")
+    if clash := set(positives) & set(semi_positives):
+        raise ValidationError(f"{culprit}: positives {sorted(clash)} are also semi-positives")
+
+
+def require_same_width(query: str, d_q: int, reference: str, d_r: int) -> None:
+    """The width rule: query and reference rows share one width. The message
+    names both sides, tables or files, with their widths."""
+    if d_q != d_r:
+        raise ValidationError(f"dim mismatch: {query} {d_q} vs {reference} {d_r}")
 
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
-    """Dense row-major float32 matrix of embeddings, one row per sample id."""
+    """Dense row-major float32 matrix of embeddings, one row per sample id,
+    each checked finite once, here; the array is then read-only, so no reader
+    scans it again. A C-contiguous float32 ``data`` is kept, not copied."""
 
     data: np.ndarray
     row_ids: tuple[str, ...]
@@ -111,19 +115,18 @@ class EmbeddingTable:
         object.__setattr__(self, "row_ids", tuple(self.row_ids))
         if self.data.ndim != 2 or not self.data.shape[1]:
             raise ValidationError(f"embedding data must be 2-D, width >= 1, got {self.data.shape}")
-        if self.data.dtype != np.float32:
-            object.__setattr__(self, "data", self.data.astype(np.float32))
-        if not self.data.flags["C_CONTIGUOUS"]:
-            object.__setattr__(self, "data", np.ascontiguousarray(self.data))
+        object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype=np.float32))
         if len(self.row_ids) != self.data.shape[0]:
-            raise ValidationError(
-                f"{len(self.row_ids)} row ids for {self.data.shape[0]} rows"
-            )
+            raise ValidationError(f"{len(self.row_ids)} row ids for {self.data.shape[0]} rows")
         if len(set(self.row_ids)) != len(self.row_ids):
             i, j = first_repeat(self.row_ids)
             raise ValidationError(f"row ids must be unique: {self.row_ids[j]!r} is row {i} "
                                   f"and row {j}")
-        require_finite_rows(np.isfinite(self.data).all(axis=1), self.row_ids)
+        bad = np.flatnonzero(~np.isfinite(self.data).all(axis=1))
+        if bad.size:
+            raise ValidationError(f"embedding row {self.row_ids[bad[0]]!r} (index {bad[0]}) "
+                                  "holds a NaN or inf value")
+        self.data.setflags(write=False)
 
     @property
     def count(self) -> int:
@@ -393,7 +396,8 @@ def emb1_shape(path: str | Path) -> tuple[int, int]:
 def read_embeddings(path: str | Path, raw: bytes | None = None) -> EmbeddingTable:
     """Inverse of write_embeddings, from ``raw``, the EMB1 file's bytes, when
     given; the ``<path>.ids`` sidecar is required, and a missing one raises
-    the OSError of reading it."""
+    the OSError of reading it. The table holds a read-only view of the
+    bytes' payload, not a copy."""
     path = Path(path)
     raw = path.read_bytes() if raw is None else raw
     count, dim = _emb1_header(path, raw)
@@ -410,7 +414,7 @@ def read_embeddings(path: str | Path, raw: bytes | None = None) -> EmbeddingTabl
     if len(row_ids) != count:
         raise ValidationError(f"{sidecar}: {len(row_ids)} ids for {count} rows")
     try:
-        return EmbeddingTable(data=data.copy(), row_ids=row_ids)
+        return EmbeddingTable(data=data, row_ids=row_ids)
     except ValidationError as exc:  # a NaN row or a duplicate id: name the file
         raise ValidationError(f"{path}: {exc}") from None
 

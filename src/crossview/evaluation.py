@@ -16,7 +16,8 @@ from operator import add
 
 import numpy as np
 
-from .datasets import EmbeddingTable, SampleRecord, json_line, require_aligned, require_heap
+from .datasets import (EmbeddingTable, SampleRecord, json_line, require_aligned, require_heap,
+                       require_links)
 from .errors import ValidationError, first_repeat
 from .neighbors import BLOCK_BYTES, block_rows, small_buffer
 # cosine_matrix stays importable here: the bench tracer binds evaluation.cosine_matrix
@@ -109,13 +110,10 @@ def link_arrays(positives: list[set[int]], semi_positives: list[set[int]], n_q: 
         if not n_q or len(sets) != n_q:
             raise ValidationError(f"{len(sets)} {name} sets for {n_q} queries")
     for i, (pos, semi) in enumerate(zip(positives, semi_positives)):
-        if not pos:
-            raise ValidationError(f"query {i} has an empty positive set")
+        require_links(f"query {i}", pos, semi)
         for name, refs in (("positive", pos), ("semi-positive", semi)):
             if any(j < 0 or j >= n_r for j in refs):
                 raise ValidationError(f"query {i} has a {name} index outside the gallery")
-        if clash := pos & semi:
-            raise ValidationError(f"query {i}: positives {sorted(clash)} are also semi-positives")
     return tuple(_link_rows(list(map(len, sets)), list(chain.from_iterable(sets)), n_r)
                  for sets in (positives, semi_positives))
 
@@ -170,8 +168,7 @@ def average_precision(ranking: list[int], positives: set[int]) -> float:
     missing from the ranking contribute zero. A reference listed twice
     raises, naming its second rank.
     """
-    if not positives:
-        raise ValidationError("positives must be non-empty")
+    require_links("the ranked query", positives)
     repeat = first_repeat(ranking)
     if repeat:
         i, j = repeat
@@ -249,8 +246,9 @@ def evaluate(
     Query rows align with manifest records; positives/semi-positives are
     resolved through the reference table's row ids, and the heap the
     scoring needs for them (``score_bytes``) is checked before either
-    table is copied. Both tables are L2-normalised as ``l2_normalize``
-    rounds them (``unit32``), then scored by retrieval_report.
+    table is copied. Both tables are L2-normalised as ``l2_normalize`` rounds
+    them (``unit32``), queries first, then scored by retrieval_report; their
+    rows, checked once and read-only (``EmbeddingTable``), are not rescanned.
     """
     if not manifest:
         raise ValidationError("the manifest holds no queries")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .datasets import Coordinate
 from .errors import ValidationError, check_settings, setting
-from .neighbors import nearest_k, planar_keys, planar_nearest_k
+from .neighbors import nearest_k, planar_keys, planar_nearest_k, require_pool_size
 from .simsearch import Pools
 
 MEAN_EARTH_RADIUS_M = 6_371_008.8
@@ -106,14 +106,10 @@ def geo_topk(
     c, crs_c = (a, crs_a) if candidates is anchors else _coord_array(candidates)
     if crs_a != crs_c:
         raise ValidationError(f"anchors are {crs_a!r} but candidates are {crs_c!r}")
-    n_c = len(candidates)
-    if K < 1:
-        raise ValidationError("K must be >= 1")
-    if K > n_c - 1:
-        raise ValidationError(f"K={K} exceeds candidate count - 1 = {n_c - 1}")
+    require_pool_size("K", K, len(c))
 
     if crs_a == "wgs84":
         keys = lambda part: _haversine_block(a[part], c, cfg.earth_radius_m)
-        return Pools(*nearest_k(keys, np.arange(len(a)), n_c, K), "geographic")
+        return Pools(*nearest_k(keys, np.arange(len(a)), len(c), K), "geographic")
     _check_planar_span(a, c)
     return Pools(*planar_nearest_k(a, c, K), "geographic")

@@ -24,9 +24,10 @@ selection step (``_survivors``, then ``_first_k``):
   N^2.
 
 Both kernels need every key finite and check none of them: each caller
-guarantees it from inputs it has validated, in O(n) or O(n*d) rather than
-once per key (``simsearch.visual_topk``, ``geo.geo_topk``,
-``datasets.generate_synthetic``).
+guarantees it from inputs already checked, in O(n) or O(n*d) rather than
+once per key (``simsearch.visual_topk`` from read-only ``EmbeddingTable``
+rows, ``geo.geo_topk``, ``datasets.generate_synthetic``). Every pool
+builder holds its K to ``require_pool_size``.
 
 Every streamed block, here and in ``evaluation``, holds at most
 ``BLOCK_BYTES`` of float64 keys: ``block_rows(width)`` rows of a given
@@ -75,6 +76,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ValidationError
+
 BLOCK_BYTES = 640 * 1024
 UFUNC_BUFSIZE = 512  # elements, for the block kernels; numpy's default is 8192
 
@@ -93,6 +96,13 @@ def small_buffer(kernel):
             return kernel(*args, **kwargs)
 
     return run
+
+
+def require_pool_size(name: str, K: int, n: int) -> None:
+    """The pool-size bound: a pool of ``name`` = K of n candidates holds at
+    least one and never the anchor's own, 1 <= K <= n - 1."""
+    if not 1 <= K <= n - 1:
+        raise ValidationError(f"{name}={K} must be in [1, {n - 1}] for {n} candidates")
 
 
 def block_rows(width):

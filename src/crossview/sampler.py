@@ -21,7 +21,7 @@ import numpy as np
 from .datasets import EmbeddingTable, SampleRecord, json_line, read_json, read_lines, require_heap
 from .errors import ValidationError, check_settings, first_repeat, setting
 from .geo import GeoConfig, geo_topk
-from .neighbors import BLOCK_BYTES
+from .neighbors import BLOCK_BYTES, require_pool_size
 from .simsearch import NeighborPool, Pools, visual_topk
 
 STRATEGIES = ("random", "gps", "dss", "gps_then_dss")
@@ -89,9 +89,7 @@ def pool_bytes(n: int, K: int, width: int) -> int:
 
 
 def _require_pool_fits(cfg: SamplerConfig, n: int, width: int) -> None:
-    # a pool holds every pair but the anchor's own at most
-    if cfg.pool_size > n - 1:
-        raise ValidationError(f"sampler.pool_size={cfg.pool_size} exceeds {n} pairs - 1 = {n - 1}")
+    require_pool_size("sampler.pool_size", cfg.pool_size, n)
     require_heap(pool_bytes(n, cfg.pool_size, width), f"sampler.pool_size={cfg.pool_size} "
                  f"over {n} pairs")
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import EmbeddingTable, require_finite_rows
+from .datasets import EmbeddingTable, require_same_width
 from .errors import ValidationError
-from .neighbors import nearest_k
+from .neighbors import nearest_k, require_pool_size
 
 
 @dataclass(frozen=True)
@@ -105,18 +105,15 @@ def unit_rows(X: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray,
 def unit32(table: EmbeddingTable) -> np.ndarray:
     """The table's rows scaled to unit L2 norm in float64, then rounded to
     float32: the one rounding of ``l2_normalize`` and ``evaluate``. Raises
-    on a zero-norm row, then names the first row holding a NaN or inf, both
-    before dividing: such a row's norm is not finite, while a finite float32
-    row's float64 norm cannot overflow."""
+    on a zero-norm row before dividing; the rows, checked once and read-only
+    (``EmbeddingTable``), are finite, and so are their float64 norms."""
     unit = table.data.astype(np.float64)
-    norms = _row_norms(unit)
-    require_finite_rows(np.isfinite(norms), table.row_ids)
-    return np.divide(unit, norms[:, None], out=unit).astype(np.float32)
+    return np.divide(unit, _row_norms(unit)[:, None], out=unit).astype(np.float32)
 
 
 def l2_normalize(table: EmbeddingTable) -> EmbeddingTable:
     """Scale every row to unit L2 norm in float64, rounded to float32
-    (``unit32``). Raises on a zero-norm row, then on a NaN or inf one."""
+    (``unit32``), into a new read-only table. Raises on a zero-norm row."""
     return EmbeddingTable(unit32(table), table.row_ids)
 
 
@@ -138,8 +135,7 @@ def similarity_blocks(q64: np.ndarray, r64: np.ndarray):
     so no NaN and no 0.0 beside -0.0) cannot repeat, and skip the search.
     Raises unless both hold rows of one width.
     """
-    if q64.shape[1] != r64.shape[1]:
-        raise ValidationError(f"dim mismatch: queries {q64.shape[1]} vs references {r64.shape[1]}")
+    require_same_width("queries", q64.shape[1], "references", r64.shape[1])
     r64 = np.ascontiguousarray(r64)
     rT = np.ascontiguousarray(r64.T)
     later = np.empty(0, dtype=np.intp)
@@ -179,17 +175,12 @@ def visual_topk(
     so the output is deterministic for a given N and block budget, not
     always equal to one full-matrix pass.
 
-    Both tables' rows are checked finite once, here, naming the first row
-    that is not: ``nearest_k`` checks no key, and a finite float32 row
-    gives finite float64 dot products, since |q.r| <= d * (3.4e38)^2.
+    ``nearest_k`` checks no key: both tables' rows are finite, checked once
+    by the read-only ``EmbeddingTable``, and a finite float32 row gives
+    finite float64 dot products, since |q.r| <= d * (3.4e38)^2.
     """
     n_r = references.count
-    if K < 1:
-        raise ValidationError("K must be >= 1")
-    if K > n_r - 1:
-        raise ValidationError(f"K={K} exceeds reference count - 1 = {n_r - 1}")
-    for table in (queries, references):  # the data may have been written since construction
-        require_finite_rows(np.isfinite(table.data).all(axis=1), table.row_ids)
+    require_pool_size("K", K, n_r)
     scores = similarity_blocks(queries.data.astype(np.float64),
                                references.data.astype(np.float64))
     return Pools(*nearest_k(scores, np.arange(queries.count), n_r, K, largest=True), "visual")

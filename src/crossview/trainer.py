@@ -58,6 +58,7 @@ from .datasets import (
     read_text,
     require_aligned,
     require_heap,
+    require_same_width,
     write_embeddings,
     write_json,
 )
@@ -459,9 +460,8 @@ def train(
     of retrieval_report, whose last report the result keeps.
     """
     n = len(manifest)
-    if query_features.dim != reference_features.dim:
-        raise ValidationError("query and reference features must share a dimension: "
-                              f"query {query_features.dim}, reference {reference_features.dim}")
+    require_same_width("query features", query_features.dim,
+                       "reference features", reference_features.dim)
     require_aligned("query feature", query_features.row_ids, manifest)
     require_aligned("reference feature", reference_features.row_ids, manifest)
 

@@ -291,10 +291,24 @@ class TestPlan:
             "--epoch", "0", "--out", str(out),
         ])
         assert rc == 1
-        assert "dim mismatch: queries 4 vs references 5" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: dim mismatch: {data / 'query.emb'} 4 vs "
+                                           f"{data / 'reference.emb'} 5\n")
         assert not out.exists()
 
 class TestTrain:
+    def test_dim_mismatch_named(self, tmp_path, capsys):
+        # the widths are read from both headers, so the files are named
+        data = gen_dataset(tmp_path)
+        for name, dim in (("query.emb", 4), ("reference.emb", 5)):
+            table = read_embeddings(data / name)
+            write_embeddings(EmbeddingTable(table.data[:, :dim], table.row_ids), data / name)
+        out = tmp_path / "run"
+        rc = main(["train", *TINY_TRAIN, "--data", str(data), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: dim mismatch: {data / 'query.emb'} 4 vs "
+                                           f"{data / 'reference.emb'} 5\n")
+        assert not out.exists()
+
     def test_writes_artifacts(self, tmp_path):
         data = gen_dataset(tmp_path)
         out = tmp_path / "run"
@@ -517,7 +531,8 @@ class TestEval:
             "--manifest", str(data / "manifest.jsonl"),
         ])
         assert rc == 1
-        assert "dim mismatch: queries 4 vs references 5" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: dim mismatch: {data / 'query.emb'} 4 vs "
+                                           f"{data / 'reference.emb'} 5\n")
 
 
 @pytest.mark.parametrize("command", ["eval", "plan", "train"])
@@ -770,8 +785,8 @@ class TestExitCodes:
         capsys.readouterr()
         rc = main([command, "--set", f"sampler.strategy={strategy}", *inputs[command]])
         assert rc == 1
-        assert capsys.readouterr().err == (f"error: sampler.pool_size=128 exceeds {pairs} pairs "
-                                           f"- 1 = {pairs - 1}\n")
+        assert capsys.readouterr().err == (f"error: sampler.pool_size=128 must be in "
+                                           f"[1, {pairs - 1}] for {pairs} candidates\n")
 
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["ablate", "--seeds", "0", "--out", "unused.csv"],

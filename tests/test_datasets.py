@@ -27,6 +27,8 @@ from crossview.datasets import (
     write_manifest,
 )
 from crossview.errors import ValidationError
+from crossview.simsearch import l2_normalize
+from crossview.trainer import encode, init_params
 
 from oracles import brute_nearest
 
@@ -82,7 +84,8 @@ class TestSampleRecord:
             SampleRecord("a", "c", Coordinate(0, 0, "planar"), positives=())
 
     def test_semi_positives_disjoint(self):
-        with pytest.raises(ValidationError, match="overlap"):
+        with pytest.raises(ValidationError,
+                           match=r"^record 'a': positives \['a'\] are also semi-positives$"):
             SampleRecord(
                 "a", "c", Coordinate(0, 0, "planar"),
                 positives=("a",), semi_positives=("a", "b"),
@@ -341,6 +344,89 @@ class TestEmbeddingTable:
             make_table(np.zeros((rows, 0), dtype=np.float32))
 
 
+IDS = tuple("abcde")
+
+
+def emb1_file(rows, path):
+    """Path of an EMB1 file, and its sidecar, holding rows as given, NaN and
+    inf included."""
+    data = np.asarray(rows, dtype="<f4")
+    path.write_bytes(b"EMB1" + struct.pack("<II", *data.shape) + data.tobytes())
+    path.with_name(path.name + ".ids").write_text("".join(f"{rid}\n" for rid in IDS))
+    return path
+
+
+def encoded(rows):
+    params = init_params(np.random.default_rng(0), rows.shape[1], 8, 4)
+    return encode(params, rows, "query", IDS)
+
+
+# every way the library builds a table from five 3-wide float64 rows with
+# ids IDS: (the table, the file the rows were read from or None)
+TABLE_PATHS = {
+    "float32": lambda rows, tmp: (EmbeddingTable(rows.astype(np.float32), IDS), None),
+    "float64": lambda rows, tmp: (EmbeddingTable(rows, IDS), None),
+    "non-contiguous": lambda rows, tmp: (
+        EmbeddingTable(np.asfortranarray(rows, dtype=np.float32), IDS), None),
+    # the bench's eval split: the first rows of a larger array
+    "row slice": lambda rows, tmp: (
+        EmbeddingTable(np.vstack([rows, np.ones((2, 3))]).astype(np.float32)[:5], IDS), None),
+    "read_embeddings": lambda rows, tmp: (read_embeddings(emb1_file(rows, tmp / "t.emb")),
+                                          tmp / "t.emb"),
+    "read_embeddings raw": lambda rows, tmp: (
+        read_embeddings(tmp / "t.emb", emb1_file(rows, tmp / "t.emb").read_bytes()),
+        tmp / "t.emb"),
+    "encode": lambda rows, tmp: (encoded(rows), None),
+    "l2_normalize": lambda rows, tmp: (l2_normalize(EmbeddingTable(rows, IDS)), None),
+}
+
+
+class TestTablesChecked:
+    """Each table is checked finite once, when built, and its array is
+    read-only from then on, so no reader scans it again."""
+
+    @pytest.mark.parametrize("path", TABLE_PATHS)
+    def test_table_refuses_writes(self, tmp_path, path):
+        table, _ = TABLE_PATHS[path](np.arange(1.0, 16.0).reshape(5, 3), tmp_path)
+        with pytest.raises(ValueError, match="read-only"):
+            table.data[0, 0] = 1.0
+        if path == "row slice":  # a slice of a table, as the bench's eval split takes it
+            part = EmbeddingTable(table.data[:3], table.row_ids[:3])
+            with pytest.raises(ValueError, match="read-only"):
+                part.data[2, 2] = 1.0
+
+    def test_synthetic_tables_refuse_writes(self):
+        _, queries, references = generate_synthetic(SynthConfig(n_pairs=20))
+        for table in (queries, references):
+            with pytest.raises(ValueError, match="read-only"):
+                table.data[3] = 0.0
+
+    def test_kept_float32_array_becomes_read_only(self):
+        # a C-contiguous float32 array is the table's own, not a copy
+        data = np.ones((5, 3), dtype=np.float32)
+        assert EmbeddingTable(data, IDS).data is data
+        assert not data.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("path", TABLE_PATHS)
+    def test_non_finite_row_refused_on_every_path(self, tmp_path, path, bad):
+        rows = np.ones((5, 3))
+        # the encoder's output row is NaN for any of them; an inf input would
+        # make inf - inf inside it, and numpy warn
+        rows[2, 1] = np.nan if path == "encode" else bad
+        message = r"embedding row 'c' \(index 2\) holds a NaN or inf value$"
+        with pytest.raises(ValidationError) as raised:
+            TABLE_PATHS[path](rows, tmp_path)
+        file = tmp_path / "t.emb" if path.startswith("read_embeddings") else None
+        assert re.match(f"^{re.escape(f'{file}: ') if file else ''}{message}", str(raised.value))
+
+    def test_synthetic_overflow_named(self):
+        # float32 rounds the noise to inf: refused by the table, by row
+        with np.errstate(over="ignore"), pytest.raises(
+                ValidationError, match=r"^embedding row 'p000000' \(index 0\) holds a NaN or inf"):
+            generate_synthetic(SynthConfig(n_pairs=20, noise_sigma=1e300))
+
+
 class TestEmb1:
     def test_minimal_table_layout(self, tmp_path):
         path = tmp_path / "t.emb"
@@ -544,6 +630,40 @@ def test_only_datasets_imports_json():
             if any(name == "json" or name.startswith("json.") for name in names):
                 importers.add(module.stem)
     assert importers == {"datasets"}
+
+
+def test_only_datasets_scans_table_rows():
+    # EmbeddingTable checks its rows finite once and makes them read-only:
+    # no other module calls np.isfinite on a table's .data
+    scanners = set()
+    for module in Path(datasets.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "isfinite"
+                    and any(getattr(sub, "attr", None) == "data"
+                            for arg in node.args for sub in ast.walk(arg))):
+                scanners.add(module.stem)
+    assert scanners == {"datasets"}
+
+
+def test_only_neighbors_states_the_pool_size_bound():
+    # neighbors.require_pool_size is the one statement of 1 <= K <= n - 1:
+    # no other module compares K or a pool_size with 1 or with n - 1
+    def is_pool_size(node):
+        return getattr(node, "id", None) == "K" or getattr(node, "attr", None) == "pool_size"
+
+    def is_one_or_n_minus_one(node):
+        return (isinstance(node, ast.Constant) and node.value == 1) or (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and getattr(node.right, "value", None) == 1)
+
+    bounders = set()
+    for module in Path(datasets.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(map(is_pool_size, sides)) and any(map(is_one_or_n_minus_one, sides)):
+                    bounders.add(module.stem)
+    assert bounders == {"neighbors"}
 
 
 def test_only_datasets_names_the_heap_budget():

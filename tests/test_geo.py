@@ -107,7 +107,7 @@ class TestGeoTopk:
     @pytest.mark.parametrize("K", [0, -1])
     def test_pool_size_below_one_rejected(self, K):
         coords = [pla(0, 0), pla(1, 0)]
-        with pytest.raises(ValidationError, match="^K must be >= 1$"):
+        with pytest.raises(ValidationError, match=rf"^K={K} must be in \[1, 1\] for 2 candidates$"):
             geo_topk(coords, coords, K=K)
 
     def test_three_collinear_points(self):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crossview import evaluation, neighbors
-from crossview.datasets import Coordinate, EmbeddingTable
+from crossview.datasets import Coordinate, EmbeddingTable, SampleRecord
 from crossview.errors import ValidationError
 from crossview.evaluation import link_arrays
 from crossview.geo import MEAN_EARTH_RADIUS_M, _check_planar_span, _haversine_block, geo_topk
 from crossview.neighbors import nearest_k, planar_keys, planar_nearest_k
-from crossview.simsearch import similarity_blocks, visual_topk
+from crossview.sampler import SamplerConfig, build_geo_pools, build_sim_pools
+from crossview.simsearch import l2_normalize, similarity_blocks, visual_topk
 
 from oracles import brute_nearest_keys
 
@@ -79,22 +81,6 @@ class TestNearestK:
         assert indices.shape == nearest.shape == (300, 0)
         assert calls == []
 
-    # nearest_k takes finite keys and checks none; visual_topk checks its
-    # tables' rows instead, so a row spoilt after the table checked it still
-    # fails, named by its id, in either table and whatever the blocks
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_key_names_row(self, monkeypatch, bad):
-        monkeypatch.setattr(neighbors, "block_rows", blocks_of(256))  # row 261 in block 2
-        for which in ("query", "reference"):
-            assert_spoilt_row_named(bad, which)
-
-    @pytest.mark.parametrize("budget", BUDGETS)
-    def test_non_finite_key_names_row_under_any_budget(self, monkeypatch, budget):
-        monkeypatch.setattr(neighbors, "BLOCK_BYTES", budget)
-        for bad in (np.nan, np.inf, -np.inf):
-            for which in ("query", "reference"):
-                assert_spoilt_row_named(bad, which)
-
     def test_rows_name_their_own_column(self, monkeypatch):
         # a subset of rows, out of order: row part[i] skips column part[i]
         monkeypatch.setattr(neighbors, "BLOCK_BYTES", 8 * 30 * 4)
@@ -112,14 +98,39 @@ class TestNearestK:
             assert got[1][i].tobytes() == keys[order].tobytes()
 
 
-def assert_spoilt_row_named(bad, which):
-    rng = np.random.default_rng(0)
-    q, r = (EmbeddingTable(rng.standard_normal((300, 20)).astype(np.float32),
-                           tuple(f"p{i}" for i in range(300))) for _ in range(2))
-    (q if which == "query" else r).data[261, 4] = bad
-    with pytest.raises(ValidationError,
-                       match=r"^embedding row 'p261' \(index 261\) holds a NaN or inf value$"):
-        visual_topk(q, r, 3)
+def sampler_config(K):
+    cfg = SamplerConfig(pool_size=2, picks_per_anchor=2)
+    object.__setattr__(cfg, "pool_size", K)  # past the config's own pool_size >= 2
+    return cfg
+
+
+def pool_builders(n):
+    """Each pool builder over n candidates, as (the size's name, build(K))."""
+    planar = [Coordinate(float(i), float(i * i % 7), "planar") for i in range(n)]
+    wgs84 = [Coordinate(float(i), float(-i), "wgs84") for i in range(n)]
+    records = [SampleRecord(f"p{i}", f"p{i}", c, (f"p{i}",)) for i, c in enumerate(planar)]
+    table = l2_normalize(EmbeddingTable(np.random.default_rng(0).standard_normal((n, 4)),
+                                        tuple(r.id for r in records)))
+    return {
+        "geo_topk planar": ("K", lambda K: geo_topk(planar, planar, K)),
+        "geo_topk wgs84": ("K", lambda K: geo_topk(wgs84, wgs84, K)),
+        "visual_topk": ("K", lambda K: visual_topk(table, table, K)),
+        "build_geo_pools": ("sampler.pool_size",
+                            lambda K: build_geo_pools(records, sampler_config(K))),
+        "build_sim_pools": ("sampler.pool_size",
+                            lambda K: build_sim_pools(table, table, sampler_config(K))),
+    }
+
+
+@pytest.mark.parametrize("builder", pool_builders(6))
+def test_pool_size_bound(builder):
+    # one bound, 1 <= K <= n - 1, and one message for every pool builder
+    name, build = pool_builders(6)[builder]
+    assert build(5).indices.shape == (6, 5)
+    for K in (0, 6):
+        with pytest.raises(ValidationError,
+                           match=rf"^{re.escape(name)}={K} must be in \[1, 5\] for 6 candidates$"):
+            build(K)
 
 
 @st.composite

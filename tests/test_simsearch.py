@@ -1,6 +1,5 @@
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -110,17 +109,6 @@ class TestL2Normalize:
         assert U is X
         assert U.tobytes() == expected.tobytes()
         assert norms.tobytes() == expected_norms.tobytes()
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_row_spoilt_after_construction_named_without_warning(self, value):
-        # the norms are checked before the divide, so an inf row never makes inf / inf
-        t = table([[1.0, 0.0], [3.0, 4.0], [0.0, 1.0]], ids=("a", "b", "c"))
-        t.data[1, 0] = value
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValidationError,
-                               match=r"^embedding row 'b' \(index 1\) holds a NaN or inf value$"):
-                l2_normalize(t)
 
     @given(st.integers(0, 2**32 - 1))
     def test_rows_become_unit(self, seed):

@@ -629,8 +629,8 @@ class TestTrain:
     def test_feature_widths_named(self):
         records, q, r = separable_data()
         narrow = EmbeddingTable(r.data[:, :-1], r.row_ids)
-        with pytest.raises(ValidationError, match="must share a dimension: "
-                                                  f"query {q.dim}, reference {q.dim - 1}$"):
+        with pytest.raises(ValidationError, match=f"^dim mismatch: query features {q.dim} vs "
+                                                  f"reference features {q.dim - 1}$"):
             train(records, q, narrow, tiny_config())
 
     def test_holdout_record_without_holdout_positive_rejected(self):
