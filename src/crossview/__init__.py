@@ -1,10 +1,5 @@
-"""Two-view contrastive retrieval engine.
-
-Symmetric batch-softmax training with label smoothing and a learnable
-temperature, hard-negative batch construction from geographic and visual
-neighbour pools, a desk-scale MLP trainer, retrieval metrics, and a
-synthetic cross-view dataset generator.
-"""
+"""Two-view contrastive retrieval: InfoNCE training, GPS and DSS hard-negative
+batches, retrieval metrics and a synthetic cross-view dataset generator."""
 
 from .datasets import (
     Coordinate,

@@ -1,19 +1,8 @@
-"""Command-line entry point.
+"""Command-line entry point: gen-synth, plan, train, eval, gradcheck, ablate.
 
-Commands: gen-synth, plan, train, eval, gradcheck, ablate. Exit code 0 on
-success, 1 on validation errors, 2 on IO errors. Every input has one
-source: ``plan`` reads every file it is given and aligns each embedding
-table with the records, whatever the strategy (without ``--manifest``
-each pair is its own class), and ``gradcheck`` seeds init i from
-``train.seed + i``. Artifact files written by train and ablate carry a
-short content hash in their names; outputs contain no timestamps, so
-identical configs and seeds reproduce the same bytes. Both record the
-``dataset_hash`` of the files gen-synth writes for their dataset.
-
-``ablate`` runs one axis of the experiment grid (``trainer.AXES``) on one
-synthetic dataset: ``--axis strategy`` compares the sampling strategies,
-``--axis loss`` the InfoNCE and triplet losses, each over ``--seeds`` seed
-offsets from the config's seeds.
+Exit code 0 on success, 1 on a ValidationError, 2 on an OSError. Outputs hold
+no timestamps, and train and ablate name their artifacts by content hash, so
+equal configs and seeds reproduce the same bytes.
 """
 
 from __future__ import annotations
@@ -83,10 +72,9 @@ def cmd_gen_synth(args) -> int:
 
 
 def _require_tables_fit(query: str | Path, reference: str | Path) -> None:
-    """Raise, by two EMB1 tables' headers alone, naming the larger file when
-    scoring them is over the heap budget (``evaluation.score_bytes``, at a
-    positive and three semi-positives per query; ``evaluate`` checks again
-    with the manifest's own link count), then both when their widths differ."""
+    """Raise, by two EMB1 headers alone, naming the larger file when scoring
+    the tables at four links per query is over the heap budget
+    (``evaluation.score_bytes``), then both files when their widths differ."""
     shapes = [(emb1_shape(path), path) for path in (query, reference)]
     ((n_q, d_q), _), ((n_r, d_r), _) = shapes
     (count, dim), path = max(shapes, key=lambda shape: shape[0][0] * shape[0][1])

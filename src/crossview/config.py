@@ -1,14 +1,8 @@
-"""Flat key=value configuration files with dotted section prefixes.
+"""Flat ``section.key=value`` config files, such as ``train.epochs=40``.
 
-Example::
-
-    synth.n_pairs=2000
-    sampler.picks_per_anchor=64
-    train.epochs=40
-    loss.label_smoothing=0.1
-
-Unknown keys are errors; an empty file yields every default. Overrides
-(``key=value`` strings) are applied after the file.
+The keys are the fields of the config dataclasses. An unknown key is an error,
+an empty file gives every default, and ``key=value`` overrides apply after the
+file.
 """
 
 from __future__ import annotations

@@ -1,14 +1,6 @@
-"""Dataset manifests, EMB1 embedding file IO, JSON text, and the synthetic
-two-view generator.
-
-A manifest is a JSON-lines file with one query/reference pair per line.
-Every JSON text crossview reads or writes goes through ``read_json``,
-``json_line`` and ``write_json`` here; a key may appear once per object.
-Embedding tables travel as EMB1 binary files: a 4-byte magic ``EMB1``,
-count and dim as little-endian u32, then count*dim float32 values in
-row-major order, plus a ``<path>.ids`` sidecar holding one sample id per
-line in row order.
-"""
+"""Dataset manifests, EMB1 embedding files, JSON text and the synthetic
+two-view generator. Every JSON text is read and written here alone
+(``read_json``, ``json_line``, ``write_json``)."""
 
 from __future__ import annotations
 
@@ -50,10 +42,8 @@ def _crs_keys(crs) -> dict:
 
 @dataclass(frozen=True)
 class Coordinate:
-    """A location: wgs84 latitude/longitude in degrees, or planar x/y in metres.
-
-    Each axis is checked as its manifest key (``CRS_KEYS``), then stored as a float.
-    """
+    """wgs84 latitude/longitude in degrees or planar x/y in metres, each
+    checked as its manifest key (``CRS_KEYS``), then stored as a float."""
 
     a: float
     b: float
@@ -69,12 +59,8 @@ class Coordinate:
 
 @dataclass(frozen=True)
 class SampleRecord:
-    """One query/reference training pair.
-
-    ``positives`` and ``semi_positives`` hold ids of other records whose
-    reference view matches (exactly, or only partially for semi-positives)
-    this record's query.
-    """
+    """One query/reference pair; ``positives`` and ``semi_positives`` are the
+    ids of records whose reference matches this query fully or partly."""
 
     id: str
     class_id: str
@@ -102,11 +88,22 @@ def require_same_width(query: str, d_q: int, reference: str, d_r: int) -> None:
         raise ValidationError(f"dim mismatch: {query} {d_q} vs {reference} {d_r}")
 
 
+def unshared(array: np.ndarray) -> np.ndarray:
+    """``array`` when nothing else can write its memory, else a copy: kept when
+    it owns its data, or when its base chain ends in ``bytes`` or in a
+    read-only array that owns its data."""
+    end = array
+    while isinstance(end.base, np.ndarray):
+        end = end.base
+    frozen_end = isinstance(end.base, bytes) or (end.base is None and not end.flags.writeable)
+    return array if array.base is None or frozen_end else array.copy()
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
-    """Dense row-major float32 matrix of embeddings, one row per sample id,
-    each checked finite once, here; the array is then read-only, so no reader
-    scans it again. A C-contiguous float32 ``data`` is kept, not copied."""
+    """Row-major float32 embeddings, one row per unique sample id. Each row is
+    checked finite here, once, and the array (the caller's, when ``unshared``
+    keeps it) is then read-only, so no reader needs to scan it again."""
 
     data: np.ndarray
     row_ids: tuple[str, ...]
@@ -115,7 +112,8 @@ class EmbeddingTable:
         object.__setattr__(self, "row_ids", tuple(self.row_ids))
         if self.data.ndim != 2 or not self.data.shape[1]:
             raise ValidationError(f"embedding data must be 2-D, width >= 1, got {self.data.shape}")
-        object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype=np.float32))
+        object.__setattr__(self, "data",
+                           unshared(np.ascontiguousarray(self.data, dtype=np.float32)))
         if len(self.row_ids) != self.data.shape[0]:
             raise ValidationError(f"{len(self.row_ids)} row ids for {self.data.shape[0]} rows")
         if len(set(self.row_ids)) != len(self.row_ids):
@@ -148,22 +146,18 @@ class EmbeddingTable:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Parameters of the synthetic two-view dataset generator.
-
-    Latents carry spatial structure: the map square is divided into a
-    region_grid x region_grid grid, pairs falling in the same cell share
-    a latent cluster center, and region_within in (0, 1] sets the
-    within-region spread (1 recovers fully independent latents). Nearby
-    locations thereby look alike, the premise hard-negative sampling
-    relies on.
-    """
+    """Settings of ``generate_synthetic``. Pairs in one cell of the
+    region_grid x region_grid map share a latent centre, and region_within
+    sets their own spread (1: independent latents), so nearby pairs look alike."""
 
     SECTION = "synth"
 
     n_pairs: int = setting(2000, ge=2)
     latent_dim: int = setting(32, ge=1)
     view_dim: int = setting(64, ge=1)
-    noise_sigma: float = setting(0.25, ge=0)
+    # draws of numpy's standard normal stay below 14 in magnitude and the latent
+    # term below 1e7, so every view value stays far below float32's 3.4e38
+    noise_sigma: float = setting(0.25, ge=0, le=1e30)
     map_extent_m: float = setting(10_000.0, gt=0)
     n_semi_positives: int = setting(3, ge=0)
     region_grid: int = setting(16, ge=1)
@@ -172,6 +166,9 @@ class SynthConfig:
 
     def __post_init__(self):
         check_settings(self)
+        if self.n_semi_positives >= self.n_pairs:
+            raise ValidationError(f"synth.n_semi_positives={self.n_semi_positives} must be "
+                                  f"< synth.n_pairs={self.n_pairs}")
         if not math.isfinite(2.0 * self.map_extent_m * self.map_extent_m):  # as planar_keys
             raise ValidationError(f"synth.map_extent_m={self.map_extent_m!r}: the largest "
                                   "squared planar distance 2*extent^2 overflows float64")
@@ -187,21 +184,16 @@ def require_heap(need: int, culprit: str) -> None:
 
 
 def synth_bytes(cfg: SynthConfig) -> int:
-    """An upper estimate of generate_synthetic's peak heap for cfg, in bytes:
-    4 MiB for the semi-positive search's blocks, the region_grid**2 float64
-    latent centres, then per pair 1 KB for its record, id and grid slot, 16
-    bytes per latent component and 32 per view component for the float64
-    draws and the float32 tables. tracemalloc peaks from 50 to 20,000 pairs
-    lie 1.4 to 40 times below it."""
+    """An upper estimate of generate_synthetic's peak heap, in bytes: 4 MiB of
+    search blocks, the float64 region centres, and per pair 1 KB plus 16
+    bytes per latent and 32 per view component."""
     centres = 8 * cfg.region_grid**2 * cfg.latent_dim
     return (4 << 20) + centres + cfg.n_pairs * (1024 + 16 * cfg.latent_dim + 32 * cfg.view_dim)
 
 
 def read_text(path: str | Path, raw: bytes | None = None) -> str:
-    """The file as ``Path.read_text(encoding="utf-8")`` reads it, each \\r\\n
-    or \\r read as \\n; a byte that is not UTF-8 raises ValidationError
-    starting ``<path>:N:`` for the line N that holds it. ``raw``, when
-    given, is the file's bytes, already read by the caller."""
+    """The file (or ``raw``, its bytes) decoded as UTF-8, each \\r\\n or \\r
+    read as \\n; a byte that is not UTF-8 raises ``<path>:N: not UTF-8 text``."""
     raw = Path(path).read_bytes() if raw is None else raw
     raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
@@ -227,9 +219,8 @@ _LINE_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def read_json(text: str):
-    """The value of one JSON text, as ``json.loads`` reads it, except that a key
-    given twice in one object raises ValueError ``repeated key 'k'``; input nested
-    too deep raises ValueError, not RecursionError."""
+    """One JSON text as ``json.loads`` reads it, except that a repeated key in
+    an object, or nesting too deep, raises ValueError."""
     if text.startswith("\ufeff"):  # json.loads checks this, JSONDecoder.decode does not
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
@@ -251,8 +242,7 @@ def write_json(obj, path: str | Path) -> None:
 def read_lines(path: str | Path, parse: callable,
                raw: bytes | None = None) -> list[tuple[int, object]]:
     """``(N, parse(line))`` per non-blank line N of ``read_text(path, raw)``,
-    split at \\n alone and stripped; a KeyError or ValueError from ``parse``
-    raises ValidationError ``<path>:N: ...``."""
+    split at \\n alone and stripped; an error of ``parse`` reads ``<path>:N: ...``."""
     lines = read_text(path, raw).split("\n")
     parsed = []
     try:
@@ -268,10 +258,8 @@ def read_lines(path: str | Path, parse: callable,
 
 
 def _record_from_json(obj) -> SampleRecord:
-    """The record of one manifest line. JSON values pass through unchanged:
-    ids must be JSON strings, and coordinates JSON numbers under the keys
-    that ``CRS_KEYS`` gives the line's crs. A key outside ``_LINE_KEYS``
-    is checked for last, and the first in line order is named."""
+    """The record of one manifest line, its JSON values unconverted; an
+    unknown key is checked last, and the first in line order is named."""
     if type(obj) is not dict:
         raise ValidationError("expected a JSON object")
     for key in ("id", "class_id"):
@@ -299,11 +287,9 @@ def _record_from_json(obj) -> SampleRecord:
 
 
 def load_manifest(path: str | Path, raw: bytes | None = None) -> list[SampleRecord]:
-    """Read a JSON-lines manifest through ``read_lines`` (from ``raw``, the
-    file's bytes, when given): record i is the i-th non-blank line. A
-    malformed line N, a duplicate id, a crs other than the first record's,
-    or a link to an id no record has raises ValidationError starting
-    ``<path>:N:``."""
+    """Record i of the JSON-lines manifest is its i-th non-blank line. A bad
+    line, a duplicate id, a second crs or a link to no record raises
+    ``<path>:N: ...``."""
     lines = read_lines(path, lambda line: _record_from_json(read_json(line)), raw)
     seen: set[str] = set()
     for lineno, record in lines:
@@ -352,17 +338,15 @@ def write_manifest(records: list[SampleRecord], path: str | Path) -> None:
 
 
 def emb1_bytes(table: EmbeddingTable) -> bytes:
-    """The EMB1 file of table as write_embeddings writes it, without the sidecar."""
+    """The EMB1 file of table, without its sidecar: magic ``EMB1``, count and
+    dim as u32le, then the rows as little-endian float32."""
     payload = np.ascontiguousarray(table.data, dtype="<f4")  # the table's own array
     return b"".join((EMB1_MAGIC, _HEADER.pack(table.count, table.dim), payload))
 
 
 def write_embeddings(table: EmbeddingTable, path: str | Path) -> None:
-    """Write ``table`` in EMB1 format plus the ``<path>.ids`` sidecar.
-
-    Rejects, before writing anything, a row id that would not read back as
-    one line of the sidecar (one holding a line boundary such as "\\r").
-    """
+    """Write ``table`` in EMB1 format plus the ``<path>.ids`` sidecar, one id
+    per line; a row id holding a line boundary is refused before writing."""
     bad = [i for i, rid in enumerate(table.row_ids) if (rid + "\n").splitlines() != [rid]]
     if bad:
         raise ValidationError(f"row id {table.row_ids[bad[0]]!r} (index {bad[0]}) holds a "
@@ -386,18 +370,16 @@ def _emb1_header(path: Path, raw: bytes) -> tuple[int, int]:
 
 
 def emb1_shape(path: str | Path) -> tuple[int, int]:
-    """(count, dim) of an EMB1 file, from its 12-byte header alone: the
-    payload is neither read nor checked."""
+    """(count, dim) of an EMB1 file, from its 12-byte header alone."""
     path = Path(path)
     with path.open("rb") as fh:
         return _emb1_header(path, fh.read(4 + _HEADER.size))
 
 
 def read_embeddings(path: str | Path, raw: bytes | None = None) -> EmbeddingTable:
-    """Inverse of write_embeddings, from ``raw``, the EMB1 file's bytes, when
-    given; the ``<path>.ids`` sidecar is required, and a missing one raises
-    the OSError of reading it. The table holds a read-only view of the
-    bytes' payload, not a copy."""
+    """Inverse of write_embeddings (from ``raw``, the file's bytes, when given);
+    a missing sidecar raises the OSError of reading it. The table keeps a
+    view of the bytes, not a copy."""
     path = Path(path)
     raw = path.read_bytes() if raw is None else raw
     count, dim = _emb1_header(path, raw)
@@ -422,25 +404,13 @@ def read_embeddings(path: str | Path, raw: bytes | None = None) -> EmbeddingTabl
 def generate_synthetic(
     cfg: SynthConfig,
 ) -> tuple[list[SampleRecord], EmbeddingTable, EmbeddingTable]:
-    """Generate a synthetic two-view dataset.
+    """A synthetic two-view dataset, a pure function of cfg.
 
-    Each pair shares a latent vector z; the query view is A_q @ z plus
-    isotropic noise and the reference view A_r @ z plus independent noise,
-    with A_q, A_r fixed random linear maps.
-    Coordinates are uniform in a map_extent_m square (planar CRS); the
-    latent of each pair mixes its map region's cluster center with an
-    individual component (see SynthConfig), keeping unit variance. Each
-    record's semi_positives are its n_semi_positives geographically
-    nearest other references, found by the exact planar grid search
-    ``neighbors.planar_nearest_k`` (the same lists a dense scan of all
-    pairs gives, at about linear cost in n_pairs), whose distances are
-    finite, as it requires, because ``SynthConfig`` bounds map_extent_m.
-    Pure function of cfg: the same config yields bit-identical outputs.
+    Pair i's query view is A_q @ z_i plus noise and its reference view
+    A_r @ z_i plus independent noise, for fixed random maps A_q, A_r and a
+    latent z_i of unit variance. Coordinates are uniform in the planar map
+    square; semi-positives are each record's nearest other references.
     """
-    if cfg.n_semi_positives >= cfg.n_pairs:
-        raise ValidationError(
-            f"n_semi_positives={cfg.n_semi_positives} must be < n_pairs={cfg.n_pairs}"
-        )
     n, d_latent, d_view = cfg.n_pairs, cfg.latent_dim, cfg.view_dim
     require_heap(synth_bytes(cfg), f"synth.n_pairs={n} (latent_dim={d_latent}, "
                  f"view_dim={d_view}, region_grid={cfg.region_grid})")

@@ -6,11 +6,8 @@ from dataclasses import Field, field, fields
 
 
 class ValidationError(ValueError):
-    """Invalid configuration, data, or arguments (CLI exit code 1).
-
-    IO failures (missing files, unreadable paths) stay OSError and map
-    to CLI exit code 2.
-    """
+    """Invalid configuration, data or arguments (CLI exit code 1); IO
+    failures stay OSError (exit code 2)."""
 
 
 def first_repeat(items) -> tuple[int, int] | None:

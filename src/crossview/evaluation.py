@@ -1,18 +1,12 @@
-"""Retrieval metrics: Recall@k, Recall@1%, semi-positive-masked hit rate, AP.
-
-All metrics are rank-based (invariant under any strictly increasing
-transform of the similarity scores) and break ranking ties toward the
-lower reference index so results reproduce across implementations.
-"""
+"""Retrieval metrics: Recall@k, Recall@1%, the semi-positive-masked hit rate
+and AP, all from one rank count per (query, positive) pair."""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
-from functools import reduce
 from itertools import chain, repeat
-from operator import add
 
 import numpy as np
 
@@ -43,24 +37,16 @@ class RetrievalReport:
 @small_buffer
 def _positive_ranks(scores: Callable[[np.ndarray], np.ndarray], n_q: int, n_r: int,
                     positives: np.ndarray, semi_positives: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rank of each query's positives under descending similarity, for link
-    arrays as ``_link_rows`` makes them, with a positive for every one of
-    n_q >= 1 queries.
+    """Each query's best rank and best masked rank, every pair's rank and each
+    query's first pair, for link arrays (``_link_rows``) that give each of
+    n_q >= 1 queries a positive.
 
-    ``scores(q)`` returns the float64 similarity rows (len(q), n_r) of the
-    queries q of one block of at most ``block_rows(n_r)`` (query, positive)
-    pairs, so no n_q x n_r matrix need exist. A rank is 1 + the references
-    scored strictly higher + those tied with the positive at a lower index.
-    Each block takes one per-row count of the higher scores and one count of
-    the ties over the whole block: each row ties its own positive once, so
-    only a block with more ties than rows, or with a NaN positive score
-    (which ties nothing), is searched row by row for the ties at a lower
-    index. The masked rank subtracts the query's semi-positives that the
-    same rule puts ahead of the positive; their scores are gathered while
-    each block is held and compared once, after the last block. The ranks
-    follow the scores' bits, so they are as deterministic as ``scores``.
-    Returns each query's best rank and best masked rank, every pair's rank
-    and the first pair of each query.
+    ``scores(q)`` returns the float64 rows (len(q), n_r) of one block of at
+    most ``block_rows(n_r)`` pairs, so no n_q x n_r matrix is held. A rank is
+    1 + the references scored higher + those tied with the positive at a
+    lower index; the masked rank leaves out the query's semi-positives. Each
+    row ties its own positive once, so only a block with more ties than rows,
+    or a NaN positive score, is searched for ties row by row.
     """
     # each (query, positive) pair takes its query's run of semi_positives
     n_semi = np.bincount(semi_positives[:, 0], minlength=n_q)[positives[:, 0]]
@@ -99,7 +85,7 @@ def _link_rows(counts: np.ndarray | list[int], rows: np.ndarray | list[int],
     """Sorted (query, reference row) rows, each once: query i takes the next counts[i] rows."""
     key = np.repeat(np.arange(len(counts)), counts) * (n_r + 1) + np.asarray(rows, np.int64)
     key.sort()
-    key = key[np.diff(key, prepend=-1) != 0]  # np.unique takes ~17x as long here
+    key = key[np.diff(key, prepend=-1) != 0]  # faster than np.unique here
     return np.stack(np.divmod(key, n_r + 1), axis=1)
 
 
@@ -161,22 +147,30 @@ def hit_rate(
     return _recall(_matrix_ranks(sim, positives, semi_positives)[1], 1)
 
 
-def average_precision(ranking: list[int], positives: set[int]) -> float:
-    """Un-interpolated AP of one ranked reference list.
+def _ap_totals(ranks: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per query, found / rank over its positives' ranks, ascending in the run
+    of ``ranks`` from its ``starts`` entry, added one at a time from left to
+    right: Python's sum() compensates from 3.12 on, which changes the bits."""
+    counts = np.diff(starts, append=len(ranks))
+    total = np.zeros(len(starts))
+    for found in range(1, counts.max() + 1):
+        q = np.flatnonzero(counts >= found)
+        total[q] += found / ranks[starts[q] + found - 1]
+    return total
 
-    Mean over positives of precision at each positive's rank; positives
-    missing from the ranking contribute zero. A reference listed twice
-    raises, naming its second rank.
-    """
+
+def average_precision(ranking: list[int], positives: set[int]) -> float:
+    """Un-interpolated AP of one ranked list: the mean over positives of the
+    precision at each one's rank, 0 for one not ranked. A reference ranked
+    twice raises."""
     require_links("the ranked query", positives)
     repeat = first_repeat(ranking)
     if repeat:
         i, j = repeat
         raise ValidationError(f"reference {ranking[j]!r} is ranked twice: {i + 1} and {j + 1}")
     ranks = [rank for rank, ref in enumerate(ranking, start=1) if ref in positives]
-    # reduce adds left to right on every Python; sum() compensates from 3.12 on
-    total = reduce(add, (found / rank for found, rank in enumerate(ranks, start=1)), 0.0)
-    return total / len(positives)
+    total = _ap_totals(np.array(ranks, dtype=np.int64), np.zeros(1, dtype=np.intp))[0]
+    return float(total / len(positives))
 
 
 def resolve_links(manifest: list[SampleRecord],
@@ -198,13 +192,9 @@ def resolve_links(manifest: list[SampleRecord],
 def retrieval_report(q64: np.ndarray, r64: np.ndarray, positives: np.ndarray,
                      semi_positives: np.ndarray) -> RetrievalReport:
     """Every metric of float64 unit query and reference rows and link arrays
-    (``resolve_links``, ``link_arrays``), from one rank pass over blocks of
-    score rows, in which identical reference rows score alike (``similarity_blocks``).
-
-    hit_rate is set only when some query has semi-positives, mean AP only
-    when some query has multiple positives or the gallery holds
-    distractor references.
-    """
+    (``resolve_links``, ``link_arrays``), from one rank pass. hit_rate is set
+    only when some query has semi-positives, mean AP only when some query
+    has several positives or some reference is no query's positive."""
     n_q, n_r = len(q64), len(r64)
     best, best_masked, pair_ranks, starts = _positive_ranks(similarity_blocks(q64, r64), n_q, n_r,
                                                             positives, semi_positives)
@@ -212,44 +202,29 @@ def retrieval_report(q64: np.ndarray, r64: np.ndarray, positives: np.ndarray,
     hit = _recall(best_masked, 1) if len(semi_positives) else None
     mean_ap = None
     if len(positives) > n_q or not np.bincount(positives[:, 1], minlength=n_r).all():
-        # a query's AP: found / rank summed over its positives in rank order,
-        # left to right as average_precision adds, over its positive count
-        counts = np.diff(starts, append=len(positives))
         ranks = np.sort(positives[:, 0] * (n_r + 1) + pair_ranks) % (n_r + 1)
-        total = np.zeros(n_q)
-        for found in range(1, counts.max() + 1):
-            q = np.flatnonzero(counts >= found)
-            total[q] += found / ranks[starts[q] + found - 1]
-        mean_ap = float(np.mean(total / counts))
+        counts = np.diff(starts, append=len(positives))
+        mean_ap = float(np.mean(_ap_totals(ranks, starts) / counts))
     return RetrievalReport(recall_at=recall, recall_at_1pct=_recall(best, _percent_k(1.0, n_r)),
                            hit_rate=hit, mean_ap=mean_ap, n_queries=n_q, n_references=n_r)
 
 
 def score_bytes(n_q: int, n_r: int, dim: int, n_links: int) -> int:
-    """An upper estimate of evaluate's peak heap, the float32 tables included,
-    in bytes, for n_links positive and semi-positive links in all: per query
-    value its table and float64 unit copy (16 bytes); per reference value
-    those, the (dim, n_r) gallery copy and np.unique's copies of repeated
-    rows (48); 64 per link for its id lookup, sort, rank and score entries;
-    64 per query and 96 per reference for the rank arrays and the id map;
-    and two BLOCK_BYTES of score block. tracemalloc peaks from 400 to
-    40,000 rows of width 1 to 512, with 0 to 20 semi-positives per query,
-    lie 1.07 to 2.4 times below it."""
+    """An upper estimate of evaluate's peak heap in bytes, the float32 tables
+    included, for n_links links in all: 16 bytes per query value, 48 per
+    reference value (its unit, gallery and np.unique copies), 64 per link, 64
+    per query and 96 per reference for ranks and the id map, and two
+    BLOCK_BYTES of scores."""
     return 8 * dim * (2 * n_q + 6 * n_r) + 64 * n_links + 64 * n_q + 96 * n_r + 2 * BLOCK_BYTES
 
 
 def evaluate(
     queries: EmbeddingTable, references: EmbeddingTable, manifest: list[SampleRecord]
 ) -> RetrievalReport:
-    """Full metric suite for a query table against a reference gallery.
-
-    Query rows align with manifest records; positives/semi-positives are
-    resolved through the reference table's row ids, and the heap the
-    scoring needs for them (``score_bytes``) is checked before either
-    table is copied. Both tables are L2-normalised as ``l2_normalize`` rounds
-    them (``unit32``), queries first, then scored by retrieval_report; their
-    rows, checked once and read-only (``EmbeddingTable``), are not rescanned.
-    """
+    """Every metric of a query table against a reference gallery. Query rows
+    align with the manifest's records, whose links resolve through the
+    references' row ids; ``score_bytes`` is checked before either table is
+    copied. Both are rounded as ``l2_normalize`` rounds them, queries first."""
     if not manifest:
         raise ValidationError("the manifest holds no queries")
     require_aligned("query", queries.row_ids, manifest)

@@ -1,9 +1,4 @@
-"""Geodesic and planar distances plus top-K geographic neighbour search.
-
-The GPS sampling phase builds its negative pools here: haversine distance
-for wgs84 coordinates, plain Euclidean distance for planar ones (UTM-style
-data arrives already projected).
-"""
+"""Haversine and planar distances, and geographic (GPS) neighbour pools."""
 
 from __future__ import annotations
 
@@ -86,22 +81,12 @@ def geo_topk(
     K: int,
     cfg: GeoConfig = GeoConfig(),
 ) -> Pools:
-    """For each anchor, its K geographically nearest candidates.
-
-    Candidate j == anchor position i is excluded (an anchor never pools
-    its own paired candidate); ties break toward the lower candidate
-    index. Exact either way: planar pools come from the grid search
-    ``neighbors.planar_nearest_k``, which scores only nearby cells and
-    redoes densely any row a farther candidate could reach; wgs84 pools
-    score every pair in haversine distance blocks, since a lat/lon cell
-    bound would have to cover the poles and the antimeridian.
-
-    Every key is finite, as both kernels require, without a scan of the
-    keys: ``Coordinate`` checks each latitude and longitude and
-    ``GeoConfig`` bounds the radius, so a haversine distance is at most
-    the finite 2*R*asin(1); ``_check_planar_span`` bounds every planar
-    pair's squared distance, the grid's dense redo included.
-    """
+    """For each anchor i, its K geographically nearest candidates other than
+    candidate i, in ``nearest_k``'s order. Planar pools search the grid;
+    wgs84 pools score every pair, since a lat/lon cell bound would have to
+    cover the poles and the antimeridian. Keys are finite without a scan:
+    ``Coordinate`` checks each axis, ``GeoConfig`` bounds the radius, and
+    ``_check_planar_span`` the planar distances."""
     a, crs_a = _coord_array(anchors)
     c, crs_c = (a, crs_a) if candidates is anchors else _coord_array(candidates)
     if crs_a != crs_c:

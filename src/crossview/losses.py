@@ -1,16 +1,10 @@
 """Contrastive losses with exact analytic gradients.
 
-The training objective is a batch softmax cross-entropy between query and
-reference embeddings. With row-aligned unit-normalised batches Q and R,
-logits are exp(logit_scale) * Q @ R^T; query->reference reads logits by
-rows, reference->query by columns, and the symmetric mode averages the
-two so its scale matches a single direction. Label smoothing mixes the
-one-hot target with a uniform distribution:
-
-    target[i, j] = (1 - eps) * [i == j] + eps / N
-
-Two triplet objectives are included as baselines for the collapse
-comparison; both use squared Euclidean distances between rows.
+InfoNCE is a label-smoothed softmax cross-entropy over the logits
+exp(logit_scale) * Q @ R^T of row-aligned unit batches: query to reference
+along rows, reference to query along columns, the symmetric mode their mean,
+and target[i, j] = (1 - eps) * [i == j] + eps / N. The triplet baselines use
+squared Euclidean distances.
 """
 
 from __future__ import annotations
@@ -29,13 +23,8 @@ DIRECTIONS = ("query_to_ref", "ref_to_query", "symmetric")
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Batch-softmax loss parameters.
-
-    ``logit_scale`` is the log of the similarity multiplier, i.e.
-    exp(logit_scale) = 1/tau; it is the learnable temperature, clamped
-    from above by ``logit_scale_max``. The default initialises
-    tau = 0.07.
-    """
+    """Batch-softmax loss settings. ``logit_scale`` = log(1/tau) starts the
+    learnable temperature (tau = 0.07), clamped at ``logit_scale_max``."""
 
     SECTION = "loss"
 
@@ -57,12 +46,8 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class LossOutput:
-    """Loss value plus exact gradients w.r.t. every input.
-
-    For the triplet losses, grad_queries holds the anchor gradient,
-    grad_references the positive gradient, and grad_negatives the
-    negative gradient; info_nce leaves grad_negatives as None.
-    """
+    """Loss value plus exact gradients w.r.t. every input; for the triplet
+    losses the anchor's, positive's and negative's (None for info_nce)."""
 
     loss: float
     grad_queries: np.ndarray
@@ -96,21 +81,12 @@ def _smoothed_target(n: int, eps: float) -> np.ndarray:
 def info_nce(
     queries: np.ndarray, references: np.ndarray, cfg: LossConfig, *, logit_scale: float | None = None
 ) -> LossOutput:
-    """Smoothed batch softmax cross-entropy between two embedding batches.
-
-    Row i of ``references`` is the positive for row i of ``queries``.
-    ``logit_scale`` (the trainer passes its learned one) overrides
-    cfg.logit_scale. Returns the loss for cfg.direction along with
-    analytic gradients w.r.t. queries, references, and logit_scale; the
-    symmetric loss is exactly the arithmetic mean of the two single
-    directions.
-
-    Both batches are scanned for non-finite entries only when the loss
-    comes out non-finite, which any such entry guarantees: a NaN or inf in
-    row i of queries (references) makes logit row (column) i non-finite,
-    as inf * 0 is NaN, and one non-finite logit makes the loss of every
-    direction non-finite.
-    """
+    """Smoothed batch softmax cross-entropy for cfg.direction, row i of
+    ``references`` the positive of row i of ``queries``, with its gradients
+    w.r.t. both batches and the logit scale (``logit_scale`` overrides cfg's).
+    The symmetric loss is exactly the mean of the two directions. The batches
+    are scanned for non-finite entries only when the loss is non-finite,
+    which any such entry makes it in every direction."""
     q = _as_batch("queries", queries)
     r = _as_batch("references", references)
     if q.shape != r.shape:
@@ -207,10 +183,7 @@ def triplet_loss(
     negative: np.ndarray,
     margin: float = LossConfig.triplet_margin,
 ) -> LossOutput:
-    """Hinge triplet loss, mean over rows of max(0, d(a,p)^2 - d(a,n)^2 + margin).
-
-    The subgradient at the hinge kink is taken as 0.
-    """
+    """Mean over rows of max(0, d(a,p)^2 - d(a,n)^2 + margin); 0 at the kink."""
 
     def hinge(x):
         arg = x + margin
@@ -222,12 +195,9 @@ def triplet_loss(
 def soft_margin_triplet_loss(
     anchor: np.ndarray, positive: np.ndarray, negative: np.ndarray
 ) -> LossOutput:
-    """Smooth triplet loss, mean over rows of ln(1 + exp(d(a,p)^2 - d(a,n)^2)).
-
-    Evaluated through logaddexp so large positive arguments cannot
-    overflow. The weight, the loss's derivative, is the sigmoid
-    exp(-ln(1 + exp(-x))): exactly 0, 1/2 and 1 at -inf, 0 and +inf.
-    """
+    """Mean over rows of ln(1 + exp(d(a,p)^2 - d(a,n)^2)), through logaddexp so
+    it cannot overflow; its weight exp(-ln(1 + exp(-x))) is exactly 0, 1/2
+    and 1 at -inf, 0 and +inf."""
     return _triplet(anchor, positive, negative,
                     lambda x: (float(np.mean(np.logaddexp(0.0, x))),
                                np.exp(-np.logaddexp(0.0, -x))))

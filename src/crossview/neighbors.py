@@ -1,71 +1,11 @@
-"""Exact K-nearest search: one selection step behind every neighbour list.
+"""Exact K-nearest search: one selection step (``_survivors``, ``_first_k``)
+behind every neighbour list, fed by dense row blocks (``nearest_k``) or by a
+planar grid (``planar_nearest_k``).
 
-GPS pools (geographic distances), DSS pools (similarities) and the
-synthetic generator's semi-positives (planar distances) all reduce to the
-same question: per row, the K columns with the smallest keys (or, for
-similarities, the largest), the row's own column excluded, ties toward the
-lower column index. Two producers feed candidate key blocks to one
-selection step (``_survivors``, then ``_first_k``):
-
-- ``nearest_k`` scores every column of the rows it is given, in blocks of
-  rows so memory stays within the block budget. wgs84 pools and visual
-  (DSS) pools use it over all rows: the grid's planar bound does not hold
-  for great-circle distances, and a visual key's bits depend on the gemm
-  that scored its block, so re-scoring a subset would not reproduce them.
-  Visual pools take the largest keys (``largest=True``), so no block is
-  negated: only each row's survivors are, before ``_first_k``.
-- ``planar_nearest_k`` buckets the candidates into a uniform grid and
-  scores only the 3x3 cells around each anchor. The anchors of one cell
-  share that square, so each block gathers it once per cell, as a window
-  that every anchor of the cell reads by row. A row is kept only when no
-  column outside those cells can reach its K-th key; every other row is
-  redone by ``nearest_k``. Planar GPS pools and semi-positives use it, so
-  their cost grows about linearly in N on spread-out points instead of as
-  N^2.
-
-Both kernels need every key finite and check none of them: each caller
-guarantees it from inputs already checked, in O(n) or O(n*d) rather than
-once per key (``simsearch.visual_topk`` from read-only ``EmbeddingTable``
-rows, ``geo.geo_topk``, ``datasets.generate_synthetic``). Every pool
-builder holds its K to ``require_pool_size``.
-
-Every streamed block, here and in ``evaluation``, holds at most
-``BLOCK_BYTES`` of float64 keys: ``block_rows(width)`` rows of a given
-width, at least one.
-
-Selection is exact without sorting whole rows, and on wide rows without
-partitioning them either. ``_survivors`` bounds each row's K-th key from
-above by the K-th smallest of 4K column-group minima (one pass over the
-block, then a partition of 4K values per row; a row narrower than 16K is
-partitioned whole instead) and keeps every key at or below that cut-off:
-a superset of the row's K smallest, ties at the K-th key included, about
-1.15K keys per row on unstructured keys. For the largest keys it takes
-group maxima and keeps every key at or above the cut-off. ``_first_k``
-orders the survivors by (key, column) and keeps K per row: one unstable
-(SIMD) sort of the keys, and a (key, column) sort again only for the rows
-where two of the first K + 1 sorted keys compare equal. ``nearest_k`` runs
-it once per batch of blocks, so one-row blocks do not pay it row by row.
-A row with many ties at its K-th key keeps every tie, and its cost falls
-back to a sort's.
-
-The three block kernels, ``nearest_k``, ``planar_nearest_k`` and
-``evaluation._positive_ranks``, run under ``small_buffer``: numpy's ufunc
-buffer shrunk to UFUNC_BUFSIZE elements for the call, callbacks included.
-Each compares a block with a per-row column (``block >= cut`` in
-``_survivors``, ``rows > s`` and ``rows == s`` in the rank count, the
-anchor columns in ``planar_keys``). When a block row holds at most half of
-the buffer, numpy copies the broadcast column into its buffer before it
-compares; on rows wider than that it compares in place. With numpy 2.4.6's
-default 8,192-element buffer, ``rows > s`` on a 40 x 2000 block takes
-48-59 us, and 12-16 us with a 2,048-element buffer; 16-row blocks cost
-0.56-0.69 ns per element at widths up to 4,096 and 0.15 ns from 4,500.
-At 512 elements every row wider than 256 columns takes the fast loop.
-The outputs are the same bytes under any buffer, by construction: these
-kernels hold no float sum, only element-wise operations, max/min and
-integer or boolean counts, and their gemm goes to BLAS. The caller's
-buffer size is restored when the kernel returns or raises. A new thread
-starts at numpy's default buffer, so a worker thread that runs part of a
-kernel must enter ``small_buffer`` itself.
+Both kernels need finite keys and scan none: callers check their inputs once
+(``datasets.EmbeddingTable``, ``geo.geo_topk``, ``datasets.SynthConfig``).
+Every streamed block, here and in ``evaluation``, holds at most BLOCK_BYTES of
+float64 keys.
 """
 
 from __future__ import annotations
@@ -83,11 +23,16 @@ UFUNC_BUFSIZE = 512  # elements, for the block kernels; numpy's default is 8192
 
 
 def small_buffer(kernel):
-    """``kernel`` run under a ufunc buffer of UFUNC_BUFSIZE elements, its
-    callbacks included. ``np.errstate`` restores numpy's buffer size when
-    the call returns or raises (numpy >= 2.0 keeps it with the error state),
-    so the caller's numpy state never changes; ``__wrapped__`` is the kernel
-    under the caller's buffer."""
+    """``kernel`` run under a ufunc buffer of UFUNC_BUFSIZE elements, callbacks
+    included. Comparing a block with a per-row column (``block >= cut``,
+    ``rows > s``), numpy first copies the column into its buffer whenever a
+    row holds at most half the buffer; here rows wider than 256 skip that.
+    The outputs are the same bytes under any buffer: the kernels hold no float
+    sum, only element-wise ops, max/min and integer or boolean counts, and
+    their gemm runs in BLAS. ``np.errstate`` restores the caller's buffer on
+    return or raise (numpy >= 2.0). A new thread starts at numpy's default
+    buffer, so a worker thread running part of a kernel must enter this itself.
+    ``__wrapped__`` is the kernel under the caller's buffer."""
 
     @functools.wraps(kernel)
     def run(*args, **kwargs):
@@ -124,19 +69,13 @@ def planar_keys(ax, ay, bx, by) -> np.ndarray:
 
 
 def _survivors(block: np.ndarray, K: int, largest: bool = False) -> np.ndarray:
-    """Flat indices of the entries of a key block (rows, width) that can be
-    among their row's K smallest (1 <= K <= width), ascending: every entry
-    <= its row's cut-off. With ``largest``, the same for the K largest:
-    every entry >= its row's cut-off.
-
-    Column j falls in group j mod G of G = 4K groups (the last width mod G
-    columns in none). The K smallest group minima are K distinct entries,
-    so the K-th smallest of them bounds the row's K-th key from above and
-    serves as the cut-off. Groups of fewer than 4 columns bound it loosely,
-    and partitioning such a narrow row costs no more than the group minima,
-    so there the cut-off is the row's K-th key itself. The largest keys
-    mirror this through group maxima.
-    """
+    """Flat indices, ascending, of the entries of a key block (rows, width)
+    that can be among their row's K smallest (1 <= K <= width): every entry
+    <= its row's cut-off (with ``largest``, the mirror image). The cut-off is
+    the K-th smallest of G = 4K column-group minima (column j in group j mod
+    G, the last width mod G columns in none): K distinct entries, so it bounds
+    the row's K-th key from above. With groups under 4 columns wide it is the
+    row's K-th key itself."""
     n_rows, width = block.shape
     groups = 4 * K
     depth = width // groups
@@ -151,20 +90,13 @@ def _survivors(block: np.ndarray, K: int, largest: bool = False) -> np.ndarray:
 
 
 def _first_k(row: np.ndarray, col: np.ndarray, key: np.ndarray, n_rows: int, K: int):
-    """Per row r < n_rows, the K smallest of its survivors by (key, column),
-    in that order. Survivor i is (row[i], col[i], key[i]); ``row`` is
-    non-decreasing and holds every r at least K times. Returns (indices,
-    keys), each (n_rows, K).
-
-    The survivors are packed left into one row each, padded with (+inf,
-    largest index), and one unstable ``np.argsort`` along the rows orders
-    the keys. Where a row's first K + 1 sorted keys all differ, its first K
-    keys and their order are unique, so they are the first K by (key,
-    column). Any other row (a tie, -0.0 beside +0.0, or +inf padding among
-    them) is ordered again by ``np.lexsort`` on (key, column). Either way
-    the first K per row equal the first K of a full stable sort of all
-    keys when the survivors include every key <= the row's K-th.
-    """
+    """(indices, keys), each (n_rows, K): per row r < n_rows, its K smallest
+    survivors by (key, column). Survivor i is (row[i], col[i], key[i]), and
+    ``row`` is non-decreasing and holds each r at least K times. One unstable
+    argsort orders the keys; a row where two of the first K + 1 sorted keys
+    compare equal (a tie, -0.0 beside 0.0, padding) is ordered again by (key,
+    column). So when the survivors hold every key <= the row's K-th, the result
+    is the first K of a stable sort of the whole row."""
     counts = np.bincount(row, minlength=n_rows)
     slot = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
     keys = np.full((n_rows, counts.max()), np.inf)
@@ -184,18 +116,17 @@ def nearest_k(
     keys: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, n_cols: int, K: int,
     largest: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per row in ``rows``, the K columns with the smallest keys, ascending;
-    with ``largest``, the K columns with the largest keys, descending.
+    """Per row in ``rows``, the K columns with the smallest keys, ascending
+    (with ``largest``, the largest, descending), ties toward the lower column;
+    column ``part[i]`` is never in row i's list. Returns the (len(rows), K)
+    columns and their keys, bit for bit.
 
-    ``keys(part)`` returns the float key block (len(part), n_cols) of the
-    rows ``part``, a slice of ``rows``, which may be written to; every key
-    must be finite, and K < n_cols. Column ``part[i]`` never appears in row
-    i's list (where ``part[i]`` < n_cols). Ties go to the lower column.
-    Returns the (len(rows), K) column indices and their keys, bit for bit.
-
-    The largest keys are the smallest of the negated keys: only each row's
-    survivors are negated, before ``_first_k``, and the K kept are negated
-    back, so the keys keep their bits; -0.0 and +0.0 compare equal either way.
+    ``keys(part)`` returns the writable key block (len(part), n_cols) of a
+    slice of ``rows``; K < n_cols. With ``largest`` only the survivors are
+    negated, and the kept keys negated back, so a visual score keeps the bits
+    of q.r: scoring -q instead gives (-q).r, whose signed zeros differ from
+    -(q.r). A visual key's bits depend on the gemm block that scored it, so
+    no subset of a row can be re-scored to the same bits.
     """
     indices = np.empty((len(rows), K), dtype=np.intp)
     nearest = np.empty((len(rows), K), dtype=np.float64)
@@ -235,24 +166,11 @@ def planar_nearest_k(
     anchors: np.ndarray, candidates: np.ndarray, K: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``nearest_k`` over the planar distances from anchors (m, 2) to
-    candidates (n, 2), byte for byte, without scoring every pair.
-
-    Needs 0 <= K < n and every pairwise distance finite (callers bound the
-    coordinate span). The grid spans the candidates' bounding box with cell
-    side h = sqrt(area * (K + 1) / n), about K + 1 candidates per cell, but
-    at least the longer side / n so a thin box keeps O(n) cells; a box of
-    zero area is one cell. Anchors are taken in order of square size, then
-    cell. Per block of anchors, the candidates in the 3x3 cells around each
-    cell that holds an anchor are gathered once into a window, padded at
-    x = +inf; each anchor's row reads its cell's window, ``planar_keys``
-    scores it (the padding scores +inf), the anchor's own candidate is set
-    to +inf, and ``_survivors`` and ``_first_k`` pick from the block. A
-    row is accepted when its K-th key lies below the anchor's distance to
-    the outside of its 3x3 square (a side on the grid edge counts as
-    infinitely far) by more than the rounding slack: then every column
-    holding a key <= the K-th is among the gathered ones, so the selection
-    equals the dense one. The other rows go to one ``nearest_k`` call over
-    every candidate.
+    candidates (n, 2), byte for byte, scoring only the 3x3 grid cells around
+    each anchor (cells of about K + 1 candidates); needs 0 <= K < n. A row is
+    kept only when its K-th key lies below the anchor's distance to the
+    outside of its square by more than the rounding slack; every other row is
+    redone by ``nearest_k``.
     """
     m, n = len(anchors), len(candidates)
     indices = np.empty((m, K), dtype=np.intp)

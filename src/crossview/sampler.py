@@ -1,13 +1,8 @@
-"""Epoch batch planning with geographic and visual hard-negative pools.
+"""Epoch batch planning from geographic (GPS) and visual (DSS) pools.
 
-Training starts from GPS-based pools (geographic neighbours make good
-negatives before the model has learned anything) and switches to dynamic
-similarity pools built from the model's own embeddings. Each anchor
-contributes k picks from its pool of size K: the k/2 nearest, plus k/2
-drawn uniformly from the rest of the pool to keep batches diverse between
-pool refreshes (every ``refresh_every`` epochs). A within-epoch lookup
-prevents double entries, so every pair appears in exactly one batch per
-epoch, and no batch holds two members of the same class.
+Each anchor takes k picks from its pool of K: the k/2 nearest and k/2 drawn
+from the rest. Each pair is in exactly one batch per epoch, and no batch holds
+two pairs of one class.
 """
 
 from __future__ import annotations
@@ -78,13 +73,10 @@ def should_refresh(epoch: int, cfg: SamplerConfig) -> bool:
 
 
 def pool_bytes(n: int, K: int, width: int) -> int:
-    """An upper estimate of the peak heap of building n pools of size K from
-    rows of ``width`` float64 values (2 for coordinates), in bytes: 16 per
-    pool entry for its index and score, per row 24 per value for three
-    float64 copies and 512 for grid and selection arrays, and eight
-    BLOCK_BYTES of key blocks. tracemalloc peaks of planar, wgs84 and visual
-    builds of 1,000 to 20,000 pools lie 1.1 to 4 times below it, a visual
-    build with small K farthest: it has no grid."""
+    """An upper estimate of the peak heap of n pools of size K over rows of
+    ``width`` float64 values (2 for coordinates), in bytes: 16 per entry, per
+    row 24 per value and 512 for grid and selection arrays, and eight
+    BLOCK_BYTES of key blocks."""
     return n * (16 * K + 24 * width + 512) + 8 * BLOCK_BYTES
 
 
@@ -114,12 +106,8 @@ def build_sim_pools(
 def pick_from_pool(
     pool: NeighborPool, cfg: SamplerConfig, rng_state: np.random.Generator
 ) -> list[int]:
-    """Select k pool members: the k/2 nearest plus k/2 random from the rest.
-
-    Both halves are returned in pool order (nearest first), so with k
-    equal to the pool size the output is the whole pool for any seed.
-    The generator advances deterministically.
-    """
+    """The k/2 nearest pool members plus k/2 drawn from the rest, both in pool
+    order, so with k equal to the pool size it is the whole pool."""
     k = cfg.picks_per_anchor
     if len(pool) < k:
         raise ValidationError(
@@ -141,16 +129,11 @@ def plan_epoch(
     epoch: int,
     rng_state: np.random.Generator,
 ) -> BatchPlan:
-    """Greedily tile one epoch into batches of hard negatives.
-
-    Anchors are visited in a seeded shuffle; each opens a batch and pulls
-    its pool picks in, skipping pairs already used this epoch and pairs
-    whose class is already in the batch, then the batch is topped up with
-    the remaining shuffle order under the same constraints. A short final
-    batch is kept so every pair trains each epoch. Any class fits, as each
-    anchor opens its own batch: a class of more than ceil(n / batch_size)
-    pairs gives more, shorter batches, which may come mid-epoch.
-    """
+    """Greedily tile one epoch into batches. Anchors are visited in a seeded
+    shuffle; each opens a batch and pulls in its pool picks, then the rest of
+    the shuffle, skipping used pairs and classes already in the batch. Any
+    class fits: one of more than ceil(n / batch_size) pairs gives more,
+    shorter batches, which may come mid-epoch."""
     n = len(records)
     if n == 0:
         raise ValidationError("cannot plan an epoch over zero records")

@@ -1,10 +1,5 @@
-"""Embedding normalisation, cosine similarity, and top-K visual neighbour search.
-
-Feeds the dynamic similarity sampling phase: after an inference pass over
-the training set, every query gets a pool of its most similar references
-to mine hard negatives from. All similarity math runs in float64 so
-orderings (and therefore batch plans) are reproducible.
-"""
+"""Unit rows, similarity blocks and the neighbour pools of DSS sampling,
+scored in float64."""
 
 from __future__ import annotations
 
@@ -12,19 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import EmbeddingTable, require_same_width
+from .datasets import EmbeddingTable, require_same_width, unshared
 from .errors import ValidationError
 from .neighbors import nearest_k, require_pool_size
 
 
 @dataclass(frozen=True)
 class NeighborPool:
-    """One anchor's row of a ``Pools``, as plain Python values.
-
-    Scores are similarities (descending) for kind='visual' and distances
-    (ascending) for kind='geographic'. Built by ``Pools`` indexing and
-    checked there, so the record itself checks nothing.
-    """
+    """One anchor's row of a ``Pools`` as plain Python values, checked there:
+    distances (ascending) for 'geographic', similarities (descending) for 'visual'."""
 
     anchor_index: int
     neighbor_indices: tuple[int, ...]
@@ -37,20 +28,17 @@ class NeighborPool:
 
 @dataclass(frozen=True, eq=False)
 class Pools:
-    """Ordered candidate hard negatives for every anchor, one row per anchor.
-
-    ``indices`` (n, K) holds candidate indices and ``scores`` (n, K) their
-    float64 scores; row i belongs to anchor i and never holds i itself.
-    Every invariant is checked once, over the whole arrays, and both arrays
-    are made read-only so the check stays true. ``pools[i]`` reads anchor
-    i's row as a ``NeighborPool``.
-    """
+    """Every anchor's ordered candidates: ``indices`` and float64 ``scores``,
+    both (n, K), row i anchor i's and never holding i. Checked once, then
+    read-only (``datasets.unshared``); ``pools[i]`` is row i as a ``NeighborPool``."""
 
     indices: np.ndarray
     scores: np.ndarray
     kind: str
 
     def __post_init__(self):
+        object.__setattr__(self, "indices", unshared(self.indices))
+        object.__setattr__(self, "scores", unshared(self.scores))
         if self.kind not in ("geographic", "visual"):
             raise ValidationError(f"unknown pool kind {self.kind!r}")
         if self.indices.ndim != 2 or self.indices.shape != self.scores.shape:
@@ -83,8 +71,8 @@ class Pools:
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
-    """The L2 norms of X's rows along its last axis. Raises on a zero-norm
-    row, counted across any leading axes; a NaN norm passes."""
+    """The L2 norms of X's rows along its last axis; a zero-norm row raises,
+    counted across any leading axes."""
     norms = np.sqrt(np.add.reduce(X * X, axis=-1))  # np.linalg.norm's own formula for real X
     # a NaN norm lands here too; the scan decides
     if norms.size and not np.minimum.reduce(norms, axis=None) > 1e-35:
@@ -95,51 +83,38 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
 
 
 def unit_rows(X: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(X with every row, along its last axis, scaled to unit L2 norm; the
-    row norms). ``out`` may be X itself. Raises on a zero-norm row, counted
-    across any leading axes."""
+    """(X's rows along its last axis scaled to unit L2 norm, the norms);
+    ``out`` may be X itself."""
     norms = _row_norms(X)
     return np.divide(X, norms[..., None], out=out), norms
 
 
 def unit32(table: EmbeddingTable) -> np.ndarray:
     """The table's rows scaled to unit L2 norm in float64, then rounded to
-    float32: the one rounding of ``l2_normalize`` and ``evaluate``. Raises
-    on a zero-norm row before dividing; the rows, checked once and read-only
-    (``EmbeddingTable``), are finite, and so are their float64 norms."""
+    float32: the one rounding of ``l2_normalize`` and ``evaluate``."""
     unit = table.data.astype(np.float64)
     return np.divide(unit, _row_norms(unit)[:, None], out=unit).astype(np.float32)
 
 
 def l2_normalize(table: EmbeddingTable) -> EmbeddingTable:
-    """Scale every row to unit L2 norm in float64, rounded to float32
-    (``unit32``), into a new read-only table. Raises on a zero-norm row."""
+    """``unit32`` of the table, as a new table."""
     return EmbeddingTable(unit32(table), table.row_ids)
 
 
 def similarity_blocks(q64: np.ndarray, r64: np.ndarray):
-    """Scorer of the float64 similarity blocks ``q64[part] @ r64.T``.
+    """Scorer of the float64 blocks ``q64[part] @ r64.T``, against one
+    row-major (dim, n_r) copy of the gallery.
 
-    The gallery is copied once per call into a C-contiguous (dim, n_r)
-    array, so each block's gemm reads it row-major, not through a
-    transposed view: about half the gemm time at 5000 6-d references. A
-    gemm's bits may depend on the layout and on the block's height, so the
-    scores are deterministic for a given N and block budget, not always
-    equal to those of another layout or a single full-matrix pass.
-
-    A gemm may round the same dot product differently in different columns,
-    so identical reference rows need not score alike. When some reference
-    row repeats an earlier one, each block copies the first copy's column
-    onto the later copies, so they tie and the tie goes to the lower index.
-    Rows whose first values all differ (strictly increasing once sorted,
-    so no NaN and no 0.0 beside -0.0) cannot repeat, and skip the search.
-    Raises unless both hold rows of one width.
+    A gemm's bits depend on the layout and the block's height, so scores are
+    deterministic for a given N and block budget, not equal to one full-matrix
+    pass. A gemm may round identical reference rows differently, so each block
+    copies a repeated row's first column onto its later copies: they tie.
     """
     require_same_width("queries", q64.shape[1], "references", r64.shape[1])
     r64 = np.ascontiguousarray(r64)
     rT = np.ascontiguousarray(r64.T)
     later = np.empty(0, dtype=np.intp)
-    lead = np.sort(r64[:, 0])
+    lead = np.sort(r64[:, 0])  # strictly increasing: no row repeats (NaN and -0.0 fail it)
     if not (lead[1:] > lead[:-1]).all():
         row_bytes = r64.view(np.dtype((np.void, r64.dtype.itemsize * r64.shape[1])))[:, 0]
         _, first, inverse = np.unique(row_bytes, return_index=True, return_inverse=True)
@@ -165,20 +140,9 @@ def cosine_matrix(queries: EmbeddingTable, references: EmbeddingTable) -> np.nda
 def visual_topk(
     queries: EmbeddingTable, references: EmbeddingTable, K: int
 ) -> Pools:
-    """Per query, the K most similar references excluding its own positive.
-
-    Query i's positive is reference i (row-aligned tables); ties break
-    toward the lower reference index, identical reference rows included.
-    Queries are scored in blocks of ``neighbors.block_rows`` rows by
-    ``similarity_blocks``, against one row-major copy of the gallery. A
-    gemm's bits may depend on the block's shape and the gallery's layout,
-    so the output is deterministic for a given N and block budget, not
-    always equal to one full-matrix pass.
-
-    ``nearest_k`` checks no key: both tables' rows are finite, checked once
-    by the read-only ``EmbeddingTable``, and a finite float32 row gives
-    finite float64 dot products, since |q.r| <= d * (3.4e38)^2.
-    """
+    """Per query i, the K most similar references other than reference i, in
+    ``nearest_k``'s order. Finite float32 rows (``EmbeddingTable``) give
+    finite float64 keys, since |q.r| <= d * (3.4e38)^2."""
     n_r = references.count
     require_pool_size("K", K, n_r)
     scores = similarity_blocks(queries.data.astype(np.float64),

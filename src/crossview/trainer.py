@@ -1,45 +1,16 @@
 """Desk-scale contrastive trainer over precomputed view features.
 
-The encoder is a two-layer gelu MLP followed by L2 normalisation, shared
-between the query and reference views by default (a single parameter set
-encodes both). Training runs AdamW with decoupled weight decay (weights
-only, never biases or the logit scale) under a cosine learning-rate
-schedule with linear warm-up. Each epoch the sampler plans batches from
-geographic or visual hard-negative pools; visual pools are refreshed by
-re-encoding the full training set with the current weights. The schedule
-runs in units of each epoch's planned batches, which shared classes can
-make more than ceil(n / B).
+The encoder is a two-layer gelu MLP with unit-norm outputs, one for both views
+unless ``train.shared_weights`` is false. Training runs AdamW under a linear
+warm-up and cosine decay, in units of each epoch's planned batches, and
+refreshes DSS pools by re-encoding the training pairs. Everything runs in
+float64 from explicit seeds, so a rerun reproduces plans, history and params.
 
-All trainable state is one float64 vector ``theta``: the query encoder's
-W1, b1, W2, b2 (each row-major), then the reference encoder's four when
-weights are not shared, then the logit scale. ``EncoderParams`` holds
-each encoder's tensors as one tuple of reshaped views into it; the
-objective writes its gradient as one theta-shaped vector, AdamW updates
-theta in place, the temperature clamp touches its last entry, gradcheck
-perturbs its entries one at a time, and save_params writes it as one
-EMB1 row.
-``theta_layout`` is the one place that knows the tensor shapes.
-
-A training step encodes both views in one pass: the batch's query and
-reference inputs are one (2, rows, d_in) stack, and each layer is one
-matmul over it, which numpy runs as one gemm per view at the one-view
-shape. Elementwise work runs in place over both views, and every column
-sum (the bias gradients, the weight-gradient gemms) stays per view, so
-the step's bits equal those of two one-view passes. Stacking the views
-as 2 x rows rows of one gemm would change them. A shared encoder's
-gradient is the two views' terms added; separate encoders' stacked
-tensors are views of theta built once (``EncoderParams.stacked``), and
-each view's terms go to its own slice of theta. ``train`` holds both
-views' features as one (2, n, d_in) float32 array and casts each
-gathered batch to float64; ``encode`` keeps one view's (rows, d_in) form.
-
-Everything runs in float64 so the analytic gradients can be validated
-against central finite differences, and every random stream is derived
-from explicit seeds so a rerun reproduces plans and losses exactly.
-
-The gelu's erf is ``scipy.special.erf``, imported at the first forward
-pass, so importing this module loads numpy alone and only commands that
-run the encoder load scipy.
+A training step runs both views as one (2, rows, d_in) stack: numpy runs each
+layer's matmul as one gemm per view at the one-view shape, and every column
+sum stays per view, so the bits equal two one-view passes; one gemm over
+2 x rows stacked rows would change them. The gelu's erf is
+``scipy.special.erf``, imported at the first forward pass.
 """
 
 from __future__ import annotations
@@ -119,16 +90,12 @@ def _view_pairs(rows: np.ndarray, layout: dict) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class EncoderParams:
-    """All trainable state as one float64 vector ``theta``, laid out by
-    ``theta_layout``.
-
-    ``query`` and ``reference`` are each encoder's (W1, b1, W2, b2) as
-    reshaped views into theta, so an in-place update of theta moves them;
-    ``reference is query`` when weights are shared. W1 ... b2 name the
-    entries of ``query``. ``stacked`` encodes a (2, rows, d_in) stack of
-    both views: ``query`` when shared, else each query tensor and its
-    reference twin as one (2, ...) view of theta.
-    """
+    """All trainable state as one float64 vector ``theta`` (``theta_layout``).
+    ``query`` and ``reference`` are each encoder's (W1, b1, W2, b2) as views
+    into theta (``reference is query`` when shared), so updating theta in place
+    moves them. ``stacked`` encodes a (2, rows, d_in) stack of both views:
+    ``query`` when shared, else each query tensor and its reference twin as
+    one (2, ...) view of theta."""
 
     theta: np.ndarray
     d_in: int
@@ -219,8 +186,7 @@ class TrainConfig:
 
 def _erf(x, out=None):
     """``scipy.special.erf``, imported at the first call so that importing
-    crossview loads numpy alone; the call rebinds this name to scipy's
-    ufunc, so later forward passes call it directly."""
+    crossview loads numpy alone; the call rebinds this name to scipy's ufunc."""
     global _erf
     from scipy.special import erf as _erf
     return _erf(x, out=out)
@@ -331,13 +297,9 @@ def adamw_init(params: EncoderParams) -> AdamState:
 def adamw_step(
     params: EncoderParams, grad: np.ndarray, state: AdamState, lr: float, cfg: TrainConfig
 ) -> None:
-    """One decoupled-weight-decay adaptive-moment update of params.theta,
-    in place; state advances with it.
-
-    Decay hits only the weight matrices, never biases or the logit scale.
-    The moments are updated in place, each operation in the order of the
-    formula beside it, so the bits equal those of the plain expressions.
-    """
+    """One AdamW update of params.theta in place, decaying only the weight
+    matrices; state advances with it. Each in-place operation follows the
+    formula beside it, so the bits equal the plain expression's."""
     if not np.isfinite(grad).all():
         bad = np.flatnonzero(~np.isfinite(grad))
         raise ValidationError(f"non-finite gradient for parameter {params.name_at(bad[0])!r}")
@@ -409,12 +371,10 @@ def _batch_objective(params: EncoderParams, X2: np.ndarray, loss_cfg: LossConfig
 
 
 def step_bytes(d_in: int, cfg: TrainConfig, rows: int) -> int:
-    """An upper estimate of one training step's heap, in bytes, for a batch of
-    ``rows`` pairs of d_in features: nine theta-sized float64 vectors (theta,
-    the AdamW moments and scratch, the gradient and its per-view rows), per
-    row of each view its inputs twice over and six hidden-width and four
-    embedding-width activations, and for InfoNCE the target and three
-    (2, rows, rows) buffers, 7 * rows**2 float64."""
+    """An upper estimate of one training step's heap in bytes, for ``rows``
+    pairs of d_in features: nine theta-sized float64 vectors, per row of each
+    view its inputs twice and six hidden-width and four embedding-width
+    activations, and for InfoNCE 7 * rows**2 float64 of logits."""
     size = theta_layout(d_in, cfg.hidden_dim, cfg.embed_dim,
                         cfg.shared_weights)["logit_scale"][0].stop
     per_row = 2 * (2 * d_in + 6 * cfg.hidden_dim + 4 * cfg.embed_dim)
@@ -423,11 +383,9 @@ def step_bytes(d_in: int, cfg: TrainConfig, rows: int) -> int:
 
 
 def pass_bytes(d_in: int, cfg: TrainConfig, rows: int) -> int:
-    """An upper estimate of the heap of one forward pass over ``rows`` input
-    rows of d_in features, in bytes: per row its float64 inputs, three
-    hidden-width arrays (pre-activation, CDF, activation) and three
-    embedding-width ones (the embedding, its squares and its float32 copy)
-    as float64 words, and 256 bytes for the row id ``encode`` names it by."""
+    """An upper estimate of one forward pass's heap in bytes over ``rows`` rows
+    of d_in features: per row its float64 inputs, three hidden-width and three
+    embedding-width float64 arrays, and 256 bytes for its row id."""
     return rows * (8 * (d_in + 3 * cfg.hidden_dim + 3 * cfg.embed_dim) + 256)
 
 
@@ -452,13 +410,10 @@ def train(
     cfg: TrainConfig,
     geo_cfg: GeoConfig = GeoConfig(),
 ) -> TrainResult:
-    """Train the encoder on row-aligned features; deterministic given cfg.
-
-    The final holdout_size(n) pairs by record position are held out, and each
-    needs a positive among them; per epoch the history records the mean
-    batch loss, the learning rate at the last step, and the held-out R@1
-    of retrieval_report, whose last report the result keeps.
-    """
+    """Train the encoder on row-aligned features, deterministic given cfg. The
+    last holdout_size(n) pairs are held out, each needing a positive among
+    them; each epoch's history holds the mean batch loss, the last step's
+    learning rate and the held-out R@1, whose last report the result keeps."""
     n = len(manifest)
     require_same_width("query features", query_features.dim,
                        "reference features", reference_features.dim)
@@ -580,15 +535,10 @@ def gradcheck(
     seed: int = 0,
     step: float = 1e-5,
 ) -> dict[str, float]:
-    """Compare backprop gradients of the full batch objective to central
-    finite differences, for an encoder of cfg's widths over n random
-    d_in-dimensional pairs.
-
-    Returns per-parameter max relative errors plus their overall "max".
-    The relative error of a tensor is the sup-norm deviation scaled by
-    the larger of the two gradients' sup-norms (absolute when both
-    vanish).
-    """
+    """Each tensor's relative error of backprop against central differences,
+    and their "max", for cfg's encoder over n random d_in-wide pairs: the
+    sup-norm deviation over the larger gradient's sup-norm (absolute when
+    both vanish)."""
     check_setting("gradcheck n", GRADCHECK_PAIRS, n)
     require_heap(step_bytes(d_in, cfg, n), f"gradcheck n={n} ({n} rows per step) with train."
                  f"hidden_dim={cfg.hidden_dim}, train.embed_dim={cfg.embed_dim} and {d_in} input "
@@ -641,8 +591,8 @@ _HEADER = {
 
 def save_params(params: EncoderParams, out_dir: str | Path) -> None:
     """Write theta without its logit scale as one float32 EMB1 row,
-    ``theta.emb``, beside ``header.json`` with the widths, shared_weights
-    and the logit scale."""
+    ``theta.emb``, beside ``header.json`` with the widths, shared_weights and
+    the logit scale."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_embeddings(EmbeddingTable(params.theta[None, :-1], ("theta",)), out_dir / "theta.emb")

@@ -4,6 +4,7 @@ import json
 import re
 import shlex
 import struct
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -78,6 +79,22 @@ class TestGenSynth:
                    "--out", str(tmp_path / "data")])
         assert rc == 1
         assert "synth.map_extent_m=1e+308" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["synth.n_pairs=3", "synth.n_semi_positives=3"], "override 2 "
+         "('synth.n_semi_positives=3'): synth.n_semi_positives=3 must be < synth.n_pairs=3"),
+        (["synth.noise_sigma=1e300"], "override 1 ('synth.noise_sigma=1e300'): bad value "
+         "for 'synth.noise_sigma': synth.noise_sigma=1e+300 must be <= 1e+30"),
+    ], ids=["semi-positives", "noise"])
+    def test_data_rule_names_the_override(self, tmp_path, capsys, overrides, message):
+        # refused before anything is drawn, so no numpy warning either
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["gen-synth", *sets, "--out", str(tmp_path / "data")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("line, message", [
         ("train.beta2=1.0", "train.beta2=1.0 must be < 1"),

@@ -1,8 +1,10 @@
 import ast
+import io
 import json
 import math
 import re
 import struct
+import tokenize
 import tracemalloc
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from crossview.datasets import (
     write_manifest,
 )
 from crossview.errors import ValidationError
-from crossview.simsearch import l2_normalize
+from crossview.simsearch import l2_normalize, visual_topk
 from crossview.trainer import encode, init_params
 
 from oracles import brute_nearest
@@ -420,11 +422,29 @@ class TestTablesChecked:
         file = tmp_path / "t.emb" if path.startswith("read_embeddings") else None
         assert re.match(f"^{re.escape(f'{file}: ') if file else ''}{message}", str(raised.value))
 
+    def test_view_of_a_writable_array_is_copied(self):
+        # a later write to the caller's array must not reach the checked rows
+        x = np.ones((7, 3), np.float32)
+        t = EmbeddingTable(x[:5], IDS)
+        x[0, 0] = np.nan
+        assert t.data[0].tolist() == [1.0, 1.0, 1.0]
+        pools = visual_topk(t, t, 2)
+        assert pools.indices.max() < 5 and np.isfinite(pools.scores).all()
+
+    def test_views_of_frozen_memory_are_kept(self, tmp_path):
+        # slices of a file's bytes or of another table's array are not copied
+        for table in (read_embeddings(emb1_file(np.ones((5, 3)), tmp_path / "t.emb")),
+                      generate_synthetic(SynthConfig(n_pairs=5, n_semi_positives=1))[1]):
+            part = EmbeddingTable(table.data[:3], table.row_ids[:3])
+            assert np.shares_memory(part.data, table.data)
+
     def test_synthetic_overflow_named(self):
-        # float32 rounds the noise to inf: refused by the table, by row
-        with np.errstate(over="ignore"), pytest.raises(
-                ValidationError, match=r"^embedding row 'p000000' \(index 0\) holds a NaN or inf"):
-            generate_synthetic(SynthConfig(n_pairs=20, noise_sigma=1e300))
+        # the bound keeps every float32 view value finite: noise at the bound
+        # draws without a warning, and a larger one is refused by the setting
+        generate_synthetic(SynthConfig(n_pairs=20, noise_sigma=1e30))
+        with pytest.raises(ValidationError,
+                           match=r"^synth\.noise_sigma=1e\+300 must be <= 1e\+30$"):
+            SynthConfig(n_pairs=20, noise_sigma=1e300)
 
 
 class TestEmb1:
@@ -582,8 +602,9 @@ class TestGenerateSynthetic:
             assert record.id not in record.semi_positives
 
     def test_too_many_semi_positives(self):
-        with pytest.raises(ValidationError, match="n_semi_positives"):
-            generate_synthetic(SynthConfig(n_pairs=3, n_semi_positives=3))
+        with pytest.raises(ValidationError,
+                           match=r"^synth\.n_semi_positives=3 must be < synth\.n_pairs=3$"):
+            SynthConfig(n_pairs=3, n_semi_positives=3)
 
     @pytest.mark.parametrize("n, grid", [(10**12, 16), (100, 10**5)])
     def test_over_budget_refused_from_the_estimate(self, n, grid):
@@ -630,6 +651,34 @@ def test_only_datasets_imports_json():
             if any(name == "json" or name.startswith("json.") for name in names):
                 importers.add(module.stem)
     assert importers == {"datasets"}
+
+
+# a timing figure: a number with a time unit, or a ratio such as 0.64x
+TIMING = re.compile(r"\b\d+(?:[.,]\d+)*\s?(?:ns|us|\u00b5s|\u03bcs|ms|s)\b|\b\d+(?:\.\d+)?x\b")
+
+
+def test_docs_state_contracts_not_measurements():
+    # README stays short, a Layout entry says what its module owns and
+    # promises in at most six lines, and no timing figure sits in the Layout
+    # or in a library docstring or comment: measurements live in CHANGES.md
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert len(readme.splitlines()) <= 300
+    layout = readme.split("\n## Layout\n", 1)[1].split("```")[1]
+    entries = []
+    for line in layout.strip("\n").splitlines():
+        if line.startswith("   "):
+            entries[-1].append(line)
+        else:
+            entries.append([line])
+    assert [entry[0] for entry in entries if len(entry) > 6] == []
+    texts = [layout]
+    for module in Path(datasets.__file__).parent.glob("*.py"):
+        source = module.read_text(encoding="utf-8")
+        texts += [ast.get_docstring(node, clean=False) or "" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+        texts += [token.string for token in tokenize.generate_tokens(io.StringIO(source).readline)
+                  if token.type == tokenize.COMMENT]
+    assert [match.group() for text in texts for match in TIMING.finditer(text)] == []
 
 
 def test_only_datasets_scans_table_rows():

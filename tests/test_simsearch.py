@@ -72,6 +72,13 @@ class TestPools:
         with pytest.raises(ValidationError, match="unknown pool kind 'semantic'"):
             pools([[1], [0]], [[0.5], [0.5]], "semantic")
 
+    def test_view_of_a_writable_array_is_copied(self):
+        # a later write to the caller's array must not put an anchor in its own pool
+        base = np.array([[1, 2], [0, 2], [0, 1]])
+        p = Pools(base[:2], np.zeros((2, 2)), "geographic")
+        base[0, 0] = 0
+        assert p.indices.tolist() == [[1, 2], [0, 2]]
+
     def test_rows_are_plain_records(self):
         p = pools([[1, 2], [2, 0], [0, 1]], [[0.5, 0.25], [0.75, 0.5], [1.0, 0.0]], "visual")
         assert len(p) == 3
