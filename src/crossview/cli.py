@@ -37,6 +37,7 @@ from .datasets import (
 from .errors import ValidationError, check_setting, setting
 from .evaluation import RECALL_KS, evaluate, score_bytes
 from .sampler import (
+    EPOCH,
     build_geo_pools,
     build_sim_pools,
     plan_epoch,
@@ -244,7 +245,7 @@ def cmd_ablate(args) -> int:
 # every numeric option: argparse takes its type and default from here, and
 # main checks each one with check_setting before any command starts
 _OPTIONS = {
-    "epoch": setting(0, ge=0),
+    "epoch": EPOCH,
     "n": GRADCHECK_PAIRS,
     "inits": setting(1, ge=1),
     "tol": setting(1e-6, gt=0),  # a float setting is finite: worst > nan could never fail

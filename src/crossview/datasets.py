@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -158,20 +159,14 @@ class SynthConfig:
     # draws of numpy's standard normal stay below 14 in magnitude and the latent
     # term below 1e7, so every view value stays far below float32's 3.4e38
     noise_sigma: float = setting(0.25, ge=0, le=1e30)
-    map_extent_m: float = setting(10_000.0, gt=0)
-    n_semi_positives: int = setting(3, ge=0)
+    # planar_keys sums two squared axis differences of up to the extent: 2 * extent^2 stays finite
+    map_extent_m: float = setting(10_000.0, gt=0, le=math.sqrt(sys.float_info.max) / 2)
+    n_semi_positives: int = setting(3, ge=0, lt="n_pairs")
     region_grid: int = setting(16, ge=1)
     region_within: float = setting(0.5, gt=0, le=1)
     seed: int = setting(0, ge=0)
 
-    def __post_init__(self):
-        check_settings(self)
-        if self.n_semi_positives >= self.n_pairs:
-            raise ValidationError(f"synth.n_semi_positives={self.n_semi_positives} must be "
-                                  f"< synth.n_pairs={self.n_pairs}")
-        if not math.isfinite(2.0 * self.map_extent_m * self.map_extent_m):  # as planar_keys
-            raise ValidationError(f"synth.map_extent_m={self.map_extent_m!r}: the largest "
-                                  "squared planar distance 2*extent^2 overflows float64")
+    __post_init__ = check_settings
 
 
 def require_heap(need: int, culprit: str) -> None:

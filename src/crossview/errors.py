@@ -25,8 +25,8 @@ _SYMBOLS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}  # bound rules, named 
 
 
 def setting(default, *, ge=None, gt=None, le=None, lt=None, choices=None) -> Field:
-    """A config field, CLI option or params header key: its default, plus the
-    bounds and the tuple of choices that ``check_setting`` holds values to."""
+    """A config field, CLI option or params header key: its default, plus the bounds
+    (a number, or an earlier config field's name) and choices ``check_setting`` holds it to."""
     rules = {"ge": ge, "gt": gt, "le": le, "lt": lt, "choices": choices}
     return field(default=default, metadata={k: v for k, v in rules.items() if v is not None})
 
@@ -43,24 +43,30 @@ def _fits(default, value) -> bool:
     return isinstance(value, int if type(default) is int else (int, float))
 
 
-def check_setting(key: str, f: Field, value) -> None:
+def check_setting(key: str, f: Field, value, config=None) -> None:
     """Raise ValidationError naming ``key=value`` unless value has a type that
-    fits f's default (``_fits``) and keeps the rules ``setting`` declared on
-    f; a float setting must also be finite (no NaN, inf or int beyond float range)."""
+    fits f's default (``_fits``), is finite if a float, and keeps f's rules; a bound
+    naming a field is config's, shown ``SECTION.name=value``, and skipped with no config."""
     if type(f.default) in _TYPE_NAMES and not _fits(f.default, value):
         raise ValidationError(f"{key}={value!r} must be {_TYPE_NAMES[type(f.default)]}")
     if isinstance(f.default, float) and not abs(value) <= sys.float_info.max:
         raise ValidationError(f"{key}={value!r} must be finite")
     for rule, bound in f.metadata.items():
+        shown = bound
+        if isinstance(bound, str):  # a field's name
+            if config is None:
+                continue
+            bound = getattr(config, bound)
+            shown = f"{config.SECTION}.{shown}={bound!r}"
         if rule == "choices":
             if value not in bound:
                 raise ValidationError(f"{key}={value!r} must be one of {bound}")
         elif not getattr(operator, rule)(value, bound):
-            raise ValidationError(f"{key}={value!r} must be {_SYMBOLS[rule]} {bound}")
+            raise ValidationError(f"{key}={value!r} must be {_SYMBOLS[rule]} {shown}")
 
 
 def check_settings(config) -> None:
-    """check_setting on every field of a config dataclass, keyed
-    ``SECTION.field``."""
+    """A config dataclass's __post_init__: check_setting on every field in order,
+    keyed ``SECTION.field``, so a bound naming an earlier field meets a checked value."""
     for f in fields(config):
-        check_setting(f"{config.SECTION}.{f.name}", f, getattr(config, f.name))
+        check_setting(f"{config.SECTION}.{f.name}", f, getattr(config, f.name), config)

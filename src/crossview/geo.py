@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +20,10 @@ MEAN_EARTH_RADIUS_M = 6_371_008.8
 class GeoConfig:
     SECTION = "geo"
 
-    earth_radius_m: float = setting(MEAN_EARTH_RADIUS_M, gt=0)
+    # the largest haversine distance, 2 * R * asin(1) = pi * R, stays finite
+    earth_radius_m: float = setting(MEAN_EARTH_RADIUS_M, gt=0, le=sys.float_info.max / 4)
 
-    def __post_init__(self):
-        check_settings(self)
-        if not math.isfinite(2.0 * self.earth_radius_m * math.asin(1.0)):  # as _haversine_block
-            raise ValidationError(f"geo.earth_radius_m={self.earth_radius_m!r}: the largest "
-                                  "haversine distance 2*R*asin(1) overflows float64")
+    __post_init__ = check_settings
 
 
 def haversine_distance(p: Coordinate, q: Coordinate, cfg: GeoConfig = GeoConfig()) -> float:

@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import EmbeddingTable, SampleRecord, json_line, read_json, read_lines, require_heap
-from .errors import ValidationError, check_settings, first_repeat, setting
+from .errors import ValidationError, check_setting, check_settings, first_repeat, setting
 from .geo import GeoConfig, geo_topk
 from .neighbors import BLOCK_BYTES, require_pool_size
 from .simsearch import NeighborPool, Pools, visual_topk
 
 STRATEGIES = ("random", "gps", "dss", "gps_then_dss")
+EPOCH = setting(0, ge=0)  # an epoch number, the CLI's --epoch
 
 
 @dataclass(frozen=True)
@@ -27,8 +28,8 @@ class SamplerConfig:
     SECTION = "sampler"
 
     batch_size: int = setting(128, ge=1)
-    pool_size: int = setting(128, ge=2)
-    picks_per_anchor: int = setting(64, ge=2)
+    pool_size: int = 128  # at least picks_per_anchor, so at least 2
+    picks_per_anchor: int = setting(64, ge=2, le="pool_size")
     refresh_every: int = setting(4, ge=1)
     gps_epochs: int = setting(4, ge=0)
     strategy: str = setting("gps_then_dss", choices=STRATEGIES)
@@ -38,9 +39,6 @@ class SamplerConfig:
         check_settings(self)
         if self.picks_per_anchor % 2 != 0:
             raise ValidationError(f"sampler.picks_per_anchor={self.picks_per_anchor} must be even")
-        if self.picks_per_anchor > self.pool_size:
-            raise ValidationError(f"sampler.picks_per_anchor={self.picks_per_anchor} exceeds "
-                                  f"sampler.pool_size={self.pool_size}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +52,7 @@ class BatchPlan:
 
 def resolve_strategy(cfg: SamplerConfig, epoch: int) -> str:
     """Effective strategy at ``epoch``: gps_then_dss switches after gps_epochs."""
+    check_setting("epoch", EPOCH, epoch)
     if cfg.strategy == "gps_then_dss":
         return "gps" if epoch < cfg.gps_epochs else "dss"
     return cfg.strategy
@@ -61,13 +60,12 @@ def resolve_strategy(cfg: SamplerConfig, epoch: int) -> str:
 
 def plan_rng(cfg: SamplerConfig, epoch: int) -> np.random.Generator:
     """The per-epoch planning stream; shared by the trainer and the plan CLI."""
+    check_setting("epoch", EPOCH, epoch)
     return np.random.default_rng([cfg.seed, epoch])
 
 
 def should_refresh(epoch: int, cfg: SamplerConfig) -> bool:
     """Whether visual pools must be (re)built from fresh embeddings at ``epoch``."""
-    if epoch < 0:
-        raise ValidationError("epoch must be >= 0")
     first = cfg.gps_epochs if cfg.strategy == "gps_then_dss" else 0  # the first dss epoch
     return resolve_strategy(cfg, epoch) == "dss" and (epoch - first) % cfg.refresh_every == 0
 
@@ -153,6 +151,7 @@ def plan_epoch(
                 f"pools hold {pools.indices.shape[1]} entries per anchor, "
                 f"need picks_per_anchor={cfg.picks_per_anchor}"
             )
+        pools.require_entries(pools.indices < n, f"outside the {n} records")  # Pools refuses < 0
 
     class_of = [r.class_id for r in records]
     order = rng_state.permutation(n).tolist()

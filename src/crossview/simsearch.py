@@ -29,7 +29,7 @@ class NeighborPool:
 @dataclass(frozen=True, eq=False)
 class Pools:
     """Every anchor's ordered candidates: ``indices`` and float64 ``scores``,
-    both (n, K), row i anchor i's and never holding i. Checked once, then
+    both (n, K), row i anchor i's: integers >= 0, never i. Checked once, then
     read-only (``datasets.unshared``); ``pools[i]`` is row i as a ``NeighborPool``."""
 
     indices: np.ndarray
@@ -44,6 +44,9 @@ class Pools:
         if self.indices.ndim != 2 or self.indices.shape != self.scores.shape:
             raise ValidationError(f"pool indices {self.indices.shape} and scores "
                                   f"{self.scores.shape} must be (anchors, K) of equal shape")
+        if self.indices.size and not np.issubdtype(self.indices.dtype, np.integer):
+            raise ValidationError(f"pool for anchor 0 holds {self.indices.dtype}, not integers")
+        self.require_entries(self.indices >= 0, "below 0")
         own = np.flatnonzero((self.indices == np.arange(len(self))[:, None]).any(axis=1))
         if own.size:
             raise ValidationError(f"pool for anchor {own[0]} contains the anchor itself")
@@ -57,6 +60,13 @@ class Pools:
             raise ValidationError(f"{self.kind} pool for anchor {rows[0]}: {order}")
         self.indices.setflags(write=False)
         self.scores.setflags(write=False)
+
+    def require_entries(self, ok: np.ndarray, fault: str) -> None:
+        """Raise naming the first anchor holding an index where the (n, K) mask ok is False."""
+        rows = np.flatnonzero(~ok.all(axis=1))
+        if rows.size:
+            bad = self.indices[rows[0]][~ok[rows[0]]][0]
+            raise ValidationError(f"pool for anchor {rows[0]} holds index {bad}, {fault}")
 
     def __len__(self) -> int:
         return self.indices.shape[0]

@@ -160,7 +160,7 @@ class TrainConfig:
 
     epochs: int = setting(40, ge=1)
     lr_max: float = setting(0.001, gt=0)
-    warmup_epochs: int = setting(1, ge=0)
+    warmup_epochs: int = setting(1, ge=0, lt="epochs")
     weight_decay: float = setting(0.01, ge=0)
     beta1: float = setting(0.9, ge=0, lt=1)
     beta2: float = setting(0.999, ge=0, lt=1)
@@ -173,11 +173,7 @@ class TrainConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     seed: int = setting(0, ge=0)
 
-    def __post_init__(self):
-        check_settings(self)
-        if self.warmup_epochs >= self.epochs:
-            raise ValidationError(f"train.warmup_epochs={self.warmup_epochs} must be "
-                                  f"< train.epochs={self.epochs}")
+    __post_init__ = check_settings
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import re
 import shlex
 import struct
@@ -441,7 +442,8 @@ class TestTrain:
         rc = main(["train", *TINY_TRAIN, "--set", "loss.logit_scale=800",
                    "--set", "sampler.strategy=random", "--data", str(data), "--out", str(out)])
         assert rc == 1
-        assert "loss.logit_scale=800.0 exceeds" in capsys.readouterr().err
+        assert (f": loss.logit_scale=800.0 must be <= loss.logit_scale_max={math.log(100.0)!r}\n"
+                in capsys.readouterr().err)
         assert not out.exists()
 
 

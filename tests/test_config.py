@@ -1,6 +1,7 @@
 import math
 import operator
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -105,12 +106,17 @@ class TestParsing:
 @pytest.mark.parametrize("text, line, message", [
     ("sampler.picks_per_anchor=3", 2, "sampler.picks_per_anchor=3 must be even"),
     ("sampler.picks_per_anchor=16\nsampler.pool_size=8", 3,
-     "sampler.picks_per_anchor=16 exceeds sampler.pool_size=8"),
+     "sampler.picks_per_anchor=16 must be <= sampler.pool_size=8"),
     ("train.warmup_epochs=2\ntrain.epochs=2", 3, "train.warmup_epochs=2 must be < train.epochs=2"),
     ("loss.logit_scale_max=4.0\nloss.logit_scale=5.0\ntrain.epochs=9", 3,
-     "loss.logit_scale=5.0 exceeds loss.logit_scale_max=4.0"),
-    ("synth.map_extent_m=1e154", 2, "synth.map_extent_m=1e+154: the largest squared planar"),
-    ("geo.earth_radius_m=6e307", 2, "geo.earth_radius_m=6e+307: the largest haversine distance"),
+     "loss.logit_scale=5.0 must be <= loss.logit_scale_max=4.0"),
+    ("synth.map_extent_m=1e154", 2, "bad value for 'synth.map_extent_m': "
+     "synth.map_extent_m=1e+154 must be <= 6.703903964971298e+153"),
+    ("geo.earth_radius_m=6e307", 2, "bad value for 'geo.earth_radius_m': "
+     "geo.earth_radius_m=6e+307 must be <= 4.4942328371557893e+307"),
+    ("synth.n_semi_positives=5\nsynth.n_pairs=5", 3,
+     "synth.n_semi_positives=5 must be < synth.n_pairs=5"),
+    ("sampler.pool_size=1", 2, "sampler.picks_per_anchor=64 must be <= sampler.pool_size=1"),
 ])
 def test_rule_between_settings_names_the_line_that_last_set_a_key(tmp_path, text, line, message):
     path = tmp_path / "c.cfg"
@@ -124,7 +130,8 @@ def test_rule_between_settings_names_the_override_that_last_set_a_key(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("sampler.pool_size=8\n")
     with pytest.raises(ValidationError, match="^" + re.escape(
-            "override 2 ('sampler.picks_per_anchor=16'): sampler.picks_per_anchor=16 exceeds")):
+            "override 2 ('sampler.picks_per_anchor=16'): sampler.picks_per_anchor=16 must be "
+            "<= sampler.pool_size=8")):
         parse_config(path, ["train.epochs=3", "sampler.picks_per_anchor=16"])
 
 
@@ -138,9 +145,23 @@ def _outside(rule, bound, default):
     return repr(math.nextafter(bound, toward[rule]) if rule in toward else float(bound))
 
 
-DECLARED = [(key, rule, _outside(rule, bound, f.default))
-            for key, (_, f, _) in sorted(_SCHEMA.items())
+def _value(section, bound):
+    """A declared bound's value: the name of a field stands for that field's default."""
+    return _SCHEMA[f"{section}.{bound}"][1].default if isinstance(bound, str) else bound
+
+
+DECLARED = [(key, rule, _outside(rule, _value(section, bound), f.default))
+            for key, (section, f, _) in sorted(_SCHEMA.items())
             for rule, bound in f.metadata.items()]
+
+
+def test_a_bound_names_an_earlier_field_of_its_config():
+    # check_settings goes in field order, so the named field is checked first
+    for cls in _SECTIONS.values():
+        names = [f.name for f in fields(cls)]
+        for i, f in enumerate(fields(cls)):
+            named = [b for b in f.metadata.values() if isinstance(b, str)]
+            assert set(named) <= set(names[:i]), (cls.SECTION, f.name)
 
 
 def test_every_key_with_a_range_declares_one():
@@ -154,7 +175,9 @@ def test_nearest_value_outside_a_declared_range_names_line_and_key(tmp_path, key
     path = tmp_path / "c.cfg"
     path.write_text(f"# comment\n{key}={text}\n")
     k = re.escape(key)
-    with pytest.raises(ValidationError, match=rf"c\.cfg:2: bad value for '{k}': {k}="):
+    # a line is checked alone, so a bound naming a field is checked as the config is built
+    line = "" if isinstance(_SCHEMA[key][1].metadata[rule], str) else f"bad value for '{k}': "
+    with pytest.raises(ValidationError, match=rf"c\.cfg:2: {line}{k}="):
         parse_config(path)
 
 
@@ -229,7 +252,9 @@ def test_any_value_text_parses_finite_or_fails_validation(key, text):
     sources = {"synth": bundle.synth, "sampler": bundle.sampler, "train": bundle.train,
                "loss": bundle.train.loss, "geo": bundle.geo}
     for section, f, _ in _SCHEMA.values():
-        value = getattr(sources[section], f.name)
+        config = sources[section]
+        value = getattr(config, f.name)
         assert type(value) is type(f.default)
         assert not isinstance(value, float) or math.isfinite(value)
-        assert all(HOLDS[rule](value, bound) for rule, bound in f.metadata.items()), (f, value)
+        assert all(HOLDS[rule](value, getattr(config, bound) if isinstance(bound, str) else bound)
+                   for rule, bound in f.metadata.items()), (f, value)

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+import sys
 import tokenize
 import tracemalloc
 from pathlib import Path
@@ -29,6 +30,7 @@ from crossview.datasets import (
     write_manifest,
 )
 from crossview.errors import ValidationError
+from crossview.geo import geo_topk, planar_distance
 from crossview.simsearch import l2_normalize, visual_topk
 from crossview.trainer import encode, init_params
 
@@ -561,10 +563,19 @@ class TestEmb1:
 
 class TestGenerateSynthetic:
     def test_extent_whose_squared_distance_overflows_rejected(self):
-        # planar_keys sums two squared axis differences of up to extent^2
-        assert SynthConfig(map_extent_m=9e153).map_extent_m == 9e153
-        with pytest.raises(ValidationError, match="synth.map_extent_m=1e\\+154"):
+        # planar_keys sums two squared axis differences of up to the extent
+        with pytest.raises(ValidationError, match=re.escape(
+                f"synth.map_extent_m=1e+154 must be <= {math.sqrt(sys.float_info.max) / 2}")):
             SynthConfig(map_extent_m=1e154)
+
+    def test_extent_at_its_bound_yields_finite_keys(self):
+        # crossview warnings are errors here, so an overflow on the way fails too
+        bound = math.sqrt(sys.float_info.max) / 2
+        records, _, _ = generate_synthetic(SynthConfig(n_pairs=20, map_extent_m=bound))
+        coords = [r.coord for r in records]
+        assert np.isfinite(geo_topk(coords, coords, 5).scores).all()
+        assert math.isfinite(planar_distance(Coordinate(0.0, 0.0, "planar"),
+                                             Coordinate(bound, bound, "planar")))
 
     def test_same_seed_bit_identical(self):
         cfg = SynthConfig(n_pairs=12, seed=99)
@@ -651,6 +662,27 @@ def test_only_datasets_imports_json():
             if any(name == "json" or name.startswith("json.") for name in names):
                 importers.add(module.stem)
     assert importers == {"datasets"}
+
+
+def test_config_rules_are_declared_not_written():
+    # a config rule is a setting() bound beside its default, enforced by
+    # check_settings; only picks_per_anchor's parity is no bound
+    written, sections = {}, set()
+    for module in Path(datasets.__file__).parent.glob("*.py"):
+        for cls in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef) or "SECTION" not in {
+                    ast.unparse(t) for n in cls.body if isinstance(n, ast.Assign) for t in n.targets}:
+                continue
+            sections.add(cls.name)
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                    rules = [ast.unparse(n.test) for n in ast.walk(fn) if isinstance(n, ast.If)
+                             and any(isinstance(m, ast.Raise) for m in n.body)]
+                    raises = sum(isinstance(n, ast.Raise) for n in ast.walk(fn))
+                    if raises:
+                        written[cls.name] = rules + ["raise"] * (raises - len(rules))
+    assert sections == {"SynthConfig", "SamplerConfig", "TrainConfig", "LossConfig", "GeoConfig"}
+    assert written == {"SamplerConfig": ["self.picks_per_anchor % 2 != 0"]}
 
 
 # a timing figure: a number with a time unit, or a ratio such as 0.64x

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -43,9 +45,17 @@ class TestHaversine:
 
     def test_radius_whose_largest_distance_overflows_rejected(self):
         # 2 * R * asin(1) = pi * R must stay finite
-        assert GeoConfig(earth_radius_m=5e307).earth_radius_m == 5e307
-        with pytest.raises(ValidationError, match="geo.earth_radius_m=6e\\+307"):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"geo.earth_radius_m=6e+307 must be <= {sys.float_info.max / 4}")):
             GeoConfig(earth_radius_m=6e307)
+
+    def test_radius_at_its_bound_yields_finite_distances(self):
+        # crossview warnings are errors here, so an overflow on the way fails too
+        cfg = GeoConfig(earth_radius_m=sys.float_info.max / 4)
+        d = haversine_distance(wgs(0.0, 0.0), wgs(0.0, 180.0), cfg)
+        assert d == pytest.approx(math.pi * cfg.earth_radius_m, rel=1e-12)
+        coords = [wgs(0.0, 0.0), wgs(0.0, 180.0), wgs(90.0, 0.0), wgs(-90.0, 0.0)]
+        assert np.isfinite(geo_topk(coords, coords, 3, cfg).scores).all()
 
     def test_against_law_of_cosines(self):
         rng = np.random.default_rng(11)

@@ -373,7 +373,8 @@ class TestLossConfig:
             LossConfig(direction="sideways")
 
     def test_logit_scale_above_max_rejected(self):
-        with pytest.raises(ValidationError, match="loss.logit_scale=10.0 exceeds"):
+        with pytest.raises(ValidationError, match="^loss.logit_scale=10.0 must be <= "
+                           f"loss.logit_scale_max={math.log(100.0)!r}$"):
             LossConfig(logit_scale=10.0)
         assert LossConfig(logit_scale=math.log(100.0)).logit_scale == math.log(100.0)
 

@@ -29,7 +29,7 @@ from crossview.sampler import (
     validate_plan,
     write_plan,
 )
-from crossview.simsearch import NeighborPool, l2_normalize
+from crossview.simsearch import NeighborPool, Pools, l2_normalize
 
 from oracles import rescan_plan
 
@@ -63,8 +63,12 @@ class TestSamplerConfig:
             SamplerConfig(picks_per_anchor=3)
 
     def test_picks_cannot_exceed_pool(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^sampler.picks_per_anchor=32 must be <= "
+                                                  "sampler.pool_size=16$"):
             SamplerConfig(pool_size=16, picks_per_anchor=32)
+        with pytest.raises(ValidationError, match="^sampler.picks_per_anchor=2 must be <= "
+                                                  "sampler.pool_size=1$"):
+            SamplerConfig(pool_size=1, picks_per_anchor=2)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValidationError):
@@ -359,6 +363,23 @@ class TestPlanEpoch:
         with pytest.raises(ValidationError, match="requires pools"):
             plan_epoch(records, None, cfg, 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad, first, message", [
+        ([-1, -2], 0, "holds index -1, below 0"),
+        ([-1, -2], 3, "holds index -1, below 0"),
+        ([7, 9], 0, "holds index 7, outside the 6 records"),
+        ([7, 9], 3, "holds index 7, outside the 6 records"),
+        ([1.5, 2.25], 0, "holds float64, not integers"),
+    ])
+    def test_pool_entries_that_are_not_record_indices_rejected(self, bad, first, message):
+        # [-1, -2] used to plan ((3, -1, -2), (2, 0, 1)), leaving pairs 4 and 5 in
+        # no batch; [7, 9] ended in a bare IndexError, [1.5, 2.25] in a TypeError
+        records = records_at([(i, 0) for i in range(6)])
+        rows = [[(i + 1) % 6, (i + 2) % 6] if i < first else bad for i in range(6)]
+        cfg = SamplerConfig(batch_size=3, pool_size=2, picks_per_anchor=2, strategy="gps")
+        with pytest.raises(ValidationError, match=f"^pool for anchor {first} {re.escape(message)}$"):
+            pools = Pools(np.array(rows), np.zeros((6, 2)), "geographic")
+            plan_epoch(records, pools, cfg, 0, plan_rng(cfg, 0))
+
 
 class TestStrategySchedule:
     def test_gps_then_dss_switches(self):
@@ -377,8 +398,13 @@ class TestStrategySchedule:
         assert not any(should_refresh(e, cfg) for e in range(20))
 
     def test_negative_epoch_rejected(self):
-        with pytest.raises(ValidationError, match="^epoch must be >= 0$"):
-            should_refresh(-1, SamplerConfig(strategy="dss"))
+        # plan_rng used to raise numpy's bare "expected non-negative integer",
+        # and plan_epoch to plan epoch -1
+        cfg = SamplerConfig(strategy="random")
+        for use in (lambda: should_refresh(-1, cfg), lambda: plan_rng(cfg, -1),
+                    lambda: plan_epoch(records_at([(0, 0)]), None, cfg, -1, plan_rng(cfg, 0))):
+            with pytest.raises(ValidationError, match="^epoch=-1 must be >= 0$"):
+                use()
 
     def test_pure_dss_refreshes_from_epoch_zero(self):
         cfg = SamplerConfig(strategy="dss", refresh_every=4)
