@@ -8,7 +8,6 @@ two pairs of one class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ from .simsearch import NeighborPool, Pools, visual_topk
 
 STRATEGIES = ("random", "gps", "dss", "gps_then_dss")
 EPOCH = setting(0, ge=0)  # an epoch number, the CLI's --epoch
+_PLACED = object()  # plan_epoch's tag for a pair already in a batch
 
 
 @dataclass(frozen=True)
@@ -107,17 +107,14 @@ def pick_from_pool(
     """The k/2 nearest pool members plus k/2 drawn from the rest, both in pool
     order, so with k equal to the pool size it is the whole pool."""
     k = cfg.picks_per_anchor
-    if len(pool) < k:
-        raise ValidationError(
-            f"pool for anchor {pool.anchor_index} has {len(pool)} entries, need {k}"
-        )
+    row = pool.neighbor_indices
+    size = len(row)
+    if size < k:
+        raise ValidationError(f"pool for anchor {pool.anchor_index} has {size} entries, need {k}")
     half = k // 2
-    n_rest = len(pool) - half
-    chosen = rng_state.choice(n_rest, size=k - half, replace=False)
-    chosen.sort()
-    picks = list(pool.neighbor_indices[:half])
-    picks.extend(pool.neighbor_indices[half + int(c)] for c in chosen)
-    return picks
+    chosen = rng_state.choice(size - half, size=k - half, replace=False).tolist()
+    rest = row[half:]
+    return [*row[:half], *[rest[c] for c in sorted(chosen)]]
 
 
 def plan_epoch(
@@ -127,9 +124,9 @@ def plan_epoch(
     epoch: int,
     rng_state: np.random.Generator,
 ) -> BatchPlan:
-    """Greedily tile one epoch into batches. Anchors are visited in a seeded
-    shuffle; each opens a batch and pulls in its pool picks, then the rest of
-    the shuffle, skipping used pairs and classes already in the batch. Any
+    """Greedily tile one epoch into batches. The first unused pair of a seeded
+    shuffle opens each batch and pulls in its pool picks, then the rest of the
+    shuffle, skipping used pairs and classes already in the batch. Any
     class fits: one of more than ceil(n / batch_size) pairs gives more,
     shorter batches, which may come mid-epoch."""
     n = len(records)
@@ -153,28 +150,49 @@ def plan_epoch(
             )
         pools.require_entries(pools.indices < n, f"outside the {n} records")  # Pools refuses < 0
 
-    class_of = [r.class_id for r in records]
+    tag = [r.class_id for r in records]  # a pair's class, then _PLACED once in a batch
     order = rng_state.permutation(n).tolist()
-    used = [False] * n
-    cursor = 0  # every order entry before it is used
+    size = cfg.batch_size
     batches: list[tuple[int, ...]] = []
-    for anchor in order:
-        if used[anchor]:
-            continue
-        batch = [anchor]
-        classes = {class_of[anchor]}
-        used[anchor] = True
-        picks = pick_from_pool(pools[anchor], cfg, rng_state) if strategy != "random" else []
-        while cursor < n and used[order[cursor]]:
+    cursor = 0  # every order entry before it is placed
+    while True:
+        while cursor < n and tag[order[cursor]] is _PLACED:
             cursor += 1
-        for cand in chain(picks, (order[pos] for pos in range(cursor, n))):
-            if len(batch) >= cfg.batch_size:
-                break
-            if used[cand] or class_of[cand] in classes:
-                continue
-            batch.append(cand)
-            classes.add(class_of[cand])
-            used[cand] = True
+        if cursor == n:
+            break
+        anchor = order[cursor]
+        batch = [anchor]
+        classes = {_PLACED, tag[anchor]}  # a candidate whose tag is here is skipped
+        tag[anchor] = _PLACED
+        picks = pick_from_pool(pools[anchor], cfg, rng_state) if strategy != "random" else ()
+        room = size - 1
+        if room:
+            for cand in picks:
+                c = tag[cand]
+                if c in classes:
+                    continue
+                batch.append(cand)
+                classes.add(c)
+                tag[cand] = _PLACED
+                room -= 1
+                if not room:
+                    break
+            else:  # the picks left room: top up from the shuffle after the anchor
+                free, pos = n, n - 1  # free: the first walked entry left unplaced, if any
+                for pos in range(cursor + 1, n):
+                    cand = order[pos]
+                    c = tag[cand]
+                    if c in classes:
+                        if c is not _PLACED and free == n:
+                            free = pos
+                        continue
+                    batch.append(cand)
+                    classes.add(c)
+                    tag[cand] = _PLACED
+                    room -= 1
+                    if not room:
+                        break
+                cursor = min(free, pos + 1)  # every order entry before it is placed
         batches.append(tuple(batch))
     return BatchPlan(epoch=epoch, batches=tuple(batches), strategy_used=strategy)
 

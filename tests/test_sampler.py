@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from crossview import geo, sampler
 from crossview.datasets import (
@@ -342,6 +343,51 @@ class TestPlanEpoch:
             expected = rescan_plan([r.class_id for r in records], indices, 17, 16,
                                    np.random.default_rng(seed))
             assert list(plan.batches) == expected
+
+    @given(data=st.data(), strategy=st.sampled_from(["random", "gps", "dss"]),
+           classes=st.sampled_from(["distinct", "shared", "one class too many"]))
+    def test_drawn_shapes_match_full_rescan(self, data, strategy, classes):
+        # every plan equals the oracle's, and the rng stream matches too: one
+        # pick per batch under pools, drawn even when the anchor fills the batch
+        n = data.draw(st.integers(2 if strategy == "random" else 3, 120), label="n")
+        size = data.draw(st.integers(1, n + 1), label="batch_size")
+        if classes == "distinct":
+            class_ids = [f"c{i}" for i in range(n)]
+        elif classes == "shared":
+            class_ids = [f"c{i % max(1, n // 3)}" for i in range(n)]
+        else:  # more pairs of class "big" than there are batches of full size
+            big = min(n, -(-n // size) + 1)
+            class_ids = ["big"] * big + [f"c{i}" for i in range(big, n)]
+        picks = 2 * data.draw(st.integers(1, (n - 1) // 2), label="picks/2") if n > 2 else 2
+        pool_size = data.draw(st.just(picks) | st.integers(picks, max(picks, n - 1)), label="K")
+        cfg = SamplerConfig(batch_size=size, pool_size=pool_size, picks_per_anchor=picks,
+                            strategy=strategy)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="data seed"))
+        records = records_at(rng.uniform(0, 100, size=(n, 2)), class_ids=class_ids)
+        ids = tuple(r.id for r in records)
+        table = l2_normalize(EmbeddingTable(rng.standard_normal((n, 4)), ids))
+        pools = {"random": lambda: None, "gps": lambda: build_geo_pools(records, cfg),
+                 "dss": lambda: build_sim_pools(table, table, cfg)}[strategy]()
+        indices = None if pools is None else [p.neighbor_indices for p in pools]
+        calls = []
+
+        def spy(pool, *args):
+            calls.append(pool.anchor_index)
+            return pick(pool, *args)
+
+        pick = sampler.pick_from_pool
+        for seed in data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3),
+                              label="seeds"):
+            calls.clear()
+            sampler.pick_from_pool = spy
+            try:
+                plan = plan_epoch(records, pools, cfg, 0, np.random.default_rng(seed))
+            finally:
+                sampler.pick_from_pool = pick
+            expected = rescan_plan(class_ids, indices, size, picks, np.random.default_rng(seed))
+            assert list(plan.batches) == expected
+            assert plan.strategy_used == strategy
+            assert calls == ([] if pools is None else [batch[0] for batch in expected])
 
     def test_pool_kind_must_match_strategy(self):
         records = records_at([(0, 0), (1, 0), (2, 0)])
